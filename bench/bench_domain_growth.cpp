@@ -18,8 +18,8 @@
 // seen-set) under a spill budget far below the working set, so the seen-set
 // and frontier stores seal to prefix-compressed run files and the level's set
 // algebra runs as streaming merges. Its table adds heap-vs-disk columns, and
-// bm_closure_outofcore/5 exports the same run (levels, frontier rows,
-// heap/disk MiB counters) into the bench JSON.
+// bm_closure_outofcore/n:5/threads:{1,2,4} exports the same run (levels,
+// frontier rows, heap/disk MiB counters) into the bench JSON.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -158,6 +158,7 @@ void bm_closure_outofcore(benchmark::State& state) {
   for (auto _ : state) {
     synth::ClosureConfig options;
     options.track_witnesses = false;
+    options.threads = static_cast<std::size_t>(state.range(1));
     options.spill_budget_bytes = kOutOfCoreBudgetBytes;
     synth::FmcfEnumerator enumerator(library, options);
     enumerator.run_to(depth);
@@ -172,8 +173,14 @@ void bm_closure_outofcore(benchmark::State& state) {
         static_cast<double>(enumerator.disk_bytes() >> 20);
   }
 }
+// Threads axis 1/2/4: one thread sweeps one shard; more threads cut the
+// stores into 4 shards per thread at splitters sampled from the pilot
+// frontier.
 BENCHMARK(bm_closure_outofcore)
-    ->Arg(5)
+    ->ArgNames({"n", "threads"})
+    ->Args({5, 1})
+    ->Args({5, 2})
+    ->Args({5, 4})
     ->Iterations(1)
     ->Unit(benchmark::kSecond);
 
@@ -269,6 +276,26 @@ void bm_closure_level2(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_closure_level2)->DenseRange(2, 5)->Unit(benchmark::kMillisecond);
+
+// The 4-wire closure to k = 4 (|B[4]| = 104850 rows of 176 B) on 1/2/4
+// threads: the set algebra of level 4 runs on split shards.
+void bm_closure_n4_k4(benchmark::State& state) {
+  const gates::GateLibrary library = gates::GateLibrary::standard(4);
+  for (auto _ : state) {
+    synth::ClosureConfig options;
+    options.track_witnesses = false;
+    options.threads = static_cast<std::size_t>(state.range(0));
+    synth::FmcfEnumerator enumerator(library, options);
+    enumerator.run_to(4);
+    benchmark::DoNotOptimize(enumerator.seen_count());
+  }
+}
+BENCHMARK(bm_closure_n4_k4)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

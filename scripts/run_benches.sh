@@ -23,10 +23,13 @@
 # reporting a PR's perf delta. QSYN_SIM_FUSE / QSYN_THREADS tune the
 # engine's defaults but the bench pins its own knobs per row.
 #
-# bench_domain_growth carries the out-of-core closure row
-# (bm_closure_outofcore/5): the 5-wire closure to k=3 under a 32 MiB spill
-# budget, with heap_MiB/disk_MiB counters showing the working set living in
-# sealed run files instead of RAM. QSYN_GROWTH_DEPTH=4 opts the same row into
+# bench_domain_growth carries the out-of-core closure rows
+# (bm_closure_outofcore/n:5/threads:{1,2,4}): the 5-wire closure to k=3 under
+# a 32 MiB spill budget, with heap_MiB/disk_MiB counters showing the working
+# set living in sealed run files instead of RAM, and the 4-wire k=4 closure
+# on the same threads axis (bm_closure_n4_k4). The aggregate records the
+# host's CPU count (num_cpus): thread-axis rows from hosts with different
+# counts are not comparable. QSYN_GROWTH_DEPTH=4 opts the same row into
 # the gigabyte-scale level 4; its "spill engaged" stdout line turns into a
 # DIFFERS failure if the run ever stops spilling.
 #
@@ -106,7 +109,8 @@ import os
 import sys
 
 out_file, report_files = sys.argv[1], sys.argv[2:]
-aggregate = {"schema": "qsyn-bench-baseline-v1", "benches": {}}
+aggregate = {"schema": "qsyn-bench-baseline-v1", "num_cpus": os.cpu_count(),
+             "benches": {}}
 for path in report_files:
     name = os.path.basename(path)[: -len(".bench.json")]
     # Benches that only regenerate a paper artifact register no

@@ -1,5 +1,6 @@
 #include "synth/closure_config.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -28,10 +29,8 @@ std::size_t resolve_shards(std::size_t requested, std::size_t threads) {
   }
   if (threads <= 1) return 1;
   // ~4 shards per worker keeps the per-shard sort/subtract/merge rounds
-  // load-balanced; a power of two keeps the prefix routing even.
-  std::size_t shards = 1;
-  while (shards < 4 * threads && shards < 256) shards <<= 1;
-  return shards;
+  // load-balanced.
+  return std::min<std::size_t>(4 * threads, 256);
 }
 
 std::size_t resolve_spill_budget(std::size_t requested_bytes) {

@@ -44,12 +44,12 @@ struct ClosureConfig {
   std::size_t threads = 0;
 
   /// Shards of the seen-set and per-level stores. 0 = derived from the
-  /// resolved thread count (1 when single-threaded, else ~4x threads rounded
-  /// up to a power of two). A perf/memory knob only: results never depend on
-  /// the shard count.
+  /// resolved thread count (1 when single-threaded, else 4x threads, at most
+  /// 256). A perf/memory knob only: results never depend on the shard count.
   std::size_t shards = 0;
 
-  /// Heap budget (bytes) for the closure's permutation stores. 0 = the
+  /// Heap budget (bytes) of each of the closure's sharded stores (the seen
+  /// set and the level under construction), shared by its live shards. 0 = the
   /// QSYN_SPILL_BUDGET_MB environment variable (in MiB) when set to a
   /// positive integer, else unlimited (the historical all-in-RAM behavior).
   /// When the budget trips, shards seal their sorted rows into

@@ -8,6 +8,14 @@
 
 namespace qsyn::synth {
 
+namespace {
+
+// Levels run unsplit until a frontier holds this many rows per shard; that
+// sorted frontier is the pilot sample the shard splitters are cut from.
+constexpr std::size_t kPilotRowsPerShard = 64;
+
+}  // namespace
+
 FmcfEnumerator::FmcfEnumerator(const gates::GateLibrary& library,
                                ClosureConfig options)
     : library_(&library),
@@ -150,6 +158,8 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
   const std::size_t gate_count = gate_tables_.size();
   ShardedPermStore sharded_fresh(width_, shards_,
                                  SpillOptions{spill_budget_, spill_dir_});
+  if (seen_.live_shards() > 1) sharded_fresh.split(seen_.splitters());
+  const std::size_t live = sharded_fresh.live_shards();
 
   if (gate_count > 0 && !previous.empty()) {
     // Worker-local per-shard buffers: phase 1 routes products into
@@ -162,12 +172,12 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
     // shard_chunks and skips the local-buffer copy.
     std::vector<std::vector<FlatPermStore>> locals(threads_ > 1 ? threads_ : 0);
     for (auto& per_worker : locals) {
-      per_worker.reserve(shards_);
-      for (std::size_t s = 0; s < shards_; ++s) per_worker.emplace_back(width_);
+      per_worker.reserve(live);
+      for (std::size_t s = 0; s < live; ++s) per_worker.emplace_back(width_);
     }
     std::vector<FlatPermStore> shard_chunks;
-    shard_chunks.reserve(shards_);
-    for (std::size_t s = 0; s < shards_; ++s) shard_chunks.emplace_back(width_);
+    shard_chunks.reserve(live);
+    for (std::size_t s = 0; s < live; ++s) shard_chunks.emplace_back(width_);
     std::vector<std::vector<std::uint8_t>> outs(
         threads_, std::vector<std::uint8_t>(stride_));
 
@@ -195,7 +205,7 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
         std::vector<std::uint8_t>& out = outs[worker];
         std::vector<FlatPermStore>& buffers =
             threads_ > 1 ? locals[worker] : shard_chunks;
-        const bool route = shards_ > 1;  // shard_of divides; skip for 1 shard
+        const bool route = live > 1;  // an unsplit store routes to shard 0
         const std::size_t begin = super + block * block_rows;
         const std::size_t end = std::min(super_end, begin + block_rows);
         for (std::size_t i = begin; i < end; ++i) {
@@ -223,7 +233,7 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
           }
         }
       });
-      pool_->run(shards_, [&](std::size_t s, std::size_t) {
+      pool_->run(live, [&](std::size_t s, std::size_t) {
         FlatPermStore& chunk = shard_chunks[s];
         for (auto& per_worker : locals) {
           chunk.append(per_worker[s]);
@@ -245,7 +255,7 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
 
   // sharded_fresh is now B[k], shard-sorted. Update A[k] per shard (sealed
   // frontier runs are adopted by reference, not rewritten).
-  pool_->run(shards_, [&](std::size_t s, std::size_t) {
+  pool_->run(live, [&](std::size_t s, std::size_t) {
     seen_.absorb_shard(s, sharded_fresh);
   });
 
@@ -255,6 +265,15 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
   // extraction below. When the level spilled, the frontier comes back as
   // one sealed spill file mmap'd read-only instead of a heap store.
   FlatPermStore fresh = sharded_fresh.drain_sorted();
+
+  // The first frontier big enough to sample is the pilot: its evenly spaced
+  // rows cut the seen set, and every later level's store, into shards that
+  // later frontiers fill evenly. The seen set is still small here, and
+  // sorted, so the one re-split is a range copy per shard.
+  if (seen_.live_shards() < shards_ &&
+      fresh.size() >= kPilotRowsPerShard * shards_) {
+    seen_.split(ShardedPermStore::splitters_from(fresh, shards_));
+  }
 
   // Extract pre_G[k] and G[k].
   std::vector<GKey> level_keys;
@@ -447,6 +466,17 @@ std::vector<std::size_t> FmcfEnumerator::implementations(
     }
     if (match) rows.push_back(i);
   }
+  return rows;
+}
+
+const FlatPermStore& FmcfEnumerator::frontier(unsigned k) const {
+  QSYN_CHECK(k <= levels_done(), "level not yet computed");
+  return frontiers_[k];
+}
+
+std::vector<std::size_t> FmcfEnumerator::seen_shard_rows() const {
+  std::vector<std::size_t> rows(seen_.shard_count());
+  for (std::size_t s = 0; s < rows.size(); ++s) rows[s] = seen_.shard_size(s);
   return rows;
 }
 

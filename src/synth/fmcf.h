@@ -19,9 +19,11 @@
 // parallel: the frontier expansion fans out over a worker pool and the set
 // algebra runs per shard of a lexicographically partitioned store
 // (ShardedPermStore), with results — including every per-level stat —
-// byte-identical to the single-threaded sweep. With a spill budget
-// (ClosureConfig::spill_budget_bytes) the seen-set and frontier stores seal
-// to prefix-compressed run files when RAM runs out and the set algebra
+// byte-identical to the single-threaded sweep. The stores are cut into
+// shards once, at splitter rows sampled from the first frontier with 64 rows
+// per shard; the levels before it are small and run unsplit. With a spill
+// budget (ClosureConfig::spill_budget_bytes) the seen-set and frontier stores
+// seal to prefix-compressed run files when RAM runs out and the set algebra
 // continues as streaming merges over the sealed runs — stats and frontier
 // bytes stay identical to the all-in-RAM sweep, which is how the 5-wire
 // closure reaches k >= 3 on bounded memory. When the library exhausts its
@@ -193,6 +195,18 @@ class FmcfEnumerator {
     if (read_only_) return stats_.empty() ? 1 : stats_.back().seen;
     return seen_.size();
   }
+
+  /// The sorted rows of B[k]. Without track_witnesses only the last
+  /// frontier is kept; earlier ones read as empty. Requires
+  /// k <= levels_done().
+  [[nodiscard]] const FlatPermStore& frontier(unsigned k) const;
+
+  /// The seen set A[k] (empty on catalog-backed enumerators).
+  [[nodiscard]] const ShardedPermStore& seen_store() const { return seen_; }
+
+  /// Rows of each seen-set shard, sealed runs included: how evenly the
+  /// splitters spread the closure's rows.
+  [[nodiscard]] std::vector<std::size_t> seen_shard_rows() const;
 
   /// Approximate heap usage of the stored sets.
   [[nodiscard]] std::size_t memory_bytes() const;

@@ -1,5 +1,6 @@
 #include "synth/sharded_perm_store.h"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 
@@ -44,26 +45,107 @@ ShardedPermStore::ShardedPermStore(std::size_t width, std::size_t shard_count)
 
 ShardedPermStore::ShardedPermStore(std::size_t width, std::size_t shard_count,
                                    SpillOptions spill)
-    : width_(width),
-      label_bytes_(width <= 256 ? 1 : 2),
-      spill_(std::move(spill)) {
+    : width_(width), splitters_(width), spill_(std::move(spill)) {
   QSYN_CHECK(shard_count >= 1 && shard_count <= 65536,
              "shard count must be in [1, 65536]");
   shards_.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) shards_.emplace_back(width);
   runs_.resize(shard_count);
-  if (spill_.budget_bytes > 0) {
-    if (spill_.dir.empty()) spill_.dir = resolve_spill_dir(spill_.dir);
-    shard_budget_ = std::max<std::size_t>(1, spill_.budget_bytes / shard_count);
+  if (spill_.budget_bytes > 0 && spill_.dir.empty()) {
+    spill_.dir = resolve_spill_dir(spill_.dir);
+  }
+  slice_budget();
+}
+
+void ShardedPermStore::slice_budget() {
+  if (spill_.budget_bytes == 0) return;  // never seal
+  shard_budget_ = std::max<std::size_t>(1, spill_.budget_bytes / live_shards());
+}
+
+FlatPermStore ShardedPermStore::splitters_from(const FlatPermStore& sorted_rows,
+                                               std::size_t shard_count) {
+  QSYN_CHECK(shard_count == 1 ||
+                 (shard_count > 1 && sorted_rows.size() >= shard_count),
+             "splitters need at least one row per shard");
+  FlatPermStore splitters(sorted_rows.width());
+  splitters.reserve_rows(shard_count - 1);
+  for (std::size_t s = 1; s < shard_count; ++s) {
+    splitters.push_back(sorted_rows.row(s * sorted_rows.size() / shard_count));
+  }
+  return splitters;
+}
+
+namespace {
+
+// Index of the first row in sorted `rows`, at or after `lo`, that is not
+// less than `key`.
+std::size_t lower_bound_row(const FlatPermStore& rows, std::size_t lo,
+                            const std::uint8_t* key) {
+  std::size_t hi = rows.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (std::memcmp(rows.row(mid), key, rows.row_stride()) < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+}  // namespace
+
+void ShardedPermStore::split(FlatPermStore splitters) {
+  QSYN_CHECK(splitters.width() == width_ &&
+                 splitters.size() + 1 == shards_.size(),
+             "split needs shard_count - 1 splitter rows of the store's width");
+  for (std::size_t i = 1; i < splitters.size(); ++i) {
+    QSYN_CHECK(std::memcmp(splitters.row(i - 1), splitters.row(i),
+                           splitters.row_stride()) < 0,
+               "splitters must be strictly increasing");
+  }
+  const FlatPermStore rows = drain_sorted();
+  splitters_ = std::move(splitters);
+  slice_budget();
+
+  // Sorted rows under a monotone router: each shard is one contiguous range,
+  // loaded in budget-slice pieces so the heap never holds more than one
+  // slice of it. Full pieces seal straight to runs; the last one stays
+  // active.
+  const std::size_t stride = rows.row_stride();
+  const std::size_t piece_rows =
+      shard_budget_ == 0 ? rows.size()
+                         : std::max<std::size_t>(1, shard_budget_ / stride);
+  std::size_t begin = 0;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const std::size_t end =
+        s + 1 < shards_.size() ? lower_bound_row(rows, begin, splitters_.row(s))
+                               : rows.size();
+    for (std::size_t i = begin; i < end; i += piece_rows) {
+      const std::size_t n = std::min(piece_rows, end - i);
+      FlatPermStore piece(width_);
+      piece.assign_rows(std::vector<std::uint8_t>(rows.row(i),
+                                                  rows.row(i) + n * stride));
+      if (i + n < end) {
+        seal(s, piece);
+      } else {
+        shards_[s] = std::move(piece);
+        maybe_seal(s);
+      }
+    }
+    begin = end;
   }
 }
 
 std::size_t ShardedPermStore::size() const {
   std::size_t total = 0;
-  for (const FlatPermStore& s : shards_) total += s.size();
-  for (const auto& shard_runs : runs_) {
-    for (const auto& run : shard_runs) total += run->rows();
-  }
+  for (std::size_t s = 0; s < shards_.size(); ++s) total += shard_size(s);
+  return total;
+}
+
+std::size_t ShardedPermStore::shard_size(std::size_t s) const {
+  std::size_t total = shards_[s].size();
+  for (const auto& run : runs_[s]) total += run->rows();
   return total;
 }
 
@@ -96,9 +178,16 @@ void ShardedPermStore::sort_unique() {
   for (FlatPermStore& s : shards_) s.sort_unique();
 }
 
+bool ShardedPermStore::same_layout(const ShardedPermStore& other) const {
+  return width_ == other.width_ && shard_count() == other.shard_count() &&
+         splitters_.size() == other.splitters_.size() &&
+         (splitters_.empty() ||
+          std::memcmp(splitters_.data(), other.splitters_.data(),
+                      splitters_.size_bytes()) == 0);
+}
+
 void ShardedPermStore::subtract_sorted(const ShardedPermStore& other) {
-  QSYN_CHECK(width_ == other.width_ && shard_count() == other.shard_count(),
-             "sharded store layout mismatch");
+  QSYN_CHECK(same_layout(other), "sharded store layout mismatch");
   QSYN_CHECK(!spilled() && !other.spilled(),
              "whole-store subtract_sorted requires spill-free stores; use "
              "subtract_shard_from per shard");
@@ -108,8 +197,7 @@ void ShardedPermStore::subtract_sorted(const ShardedPermStore& other) {
 }
 
 void ShardedPermStore::merge_sorted(const ShardedPermStore& other) {
-  QSYN_CHECK(width_ == other.width_ && shard_count() == other.shard_count(),
-             "sharded store layout mismatch");
+  QSYN_CHECK(same_layout(other), "sharded store layout mismatch");
   QSYN_CHECK(!spilled() && !other.spilled(),
              "whole-store merge_sorted requires spill-free stores; use "
              "absorb_shard per shard");
@@ -135,18 +223,21 @@ void ShardedPermStore::merge_into_shard(std::size_t s,
 
 void ShardedPermStore::absorb_shard(std::size_t s,
                                     const ShardedPermStore& other) {
-  QSYN_CHECK(width_ == other.width_ && shard_count() == other.shard_count(),
-             "sharded store layout mismatch");
+  QSYN_CHECK(same_layout(other), "sharded store layout mismatch");
   shards_[s].merge_sorted(other.shards_[s]);
   for (const auto& run : other.runs_[s]) runs_[s].push_back(run);
   maybe_seal(s);
 }
 
+void ShardedPermStore::seal(std::size_t s, const FlatPermStore& rows) {
+  runs_[s].push_back(SealedRun::write(next_spill_path(spill_.dir), rows,
+                                      /*keep_file=*/false));
+}
+
 void ShardedPermStore::maybe_seal(std::size_t s) {
   if (shard_budget_ == 0 || shards_[s].empty()) return;
   if (shards_[s].memory_bytes() <= shard_budget_) return;
-  runs_[s].push_back(SealedRun::write(next_spill_path(spill_.dir), shards_[s],
-                                      /*keep_file=*/false));
+  seal(s, shards_[s]);
   shards_[s].clear();
 }
 
@@ -231,9 +322,12 @@ FlatPermStore ShardedPermStore::flatten() const {
 
 FlatPermStore ShardedPermStore::drain_sorted() {
   if (!spilled()) {
-    if (shards_.size() == 1) {
-      FlatPermStore out = std::move(shards_[0]);
-      shards_[0].clear();
+    const auto filled = [](const FlatPermStore& s) { return !s.empty(); };
+    if (std::count_if(shards_.begin(), shards_.end(), filled) <= 1) {
+      const auto lone = std::find_if(shards_.begin(), shards_.end(), filled);
+      FlatPermStore& shard = lone != shards_.end() ? *lone : shards_[0];
+      FlatPermStore out = std::move(shard);
+      shard.clear();
       return out;
     }
     FlatPermStore out(width_);

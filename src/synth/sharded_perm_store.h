@@ -2,15 +2,19 @@
 //
 // A FlatPermStore partitioned into disjoint lexicographic key ranges.
 //
-// Rows hold domain labels in [0, width), so routing scales the leading
-// label pair row[0]*width + row[1] over width^2 — labels never approach
-// 255, and a raw byte prefix would park every row in the first few shards.
-// The shard index is monotone in the rows' lexicographic order: shard 0
-// owns the smallest rows, the last shard the largest, and concatenating
-// sorted shards in shard order yields a globally sorted store.
-// Because shards own disjoint ranges, the set algebra of FlatPermStore
-// (sort/unique/subtract/merge) decomposes into independent per-shard calls —
-// this is what the multi-threaded FMCF closure parallelizes over.
+// Routing is a splitter search: a store cut into S shards holds S-1 sorted,
+// strictly increasing splitter rows, and shard_of() binary-searches them
+// with memcmp on the store's row encoding (shard s owns the rows r with
+// splitter[s-1] <= r < splitter[s]). memcmp order is label order for both
+// label widths, so the shard index is monotone in the rows' lexicographic
+// order: concatenating sorted shards in shard order yields a globally sorted
+// store. A store starts unsplit — every row routes to shard 0 — until
+// split() cuts it; the closure takes its splitters as evenly spaced rows of
+// a sorted pilot frontier (splitters_from), which spreads the real rows of
+// later levels evenly, whatever labels every gate fixes. Because shards own
+// disjoint ranges, the set algebra of FlatPermStore (sort/unique/subtract/
+// merge) decomposes into independent per-shard calls — this is what the
+// multi-threaded FMCF closure parallelizes over.
 //
 // Spill-to-disk mode (SpillOptions): give the store a heap budget and a
 // directory, and each shard seals its sorted in-memory rows into a
@@ -23,13 +27,12 @@
 // FMCF per-level stats are byte-identical with and without spilling; the
 // monotone partition makes drain_sorted()'s per-shard k-way merges
 // concatenate into a globally sorted result, so frontier bytes are
-// byte-identical too. With a zero budget (the default) nothing ever spills
-// and the store behaves exactly as before.
+// byte-identical too. With a zero budget (the default) nothing ever spills.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,8 +44,12 @@ namespace qsyn::synth {
 
 /// Spill policy for a ShardedPermStore.
 struct SpillOptions {
-  /// Heap budget in bytes across all shards; each shard seals to disk when
-  /// its in-memory rows exceed budget_bytes / shard_count. 0 = never spill.
+  /// Heap budget in bytes for the whole store. It is sliced over the live
+  /// shards — the one shard of an unsplit store gets all of it, the S shards
+  /// of a split store get budget_bytes / S each — and a shard seals its
+  /// in-memory rows to disk when a merge leaves them above its slice, so
+  /// memory_bytes() stays within budget_bytes between operations.
+  /// 0 = never spill.
   std::size_t budget_bytes = 0;
 
   /// Directory for run files. Must be non-empty when budget_bytes > 0 (the
@@ -55,7 +62,8 @@ struct SpillOptions {
 /// optionally backed by sealed on-disk runs.
 class ShardedPermStore {
  public:
-  /// `width` as in FlatPermStore; `shard_count` in [1, 65536].
+  /// An unsplit store: `width` as in FlatPermStore, `shard_count` in
+  /// [1, 65536]; every row routes to shard 0 until split().
   ShardedPermStore(std::size_t width, std::size_t shard_count);
 
   /// Same, with a spill policy.
@@ -65,21 +73,46 @@ class ShardedPermStore {
   [[nodiscard]] std::size_t width() const { return width_; }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
-  /// Index of the shard owning `row_bytes` (monotone in row order; rows are
-  /// in the FlatPermStore label encoding for this width). Even spread and
-  /// monotonicity assume label rows (labels < width); labels out of that
-  /// range are clamped, which stays in bounds but may skew or reorder
-  /// routing.
+  /// The shard_count - 1 rows at evenly spaced ranks of `sorted_rows`
+  /// (sorted, duplicate-free, at least shard_count rows unless shard_count
+  /// is 1): splitters that cut
+  /// those rows, and rows drawn like them, into shards of near-equal size.
+  [[nodiscard]] static FlatPermStore splitters_from(
+      const FlatPermStore& sorted_rows, std::size_t shard_count);
+
+  /// Cuts the store at `splitters` — shard_count() - 1 strictly increasing
+  /// rows of this width — and moves every row (active and sealed; the store
+  /// must be shard-sorted) to its new shard. The rows are sorted, so each
+  /// shard receives one contiguous range: in-memory rows are range-copied,
+  /// sealed runs are streamed through drain_sorted(), and the budget is
+  /// re-sliced over the new shards, sealing whole slices as they load.
+  void split(FlatPermStore splitters);
+
+  /// The splitter rows (empty while unsplit).
+  [[nodiscard]] const FlatPermStore& splitters() const { return splitters_; }
+
+  /// Shards rows can route to: 1 while unsplit, else shard_count().
+  [[nodiscard]] std::size_t live_shards() const {
+    return splitters_.size() + 1;
+  }
+
+  /// Index of the shard owning `row_bytes` (in the FlatPermStore encoding
+  /// for this width): the number of splitters <= the row, so monotone in
+  /// row order. Always 0 on an unsplit store.
   [[nodiscard]] std::size_t shard_of(const std::uint8_t* row_bytes) const {
-    const std::size_t lb = label_bytes_;
-    const std::size_t b0 = std::min<std::size_t>(
-        FlatPermStore::read_label(row_bytes, 0, lb), width_ - 1);
-    const std::size_t b1 =
-        width_ > 1 ? std::min<std::size_t>(
-                         FlatPermStore::read_label(row_bytes, 1, lb),
-                         width_ - 1)
-                   : 0;
-    return (b0 * width_ + b1) * shards_.size() / (width_ * width_);
+    const std::uint8_t* base = splitters_.data();
+    const std::size_t stride = splitters_.row_stride();
+    std::size_t lo = 0;
+    std::size_t hi = splitters_.size();
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (std::memcmp(base + mid * stride, row_bytes, stride) <= 0) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
   }
 
   /// The in-memory ("active") rows of shard `s`. On a spilled store this is
@@ -94,6 +127,14 @@ class ShardedPermStore {
   /// are disjoint).
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] bool empty() const { return size() == 0; }
+
+  /// Rows of shard `s`, sealed runs included.
+  [[nodiscard]] std::size_t shard_size(std::size_t s) const;
+
+  /// Sealed runs of shard `s`.
+  [[nodiscard]] std::size_t shard_run_count(std::size_t s) const {
+    return runs_[s].size();
+  }
 
   /// True when any shard currently holds sealed runs.
   [[nodiscard]] bool spilled() const;
@@ -112,8 +153,9 @@ class ShardedPermStore {
   /// must not be re-ordered against unsorted active rows.
   void sort_unique();
 
-  /// Shard-wise set difference / union; `other` must have the same width
-  /// and shard count, and both stores must be shard-sorted. These legacy
+  /// Shard-wise set difference / union; `other` must have the same layout
+  /// (width, shard count and splitters), and both stores must be
+  /// shard-sorted. These legacy
   /// whole-store forms require both stores spill-free (qsyn::LogicError
   /// otherwise); the closure uses the per-shard primitives below instead.
   void subtract_sorted(const ShardedPermStore& other);
@@ -128,11 +170,11 @@ class ShardedPermStore {
   /// the active store to a new run if it exceeds the shard's budget slice.
   void merge_into_shard(std::size_t s, const FlatPermStore& rows);
 
-  /// Merges shard `s` of `other` — active rows and sealed runs — into shard
-  /// `s` of this store. The shard contents must be disjoint (the closure
-  /// guarantees this: fresh rows were subtracted against the seen set before
-  /// accumulating). Runs are adopted by reference; `other` keeps serving
-  /// them until cleared.
+  /// Merges shard `s` of `other` (same layout) — active rows and sealed
+  /// runs — into shard `s` of this store. The shard contents must be
+  /// disjoint (the closure guarantees this: fresh rows were subtracted
+  /// against the seen set before accumulating). Runs are adopted by
+  /// reference; `other` keeps serving them until cleared.
   void absorb_shard(std::size_t s, const ShardedPermStore& other);
 
   /// Binary search in the owning shard — active store and sealed runs (store
@@ -150,7 +192,8 @@ class ShardedPermStore {
   /// stores: returns the globally sorted rows and leaves this store empty.
   /// The backing of the result is an implementation detail and callers must
   /// treat it as read-only:
-  ///   - lone in-memory shard: the shard's storage is moved out, no copy;
+  ///   - at most one non-empty in-memory shard: its storage is moved out,
+  ///     no copy;
   ///   - several in-memory shards: shards are copied into a preallocated
   ///     writable store and released one by one, so resident memory stays
   ///     near one store's worth of rows;
@@ -173,15 +216,18 @@ class ShardedPermStore {
   [[nodiscard]] std::size_t disk_bytes() const;
 
  private:
+  [[nodiscard]] bool same_layout(const ShardedPermStore& other) const;
+  void slice_budget();  // shard_budget_ = budget over the live shards
+  void seal(std::size_t s, const FlatPermStore& rows);
   void maybe_seal(std::size_t s);
   void merge_shard_append(std::size_t s, FlatPermStore& out) const;
 
   std::size_t width_;
-  std::size_t label_bytes_;  // mirrors the shards' FlatPermStore encoding
+  FlatPermStore splitters_;  // live_shards() - 1 sorted rows
   std::vector<FlatPermStore> shards_;
   std::vector<std::vector<std::shared_ptr<const SealedRun>>> runs_;
   SpillOptions spill_;
-  std::size_t shard_budget_ = 0;  // bytes; 0 = never seal
+  std::size_t shard_budget_ = 0;  // bytes per live shard; 0 = never seal
 };
 
 }  // namespace qsyn::synth

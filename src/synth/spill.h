@@ -5,12 +5,11 @@
 // When a ShardedPermStore's heap budget trips, a shard seals its sorted
 // in-memory rows into one run file and releases the heap. A run is a sorted,
 // duplicate-free row set in the FlatPermStore byte encoding, with one
-// storage-level twist: every row in a run shares a common leading byte
-// prefix (runs are sealed per shard, and a shard owns one narrow monotone
-// range of leading-label-pair values, so sorted rows agree on their first
-// bytes by construction). The run stores that prefix once and each row as
-// its suffix — at n = 5 the leading-pair prefix alone saves 2–4 bytes of
-// 1564 per row, and deeper shared prefixes compress further for free.
+// storage-level twist: the rows of a run share a common leading byte prefix
+// (a run is sorted, and a shard owns one contiguous row range between two
+// splitters; closure rows also share the labels every gate fixes). The run
+// stores that prefix once and each row as its suffix, so every shared
+// leading byte is saved once per row.
 //
 // Because rows are fixed-width with big-endian labels, memcmp order equals
 // label order, so the streaming set algebra over runs (subtract, k-way

@@ -3,6 +3,13 @@
 // structural claims about G[4].
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
@@ -12,6 +19,7 @@
 #include "gates/library.h"
 #include "mvl/domain.h"
 #include "sim/cross_check.h"
+#include "synth/catalog.h"
 #include "synth/flat_perm_store.h"
 #include "synth/fmcf.h"
 #include "synth/mce.h"
@@ -403,6 +411,114 @@ TEST(FmcfThreads, ShardingAloneIsInvariant) {
   for (std::size_t k = 0; k < 5; ++k) {
     EXPECT_EQ(e.stats()[k].g_new, expected_g[k]);
   }
+  // The invariance is only tested if the rows really span the shards.
+  const std::vector<std::size_t> rows = e.seen_shard_rows();
+  ASSERT_EQ(rows.size(), 32u);
+  const auto filled = static_cast<std::size_t>(std::count_if(
+      rows.begin(), rows.end(), [](std::size_t n) { return n > 0; }));
+  EXPECT_GE(2 * filled, rows.size()) << filled << " of 32 shards hold rows";
+}
+
+/// Max over mean of the seen set's shard sizes.
+double seen_shard_imbalance(const FmcfEnumerator& e) {
+  const std::vector<std::size_t> rows = e.seen_shard_rows();
+  const double mean = static_cast<double>(e.seen_count()) /
+                      static_cast<double>(rows.size());
+  return static_cast<double>(*std::max_element(rows.begin(), rows.end())) /
+         mean;
+}
+
+ClosureConfig four_threads_sixteen_shards() {
+  ClosureConfig options;
+  options.threads = 4;
+  options.shards = 16;
+  options.track_witnesses = false;
+  return options;
+}
+
+TEST(FmcfSharding, SeenSetIsBalancedAtThreeWiresCb5) {
+  // Every gate fixes label 0 and most short cascades fix label 1, so a
+  // router on leading labels parks the whole seen set in one shard (16x
+  // the mean). Splitters sampled from the pilot frontier keep the fullest
+  // shard within 2x of the mean.
+  const gates::GateLibrary library = gates::GateLibrary::standard(3);
+  FmcfEnumerator e(library, four_threads_sixteen_shards());
+  e.run_to(5);
+  EXPECT_LE(seen_shard_imbalance(e), 2.0);
+}
+
+TEST(FmcfSharding, SeenSetIsBalancedAtFourWiresK3) {
+  const gates::GateLibrary library = gates::GateLibrary::standard(4);
+  FmcfEnumerator e(library, four_threads_sixteen_shards());
+  e.run_to(3);
+  EXPECT_LE(seen_shard_imbalance(e), 2.0);
+}
+
+TEST(FmcfSharding, ShardedCatalogIsByteIdenticalToSingleThreaded) {
+  // A cb = 7 closure on 4 threads and 16 shards against the single-threaded
+  // sweep: every frontier row table, in memory and in the saved catalog,
+  // must be byte-identical, and the reopened catalogs must answer find()
+  // and witness() identically. Only the stats' seconds may differ.
+  const gates::GateLibrary library = gates::GateLibrary::standard(3);
+  ClosureConfig sharded;
+  sharded.threads = 4;
+  sharded.shards = 16;
+  ClosureConfig single;
+  single.threads = 1;
+  FmcfEnumerator a(library, sharded);
+  FmcfEnumerator b(library, single);
+  a.run_to(7);
+  b.run_to(7);
+  ASSERT_EQ(a.seen_store().live_shards(), 16u);
+  for (unsigned k = 0; k <= 7; ++k) {
+    ASSERT_EQ(a.frontier(k).size_bytes(), b.frontier(k).size_bytes());
+    EXPECT_EQ(std::memcmp(a.frontier(k).data(), b.frontier(k).data(),
+                          a.frontier(k).size_bytes()),
+              0)
+        << "B[" << k << "]";
+  }
+
+  const std::string tag = std::to_string(::getpid());
+  const std::string path_a = ::testing::TempDir() + "qsyn_sharded_" + tag;
+  const std::string path_b = ::testing::TempDir() + "qsyn_single_" + tag;
+  a.save_catalog(path_a);
+  b.save_catalog(path_b);
+  const auto read = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
+                                     std::istreambuf_iterator<char>());
+  };
+  std::vector<std::uint8_t> bytes_a = read(path_a);
+  std::vector<std::uint8_t> bytes_b = read(path_b);
+  ASSERT_EQ(bytes_a.size(), bytes_b.size());
+  // Blank each level's seconds (the last field of its stats entry); every
+  // other byte — header, stats, G index, frontier tables — must match.
+  for (std::size_t k = 0; k < 7; ++k) {
+    const std::size_t seconds_at = catalog::kHeaderBytes +
+                                   (k + 1) * catalog::kStatsEntryBytes - 8;
+    const auto at = static_cast<std::ptrdiff_t>(seconds_at);
+    std::fill_n(bytes_a.begin() + at, 8, 0);
+    std::fill_n(bytes_b.begin() + at, 8, 0);
+  }
+  EXPECT_TRUE(bytes_a == bytes_b);
+
+  const FmcfEnumerator reopened_a =
+      FmcfEnumerator::open_catalog(path_a, library);
+  const FmcfEnumerator reopened_b =
+      FmcfEnumerator::open_catalog(path_b, library);
+  for (unsigned k = 0; k <= 7; ++k) {
+    for (const perm::Permutation& g : b.g_set(k)) {
+      const auto entry_a = reopened_a.find(g);
+      const auto entry_b = reopened_b.find(g);
+      ASSERT_TRUE(entry_a.has_value() && entry_b.has_value());
+      EXPECT_EQ(entry_a->cost, entry_b->cost);
+      EXPECT_EQ(entry_a->frontier_index, entry_b->frontier_index);
+      EXPECT_EQ(reopened_a.witness(*entry_a).sequence(),
+                reopened_b.witness(*entry_b).sequence());
+    }
+  }
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
 }
 
 TEST(FmcfThreads, WitnessBackWalkIsThreadCountInvariant) {

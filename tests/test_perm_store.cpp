@@ -1,8 +1,10 @@
 // Differential tests for the FlatPermStore / ShardedPermStore set algebra
 // against a std::set<std::vector<uint8_t>> reference model, plus the
-// ShardedPermStore routing invariants the parallel FMCF sweep relies on.
+// ShardedPermStore splitter-routing invariants the parallel FMCF sweep
+// relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <vector>
@@ -177,46 +179,145 @@ TEST(FlatPermStore, AppendConcatenatesVerbatim) {
 
 // --- ShardedPermStore ------------------------------------------------------------
 
+/// Splitters drawn from `rows` the way the closure draws them from its pilot
+/// frontier: sorted, deduplicated, at evenly spaced ranks. The shard count
+/// shrinks to the number of distinct rows when the sample is smaller.
+FlatPermStore splitters_of(const std::vector<Row>& rows, std::size_t width,
+                           std::size_t shard_count) {
+  FlatPermStore sorted = store_of(rows, width);
+  sorted.sort_unique();
+  return ShardedPermStore::splitters_from(
+      sorted, std::max<std::size_t>(1, std::min(shard_count, sorted.size())));
+}
+
+/// A random label row of `width` whose first `fixed` labels are 0, 1, ...
+/// — the shape of real closure rows, whose leading labels every short
+/// cascade fixes.
+Row fixed_prefix_row(Rng& rng, std::size_t width, std::size_t fixed) {
+  Row row = random_row(rng, width, static_cast<std::uint8_t>(width));
+  for (std::size_t i = 0; i < fixed; ++i) row[i] = static_cast<std::uint8_t>(i);
+  return row;
+}
+
+TEST(ShardedPermStore, UnsplitStoreRoutesEverythingToShardZero) {
+  Rng rng(7099);
+  ShardedPermStore store(6, 16);
+  EXPECT_EQ(store.live_shards(), 1u);
+  EXPECT_TRUE(store.splitters().empty());
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(store.shard_of(random_row(rng, 6, 6).data()), 0u);
+  }
+}
+
 TEST(ShardedPermStore, RoutingIsMonotoneInRowOrder) {
   // shard_of must be monotone w.r.t. lexicographic row order — that is the
   // invariant that makes flatten() globally sorted. Rows hold domain labels
   // in [0, width), as everywhere in the perm stores.
   Rng rng(7100);
-  for (const std::size_t shard_count : {1u, 2u, 7u, 16u, 64u}) {
+  for (const std::size_t shard_count : {2u, 7u, 16u, 64u}) {
+    std::vector<Row> sample;
+    for (int i = 0; i < 1000; ++i) sample.push_back(random_row(rng, 5, 5));
     ShardedPermStore store(5, shard_count);
+    store.split(splitters_of(sample, 5, shard_count));
+    ASSERT_EQ(store.live_shards(), shard_count);
     for (int i = 0; i < 500; ++i) {
       Row a = random_row(rng, 5, 5);
       Row b = random_row(rng, 5, 5);
       if (std::memcmp(a.data(), b.data(), 5) > 0) std::swap(a, b);
       EXPECT_LE(store.shard_of(a.data()), store.shard_of(b.data()));
     }
+    // A row equal to a splitter opens the next shard.
+    for (std::size_t s = 0; s + 1 < shard_count; ++s) {
+      EXPECT_EQ(store.shard_of(store.splitters().row(s)), s + 1);
+    }
   }
 }
 
-TEST(ShardedPermStore, RoutingSpreadsLabelRowsAcrossAllShards) {
-  // Regression: an early routing scheme scaled the raw byte prefix over the
-  // full 16-bit range, but labels only reach width-1 (38 for the 3-wire
-  // domain), so all rows collapsed into the first few shards and the
-  // per-shard parallel phase ran nearly serial. Every shard must own at
-  // least one label pair.
+TEST(ShardedPermStore, SplitterRoutingHitsEveryShard) {
+  // The closure's rows share their leading labels (every gate fixes label 0
+  // and most short cascades fix label 1), so routing on leading label
+  // positions parks them in one shard. Splitters sampled from the rows
+  // spread rows drawn like the sample over every shard, within 2x of the
+  // mean.
+  Rng rng(7104);
   for (const std::size_t width : {8u, 38u}) {
     for (const std::size_t shard_count : {4u, 16u}) {
+      std::vector<Row> sample;
+      for (std::size_t i = 0; i < 64 * shard_count; ++i) {
+        sample.push_back(fixed_prefix_row(rng, width, 2));
+      }
       ShardedPermStore store(width, shard_count);
+      store.split(splitters_of(sample, width, shard_count));
       std::vector<std::size_t> hits(shard_count, 0);
-      Row row(width, 0);
-      for (std::size_t b0 = 0; b0 < width; ++b0) {
-        for (std::size_t b1 = 0; b1 < width; ++b1) {
-          row[0] = static_cast<std::uint8_t>(b0);
-          row[1] = static_cast<std::uint8_t>(b1);
-          ++hits[store.shard_of(row.data())];
-        }
+      const std::size_t probes = 256 * shard_count;
+      for (std::size_t i = 0; i < probes; ++i) {
+        ++hits[store.shard_of(fixed_prefix_row(rng, width, 2).data())];
       }
       for (std::size_t s = 0; s < shard_count; ++s) {
         EXPECT_GT(hits[s], 0u) << "width " << width << " shard " << s
                                << " of " << shard_count << " never hit";
+        EXPECT_LE(hits[s] * shard_count, 2 * probes)
+            << "width " << width << " shard " << s << " of " << shard_count;
       }
     }
   }
+}
+
+TEST(ShardedPermStore, SplitMovesEveryRowToItsRange) {
+  // Re-splitting a loaded store keeps every row and cuts the sample's own
+  // rows into shards whose sizes differ by at most one.
+  Rng rng(7105);
+  const std::size_t width = 9;
+  for (const std::size_t shard_count : {3u, 16u}) {
+    std::vector<Row> rows;
+    ShardedPermStore store(width, shard_count);
+    for (int i = 0; i < 700; ++i) {
+      rows.push_back(fixed_prefix_row(rng, width, 1));
+      store.push_back(rows.back().data());
+    }
+    store.sort_unique();
+    store.split(splitters_of(rows, width, shard_count));
+    const RowSet model = set_of(rows);
+    expect_equals_model(store.flatten(), model);
+    std::size_t smallest = model.size();
+    std::size_t largest = 0;
+    for (std::size_t s = 0; s < shard_count; ++s) {
+      smallest = std::min(smallest, store.shard_size(s));
+      largest = std::max(largest, store.shard_size(s));
+      for (std::size_t i = 0; i < store.shard(s).size(); ++i) {
+        EXPECT_EQ(store.shard_of(store.shard(s).row(i)), s);
+      }
+    }
+    EXPECT_LE(largest - smallest, 1u);
+    for (const Row& row : rows) EXPECT_TRUE(store.contains_sorted(row.data()));
+  }
+}
+
+TEST(ShardedPermStore, SplitRejectsMalformedSplitters) {
+  ShardedPermStore store(3, 3);
+  const Row low = {0, 1, 2};
+  const Row high = {2, 1, 0};
+  FlatPermStore one(3);
+  one.push_back(low.data());
+  EXPECT_THROW(store.split(one), qsyn::LogicError);  // needs 2 for 3 shards
+  FlatPermStore descending(3);
+  descending.push_back(high.data());
+  descending.push_back(low.data());
+  EXPECT_THROW(store.split(descending), qsyn::LogicError);
+  FlatPermStore repeated(3);
+  repeated.push_back(low.data());
+  repeated.push_back(low.data());
+  EXPECT_THROW(store.split(repeated), qsyn::LogicError);
+  FlatPermStore narrow(2);
+  narrow.push_back(low.data());
+  narrow.push_back(high.data());
+  EXPECT_THROW(store.split(narrow), qsyn::LogicError);  // width mismatch
+  // splitters_from needs a row per shard, except for a single shard.
+  EXPECT_THROW((void)ShardedPermStore::splitters_from(one, 2),
+               qsyn::LogicError);
+  EXPECT_THROW((void)ShardedPermStore::splitters_from(one, 0),
+               qsyn::LogicError);
+  EXPECT_TRUE(ShardedPermStore::splitters_from(FlatPermStore(3), 1).empty());
 }
 
 TEST(ShardedPermStore, FlattenEqualsSortedModel) {
@@ -257,8 +358,15 @@ TEST(ShardedPermStore, ShardWiseAlgebraMatchesFlatAlgebra) {
         b_rows.push_back(random_row(rng, width, alphabet));
       }
     }
-    ShardedPermStore a(width, shard_count);
-    ShardedPermStore b(width, shard_count);
+    // Both stores cut at the same splitters, sampled from their own rows,
+    // so the shard-wise calls really span several shards.
+    std::vector<Row> sample = a_rows;
+    sample.insert(sample.end(), b_rows.begin(), b_rows.end());
+    const FlatPermStore splitters = splitters_of(sample, width, shard_count);
+    ShardedPermStore a(width, splitters.size() + 1);
+    ShardedPermStore b(width, splitters.size() + 1);
+    a.split(splitters);
+    b.split(splitters);
     for (const Row& row : a_rows) a.push_back(row.data());
     for (const Row& row : b_rows) b.push_back(row.data());
     a.sort_unique();
@@ -314,6 +422,23 @@ TEST(ShardedPermStore, RejectsMismatchedLayouts) {
   ShardedPermStore b(4, 16);
   EXPECT_THROW(a.merge_sorted(b), qsyn::LogicError);
   EXPECT_THROW(a.subtract_sorted(b), qsyn::LogicError);
+
+  // Same shard count, different cuts: rows of one shard index would belong
+  // to different ranges.
+  const Row low = {0, 1, 2, 3};
+  const Row high = {3, 2, 1, 0};
+  FlatPermStore cut_low(4);
+  cut_low.push_back(low.data());
+  FlatPermStore cut_high(4);
+  cut_high.push_back(high.data());
+  ShardedPermStore c(4, 2);
+  ShardedPermStore d(4, 2);
+  c.split(cut_low);
+  d.split(cut_high);
+  EXPECT_THROW(c.merge_sorted(d), qsyn::LogicError);
+  EXPECT_THROW(c.subtract_sorted(d), qsyn::LogicError);
+  EXPECT_THROW(c.absorb_shard(0, d), qsyn::LogicError);
+  EXPECT_THROW(c.merge_sorted(ShardedPermStore(4, 2)), qsyn::LogicError);
 }
 
 // --- wide domains: two-byte label rows (width > 256) -----------------------
@@ -420,28 +545,37 @@ TEST(WidePermStore, PermutationRoundTripAtWidth500) {
             Row(store.row(0), store.row(0) + store.row_stride()));
 }
 
-TEST(WidePermStore, ShardRoutingIsMonotoneAndSpreadsAtWidth782) {
-  // 782 = the 5-wire reduced domain. Monotonicity in row order keeps
-  // flatten() globally sorted; spread keeps the parallel phase parallel.
+TEST(WidePermStore, SplitterRoutingIsMonotoneAndSpreadsAtWidth782) {
+  // 782 = the 5-wire reduced domain, two big-endian bytes per label. The
+  // leading label is fixed and the second straddles the 255/256 byte
+  // boundary, so the memcmp router must order two-byte labels by value.
+  // Monotonicity in row order keeps flatten() globally sorted; spread keeps
+  // the parallel phase parallel.
   Rng rng(7203);
+  const auto sample_row = [&rng] {
+    Row row = random_wide_row(rng, 782);
+    FlatPermStore::write_label(row.data(), 0, 2, 0);
+    FlatPermStore::write_label(row.data(), 1, 2,
+                               static_cast<std::uint32_t>(248 + rng.below(16)));
+    return row;
+  };
   for (const std::size_t shard_count : {4u, 16u}) {
+    FlatPermStore sample(782);
+    for (std::size_t i = 0; i < 64 * shard_count; ++i) {
+      sample.push_back(sample_row().data());
+    }
+    sample.sort_unique();
     ShardedPermStore store(782, shard_count);
+    store.split(ShardedPermStore::splitters_from(sample, shard_count));
     for (int i = 0; i < 300; ++i) {
-      Row a = random_wide_row(rng, 782);
-      Row b = random_wide_row(rng, 782);
+      Row a = sample_row();
+      Row b = sample_row();
       if (std::memcmp(a.data(), b.data(), a.size()) > 0) std::swap(a, b);
       EXPECT_LE(store.shard_of(a.data()), store.shard_of(b.data()));
     }
     std::vector<std::size_t> hits(shard_count, 0);
-    Row row(2 * 782, 0);
-    for (std::size_t b0 = 0; b0 < 782; b0 += 7) {
-      for (std::size_t b1 = 0; b1 < 782; b1 += 7) {
-        FlatPermStore::write_label(row.data(), 0, 2,
-                                   static_cast<std::uint32_t>(b0));
-        FlatPermStore::write_label(row.data(), 1, 2,
-                                   static_cast<std::uint32_t>(b1));
-        ++hits[store.shard_of(row.data())];
-      }
+    for (std::size_t i = 0; i < 64 * shard_count; ++i) {
+      ++hits[store.shard_of(sample_row().data())];
     }
     for (std::size_t s = 0; s < shard_count; ++s) {
       EXPECT_GT(hits[s], 0u) << "shard " << s << " of " << shard_count;

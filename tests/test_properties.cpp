@@ -3,6 +3,7 @@
 // structural invariants the whole reduction rests on.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "common/rng.h"
@@ -171,6 +172,12 @@ struct NamedCircuit {
   const char* cascade;
   const char* perm_cycles;
 };
+
+// Without this gtest prints the three pointers' bytes, and under ASLR the
+// discovered ctest names would change on every build.
+void PrintTo(const NamedCircuit& c, std::ostream* os) {
+  *os << c.perm_cycles;
+}
 
 class PaperCircuit : public ::testing::TestWithParam<NamedCircuit> {};
 

@@ -1,10 +1,12 @@
 // Tests for the out-of-core closure machinery: the growable mmap backend,
 // the writable FileRowStorage, the StorageSpec construction seam, sealed
 // prefix-compressed spill runs (including corrupt-input hardening), the
-// spilled ShardedPermStore differential against its in-memory twin, and the
-// spill-invariance of the FMCF per-level stats.
+// spilled ShardedPermStore differential against its in-memory twin (and its
+// re-split), and the spill-invariance of the FMCF per-level stats, frontier
+// bytes and heap budget on split stores.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -369,6 +371,18 @@ TEST(ShardedSpillDifferential, RandomizedAgainstInMemoryTwin) {
         width, shards,
         SpillOptions{shards * (128 + rng.below(512)), ::testing::TempDir()});
     ShardedPermStore plain(width, shards);
+    // Both cut at splitters sampled from rows drawn like the model's, as the
+    // closure samples its pilot frontier, so every shard sees traffic.
+    FlatPermStore pilot(width);
+    for (std::size_t i = 0; i < 64 * shards; ++i) {
+      pilot.push_back(random_label_row(rng, width).data());
+    }
+    pilot.sort_unique();
+    const FlatPermStore splitters =
+        ShardedPermStore::splitters_from(pilot, shards);
+    spilled.split(splitters);
+    plain.split(splitters);
+    ASSERT_EQ(spilled.live_shards(), shards);
 
     for (int round = 0; round < 8; ++round) {
       // One "chunk" of candidate rows, routed per shard like the sweep does.
@@ -447,6 +461,53 @@ TEST(ShardedSpill, AbsorbShardAdoptsRuns) {
   FlatPermStore drained = seen.drain_sorted();
   FlatPermStore expected = reference.drain_sorted();
   expect_same_rows(drained, expected);
+}
+
+TEST(ShardedSpill, SplitOfSpilledStoreKeepsRowsWithinBudget) {
+  // The closure re-splits its seen set once, possibly after it has already
+  // sealed runs: every row, sealed or active, must reach its new shard, and
+  // the heap must stay within the budget re-sliced over the new shards.
+  Rng rng(5205);
+  const std::size_t width = 8;
+  const std::size_t shards = 4;
+  const std::size_t budget = 2048;
+  ShardedPermStore spilled(width, shards,
+                           SpillOptions{budget, ::testing::TempDir()});
+  ShardedPermStore plain(width, shards);
+  for (int round = 0; round < 6; ++round) {
+    FlatPermStore chunk(width);
+    for (int i = 0; i < 200; ++i) {
+      chunk.push_back(random_label_row(rng, width).data());
+    }
+    chunk.sort_unique();
+    FlatPermStore twin = chunk;
+    spilled.subtract_shard_from(0, chunk);
+    spilled.merge_into_shard(0, chunk);
+    plain.subtract_shard_from(0, twin);
+    plain.merge_into_shard(0, twin);
+  }
+  ASSERT_TRUE(spilled.spilled());
+  EXPECT_LE(spilled.memory_bytes(), budget);
+
+  const FlatPermStore splitters =
+      ShardedPermStore::splitters_from(plain.flatten(), shards);
+  spilled.split(splitters);
+  plain.split(splitters);
+  EXPECT_LE(spilled.memory_bytes(), budget);
+  std::size_t shards_with_runs = 0;
+  for (std::size_t s = 0; s < shards; ++s) {
+    EXPECT_EQ(spilled.shard_size(s), plain.shard_size(s)) << "shard " << s;
+    if (spilled.shard_run_count(s) > 0) ++shards_with_runs;
+  }
+  EXPECT_GT(shards_with_runs, 1u);
+  for (int probe = 0; probe < 200; ++probe) {
+    const Row row = random_label_row(rng, width);
+    EXPECT_EQ(spilled.contains_sorted(row.data()),
+              plain.contains_sorted(row.data()));
+  }
+  const FlatPermStore spilled_drain = spilled.drain_sorted();
+  const FlatPermStore plain_drain = plain.drain_sorted();
+  expect_same_rows(spilled_drain, plain_drain);
 }
 
 TEST(ShardedSpill, LegacyWholeStoreOpsRejectSpilledStores) {
@@ -531,6 +592,17 @@ class SpilledClosure3 : public ::testing::Test {
   }
 };
 
+/// At least half the seen set's shards hold rows: a sharded sweep that
+/// parks every row in one shard cannot pass a shard-invariance test.
+void expect_most_shards_filled(const FmcfEnumerator& closure) {
+  const std::vector<std::size_t> rows = closure.seen_shard_rows();
+  ASSERT_GT(rows.size(), 1u);
+  const auto filled = static_cast<std::size_t>(std::count_if(
+      rows.begin(), rows.end(), [](std::size_t n) { return n > 0; }));
+  EXPECT_GE(2 * filled, rows.size())
+      << filled << " of " << rows.size() << " shards hold rows";
+}
+
 TEST_F(SpilledClosure3, StatsIdenticalSingleThread) {
   FmcfEnumerator spilled(library(), [] {
     ClosureConfig config = spill_config(1);
@@ -557,11 +629,13 @@ TEST_F(SpilledClosure3, StatsIdenticalMultiThread) {
   spilled.run_to(7);
   EXPECT_GT(spilled.disk_bytes(), 0u);
   expect_stats_identical(spilled);
+  expect_most_shards_filled(spilled);
 }
 
 TEST_F(SpilledClosure3, SpilledCatalogRoundTrips) {
   FmcfEnumerator spilled(library(), spill_config(2));
   spilled.run_to(5);
+  expect_most_shards_filled(spilled);
   const std::string path = temp_path("spilled_catalog");
   spilled.save_catalog(path);
 
@@ -577,6 +651,78 @@ TEST_F(SpilledClosure3, SpilledCatalogRoundTrips) {
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->cost, spilled.find(cnot)->cost);
   std::remove(path.c_str());
+}
+
+// --- spilled, split 4-wire closure -----------------------------------------
+
+// The 4-wire closure cuts its shards after B[3] (the first frontier with 64
+// rows per shard at 16 shards), so level 4 runs on split stores.
+const gates::GateLibrary& library4() {
+  static const gates::GateLibrary lib = gates::GateLibrary::standard(4);
+  return lib;
+}
+
+ClosureConfig spill_config4(std::size_t budget_bytes) {
+  ClosureConfig config;
+  config.threads = 4;
+  config.shards = 16;
+  config.spill_budget_bytes = budget_bytes;
+  config.spill_dir = ::testing::TempDir();
+  return config;
+}
+
+TEST(SpilledClosure4, SeenStoreStaysWithinBudgetOnEveryLevel) {
+  // The budget means the configured bytes: the unsplit seen set gets all of
+  // it, a split one slices it over its shards.
+  const std::size_t budget = std::size_t(1) << 20;
+  ClosureConfig config = spill_config4(budget);
+  config.track_witnesses = false;
+  FmcfEnumerator closure(library4(), config);
+  for (unsigned k = 1; k <= 4; ++k) {
+    closure.advance();
+    EXPECT_LE(closure.seen_store().memory_bytes(), budget) << "level " << k;
+  }
+  ASSERT_EQ(closure.seen_store().live_shards(), 16u);
+  std::size_t shards_with_runs = 0;
+  for (std::size_t s = 0; s < 16; ++s) {
+    if (closure.seen_store().shard_run_count(s) > 0) ++shards_with_runs;
+  }
+  EXPECT_GT(shards_with_runs, 1u);
+  expect_most_shards_filled(closure);
+}
+
+TEST(SpilledClosure4, ResplitOfSpilledSeenSetIsByteIdentical) {
+  // A budget small enough that the unsplit seen set seals runs before the
+  // pilot level: the one re-split then streams sealed runs into the new
+  // shards, and the closure must still match the single-threaded in-memory
+  // sweep in every stat and every frontier byte.
+  ClosureConfig single;
+  single.threads = 1;
+  FmcfEnumerator reference(library4(), single);
+  reference.run_to(4);
+
+  FmcfEnumerator spilled(library4(), spill_config4(std::size_t(64) << 10));
+  bool spilled_before_split = false;
+  while (spilled.levels_done() < 4) {
+    spilled.advance();
+    if (spilled.seen_store().live_shards() == 1) {
+      spilled_before_split = spilled.seen_store().spilled();
+    }
+  }
+  EXPECT_TRUE(spilled_before_split);
+  EXPECT_EQ(spilled.seen_store().live_shards(), 16u);
+  for (unsigned k = 0; k <= 4; ++k) {
+    if (k > 0) {
+      const FmcfLevelStats& want = reference.stats()[k - 1];
+      const FmcfLevelStats& got = spilled.stats()[k - 1];
+      EXPECT_EQ(got.frontier, want.frontier) << "level " << k;
+      EXPECT_EQ(got.g_new, want.g_new) << "level " << k;
+      EXPECT_EQ(got.pre_g, want.pre_g) << "level " << k;
+      EXPECT_EQ(got.seen, want.seen) << "level " << k;
+    }
+    expect_same_rows(spilled.frontier(k), reference.frontier(k));
+  }
+  expect_most_shards_filled(spilled);
 }
 
 // --- configuration resolution ----------------------------------------------
