@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/stopwatch.h"
+#include "common/metrics.h"
 #include "gates/library.h"
 #include "la/matrix.h"
 #include "mvl/domain.h"
@@ -78,7 +78,7 @@ void ablation_cost_model() {
       {"swap(B,C)", synth::swap_bc_perm()},
   };
   for (const Row& row : rows) {
-    Stopwatch timer;
+    const std::uint64_t start = metrics::now_ns();
     const auto unit_result = unit_synth.synthesize(row.target);
     const auto nmr_result = nmr_synth.synthesize(row.target);
     if (!unit_result || !nmr_result) {
@@ -103,7 +103,8 @@ void ablation_cost_model() {
         nmr_result->cost < unit_circuit_nmr_cost
             ? "  <- cheaper than the unit-optimal circuit"
             : "");
-    std::printf("  %-10s search time %.3f s\n", "", timer.seconds());
+    std::printf("  %-10s search time %.3f s\n", "",
+                metrics::seconds_since(start));
   }
 }
 
@@ -176,7 +177,7 @@ void ablation_binary_control() {
   // suffixes of <= 4 gates, covering every unrestricted cascade of <= 7
   // gates — including cascades whose intermediate states are entangled,
   // which the multi-valued model cannot represent.
-  Stopwatch timer;
+  const std::uint64_t start = metrics::now_ns();
   std::vector<la::Matrix> gate_u;
   for (std::size_t g = 0; g < library.size(); ++g) {
     gate_u.push_back(sim::gate_unitary(library.gate(g), 3));
@@ -203,7 +204,7 @@ void ablation_binary_control() {
   std::printf(
       "  unrestricted exact minimum over the same 18-gate library: cost %u "
       "(meet-in-the-middle over %zu + %zu distinct unitaries, %.1f s)\n",
-      best, prefixes.size(), suffixes.size(), timer.seconds());
+      best, prefixes.size(), suffixes.size(), metrics::seconds_since(start));
   if (best < 99) {
     gates::Cascade witness(3);
     for (const std::size_t g : best_sequence) witness.append(library.gate(g));

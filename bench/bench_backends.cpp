@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/stopwatch.h"
+#include "common/metrics.h"
 #include "gates/library.h"
 #include "perm/permutation.h"
 #include "synth/backend.h"
@@ -71,25 +71,25 @@ perm::Permutation peres_on_5() {
 
 void regenerate() {
   bench::section("Synthesis backends: time to first cascade (Peres, n = 3)");
-  (void)catalog_path();  // save the catalog outside every stopwatch
+  (void)catalog_path();  // save the catalog outside every timed region
 
-  Stopwatch closure_watch;
+  const std::uint64_t closure_start = metrics::now_ns();
   synth::ClosureBackend closure(library3(), 5);
   const auto via_closure = closure.synthesize(synth::peres_perm());
-  const double closure_seconds = closure_watch.seconds();
+  const double closure_seconds = metrics::seconds_since(closure_start);
 
-  Stopwatch catalog_watch;
+  const std::uint64_t catalog_start = metrics::now_ns();
   synth::CatalogServer server =
       synth::CatalogServer::open(catalog_path(), library3());
   const auto via_catalog = server.synthesize(synth::peres_perm());
-  const double catalog_seconds = catalog_watch.seconds();
+  const double catalog_seconds = metrics::seconds_since(catalog_start);
 
-  Stopwatch search_watch;
+  const std::uint64_t search_start = metrics::now_ns();
   synth::SearchConfig config;
   config.max_cost = 5;
   synth::TopologySearchBackend search(library3(), config);
   const auto via_search = search.synthesize(synth::peres_perm());
-  const double search_seconds = search_watch.seconds();
+  const double search_seconds = metrics::seconds_since(search_start);
 
   bench::compare_row("closure answer cost", 4,
                      via_closure.has_value() ? via_closure->cost : -1);
@@ -105,12 +105,12 @@ void regenerate() {
                    std::to_string(search_seconds * 1e3) + " ms");
 
   bench::section("Beyond the in-memory closure: 5-wire cost-4 target");
-  Stopwatch wide_watch;
+  const std::uint64_t wide_start = metrics::now_ns();
   synth::SearchConfig wide;
   wide.max_cost = 4;
   synth::TopologySearchBackend wide_search(library5(), wide);
   const auto wide_answer = wide_search.synthesize(peres_on_5());
-  const double wide_seconds = wide_watch.seconds();
+  const double wide_seconds = metrics::seconds_since(wide_start);
   bench::compare_row("5-wire Peres-embedded cost", 4,
                      wide_answer.has_value() ? wide_answer->cost : -1);
   bench::value_row("search time", std::to_string(wide_seconds) + " s");
@@ -174,9 +174,10 @@ BENCHMARK(bm_search_5wire_cost4)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  Stopwatch total;
+  const std::uint64_t total_start = metrics::now_ns();
   regenerate();
-  std::printf("  total wall time: %.2f s\n", total.seconds());
+  std::printf("  total wall time: %.2f s\n",
+              metrics::seconds_since(total_start));
   const int rc = qsyn::bench::run_benchmarks(argc, argv);
   std::filesystem::remove(catalog_path());
   return rc;

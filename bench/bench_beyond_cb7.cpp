@@ -16,7 +16,7 @@
 
 #include "bench_util.h"
 #include "common/env.h"
-#include "common/stopwatch.h"
+#include "common/metrics.h"
 #include "gates/library.h"
 #include "mvl/domain.h"
 #include "synth/fmcf.h"
@@ -58,8 +58,9 @@ void regenerate() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Stopwatch total;
+  const std::uint64_t total_start = metrics::now_ns();
   regenerate();
-  std::printf("  total wall time: %.2f s\n", total.seconds());
+  std::printf("  total wall time: %.2f s\n",
+              metrics::seconds_since(total_start));
   return qsyn::bench::run_benchmarks(argc, argv);
 }

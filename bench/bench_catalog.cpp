@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/stopwatch.h"
+#include "common/metrics.h"
 #include "gates/library.h"
 #include "synth/catalog_server.h"
 #include "synth/fmcf.h"
@@ -48,10 +48,10 @@ const CatalogState& catalog_state() {
     s.path = (std::filesystem::temp_directory_path() /
               "qsyn_bench_catalog_cb7.qscat")
                  .string();
-    Stopwatch sweep;
+    const std::uint64_t sweep_start = metrics::now_ns();
     synth::FmcfEnumerator enumerator(library3());
     enumerator.run_to(7);
-    s.sweep_seconds = sweep.seconds();
+    s.sweep_seconds = metrics::seconds_since(sweep_start);
     s.levels = enumerator.levels_done();
     s.g7 = enumerator.stats().back().g_new;
     enumerator.save_catalog(s.path);
@@ -76,11 +76,11 @@ void regenerate() {
                    std::to_string(state.file_bytes >> 20) + " MiB (" +
                        std::to_string(state.file_bytes) + " bytes)");
 
-  Stopwatch cold;
+  const std::uint64_t cold_start = metrics::now_ns();
   const synth::FmcfEnumerator reopened =
       synth::FmcfEnumerator::open_catalog(state.path, library3());
   const auto first = reopened.find(synth::peres_perm());
-  const double cold_seconds = cold.seconds();
+  const double cold_seconds = metrics::seconds_since(cold_start);
   bench::value_row("cold start (open + first locate)",
                    std::to_string(cold_seconds * 1e3) + " ms");
   std::printf("  %-34s %s (bound 50 ms, sweep %.0f ms)\n",
@@ -186,9 +186,10 @@ BENCHMARK(bm_catalog_server_batch)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  Stopwatch total;
+  const std::uint64_t total_start = metrics::now_ns();
   regenerate();
-  std::printf("  total wall time: %.2f s\n", total.seconds());
+  std::printf("  total wall time: %.2f s\n",
+              metrics::seconds_since(total_start));
   const int rc = qsyn::bench::run_benchmarks(argc, argv);
   std::filesystem::remove(catalog_state().path);
   return rc;

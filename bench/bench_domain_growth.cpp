@@ -30,8 +30,8 @@
 
 #include "bench_util.h"
 #include "common/env.h"
+#include "common/metrics.h"
 #include "common/simd/kernels.h"
-#include "common/stopwatch.h"
 #include "gates/library.h"
 #include "mvl/nqubit.h"
 #include "synth/fmcf.h"
@@ -62,9 +62,6 @@ unsigned depth_for(std::size_t wires) {
 
 void regenerate() {
   bench::section("Extension: n-qubit domain & library growth (n = 2..5)");
-  // The engine behind the store sweeps below (QSYN_SIMD=off pins scalar;
-  // per-level stats are engine-invariant, only the wall time moves).
-  bench::value_row("simd engine", simd::active_engine_name());
   for (std::size_t n = 2; n <= 5; ++n) {
     const mvl::NQubitDomain nq(n);
     const gates::GateLibrary library = gates::GateLibrary::standard(nq);
@@ -188,9 +185,7 @@ BENCHMARK(bm_closure_outofcore)
 //
 // The set-algebra kernels in isolation, on the row shapes the closure
 // actually sweeps (38 B = n=3 one-byte labels, 1564 B = n=5 two-byte
-// labels). Arg 1 selects the engine: 0 = dispatched (radix + vector
-// compare), 1 = forced scalar (the historical indirect std::sort) — the
-// pair is the kernel-level speedup BENCH_pr9.json records.
+// labels): the LSD radix sort_unique and the memcmp subtract sweep.
 
 std::vector<std::uint8_t> random_rows(std::size_t count, std::size_t stride,
                                       std::uint32_t seed) {
@@ -202,56 +197,44 @@ std::vector<std::uint8_t> random_rows(std::size_t count, std::size_t stride,
 
 void bm_kernel_sort_unique(benchmark::State& state) {
   const auto stride = static_cast<std::size_t>(state.range(0));
-  const bool scalar = state.range(1) != 0;
   const std::size_t count = (std::size_t(8) << 20) / stride;
   const std::vector<std::uint8_t> rows = random_rows(count, stride, 42);
-  simd::force_scalar(scalar);
   std::vector<std::uint8_t> out;
   for (auto _ : state) {
     simd::sort_unique_rows(rows.data(), count, stride, out);
     benchmark::DoNotOptimize(out.data());
   }
-  simd::force_scalar(false);
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows.size()));
   state.counters["rows"] = static_cast<double>(count);
-  state.SetLabel(scalar ? "scalar" : simd::active_engine_name());
 }
 BENCHMARK(bm_kernel_sort_unique)
-    ->Args({38, 0})
-    ->Args({38, 1})
-    ->Args({1564, 0})
-    ->Args({1564, 1})
+    ->Arg(38)
+    ->Arg(1564)
     ->Unit(benchmark::kMillisecond);
 
 void bm_kernel_subtract(benchmark::State& state) {
   const auto stride = static_cast<std::size_t>(state.range(0));
-  const bool scalar = state.range(1) != 0;
   const std::size_t count = (std::size_t(8) << 20) / stride;
   std::vector<std::uint8_t> a = random_rows(count, stride, 7);
   std::vector<std::uint8_t> b = random_rows(count, stride, 11);
   std::vector<std::uint8_t> sorted;
-  simd::sort_unique_rows_scalar(a.data(), count, stride, sorted);
+  simd::sort_unique_rows(a.data(), count, stride, sorted);
   a.swap(sorted);
-  simd::sort_unique_rows_scalar(b.data(), count, stride, sorted);
+  simd::sort_unique_rows(b.data(), count, stride, sorted);
   b.swap(sorted);
-  simd::force_scalar(scalar);
   std::vector<std::uint8_t> out;
   for (auto _ : state) {
     simd::subtract_sorted_rows(a.data(), a.size() / stride, b.data(),
                                b.size() / stride, stride, out);
     benchmark::DoNotOptimize(out.data());
   }
-  simd::force_scalar(false);
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(a.size() + b.size()));
-  state.SetLabel(scalar ? "scalar" : simd::active_engine_name());
 }
 BENCHMARK(bm_kernel_subtract)
-    ->Args({38, 0})
-    ->Args({38, 1})
-    ->Args({1564, 0})
-    ->Args({1564, 1})
+    ->Arg(38)
+    ->Arg(1564)
     ->Unit(benchmark::kMillisecond);
 
 void bm_standard_library(benchmark::State& state) {
@@ -300,9 +283,10 @@ BENCHMARK(bm_closure_n4_k4)
 }  // namespace
 
 int main(int argc, char** argv) {
-  Stopwatch total;
+  const std::uint64_t total_start = metrics::now_ns();
   regenerate();
   regenerate_outofcore();
-  std::printf("  total wall time: %.2f s\n", total.seconds());
+  std::printf("  total wall time: %.2f s\n",
+              metrics::seconds_since(total_start));
   return qsyn::bench::run_benchmarks(argc, argv);
 }

@@ -11,8 +11,8 @@
 #include "automata/hmm.h"
 #include "automata/qrng.h"
 #include "bench_util.h"
+#include "common/metrics.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "gates/library.h"
 #include "mvl/domain.h"
 
@@ -26,7 +26,7 @@ bool regenerate() {
   const gates::GateLibrary library(domain);
 
   // 1. Controlled QRNG: wire C becomes a fair coin whenever wire A is 1.
-  Stopwatch timer;
+  const std::uint64_t start = metrics::now_ns();
   const auto qrng =
       automata::ControlledQrng::synthesize(library,
                                            automata::controlled_coin_spec(3));
@@ -36,7 +36,7 @@ bool regenerate() {
   }
   std::printf("  QRNG circuit: %s (cost %zu, synthesized in %.4f s)\n",
               qrng->circuit().to_string().c_str(), qrng->circuit().size(),
-              timer.seconds());
+              metrics::seconds_since(start));
   const auto dist = qrng->distribution(0b100);
   bench::compare_row_near("P[C=0] given A=1,B=0,C=0", 0.5, dist[0b100], 1e-9,
                           "fair coin");

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "common/stopwatch.h"
+#include "common/metrics.h"
 #include "gates/library.h"
 #include "mvl/domain.h"
 #include "sim/cross_check.h"
@@ -23,10 +23,10 @@ void regenerate_fig4() {
   const mvl::PatternDomain domain = mvl::PatternDomain::reduced(3);
   const gates::GateLibrary library(domain);
 
-  Stopwatch timer;
+  const std::uint64_t start = metrics::now_ns();
   synth::McExpressor mce(library, 7);
   const auto impls = mce.implementations(synth::peres_perm());
-  const double seconds = timer.seconds();
+  const double seconds = metrics::seconds_since(start);
 
   bench::compare_row("minimal quantum cost", 4,
                      impls.empty() ? -1 : impls.front().cost);

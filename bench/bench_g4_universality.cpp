@@ -10,7 +10,7 @@
 #include <set>
 
 #include "bench_util.h"
-#include "common/stopwatch.h"
+#include "common/metrics.h"
 #include "gates/library.h"
 #include "mvl/domain.h"
 #include "sim/cross_check.h"
@@ -52,7 +52,7 @@ void regenerate() {
 
   std::size_t universal = 0;
   std::vector<perm::Permutation> nonlinear;
-  Stopwatch timer;
+  const std::uint64_t start = metrics::now_ns();
   for (const auto& g : g4) {
     if (synth::is_universal_with_not_and_feynman(g)) {
       ++universal;
@@ -65,7 +65,7 @@ void regenerate() {
   bench::compare_row("four-CNOT (linear) members", 60,
                      static_cast<long long>(g4.size() - universal));
   std::printf("  24 universality checks (Schreier-Sims): %.3f s\n",
-              timer.seconds());
+              metrics::seconds_since(start));
 
   // Families under wire permutation.
   const auto shuffles = wire_shuffles();

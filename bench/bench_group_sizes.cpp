@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "common/stopwatch.h"
+#include "common/metrics.h"
 #include "gates/cascade.h"
 #include "gates/library.h"
 #include "mvl/domain.h"
@@ -24,7 +24,7 @@ using namespace qsyn;
 
 void regenerate() {
   bench::section("Section 3/5: group orders (in-repo Schreier-Sims vs GAP)");
-  Stopwatch timer;
+  const std::uint64_t start = metrics::now_ns();
 
   const perm::PermGroup feynman_only = synth::group_with_feynman({});
   bench::compare_row("|<Feynman gates>| (= |GL(3,2)|)", 168,
@@ -51,7 +51,7 @@ void regenerate() {
       not_layers, g, perm::PermGroup::symmetric(8));
   std::printf("  Theorem 2: S8 = disjoint union of the 8 cosets a*G: %s\n",
               bench::status_word(partition));
-  std::printf("  total: %.3f s\n", timer.seconds());
+  std::printf("  total: %.3f s\n", metrics::seconds_since(start));
 }
 
 void bm_schreier_sims_s8(benchmark::State& state) {

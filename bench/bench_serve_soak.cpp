@@ -17,8 +17,8 @@
 #include "automata/qrng.h"
 #include "bench_util.h"
 #include "common/error.h"
+#include "common/metrics.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "gates/cascade.h"
 #include "gates/library.h"
 #include "perm/permutation.h"
@@ -158,7 +158,7 @@ SoakResult run_soak() {
   // few chunks one churnable tenant departs and a catalog-synthesized
   // replacement joins.
   Rng traffic(99);
-  Stopwatch clock;
+  const std::uint64_t start = metrics::now_ns();
   constexpr std::size_t kChunk = 128;
   std::uint64_t submitted = 0;
   std::uint64_t chunk_index = 0;
@@ -233,7 +233,7 @@ SoakResult run_soak() {
   }
   for (std::thread& submitter : submitters) submitter.join();
 
-  result.seconds = clock.seconds();
+  result.seconds = metrics::seconds_since(start);
   result.stats = service.stats();
   result.engine_cache = service.engine_cache_stats();
   result.witness_cache = catalog.cache_stats();

@@ -14,13 +14,13 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "common/simd/kernels.h"
 #include "gates/cascade.h"
 #include "gates/library.h"
 #include "mvl/domain.h"
 #include "sim/batch.h"
 #include "sim/cross_check.h"
 #include "sim/fused.h"
+#include "sim/state_vector.h"
 #include "synth/specs.h"
 
 namespace {
@@ -117,9 +117,10 @@ void regenerate_artifact() {
     }
   }
 
-  // GEMM-batched vs per-column application must be bit-identical (dyadic
-  // amplitudes), not just tolerance-close.
-  bench::value_row("simd engine", simd::active_engine_name());
+  // The GEMM-batched run must be bit-identical (dyadic amplitudes), not
+  // just tolerance-close, to applying each job's fused cascade on its own.
+  // fuse_block = 4 folds the length-4..15 catalog cascades to 1..4 blocks,
+  // so the batched products engage past block 0.
   std::vector<sim::SimJob> jobs;
   for (const gates::Cascade& c : catalog()) {
     for (std::uint32_t bits = 0; bits < (1u << c.wires()); ++bits) {
@@ -127,18 +128,15 @@ void regenerate_artifact() {
     }
   }
   sim::SimOptions gemm_options;
-  gemm_options.fuse_block = 16;
+  gemm_options.fuse_block = 4;
   gemm_options.threads = 1;
-  gemm_options.gemm_batch = true;
-  sim::SimOptions column_options = gemm_options;
-  column_options.gemm_batch = false;
   sim::BatchSimulator gemm_sim(gemm_options);
-  sim::BatchSimulator column_sim(column_options);
   const std::vector<la::Vector> gemm_states = gemm_sim.run(jobs);
-  const std::vector<la::Vector> column_states = column_sim.run(jobs);
   long long identical = 0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    identical += gemm_states[i].data() == column_states[i].data();
+    const sim::FusedCascade per_job(*jobs[i].cascade, 4, gemm_sim.cache());
+    identical += gemm_states[i].data() ==
+                 per_job.apply_to_basis(jobs[i].input_bits).amplitudes().data();
   }
   bench::compare_row("gemm == per-column (bitwise)",
                      static_cast<long long>(jobs.size()), identical,
@@ -215,36 +213,6 @@ void bm_batch_throughput(benchmark::State& state) {
 BENCHMARK(bm_batch_throughput)
     ->Arg(0)
     ->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
-/// GEMM-batched (1) vs per-column (0) block application on the same jobs
-/// vector — the fused-path delta the vectorized kernels PR records.
-/// fuse_block = 4 so the length-4..15 catalog cascades fold to 1..4 blocks:
-/// the batched path only engages past block 0 (block 0 is a column gather
-/// either way), so whole-cascade fusion would leave it nothing to multiply.
-void bm_batch_gemm_toggle(benchmark::State& state) {
-  std::vector<sim::SimJob> jobs;
-  for (const gates::Cascade& c : catalog()) {
-    for (std::uint32_t bits = 0; bits < (1u << c.wires()); ++bits) {
-      jobs.push_back(sim::SimJob{&c, bits});
-    }
-  }
-  sim::SimOptions options;
-  options.fuse_block = 4;
-  options.threads = 1;
-  options.gemm_batch = state.range(0) != 0;
-  sim::BatchSimulator sim(options);
-  benchmark::DoNotOptimize(sim.run(jobs));  // warm the cache
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run(jobs));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(jobs.size()));
-  state.SetLabel(state.range(0) != 0 ? "gemm" : "per-column");
-}
-BENCHMARK(bm_batch_gemm_toggle)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -14,7 +14,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "common/stopwatch.h"
+#include "common/metrics.h"
 #include "gates/library.h"
 #include "mvl/domain.h"
 #include "synth/fmcf.h"
@@ -28,7 +28,7 @@ void regenerate_table2() {
   const mvl::PatternDomain domain = mvl::PatternDomain::reduced(3);
   const gates::GateLibrary library(domain);
 
-  Stopwatch total;
+  const std::uint64_t total_start = metrics::now_ns();
   synth::ClosureConfig options;
   options.track_witnesses = false;  // pure counting
   synth::FmcfEnumerator enumerator(library, options);
@@ -53,7 +53,7 @@ void regenerate_table2() {
   std::printf(
       "  total wall time: %.3f s on one modern core "
       "(paper: minutes-scale GAP runs on a P-III)\n",
-      total.seconds());
+      metrics::seconds_since(total_start));
   std::printf(
       "  note: k=2,3 differ from the paper; 30 = pre_G[2] (paper skipped the "
       "G[1] subtraction), and 24/51 are the exhaustive counts.\n");

@@ -1,15 +1,24 @@
-# Script-mode check (ctest: deprecated_names_absent) that deleted
-# transitional names never reappear in the tree. A namespace-scope alias
-# like `FmcfOptions` cannot be probed with SFINAE the way a member can, so
-# this textual scan backs up the static_asserts in tests/test_deprecation.cpp
-# — which is the one file allowed to spell the old names (it documents them).
+# Script-mode check (ctest: deprecated_names_absent) that deleted names never
+# reappear in the tree:
+#  * the transitional migration shims `FmcfOptions` and `take_flatten` (a
+#    namespace-scope alias cannot be probed with SFINAE the way a member
+#    can, so this textual scan backs up the static_asserts in
+#    tests/test_deprecation.cpp — the one file allowed to spell old names);
+#  * the deleted kernel switches: the `QSYN_SIMD` kill-switch and
+#    `force_scalar`, the `QSYN_WITH_BLAS` CMake option and
+#    `SimOptions::blas_gemm`, the `SimOptions::gemm_batch` opt-out — each
+#    kernel has one implementation, so nothing may choose between engines;
+#  * `Stopwatch` — metrics::now_ns() is the one clock.
 #
 # Usage: cmake -DQSYN_SOURCE_DIR=<repo root> -P CheckDeprecatedNames.cmake
 if(NOT DEFINED QSYN_SOURCE_DIR)
   message(FATAL_ERROR "pass -DQSYN_SOURCE_DIR=<repo root>")
 endif()
 
-set(deprecated_names "FmcfOptions" "take_flatten")
+set(deprecated_names
+  "FmcfOptions" "take_flatten"
+  "QSYN_SIMD" "force_scalar" "QSYN_WITH_BLAS" "blas_gemm" "gemm_batch"
+  "Stopwatch")
 
 file(GLOB_RECURSE sources RELATIVE "${QSYN_SOURCE_DIR}"
   "${QSYN_SOURCE_DIR}/src/*.h"
@@ -17,7 +26,10 @@ file(GLOB_RECURSE sources RELATIVE "${QSYN_SOURCE_DIR}"
   "${QSYN_SOURCE_DIR}/tests/*.cpp"
   "${QSYN_SOURCE_DIR}/bench/*.h"
   "${QSYN_SOURCE_DIR}/bench/*.cpp"
-  "${QSYN_SOURCE_DIR}/examples/*.cpp")
+  "${QSYN_SOURCE_DIR}/examples/*.cpp"
+  "${QSYN_SOURCE_DIR}/src/CMakeLists.txt"
+  "${QSYN_SOURCE_DIR}/.github/*.yml")
+list(APPEND sources CMakeLists.txt)
 
 set(violations "")
 foreach(source IN LISTS sources)
@@ -36,7 +48,7 @@ endforeach()
 if(violations)
   list(JOIN violations "\n  " pretty)
   message(FATAL_ERROR
-    "deleted transitional names resurfaced (use ClosureConfig / "
-    "drain_sorted instead):\n  ${pretty}")
+    "deleted names resurfaced (see the list at the top of "
+    "cmake/CheckDeprecatedNames.cmake for what replaced each):\n  ${pretty}")
 endif()
 message(STATUS "no deprecated names in the tree")

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <set>
+#include <string>
 
 namespace qsyn {
 
@@ -15,8 +16,8 @@ std::set<std::string>& warned_names() {
   return names;
 }
 
-}  // namespace
-
+/// Emits "qsyn: ignoring <name>='<value>' (<expected>)" on stderr, at most
+/// once per variable name for the process lifetime.
 void warn_env_once(const char* name, const std::string& value,
                    const std::string& expected) {
   {
@@ -26,6 +27,8 @@ void warn_env_once(const char* name, const std::string& value,
   std::fprintf(stderr, "qsyn: ignoring %s='%s' (%s)\n", name, value.c_str(),
                expected.c_str());
 }
+
+}  // namespace
 
 void reset_env_warnings_for_testing() {
   std::lock_guard<std::mutex> lock(warned_mutex);

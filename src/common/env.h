@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <string>
 
 namespace qsyn {
 
@@ -28,12 +27,6 @@ namespace qsyn {
 /// value.
 [[nodiscard]] std::optional<std::size_t> parse_env_size_t(
     const char* name, std::size_t min_value, std::size_t max_value);
-
-/// Emits "qsyn: ignoring <name>='<value>' (<expected>)" on stderr, at most
-/// once per variable name for the process lifetime. Exposed for the
-/// non-numeric knobs (QSYN_SIMD) that share the warn-once policy.
-void warn_env_once(const char* name, const std::string& value,
-                   const std::string& expected);
 
 /// Test hook: forgets which variable names have already warned, so suites
 /// can assert the warning fires. Not thread-safe against concurrent

@@ -24,6 +24,11 @@ namespace qsyn::metrics {
 /// shares (steady_clock, so differences are wall durations).
 [[nodiscard]] std::uint64_t now_ns();
 
+/// Seconds elapsed since the now_ns() reading `start_ns`.
+[[nodiscard]] inline double seconds_since(std::uint64_t start_ns) {
+  return static_cast<double>(now_ns() - start_ns) * 1e-9;
+}
+
 /// A monotonically increasing atomic event counter.
 class Counter {
  public:

@@ -1,203 +1,11 @@
 #include "common/simd/kernels.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
-#include <cstdlib>
 #include <cstring>
-#include <numeric>
-#include <string>
-
-#include "common/env.h"
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define QSYN_KERNELS_X86 1
-#include <immintrin.h>
-#endif
-#if defined(__aarch64__)
-#define QSYN_KERNELS_NEON 1
-#include <arm_neon.h>
-#endif
 
 namespace qsyn::simd {
 
-namespace {
-
-std::atomic<bool> g_force_scalar{false};
-
-bool env_disables_simd() {
-  static const bool disabled = [] {
-    const char* env = std::getenv("QSYN_SIMD");
-    if (env == nullptr || env[0] == '\0') return false;
-    std::string value(env);
-    for (char& ch : value) {
-      ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-    }
-    if (value == "off" || value == "0" || value == "scalar" ||
-        value == "false") {
-      return true;
-    }
-    if (value == "on" || value == "1" || value == "auto" || value == "true") {
-      return false;
-    }
-    warn_env_once("QSYN_SIMD", env,
-                  "expected on/off (off, 0, scalar, false disable the "
-                  "vectorized kernels)");
-    return false;
-  }();
-  return disabled;
-}
-
-Engine hardware_engine() {
-#if defined(QSYN_KERNELS_X86)
-  static const Engine engine =
-      __builtin_cpu_supports("avx2") ? Engine::kAvx2 : Engine::kScalar;
-  return engine;
-#elif defined(QSYN_KERNELS_NEON)
-  return Engine::kNeon;
-#else
-  return Engine::kScalar;
-#endif
-}
-
-}  // namespace
-
-bool scalar_forced() {
-  return g_force_scalar.load(std::memory_order_relaxed) || env_disables_simd();
-}
-
-void force_scalar(bool on) {
-  g_force_scalar.store(on, std::memory_order_relaxed);
-}
-
-Engine active_engine() {
-  return scalar_forced() ? Engine::kScalar : hardware_engine();
-}
-
-const char* engine_name(Engine engine) {
-  switch (engine) {
-    case Engine::kAvx2:
-      return "avx2";
-    case Engine::kNeon:
-      return "neon";
-    case Engine::kScalar:
-      break;
-  }
-  return "scalar";
-}
-
-// --- row compares -----------------------------------------------------------
-
-int compare_rows_scalar(const std::uint8_t* a, const std::uint8_t* b,
-                        std::size_t stride) {
-  return std::memcmp(a, b, stride);
-}
-
-#if defined(QSYN_KERNELS_X86)
-namespace {
-
-__attribute__((target("avx2"))) int compare_rows_avx2(const std::uint8_t* a,
-                                                      const std::uint8_t* b,
-                                                      std::size_t stride) {
-  std::size_t i = 0;
-  while (i + 32 <= stride) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const unsigned equal = static_cast<unsigned>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)));
-    if (equal != 0xFFFFFFFFu) {
-      const std::size_t at = i + static_cast<std::size_t>(
-                                     __builtin_ctz(~equal));
-      return a[at] < b[at] ? -1 : 1;
-    }
-    i += 32;
-  }
-  if (i == stride) return 0;
-  return std::memcmp(a + i, b + i, stride - i);
-}
-
-}  // namespace
-#endif  // QSYN_KERNELS_X86
-
-#if defined(QSYN_KERNELS_NEON)
-namespace {
-
-int compare_rows_neon(const std::uint8_t* a, const std::uint8_t* b,
-                      std::size_t stride) {
-  std::size_t i = 0;
-  while (i + 16 <= stride) {
-    const uint8x16_t va = vld1q_u8(a + i);
-    const uint8x16_t vb = vld1q_u8(b + i);
-    if (vminvq_u8(vceqq_u8(va, vb)) != 0xFF) {
-      for (std::size_t j = i; j < i + 16; ++j) {
-        if (a[j] != b[j]) return a[j] < b[j] ? -1 : 1;
-      }
-    }
-    i += 16;
-  }
-  if (i == stride) return 0;
-  return std::memcmp(a + i, b + i, stride - i);
-}
-
-}  // namespace
-#endif  // QSYN_KERNELS_NEON
-
-namespace {
-
-using CompareFn = int (*)(const std::uint8_t*, const std::uint8_t*,
-                          std::size_t);
-
-/// The compare the current engine dispatches to; resolved once per set-
-/// algebra call, not once per row.
-CompareFn resolve_compare() {
-  switch (active_engine()) {
-#if defined(QSYN_KERNELS_X86)
-    case Engine::kAvx2:
-      return &compare_rows_avx2;
-#endif
-#if defined(QSYN_KERNELS_NEON)
-    case Engine::kNeon:
-      return &compare_rows_neon;
-#endif
-    default:
-      return &compare_rows_scalar;
-  }
-}
-
-}  // namespace
-
-int compare_rows(const std::uint8_t* a, const std::uint8_t* b,
-                 std::size_t stride) {
-  return resolve_compare()(a, b, stride);
-}
-
 // --- sort_unique ------------------------------------------------------------
-
-void sort_unique_rows_scalar(const std::uint8_t* rows, std::size_t count,
-                             std::size_t stride,
-                             std::vector<std::uint8_t>& out) {
-  out.clear();
-  if (count == 0) return;
-  // Indirect sort: order row indices, then gather into the output buffer
-  // (the historical FlatPermStore::sort_unique, kept as the reference).
-  std::vector<std::uint32_t> order(count);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(),
-            [rows, stride](std::uint32_t a, std::uint32_t b) {
-              return std::memcmp(rows + std::size_t(a) * stride,
-                                 rows + std::size_t(b) * stride, stride) < 0;
-            });
-  out.reserve(count * stride);
-  const std::uint8_t* prev = nullptr;
-  for (const std::uint32_t idx : order) {
-    const std::uint8_t* r = rows + std::size_t(idx) * stride;
-    if (prev != nullptr && std::memcmp(prev, r, stride) == 0) continue;
-    out.insert(out.end(), r, r + stride);
-    prev = out.data() + out.size() - stride;
-  }
-}
 
 namespace {
 
@@ -227,9 +35,8 @@ struct RadixPair {
 
 }  // namespace
 
-void sort_unique_rows_radix(const std::uint8_t* rows, std::size_t count,
-                            std::size_t stride,
-                            std::vector<std::uint8_t>& out) {
+void sort_unique_rows(const std::uint8_t* rows, std::size_t count,
+                      std::size_t stride, std::vector<std::uint8_t>& out) {
   out.clear();
   if (count == 0) return;
   if (count == 1) {
@@ -337,23 +144,11 @@ void sort_unique_rows_radix(const std::uint8_t* rows, std::size_t count,
   }
 }
 
-void sort_unique_rows(const std::uint8_t* rows, std::size_t count,
-                      std::size_t stride, std::vector<std::uint8_t>& out) {
-  if (active_engine() == Engine::kScalar) {
-    sort_unique_rows_scalar(rows, count, stride, out);
-  } else {
-    sort_unique_rows_radix(rows, count, stride, out);
-  }
-}
-
 // --- subtract / merge -------------------------------------------------------
 
-namespace {
-
-void subtract_impl(const std::uint8_t* a, std::size_t a_count,
-                   const std::uint8_t* b, std::size_t b_count,
-                   std::size_t stride, std::vector<std::uint8_t>& out,
-                   CompareFn compare) {
+void subtract_sorted_rows(const std::uint8_t* a, std::size_t a_count,
+                          const std::uint8_t* b, std::size_t b_count,
+                          std::size_t stride, std::vector<std::uint8_t>& out) {
   out.clear();
   if (a_count == 0) return;
   if (b_count == 0) {
@@ -368,7 +163,7 @@ void subtract_impl(const std::uint8_t* a, std::size_t a_count,
       out.insert(out.end(), a + i * stride, a + a_count * stride);
       return;
     }
-    const int cmp = compare(a + i * stride, b + j * stride, stride);
+    const int cmp = std::memcmp(a + i * stride, b + j * stride, stride);
     if (cmp < 0) {
       out.insert(out.end(), a + i * stride, a + (i + 1) * stride);
       ++i;
@@ -380,15 +175,15 @@ void subtract_impl(const std::uint8_t* a, std::size_t a_count,
   }
 }
 
-void merge_impl(const std::uint8_t* a, std::size_t a_count,
-                const std::uint8_t* b, std::size_t b_count, std::size_t stride,
-                std::vector<std::uint8_t>& out, CompareFn compare) {
+void merge_sorted_rows(const std::uint8_t* a, std::size_t a_count,
+                       const std::uint8_t* b, std::size_t b_count,
+                       std::size_t stride, std::vector<std::uint8_t>& out) {
   out.clear();
   out.reserve((a_count + b_count) * stride);
   std::size_t i = 0;
   std::size_t j = 0;
   while (i < a_count && j < b_count) {
-    const int cmp = compare(a + i * stride, b + j * stride, stride);
+    const int cmp = std::memcmp(a + i * stride, b + j * stride, stride);
     if (cmp <= 0) {
       out.insert(out.end(), a + i * stride, a + (i + 1) * stride);
       if (cmp == 0) ++j;  // keep duplicates once
@@ -406,52 +201,7 @@ void merge_impl(const std::uint8_t* a, std::size_t a_count,
   }
 }
 
-}  // namespace
-
-void subtract_sorted_rows(const std::uint8_t* a, std::size_t a_count,
-                          const std::uint8_t* b, std::size_t b_count,
-                          std::size_t stride, std::vector<std::uint8_t>& out) {
-  subtract_impl(a, a_count, b, b_count, stride, out, resolve_compare());
-}
-
-void subtract_sorted_rows_scalar(const std::uint8_t* a, std::size_t a_count,
-                                 const std::uint8_t* b, std::size_t b_count,
-                                 std::size_t stride,
-                                 std::vector<std::uint8_t>& out) {
-  subtract_impl(a, a_count, b, b_count, stride, out, &compare_rows_scalar);
-}
-
-void merge_sorted_rows(const std::uint8_t* a, std::size_t a_count,
-                       const std::uint8_t* b, std::size_t b_count,
-                       std::size_t stride, std::vector<std::uint8_t>& out) {
-  merge_impl(a, a_count, b, b_count, stride, out, resolve_compare());
-}
-
-void merge_sorted_rows_scalar(const std::uint8_t* a, std::size_t a_count,
-                              const std::uint8_t* b, std::size_t b_count,
-                              std::size_t stride,
-                              std::vector<std::uint8_t>& out) {
-  merge_impl(a, a_count, b, b_count, stride, out, &compare_rows_scalar);
-}
-
 // --- batched complex GEMM ---------------------------------------------------
-
-#ifdef QSYN_HAVE_BLAS
-extern "C" void cblas_zgemm(int layout, int trans_a, int trans_b, int m,
-                            int n, int k, const void* alpha, const void* a,
-                            int lda, const void* b, int ldb, const void* beta,
-                            void* c, int ldc);
-#endif
-
-bool blas_compiled_in() {
-#ifdef QSYN_HAVE_BLAS
-  return true;
-#else
-  return false;
-#endif
-}
-
-namespace {
 
 /// Hand-written k-major kernel: C accumulates one scaled row of B per
 /// non-zero A entry, with the complex arithmetic spelled out over the
@@ -460,8 +210,8 @@ namespace {
 /// NaN-checking __muldc3 helper instead). Block unitaries are mostly zeros
 /// (permutation-like with small mixing blocks), so the zero skip removes
 /// the bulk of the work exactly.
-void gemm_hand(const Complex* a, const Complex* b, Complex* c, std::size_t m,
-               std::size_t k, std::size_t n) {
+void gemm(const Complex* a, const Complex* b, Complex* c, std::size_t m,
+          std::size_t k, std::size_t n) {
   std::fill(c, c + m * n, Complex(0.0, 0.0));
   const double* bd = reinterpret_cast<const double*>(b);
   double* cd = reinterpret_cast<double*>(c);
@@ -481,28 +231,6 @@ void gemm_hand(const Complex* a, const Complex* b, Complex* c, std::size_t m,
       }
     }
   }
-}
-
-}  // namespace
-
-void gemm(const Complex* a, const Complex* b, Complex* c, std::size_t m,
-          std::size_t k, std::size_t n, bool prefer_blas) {
-#ifdef QSYN_HAVE_BLAS
-  if (prefer_blas) {
-    constexpr int kRowMajor = 101;  // CblasRowMajor
-    constexpr int kNoTrans = 111;   // CblasNoTrans
-    const Complex one(1.0, 0.0);
-    const Complex zero(0.0, 0.0);
-    cblas_zgemm(kRowMajor, kNoTrans, kNoTrans, static_cast<int>(m),
-                static_cast<int>(n), static_cast<int>(k), &one, a,
-                static_cast<int>(k), b, static_cast<int>(n), &zero, c,
-                static_cast<int>(n));
-    return;
-  }
-#else
-  (void)prefer_blas;
-#endif
-  gemm_hand(a, b, c, m, k, n);
 }
 
 }  // namespace qsyn::simd

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "common/error.h"
-#include "common/simd/kernels.h"
 #include "common/thread_pool.h"
 #include "sim/state_vector.h"
 
@@ -74,7 +73,7 @@ std::vector<la::Vector> BatchSimulator::run(const std::vector<SimJob>& jobs) {
   }
   // Fold each distinct cascade exactly once — across the pool, since on a
   // cold cache folding dominates the per-job column reads — then fan the
-  // jobs out. The fused forms are read-only during the sweep, so tasks
+  // groups out. The fused forms are read-only during the sweep, so tasks
   // share them freely.
   std::unordered_map<const gates::Cascade*, std::size_t> fused_index;
   std::vector<const gates::Cascade*> unique;
@@ -87,44 +86,36 @@ std::vector<la::Vector> BatchSimulator::run(const std::vector<SimJob>& jobs) {
   pool().run(unique.size(), [&](std::size_t task, std::size_t) {
     fused[task].emplace(*unique[task], options_.fuse_block, cache_);
   });
-  if (options_.gemm_batch && !simd::scalar_forced()) {
-    // GEMM-batched: jobs sharing a cascade assemble into one dense
-    // 2^n x batch column matrix, and each fused block applies as a single
-    // matrix-matrix product. One task per distinct cascade; the dyadic
-    // amplitudes make the result bit-identical to the per-job path.
-    // Single-block cascades never reach a product (block 0 is a column
-    // gather either way) and single-job groups degenerate to the same
-    // matrix-vector work, so both fall back to the per-job column path
-    // instead of paying the assemble/unpack transpose for nothing.
-    std::vector<std::vector<std::size_t>> members(unique.size());
-    for (std::size_t task = 0; task < jobs.size(); ++task) {
-      members[fused_index.at(jobs[task].cascade)].push_back(task);
-    }
-    const bool prefer_blas = options_.blas_gemm;
-    pool().run(unique.size(), [&](std::size_t group, std::size_t) {
-      if (fused[group]->block_count() < 2 || members[group].size() < 2) {
-        for (const std::size_t task : members[group]) {
-          out[task] =
-              fused[group]->apply_to_basis(jobs[task].input_bits).amplitudes();
-        }
-        return;
-      }
-      std::vector<std::uint32_t> bits;
-      bits.reserve(members[group].size());
-      for (const std::size_t task : members[group]) {
-        bits.push_back(jobs[task].input_bits);
-      }
-      std::vector<StateVector> states =
-          fused[group]->apply_to_basis_columns(bits, prefer_blas);
-      for (std::size_t m = 0; m < members[group].size(); ++m) {
-        out[members[group][m]] = states[m].amplitudes();
-      }
-    });
-    return out;
+  // GEMM-batched: jobs sharing a cascade assemble into one dense
+  // 2^n x batch column matrix, and each fused block applies as a single
+  // matrix-matrix product. One task per distinct cascade; the dyadic
+  // amplitudes make the result bit-identical to per-job apply_to_basis.
+  // Single-block cascades never reach a product (block 0 is a column
+  // gather either way) and single-job groups degenerate to the same
+  // matrix-vector work, so both take the per-job column path instead of
+  // paying the assemble/unpack transpose for nothing.
+  std::vector<std::vector<std::size_t>> members(unique.size());
+  for (std::size_t task = 0; task < jobs.size(); ++task) {
+    members[fused_index.at(jobs[task].cascade)].push_back(task);
   }
-  pool().run(jobs.size(), [&](std::size_t task, std::size_t) {
-    const FusedCascade& f = *fused[fused_index.at(jobs[task].cascade)];
-    out[task] = f.apply_to_basis(jobs[task].input_bits).amplitudes();
+  pool().run(unique.size(), [&](std::size_t group, std::size_t) {
+    if (fused[group]->block_count() < 2 || members[group].size() < 2) {
+      for (const std::size_t task : members[group]) {
+        out[task] =
+            fused[group]->apply_to_basis(jobs[task].input_bits).amplitudes();
+      }
+      return;
+    }
+    std::vector<std::uint32_t> bits;
+    bits.reserve(members[group].size());
+    for (const std::size_t task : members[group]) {
+      bits.push_back(jobs[task].input_bits);
+    }
+    std::vector<StateVector> states =
+        fused[group]->apply_to_basis_columns(bits);
+    for (std::size_t m = 0; m < members[group].size(); ++m) {
+      out[members[group][m]] = states[m].amplitudes();
+    }
   });
   return out;
 }
@@ -166,32 +157,27 @@ bool BatchSimulator::check_mv_model_one(const gates::Cascade& cascade,
   }
   const std::size_t wires = cascade.wires();
   const FusedCascade fused(cascade, options_.fuse_block, cache_);
-  if (options_.gemm_batch && !simd::scalar_forced() &&
-      fused.block_count() >= 2) {
-    // All 2^n inputs in one batch: the whole soundness sweep becomes a
-    // handful of dim x dim x dim products. (Single-block cascades skip
-    // this — block 0 is a column gather either way, so batching would
-    // only add a transpose round-trip.)
-    std::vector<std::uint32_t> all_bits(std::size_t(1) << wires);
-    for (std::uint32_t bits = 0; bits < all_bits.size(); ++bits) {
-      all_bits[bits] = bits;
+  // All 2^n inputs in one batch: the whole soundness sweep becomes a
+  // handful of dim x dim x dim products. (Single-block cascades skip the
+  // batch — block 0 is a column gather either way, so batching would only
+  // add a transpose round-trip.)
+  const std::size_t dim = std::size_t(1) << wires;
+  std::vector<StateVector> states;
+  if (fused.block_count() >= 2) {
+    std::vector<std::uint32_t> all_bits(dim);
+    for (std::uint32_t bits = 0; bits < dim; ++bits) all_bits[bits] = bits;
+    states = fused.apply_to_basis_columns(all_bits);
+  } else {
+    states.reserve(dim);
+    for (std::uint32_t bits = 0; bits < dim; ++bits) {
+      states.push_back(fused.apply_to_basis(bits));
     }
-    const std::vector<StateVector> states =
-        fused.apply_to_basis_columns(all_bits, options_.blas_gemm);
-    for (std::uint32_t bits = 0; bits < all_bits.size(); ++bits) {
-      const mvl::Pattern predicted =
-          cascade.apply(mvl::Pattern::from_binary(wires, bits));
-      const StateVector expected = StateVector::from_pattern(predicted);
-      if (states[bits].distance_to(expected) > tol) return false;
-    }
-    return true;
   }
-  for (std::uint32_t bits = 0; bits < (1u << wires); ++bits) {
-    const StateVector state = fused.apply_to_basis(bits);
+  for (std::uint32_t bits = 0; bits < dim; ++bits) {
     const mvl::Pattern predicted =
         cascade.apply(mvl::Pattern::from_binary(wires, bits));
     const StateVector expected = StateVector::from_pattern(predicted);
-    if (state.distance_to(expected) > tol) return false;
+    if (states[bits].distance_to(expected) > tol) return false;
   }
   return true;
 }

@@ -167,7 +167,7 @@ StateVector FusedCascade::apply_to_basis(std::uint32_t bits) const {
 }
 
 std::vector<StateVector> FusedCascade::apply_to_basis_columns(
-    const std::vector<std::uint32_t>& bits, bool prefer_blas) const {
+    const std::vector<std::uint32_t>& bits) const {
   const std::size_t dim = std::size_t(1) << wires_;
   const std::size_t batch = bits.size();
   std::vector<StateVector> out;
@@ -195,7 +195,7 @@ std::vector<StateVector> FusedCascade::apply_to_basis_columns(
   }
   for (std::size_t b = 1; b < blocks_.size(); ++b) {
     simd::gemm(blocks_[b]->data().data(), cur.data(), next.data(), dim, dim,
-               batch, prefer_blas);
+               batch);
     cur.swap(next);
   }
   for (std::size_t j = 0; j < batch; ++j) {

@@ -43,18 +43,6 @@ struct SimOptions {
   /// positive integer, else std::thread::hardware_concurrency().
   std::size_t threads = 0;
 
-  /// Assemble BatchSimulator jobs that share a cascade into one dense
-  /// 2^n x batch column matrix and apply each fused block as a single
-  /// matrix-matrix product (common/simd/kernels.h gemm) instead of one
-  /// matrix-vector product per job. Exact: all amplitudes are dyadic, so
-  /// the reordered accumulation is bit-identical to the per-column path.
-  /// QSYN_SIMD=off (or simd::force_scalar) also disables this path.
-  bool gemm_batch = true;
-
-  /// Route the batched block products through CBLAS when compiled in
-  /// (the QSYN_WITH_BLAS CMake option); ignored otherwise.
-  bool blas_gemm = false;
-
   /// Options from the environment: fuse_block from QSYN_SIM_FUSE (a
   /// non-negative integer; 0 = reference path; unset = kDefaultFuseBlock;
   /// malformed values warn once and are ignored), threads left at 0
@@ -185,11 +173,10 @@ class FusedCascade {
   /// computed jointly. The inputs assemble into a dense 2^n x batch column
   /// matrix (block 0 is a gather of unitary columns) and every further
   /// block applies as one matrix-matrix product through the simd gemm
-  /// kernel — `prefer_blas` routes it to CBLAS when compiled in. Amplitudes
-  /// are dyadic, so each returned state is bit-identical to
-  /// apply_to_basis(bits[j]).
+  /// kernel. Amplitudes are dyadic, so each returned state is bit-identical
+  /// to apply_to_basis(bits[j]).
   [[nodiscard]] std::vector<StateVector> apply_to_basis_columns(
-      const std::vector<std::uint32_t>& bits, bool prefer_blas = false) const;
+      const std::vector<std::uint32_t>& bits) const;
 
   /// The full 2^n x 2^n cascade unitary (product of the blocks; identity
   /// for the empty cascade).

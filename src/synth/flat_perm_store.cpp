@@ -163,9 +163,7 @@ void FlatPermStore::sort_unique() {
   ensure_writable();
   const std::size_t n = size();
   if (n <= 1) return;
-  // Dispatched kernel: LSD radix over the big-endian rows on vector
-  // engines, the historical indirect std::sort on scalar. Both produce the
-  // canonical sorted-unique byte sequence.
+  // LSD radix over the big-endian rows (common/simd/kernels.h).
   std::vector<std::uint8_t> sorted;
   simd::sort_unique_rows(view_data_, n, stride_, sorted);
   commit_bytes(std::move(sorted));
@@ -197,7 +195,7 @@ bool FlatPermStore::contains_sorted(const std::uint8_t* row_bytes) const {
   std::size_t hi = size();
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    const int cmp = simd::compare_rows(row(mid), row_bytes, w);
+    const int cmp = std::memcmp(row(mid), row_bytes, w);
     if (cmp == 0) return true;
     if (cmp < 0) {
       lo = mid + 1;

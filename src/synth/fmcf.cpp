@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "common/stopwatch.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 
 namespace qsyn::synth {
@@ -149,7 +149,7 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
              "serve their saved levels, they never re-enumerate");
   if (saturated()) return stats_.back();
   (void)worker_pool();
-  Stopwatch timer;
+  const std::uint64_t start_ns = metrics::now_ns();
   const unsigned k = levels_done() + 1;
   const FlatPermStore& previous = frontiers_.back();
   QSYN_CHECK(!previous.empty() || k == 1,
@@ -321,7 +321,7 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
   if (!options_.track_witnesses && frontiers_.size() >= 2) {
     frontiers_[frontiers_.size() - 2].clear();
   }
-  stats.seconds = timer.seconds();
+  stats.seconds = metrics::seconds_since(start_ns);
   stats_.push_back(stats);
   return stats_.back();
 }

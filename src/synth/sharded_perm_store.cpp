@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <utility>
 
 #ifdef _WIN32
@@ -11,7 +12,6 @@
 #endif
 
 #include "common/error.h"
-#include "common/simd/kernels.h"
 #include "synth/closure_config.h"
 #include "synth/row_storage.h"
 
@@ -280,7 +280,7 @@ void merge_shard_rows(const FlatPermStore& active,
     std::size_t best_cursor = cursors.size();  // sentinel: active wins
     for (std::size_t c = 0; c < cursors.size(); ++c) {
       const std::uint8_t* head = cursors[c].head.data();
-      if (best == nullptr || simd::compare_rows(head, best, stride) < 0) {
+      if (best == nullptr || std::memcmp(head, best, stride) < 0) {
         best = head;
         best_cursor = c;
       }

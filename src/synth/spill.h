@@ -41,7 +41,6 @@
 #include <string>
 
 #include "common/io/mmap_file.h"
-#include "common/simd/kernels.h"
 #include "synth/flat_perm_store.h"
 
 namespace qsyn::synth {
@@ -84,19 +83,17 @@ class SealedRun {
 
   /// memcmp-order comparison of a full row (stride bytes) against run row
   /// `i` — prefix bytes first, suffix second, no label decode, no copy.
-  /// Routed through the dispatched simd row compare so streaming merges use
-  /// the same engine as the in-memory sweeps.
   [[nodiscard]] int compare(const std::uint8_t* row_bytes,
                             std::size_t i) const {
     const int c = prefix_bytes_ == 0
                       ? 0
-                      : simd::compare_rows(row_bytes, prefix_, prefix_bytes_);
+                      : std::memcmp(row_bytes, prefix_, prefix_bytes_);
     if (c != 0) return c;
     return suffix_stride_ == 0
                ? 0
-               : simd::compare_rows(row_bytes + prefix_bytes_,
-                                    suffix_base_ + i * suffix_stride_,
-                                    suffix_stride_);
+               : std::memcmp(row_bytes + prefix_bytes_,
+                             suffix_base_ + i * suffix_stride_,
+                             suffix_stride_);
   }
 
   /// Reconstructs run row `i` into `out` (stride bytes).

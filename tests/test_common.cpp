@@ -1,11 +1,11 @@
-// Unit tests for qsyn/common: error handling, RNG, strings, stopwatch.
+// Unit tests for qsyn/common: error handling, RNG, strings, the clock.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "common/error.h"
+#include "common/metrics.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "common/strings.h"
 
 namespace qsyn {
@@ -191,30 +191,13 @@ TEST(Strings, Padding) {
   EXPECT_EQ(pad_left("long", 2), "long");
 }
 
-// --- stopwatch ---------------------------------------------------------------
+// --- clock -------------------------------------------------------------------
 
-TEST(Stopwatch, MonotoneNonNegative) {
-  Stopwatch w;
-  const double a = w.seconds();
-  const double b = w.seconds();
-  EXPECT_GE(a, 0.0);
+TEST(Clock, NowNsIsMonotoneNonDecreasing) {
+  const std::uint64_t a = metrics::now_ns();
+  const std::uint64_t b = metrics::now_ns();
   EXPECT_GE(b, a);
-}
-
-TEST(Stopwatch, ResetGoesBackToZero) {
-  Stopwatch w;
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
-  (void)sink;
-  w.reset();
-  EXPECT_LT(w.seconds(), 0.5);
-}
-
-TEST(Stopwatch, MillisMatchesSeconds) {
-  Stopwatch w;
-  const double s = w.seconds();
-  const double ms = w.millis();
-  EXPECT_GE(ms, s * 1e3 - 1.0);
+  EXPECT_GE(metrics::seconds_since(a), 0.0);
 }
 
 }  // namespace

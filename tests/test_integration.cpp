@@ -20,7 +20,7 @@ namespace {
 
 TEST(Integration, FourQubitClosureLevels) {
   // Extension X4: first levels of the 4-wire closure (values pinned from
-  // bench_4qubit; |G4[1]| = 12 is forced — the twelve 4-wire CNOTs).
+  // bench_domain_growth; |G4[1]| = 12 is forced — the twelve 4-wire CNOTs).
   const mvl::PatternDomain domain = mvl::PatternDomain::reduced(4);
   ASSERT_EQ(domain.size(), 176u);
   const gates::GateLibrary library(domain);

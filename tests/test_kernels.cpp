@@ -1,9 +1,10 @@
-// Differential suites for the vectorized kernels layer
-// (common/simd/kernels.h): the radix sort and the vector row compares
-// against the scalar references across the real row shapes (widths
-// 8/38/176/782, one- and two-byte labels), the spilled ShardedPermStore
-// merge under both engines, the GEMM-batched fused path against the
-// per-column path, and the strict env parser behind the QSYN_* knobs.
+// Model-checked suites for the kernels layer (common/simd/kernels.h): the
+// radix sort_unique and the memcmp subtract/merge against a std::set model
+// across the real row shapes (widths 8/38/176/782, one- and two-byte
+// labels), the spilled ShardedPermStore and FlatPermStore closure-shaped
+// sweeps against the set of every row pushed, the GEMM-batched fused path
+// against per-job basis application, and the strict env parser behind the
+// QSYN_* knobs.
 //
 // These run under the `kernels` ctest label in the sanitizer presets (asan
 // whole-binary, tsan via the label filter) on top of the per-TEST `unit`
@@ -11,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <set>
 #include <string>
@@ -40,15 +40,6 @@ using synth::SpillOptions;
 
 using Row = std::vector<std::uint8_t>;
 using Bytes = std::vector<std::uint8_t>;
-
-/// Forces the scalar engine for the guard's lifetime.
-class ScopedScalar {
- public:
-  ScopedScalar() { simd::force_scalar(true); }
-  ~ScopedScalar() { simd::force_scalar(false); }
-};
-
-int sign_of(int v) { return (v > 0) - (v < 0); }
 
 /// The FMCF row shapes: label widths 8/38/176 pack one byte per label,
 /// width 782 packs two (stride 1564) — see FlatPermStore.
@@ -84,50 +75,6 @@ Bytes canonical_bytes(const std::set<Row>& model) {
   return out;
 }
 
-// --- row compares -----------------------------------------------------------
-
-TEST(KernelCompare, MatchesMemcmpAcrossWidthsAndEngines) {
-  Rng rng(901);
-  for (const std::size_t stride :
-       {std::size_t(1), std::size_t(7), std::size_t(8), std::size_t(31),
-        std::size_t(32), std::size_t(33), std::size_t(38), std::size_t(176),
-        std::size_t(782), std::size_t(1564)}) {
-    for (int trial = 0; trial < 64; ++trial) {
-      Row a(stride);
-      for (auto& byte : a) byte = static_cast<std::uint8_t>(rng.below(256));
-      Row b = a;
-      if (trial % 4 != 0) {
-        // Flip one byte; every position (including the last) is exercised.
-        const std::size_t at = rng.below(static_cast<std::uint32_t>(stride));
-        b[at] = static_cast<std::uint8_t>(b[at] ^ (1 + rng.below(255)));
-      }
-      const int reference = sign_of(std::memcmp(a.data(), b.data(), stride));
-      EXPECT_EQ(sign_of(simd::compare_rows(a.data(), b.data(), stride)),
-                reference);
-      EXPECT_EQ(
-          sign_of(simd::compare_rows_scalar(a.data(), b.data(), stride)),
-          reference);
-      ScopedScalar scalar;
-      EXPECT_EQ(sign_of(simd::compare_rows(a.data(), b.data(), stride)),
-                reference);
-    }
-  }
-}
-
-TEST(KernelDispatch, ForceScalarAndKillSwitchReporting) {
-  EXPECT_STREQ(simd::engine_name(simd::Engine::kScalar), "scalar");
-  EXPECT_STREQ(simd::engine_name(simd::Engine::kAvx2), "avx2");
-  EXPECT_STREQ(simd::engine_name(simd::Engine::kNeon), "neon");
-  {
-    ScopedScalar scalar;
-    EXPECT_TRUE(simd::scalar_forced());
-    EXPECT_EQ(simd::active_engine(), simd::Engine::kScalar);
-    EXPECT_STREQ(simd::active_engine_name(), "scalar");
-  }
-  EXPECT_FALSE(simd::scalar_forced() &&
-               simd::active_engine() != simd::Engine::kScalar);
-}
-
 // --- sort_unique ------------------------------------------------------------
 
 TEST(KernelSortUnique, RadixMatchesScalarAndModelRandomized) {
@@ -142,16 +89,9 @@ TEST(KernelSortUnique, RadixMatchesScalarAndModelRandomized) {
       const std::uint32_t alphabet = 2 + rng.below(250);
       const Bytes rows = rows_with_prefix(rng, count, stride, shared, alphabet);
 
-      Bytes scalar;
-      Bytes radix;
-      simd::sort_unique_rows_scalar(rows.data(), count, stride, scalar);
-      simd::sort_unique_rows_radix(rows.data(), count, stride, radix);
-      EXPECT_EQ(radix, scalar);
-      EXPECT_EQ(scalar, canonical_bytes(row_set(rows, stride)));
-
-      Bytes dispatched;
-      simd::sort_unique_rows(rows.data(), count, stride, dispatched);
-      EXPECT_EQ(dispatched, scalar);
+      Bytes sorted;
+      simd::sort_unique_rows(rows.data(), count, stride, sorted);
+      EXPECT_EQ(sorted, canonical_bytes(row_set(rows, stride)));
     }
   }
 }
@@ -162,7 +102,7 @@ TEST(KernelSortUnique, AdversarialTieShapes) {
   for (const std::size_t stride : {std::size_t(8), std::size_t(38)}) {
     Bytes all_same(20 * stride, 0x5A);
     Bytes out;
-    simd::sort_unique_rows_radix(all_same.data(), 20, stride, out);
+    simd::sort_unique_rows(all_same.data(), 20, stride, out);
     EXPECT_EQ(out, Bytes(all_same.begin(), all_same.begin() + stride));
 
     Rng rng(903);
@@ -170,14 +110,12 @@ TEST(KernelSortUnique, AdversarialTieShapes) {
     // the key window alone cannot discriminate these.
     const std::size_t shared = std::min<std::size_t>(stride - 1, 12);
     const Bytes rows = rows_with_prefix(rng, 64, stride, shared, 2);
-    Bytes scalar;
-    simd::sort_unique_rows_scalar(rows.data(), 64, stride, scalar);
-    simd::sort_unique_rows_radix(rows.data(), 64, stride, out);
-    EXPECT_EQ(out, scalar);
+    simd::sort_unique_rows(rows.data(), 64, stride, out);
+    EXPECT_EQ(out, canonical_bytes(row_set(rows, stride)));
 
-    simd::sort_unique_rows_radix(rows.data(), 1, stride, out);
+    simd::sort_unique_rows(rows.data(), 1, stride, out);
     EXPECT_EQ(out, Bytes(rows.begin(), rows.begin() + stride));
-    simd::sort_unique_rows_radix(rows.data(), 0, stride, out);
+    simd::sort_unique_rows(rows.data(), 0, stride, out);
     EXPECT_TRUE(out.empty());
   }
 }
@@ -195,10 +133,8 @@ TEST(KernelSetAlgebra, SubtractAndMergeMatchModelAndScalar) {
           rows_with_prefix(rng, 1 + rng.below(200), stride, 2, alphabet);
       Bytes a;
       Bytes b;
-      simd::sort_unique_rows_scalar(raw_a.data(), raw_a.size() / stride,
-                                    stride, a);
-      simd::sort_unique_rows_scalar(raw_b.data(), raw_b.size() / stride,
-                                    stride, b);
+      simd::sort_unique_rows(raw_a.data(), raw_a.size() / stride, stride, a);
+      simd::sort_unique_rows(raw_b.data(), raw_b.size() / stride, stride, b);
       const std::set<Row> model_a = row_set(a, stride);
       const std::set<Row> model_b = row_set(b, stride);
 
@@ -213,21 +149,15 @@ TEST(KernelSetAlgebra, SubtractAndMergeMatchModelAndScalar) {
       simd::subtract_sorted_rows(a.data(), a.size() / stride, b.data(),
                                  b.size() / stride, stride, out);
       EXPECT_EQ(out, canonical_bytes(difference));
-      simd::subtract_sorted_rows_scalar(a.data(), a.size() / stride, b.data(),
-                                        b.size() / stride, stride, out);
-      EXPECT_EQ(out, canonical_bytes(difference));
 
       simd::merge_sorted_rows(a.data(), a.size() / stride, b.data(),
                               b.size() / stride, stride, out);
-      EXPECT_EQ(out, canonical_bytes(united));
-      simd::merge_sorted_rows_scalar(a.data(), a.size() / stride, b.data(),
-                                     b.size() / stride, stride, out);
       EXPECT_EQ(out, canonical_bytes(united));
     }
   }
 }
 
-// --- FlatPermStore / spilled merges across engines --------------------------
+// --- FlatPermStore / spilled merges ----------------------------------------
 
 Row random_label_row(Rng& rng, std::size_t width) {
   Row row(width);
@@ -240,11 +170,8 @@ Row random_label_row(Rng& rng, std::size_t width) {
 
 /// Runs a closure-shaped op sequence (sort chunks, subtract against the
 /// store, merge survivors) through a spilled ShardedPermStore and returns
-/// the drained bytes. Deterministic for a seed, so a vector-engine run and
-/// a forced-scalar run must agree byte for byte.
-Bytes spilled_drain_bytes(std::uint32_t seed, bool scalar) {
-  std::optional<ScopedScalar> guard;
-  if (scalar) guard.emplace();
+/// the drained bytes; `pushed` collects every row fed in.
+Bytes spilled_drain_bytes(std::uint32_t seed, std::set<Row>& pushed) {
   Rng rng(seed);
   const std::size_t width = 4 + rng.below(8);
   const std::size_t shards = 1 + rng.below(4);
@@ -257,6 +184,7 @@ Bytes spilled_drain_bytes(std::uint32_t seed, bool scalar) {
     for (std::size_t i = 0; i < count; ++i) {
       const Row row = random_label_row(rng, width);
       chunks[store.shard_of(row.data())].push_back(row.data());
+      pushed.insert(row);
     }
     for (std::size_t s = 0; s < shards; ++s) {
       if (chunks[s].empty()) continue;
@@ -270,36 +198,34 @@ Bytes spilled_drain_bytes(std::uint32_t seed, bool scalar) {
   return Bytes(drained.data(), drained.data() + drained.size_bytes());
 }
 
-TEST(KernelSpillMerge, SpilledDrainByteIdenticalAcrossEngines) {
+TEST(KernelSpillMerge, SpilledDrainByteIdenticalToModel) {
   for (std::uint32_t seed = 9050; seed < 9056; ++seed) {
-    EXPECT_EQ(spilled_drain_bytes(seed, /*scalar=*/false),
-              spilled_drain_bytes(seed, /*scalar=*/true))
-        << "seed " << seed;
+    std::set<Row> pushed;
+    const Bytes drained = spilled_drain_bytes(seed, pushed);
+    EXPECT_EQ(drained, canonical_bytes(pushed)) << "seed " << seed;
   }
 }
 
-TEST(KernelStoreAlgebra, FlatStoreByteIdenticalAcrossEngines) {
+TEST(KernelStoreAlgebra, FlatStoreByteIdenticalToModel) {
   for (std::uint32_t seed = 9060; seed < 9066; ++seed) {
-    Bytes outputs[2];
-    for (const bool scalar : {false, true}) {
-      std::optional<ScopedScalar> guard;
-      if (scalar) guard.emplace();
-      Rng rng(seed);
-      const std::size_t width = 4 + rng.below(8);
-      FlatPermStore seen(width);
-      for (int round = 0; round < 5; ++round) {
-        FlatPermStore chunk(width);
-        for (int i = 0; i < 200; ++i) {
-          chunk.push_back(random_label_row(rng, width).data());
-        }
-        chunk.sort_unique();
-        chunk.subtract_sorted(seen);
-        seen.merge_sorted(chunk);
+    Rng rng(seed);
+    const std::size_t width = 4 + rng.below(8);
+    std::set<Row> pushed;
+    FlatPermStore seen(width);
+    for (int round = 0; round < 5; ++round) {
+      FlatPermStore chunk(width);
+      for (int i = 0; i < 200; ++i) {
+        const Row row = random_label_row(rng, width);
+        chunk.push_back(row.data());
+        pushed.insert(row);
       }
-      outputs[scalar ? 1 : 0] =
-          Bytes(seen.data(), seen.data() + seen.size_bytes());
+      chunk.sort_unique();
+      chunk.subtract_sorted(seen);
+      seen.merge_sorted(chunk);
     }
-    EXPECT_EQ(outputs[0], outputs[1]) << "seed " << seed;
+    EXPECT_EQ(Bytes(seen.data(), seen.data() + seen.size_bytes()),
+              canonical_bytes(pushed))
+        << "seed " << seed;
   }
 }
 
@@ -397,38 +323,35 @@ TEST(GemmBatch, BatchSimulatorBitIdenticalWithAndWithoutGemm) {
     }
   }
 
+  // The batched run against each job's fused cascade applied on its own —
+  // the per-column computation the GEMM path replaces. Dyadic amplitudes:
+  // bit for bit, not just close.
   sim::SimOptions gemm_options;
   gemm_options.fuse_block = 4;
   gemm_options.threads = 2;
-  gemm_options.gemm_batch = true;
-  sim::SimOptions column_options = gemm_options;
-  column_options.gemm_batch = false;
   sim::BatchSimulator gemm_sim(gemm_options);
-  sim::BatchSimulator column_sim(column_options);
   const std::vector<la::Vector> with_gemm = gemm_sim.run(jobs);
-  const std::vector<la::Vector> without = column_sim.run(jobs);
-  ASSERT_EQ(with_gemm.size(), without.size());
+  ASSERT_EQ(with_gemm.size(), jobs.size());
+  sim::UnitaryCache cache;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    ASSERT_EQ(with_gemm[i].size(), without[i].size());
-    for (std::size_t k = 0; k < with_gemm[i].size(); ++k) {
-      EXPECT_EQ(with_gemm[i][k], without[i][k]) << "job " << i;
+    const sim::FusedCascade per_job(*jobs[i].cascade, 4, cache);
+    const la::Vector without =
+        per_job.apply_to_basis(jobs[i].input_bits).amplitudes();
+    ASSERT_EQ(with_gemm[i].size(), without.size());
+    for (std::size_t k = 0; k < without.size(); ++k) {
+      EXPECT_EQ(with_gemm[i][k], without[k]) << "job " << i;
     }
   }
 
-  // The soundness sweep agrees verdict for verdict, and force_scalar sends
-  // the batch path back to per-column without changing results.
+  // The soundness sweep agrees verdict for verdict with the gate-at-a-time
+  // reference simulator.
   std::vector<const gates::Cascade*> pointers;
   for (const gates::Cascade& c : cascades) pointers.push_back(&c);
-  const std::vector<char> gemm_verdicts =
-      gemm_sim.check_mv_model(pointers, domain, 1e-9);
-  const std::vector<char> column_verdicts =
-      column_sim.check_mv_model(pointers, domain, 1e-9);
-  EXPECT_EQ(gemm_verdicts, column_verdicts);
-  {
-    ScopedScalar scalar;
-    EXPECT_EQ(gemm_sim.check_mv_model(pointers, domain, 1e-9),
-              column_verdicts);
-  }
+  sim::SimOptions reference_options = gemm_options;
+  reference_options.fuse_block = 0;
+  sim::BatchSimulator reference_sim(reference_options);
+  EXPECT_EQ(gemm_sim.check_mv_model(pointers, domain, 1e-9),
+            reference_sim.check_mv_model(pointers, domain, 1e-9));
 }
 
 // --- strict env parsing -----------------------------------------------------
