@@ -8,7 +8,11 @@
 #    `force_scalar`, the `QSYN_WITH_BLAS` CMake option and
 #    `SimOptions::blas_gemm`, the `SimOptions::gemm_batch` opt-out — each
 #    kernel has one implementation, so nothing may choose between engines;
-#  * `Stopwatch` — metrics::now_ns() is the one clock.
+#  * `Stopwatch` — metrics::now_ns() is the one clock;
+#  * the writable file backends `GrowableMmapFile`, `FileRowStorage` and
+#    `StorageSpec::file_backed` — spill files are written only through
+#    io::SpillWriter (buffered write(2)), and writable storage means the
+#    heap vector.
 #
 # Usage: cmake -DQSYN_SOURCE_DIR=<repo root> -P CheckDeprecatedNames.cmake
 if(NOT DEFINED QSYN_SOURCE_DIR)
@@ -18,7 +22,8 @@ endif()
 set(deprecated_names
   "FmcfOptions" "take_flatten"
   "QSYN_SIMD" "force_scalar" "QSYN_WITH_BLAS" "blas_gemm" "gemm_batch"
-  "Stopwatch")
+  "Stopwatch"
+  "GrowableMmapFile" "FileRowStorage" "file_backed")
 
 file(GLOB_RECURSE sources RELATIVE "${QSYN_SOURCE_DIR}"
   "${QSYN_SOURCE_DIR}/src/*.h"

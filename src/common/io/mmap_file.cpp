@@ -1,11 +1,19 @@
 #include "common/io/mmap_file.h"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "common/error.h"
 
 #if defined(_WIN32)
+#include <fcntl.h>
+#include <io.h>
+#include <sys/stat.h>
+
+#include <climits>
 #include <fstream>
 #include <iterator>
 #else
@@ -13,8 +21,6 @@
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-
-#include <cerrno>
 #endif
 
 namespace qsyn::io {
@@ -26,15 +32,40 @@ namespace {
   throw qsyn::IoError(op + " failed for '" + path + "': " + detail);
 }
 
+// The few file-descriptor calls SpillWriter makes, per platform.
+#if defined(_WIN32)
+int create_for_write(const std::string& path) {
+  return ::_open(path.c_str(), _O_WRONLY | _O_CREAT | _O_TRUNC | _O_BINARY,
+                 _S_IREAD | _S_IWRITE);
+}
+long write_some(int fd, const std::uint8_t* bytes, std::size_t n) {
+  return ::_write(fd, bytes,
+                  static_cast<unsigned>(std::min<std::size_t>(n, INT_MAX)));
+}
+int sync_fd(int fd) { return ::_commit(fd); }
+int close_fd_raw(int fd) { return ::_close(fd); }
+#else
+int create_for_write(const std::string& path) {
+  return ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+}
+long write_some(int fd, const std::uint8_t* bytes, std::size_t n) {
+  return static_cast<long>(::write(fd, bytes, n));
+}
+int sync_fd(int fd) { return ::fsync(fd); }
+int close_fd_raw(int fd) { return ::close(fd); }
+#endif
+
 }  // namespace
 
 std::shared_ptr<const MmapFile> MmapFile::map(const std::string& path) {
-  return std::shared_ptr<const MmapFile>(new MmapFile(path));
+  return std::shared_ptr<const MmapFile>(
+      new MmapFile(path, /*remove_on_destroy=*/false));
 }
 
 #if defined(_WIN32)
 
-MmapFile::MmapFile(const std::string& path) : path_(path) {
+MmapFile::MmapFile(const std::string& path, bool remove_on_destroy)
+    : path_(path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) fail("open", path, "cannot open for reading");
   fallback_.assign(std::istreambuf_iterator<char>(in),
@@ -42,55 +73,17 @@ MmapFile::MmapFile(const std::string& path) : path_(path) {
   if (in.bad()) fail("read", path, "stream error");
   data_ = fallback_.empty() ? nullptr : fallback_.data();
   size_ = fallback_.size();
+  remove_on_destroy_ = remove_on_destroy;
 }
 
-MmapFile::~MmapFile() = default;
-
-GrowableMmapFile::GrowableMmapFile(const std::string& path,
-                                   bool unlink_on_destroy)
-    : path_(path), unlink_on_destroy_(unlink_on_destroy) {
-  // Probe writability up front so the error surfaces at construction, like
-  // the POSIX path.
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) fail("open", path, "cannot create for writing");
-}
-
-GrowableMmapFile::~GrowableMmapFile() {
-  if (unlink_on_destroy_) std::remove(path_.c_str());
-}
-
-void GrowableMmapFile::ensure_capacity(std::size_t needed) {
-  if (fallback_.capacity() < needed) fallback_.reserve(needed * 2);
-}
-
-void GrowableMmapFile::append(const std::uint8_t* bytes, std::size_t n) {
-  QSYN_CHECK(!sealed_, "GrowableMmapFile is sealed: no further mutation");
-  fallback_.insert(fallback_.end(), bytes, bytes + n);
-  data_ = fallback_.data();
-  size_ = fallback_.size();
-}
-
-void GrowableMmapFile::resize(std::size_t n) {
-  QSYN_CHECK(!sealed_, "GrowableMmapFile is sealed: no further mutation");
-  fallback_.resize(n);
-  data_ = fallback_.empty() ? nullptr : fallback_.data();
-  size_ = n;
-}
-
-void GrowableMmapFile::seal() {
-  if (sealed_) return;
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  if (!out) fail("open", path_, "cannot open for writing");
-  out.write(reinterpret_cast<const char*>(fallback_.data()),
-            static_cast<std::streamsize>(fallback_.size()));
-  out.flush();
-  if (!out) fail("write", path_, "stream error");
-  sealed_ = true;
+MmapFile::~MmapFile() {
+  if (remove_on_destroy_) std::remove(path_.c_str());
 }
 
 #else
 
-MmapFile::MmapFile(const std::string& path) : path_(path) {
+MmapFile::MmapFile(const std::string& path, bool remove_on_destroy)
+    : path_(path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) fail("open", path, std::strerror(errno));
   struct stat st {};
@@ -115,84 +108,76 @@ MmapFile::MmapFile(const std::string& path) : path_(path) {
     mapped_ = true;
   }
   ::close(fd);
+  remove_on_destroy_ = remove_on_destroy;
 }
 
 MmapFile::~MmapFile() {
   if (mapped_) {
     ::munmap(const_cast<std::uint8_t*>(data_), size_);
   }
-}
-
-GrowableMmapFile::GrowableMmapFile(const std::string& path,
-                                   bool unlink_on_destroy)
-    : path_(path), unlink_on_destroy_(unlink_on_destroy) {
-  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd_ < 0) fail("open", path, std::strerror(errno));
-}
-
-GrowableMmapFile::~GrowableMmapFile() {
-  if (data_ != nullptr) ::munmap(data_, capacity_);
-  if (fd_ >= 0) ::close(fd_);
-  if (unlink_on_destroy_) std::remove(path_.c_str());
-}
-
-void GrowableMmapFile::ensure_capacity(std::size_t needed) {
-  if (needed <= capacity_) return;
-  // Geometric growth bounds the remap count; 1 MiB floor keeps tiny spill
-  // budgets from remapping per row.
-  std::size_t next = capacity_ < (std::size_t(1) << 20)
-                         ? (std::size_t(1) << 20)
-                         : capacity_ * 2;
-  while (next < needed) next *= 2;
-  if (::ftruncate(fd_, static_cast<off_t>(next)) != 0) {
-    fail("ftruncate", path_, std::strerror(errno));
-  }
-  if (data_ != nullptr) ::munmap(data_, capacity_);
-  data_ = nullptr;
-  void* addr =
-      ::mmap(nullptr, next, PROT_READ | PROT_WRITE, MAP_SHARED, fd_, 0);
-  if (addr == MAP_FAILED) fail("mmap", path_, std::strerror(errno));
-  data_ = static_cast<std::uint8_t*>(addr);
-  capacity_ = next;
-}
-
-void GrowableMmapFile::append(const std::uint8_t* bytes, std::size_t n) {
-  QSYN_CHECK(!sealed_, "GrowableMmapFile is sealed: no further mutation");
-  if (n == 0) return;
-  ensure_capacity(size_ + n);
-  std::memcpy(data_ + size_, bytes, n);
-  size_ += n;
-}
-
-void GrowableMmapFile::resize(std::size_t n) {
-  QSYN_CHECK(!sealed_, "GrowableMmapFile is sealed: no further mutation");
-  if (n > size_) {
-    ensure_capacity(n);
-    std::memset(data_ + size_, 0, n - size_);
-  }
-  size_ = n;
-}
-
-void GrowableMmapFile::seal() {
-  if (sealed_) return;
-  if (data_ != nullptr && size_ > 0 &&
-      ::msync(data_, size_, MS_SYNC) != 0) {
-    fail("msync", path_, std::strerror(errno));
-  }
-  // Trim the growth slack so the on-disk file is exactly the logical bytes;
-  // the mapping beyond size_ is never read after this point.
-  if (::ftruncate(fd_, static_cast<off_t>(size_)) != 0) {
-    fail("ftruncate", path_, std::strerror(errno));
-  }
-  if (::fsync(fd_) != 0) fail("fsync", path_, std::strerror(errno));
-  sealed_ = true;
+  if (remove_on_destroy_) std::remove(path_.c_str());
 }
 
 #endif
 
-std::uint8_t* GrowableMmapFile::mutable_data() {
-  QSYN_CHECK(!sealed_, "GrowableMmapFile is sealed: no further mutation");
-  return data_;
+SpillWriter::SpillWriter(std::string path, bool keep_file)
+    : path_(std::move(path)), keep_file_(keep_file) {
+  fd_ = create_for_write(path_);
+  if (fd_ < 0) fail("open", path_, std::strerror(errno));
+}
+
+SpillWriter::~SpillWriter() {
+  if (sealed_) return;  // the file now belongs to the mapping or the disk
+  if (fd_ >= 0) close_fd_raw(fd_);
+  std::remove(path_.c_str());
+}
+
+void SpillWriter::append(const std::uint8_t* bytes, std::size_t n) {
+  QSYN_CHECK(!sealed_, "SpillWriter is sealed: append rejected");
+  if (n == 0) return;
+  if (buffer_.size() + n > kSpillWriteBufferBytes) {
+    flush();
+    if (n >= kSpillWriteBufferBytes) {  // too big to buffer: write through
+      write_all(bytes, n);
+      return;
+    }
+  }
+  if (buffer_.capacity() == 0) buffer_.reserve(kSpillWriteBufferBytes);
+  buffer_.insert(buffer_.end(), bytes, bytes + n);
+}
+
+std::shared_ptr<const MmapFile> SpillWriter::seal() {
+  QSYN_CHECK(!sealed_, "SpillWriter is already sealed");
+  flush();
+  buffer_ = std::vector<std::uint8_t>();
+  if (keep_file_ && sync_fd(fd_) != 0) {
+    fail("fsync", path_, std::strerror(errno));
+  }
+  const int fd = fd_;
+  fd_ = -1;
+  if (close_fd_raw(fd) != 0) fail("close", path_, std::strerror(errno));
+  std::shared_ptr<const MmapFile> file(
+      new MmapFile(path_, /*remove_on_destroy=*/!keep_file_));
+  sealed_ = true;
+  return file;
+}
+
+void SpillWriter::flush() {
+  if (buffer_.empty()) return;
+  write_all(buffer_.data(), buffer_.size());
+  buffer_.clear();
+}
+
+void SpillWriter::write_all(const std::uint8_t* bytes, std::size_t n) {
+  while (n > 0) {
+    const long written = write_some(fd_, bytes, n);
+    if (written < 0 && errno == EINTR) continue;
+    if (written <= 0) {
+      fail("write", path_, written < 0 ? std::strerror(errno) : "no progress");
+    }
+    bytes += written;
+    n -= static_cast<std::size_t>(written);
+  }
 }
 
 }  // namespace qsyn::io

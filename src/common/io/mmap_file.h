@@ -4,7 +4,8 @@
 // catalog (synth/catalog.h) and the out-of-core closure spill engine
 // (synth/spill.h).
 //
-// Two classes live here:
+// Two classes live here, and together they hold the whole spill-file policy
+// (who writes, who syncs, who deletes):
 //
 //  * MmapFile — maps one file read-only for its whole lifetime and hands out
 //    a stable (data, size) byte view. Consumers that outlive the opener
@@ -12,23 +13,28 @@
 //    ownership through the shared_ptr returned by map(), so the mapping is
 //    released exactly when the last view dies. Pages are faulted in lazily by
 //    the kernel: opening a multi-megabyte catalog costs microseconds, and
-//    only the pages a query actually touches ever become resident.
+//    only the pages a query actually touches ever become resident. A mapping
+//    handed out by SpillWriter::seal() for a temporary file also removes the
+//    file when the last view dies.
 //
-//  * GrowableMmapFile — creates one file read-write and maps a growable
-//    window over it (capacity grows geometrically via ftruncate + remap).
-//    This is the writable half of the spill seam: shard bytes are appended
-//    through the mapping (so they are file cache, not program heap), and
-//    seal() makes the contents durable (msync + fsync) and freezes the file
-//    read-only for the rest of its lifetime. A sealed file keeps serving its
-//    mapping, so a spilled frontier can be read back with zero copies.
+//  * SpillWriter — creates one file and appends to it with write(2) through
+//    one bounded heap buffer (kSpillWriteBufferBytes). seal() flushes the
+//    buffer and hands back a read-only MmapFile of the file; the page cache
+//    is coherent, so the mapping sees every written byte without a flush.
+//
+// Durability follows ownership. A temporary (keep_file = false) is deleted by
+// its owner — the writer if the write never completed, else the last view
+// of the sealed mapping — and is never fsync'd: nothing reopens it, so after
+// a crash it is an orphan with or without the sync. A kept file (keep_file =
+// true) outlives its writer and is fsync'd on seal(). Either way the writer
+// removes its file when it dies unsealed (a throw mid-write leaks nothing).
 //
 // Error taxonomy (shared with the rest of the storage seam): every failed
-// filesystem operation (open, stat, truncate, map, sync) throws qsyn::IoError
-// carrying the operation, the path, and the OS detail; mutating a sealed
-// GrowableMmapFile is a caller bug and throws qsyn::LogicError. No partial
-// state escapes a throwing constructor. On platforms without POSIX mmap both
-// classes degrade to private heap buffers — same API, no laziness (and
-// GrowableMmapFile writes the buffer out on seal()).
+// filesystem operation (open, stat, write, sync, map) throws qsyn::IoError
+// carrying the operation, the path, and the OS detail; using a sealed
+// SpillWriter is a caller bug and throws qsyn::LogicError. No partial state
+// escapes a throwing constructor. On platforms without POSIX mmap MmapFile
+// degrades to a private heap buffer — same API, no laziness.
 #pragma once
 
 #include <cstddef>
@@ -38,6 +44,10 @@
 #include <vector>
 
 namespace qsyn::io {
+
+/// Heap bytes one SpillWriter buffers before it calls write(2). This heap
+/// sits outside the spill budget (synth::SpillOptions::budget_bytes).
+inline constexpr std::size_t kSpillWriteBufferBytes = std::size_t(1) << 20;
 
 /// An immutable byte view of one file, memory-mapped where possible.
 class MmapFile {
@@ -57,67 +67,52 @@ class MmapFile {
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
-  explicit MmapFile(const std::string& path);
+  friend class SpillWriter;
+
+  MmapFile(const std::string& path, bool remove_on_destroy);
 
   std::string path_;
   std::vector<std::uint8_t> fallback_;  // non-POSIX read-into-heap path
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
   bool mapped_ = false;  // true when data_ came from mmap (needs munmap)
+  bool remove_on_destroy_ = false;
 };
 
-/// A writable, growable memory-mapped file: the append side of the spill
-/// engine. Not thread-safe; one writer owns the file until seal().
-class GrowableMmapFile {
+/// An append-only file writer: the write side of the spill engine. Not
+/// thread-safe; one writer owns the file until seal().
+class SpillWriter {
  public:
-  /// Creates (or truncates) `path` read-write. Throws qsyn::IoError when the
-  /// file cannot be created or mapped (e.g. the spill directory does not
-  /// exist or is not writable). When `unlink_on_destroy` is set the file is
-  /// removed by the destructor — the RAII cleanup the spill engine relies on
-  /// for its temporary run files.
-  explicit GrowableMmapFile(const std::string& path,
-                            bool unlink_on_destroy = false);
+  /// Creates (or truncates) `path`. Throws qsyn::IoError when the file
+  /// cannot be created (e.g. the spill directory does not exist or is not
+  /// writable). `keep_file` picks the durability policy described above.
+  SpillWriter(std::string path, bool keep_file);
 
-  GrowableMmapFile(const GrowableMmapFile&) = delete;
-  GrowableMmapFile& operator=(const GrowableMmapFile&) = delete;
-  ~GrowableMmapFile();
+  SpillWriter(const SpillWriter&) = delete;
+  SpillWriter& operator=(const SpillWriter&) = delete;
 
-  /// The mapped bytes, stable until the next growth (append/resize may
-  /// remap). nullptr while empty. The mutable view is a mutation like any
-  /// other: requesting it on a sealed file throws qsyn::LogicError.
-  [[nodiscard]] const std::uint8_t* data() const { return data_; }
-  [[nodiscard]] std::uint8_t* mutable_data();
+  /// Closes the file and, unless seal() handed it to a reader, removes it.
+  ~SpillWriter();
 
-  /// Logical size in bytes (the file is truncated down to this on seal()).
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
-  /// Appends `n` bytes, growing the mapping geometrically as needed.
-  /// Throws qsyn::LogicError once sealed, qsyn::IoError on growth failure.
+  /// Appends `n` bytes. Throws qsyn::LogicError once sealed, qsyn::IoError
+  /// when the write fails (e.g. disk full, file-size limit).
   void append(const std::uint8_t* bytes, std::size_t n);
 
-  /// Sets the logical size (grows zero-filled or shrinks; the backing
-  /// capacity never shrinks before seal()). Same error contract as append().
-  void resize(std::size_t n);
-
-  /// Flushes the mapping and the file to stable storage (msync + ftruncate
-  /// to the logical size + fsync) and freezes the file: every later mutation
-  /// throws qsyn::LogicError. The mapping stays valid for reads. Idempotent.
-  void seal();
-
-  [[nodiscard]] bool sealed() const { return sealed_; }
+  /// Flushes the buffer, fsyncs a kept file, closes it, and maps it
+  /// read-only. The mapping owns a temporary file from here on (the last
+  /// view removes it); a kept file stays on disk. Throws qsyn::LogicError
+  /// when called twice.
+  [[nodiscard]] std::shared_ptr<const MmapFile> seal();
 
  private:
-  void ensure_capacity(std::size_t needed);
+  void flush();
+  void write_all(const std::uint8_t* bytes, std::size_t n);
 
   std::string path_;
-  std::vector<std::uint8_t> fallback_;  // non-POSIX heap path
-  std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;      // logical bytes
-  std::size_t capacity_ = 0;  // mapped/truncated bytes
+  std::vector<std::uint8_t> buffer_;
   int fd_ = -1;
+  bool keep_file_ = false;
   bool sealed_ = false;
-  bool unlink_on_destroy_ = false;
 };
 
 }  // namespace qsyn::io

@@ -105,17 +105,12 @@ void FlatPermStore::sync_view() {
 
 void FlatPermStore::ensure_writable() const {
   QSYN_CHECK(!read_only(),
-             "FlatPermStore is read-only (catalog-backed, sealed spill file, "
-             "or moved-from)");
+             "FlatPermStore is read-only (mmap-backed or moved-from)");
 }
 
 void FlatPermStore::commit_bytes(std::vector<std::uint8_t> bytes) {
-  if (vec_ != nullptr) {
-    *vec_ = std::move(bytes);
-  } else {
-    ensure_writable();
-    storage_->replace_bytes(std::move(bytes));
-  }
+  ensure_writable();
+  *vec_ = std::move(bytes);
   sync_view();
 }
 
@@ -125,12 +120,8 @@ const std::uint8_t* FlatPermStore::row(std::size_t i) const {
 }
 
 void FlatPermStore::push_back(const std::uint8_t* row_bytes) {
-  if (vec_ != nullptr) {
-    vec_->insert(vec_->end(), row_bytes, row_bytes + stride_);
-  } else {
-    ensure_writable();
-    storage_->append_bytes(row_bytes, stride_);
-  }
+  ensure_writable();
+  vec_->insert(vec_->end(), row_bytes, row_bytes + stride_);
   sync_view();
 }
 
@@ -208,35 +199,25 @@ bool FlatPermStore::contains_sorted(const std::uint8_t* row_bytes) const {
 
 void FlatPermStore::append(const FlatPermStore& other) {
   QSYN_CHECK(width_ == other.width_, "width mismatch");
-  if (vec_ != nullptr) {
-    vec_->insert(vec_->end(), other.view_data_,
-                 other.view_data_ + other.view_bytes_);
-  } else {
-    ensure_writable();
-    storage_->append_bytes(other.view_data_, other.view_bytes_);
-  }
+  ensure_writable();
+  vec_->insert(vec_->end(), other.view_data_,
+               other.view_data_ + other.view_bytes_);
   sync_view();
 }
 
 void FlatPermStore::assign_rows(std::vector<std::uint8_t> bytes) {
   QSYN_CHECK(bytes.size() % stride_ == 0,
              "assign_rows requires a whole number of rows");
-  ensure_writable();
   commit_bytes(std::move(bytes));
 }
 
 void FlatPermStore::clear_keep_capacity() {
-  if (vec_ != nullptr) {
-    vec_->clear();
-    sync_view();
+  if (vec_ == nullptr) {
+    clear();
     return;
   }
-  if (storage_ != nullptr && storage_->writable()) {
-    storage_->replace_bytes({});
-    sync_view();
-    return;
-  }
-  clear();
+  vec_->clear();
+  sync_view();
 }
 
 void FlatPermStore::clear() {
@@ -255,9 +236,7 @@ std::size_t FlatPermStore::disk_bytes() const {
 
 void FlatPermStore::reserve_rows(std::size_t rows) {
   ensure_writable();
-  if (vec_ != nullptr) vec_->reserve(rows * stride_);
-  // Non-vector writable backends (spill files) grow geometrically on their
-  // own; reserving is a no-op there.
+  vec_->reserve(rows * stride_);
   sync_view();
 }
 

@@ -20,14 +20,13 @@
 // and the raw bytes are a host-endianness-independent serialization format.
 //
 // Rows live behind a RowStorage backend (synth/row_storage.h; construct
-// backends via synth::StorageSpec). The default VectorRowStorage reproduces
-// the historical in-memory behavior byte for byte and keeps the set-algebra
-// hot loops devirtualized. A store over a writable FileRowStorage keeps its
-// rows in a growable mmap'd file (the spill path — mutations cross the
-// virtual backend API, which the I/O-bound spill sweeps never notice), and a
-// store over a read-only backend (the catalog's MmapRowStorage window, or a
-// sealed FileRowStorage) serves every read operation zero-copy and throws
-// qsyn::LogicError from every mutation.
+// backends via synth::StorageSpec). Writable means vector-backed: the default
+// VectorRowStorage keeps the set-algebra hot loops devirtualized. A store
+// over a read-only MmapRowStorage window (a catalog frontier, or the file a
+// spilled ShardedPermStore drains its frontier into) serves every read
+// operation zero-copy and throws qsyn::LogicError from every mutation; copy
+// it to get a writable store. Stores never write files themselves —
+// io::SpillWriter does (common/io/mmap_file.h).
 #pragma once
 
 #include <cstddef>
@@ -57,7 +56,7 @@ class FlatPermStore {
 
   /// Wraps an existing backend (shared: several stores may view disjoint
   /// windows of one mapped catalog). The backend must hold a whole number of
-  /// rows. A non-writable backend yields a read-only store.
+  /// rows. A backend without a mutable vector yields a read-only store.
   FlatPermStore(std::size_t width, std::shared_ptr<RowStorage> storage);
 
   /// Copies deep-copy the rows into a fresh writable in-memory backend (a
@@ -70,12 +69,10 @@ class FlatPermStore {
 
   [[nodiscard]] std::size_t width() const { return width_; }
 
-  /// True when the backend rejects mutation (catalog-backed windows, sealed
-  /// spill files, moved-from stores). Every mutating member below throws
-  /// qsyn::LogicError on such a store.
-  [[nodiscard]] bool read_only() const {
-    return vec_ == nullptr && (storage_ == nullptr || !storage_->writable());
-  }
+  /// True when the store is not vector-backed (mmap'd windows: catalog
+  /// frontiers, drained spill files) or was moved from. Every mutating
+  /// member below throws qsyn::LogicError on such a store.
+  [[nodiscard]] bool read_only() const { return vec_ == nullptr; }
 
   /// The storage backend (never null for a live store).
   [[nodiscard]] const std::shared_ptr<RowStorage>& storage() const {

@@ -10,25 +10,6 @@ std::vector<std::uint8_t>* RowStorage::mutable_bytes() { return nullptr; }
 
 std::size_t RowStorage::disk_bytes() const { return 0; }
 
-bool RowStorage::writable() const {
-  // const_cast is safe: mutable_bytes() only *locates* the vector.
-  return const_cast<RowStorage*>(this)->mutable_bytes() != nullptr;
-}
-
-void RowStorage::append_bytes(const std::uint8_t* bytes, std::size_t n) {
-  std::vector<std::uint8_t>* vec = mutable_bytes();
-  QSYN_CHECK(vec != nullptr,
-             "row storage backend is read-only: append rejected");
-  vec->insert(vec->end(), bytes, bytes + n);
-}
-
-void RowStorage::replace_bytes(std::vector<std::uint8_t> bytes) {
-  std::vector<std::uint8_t>* vec = mutable_bytes();
-  QSYN_CHECK(vec != nullptr,
-             "row storage backend is read-only: replace rejected");
-  *vec = std::move(bytes);
-}
-
 MmapRowStorage::MmapRowStorage(std::shared_ptr<const io::MmapFile> file,
                                std::size_t offset, std::size_t bytes)
     : file_(std::move(file)), data_(nullptr), bytes_(bytes) {
@@ -36,22 +17,6 @@ MmapRowStorage::MmapRowStorage(std::shared_ptr<const io::MmapFile> file,
   QSYN_CHECK(offset <= file_->size() && bytes <= file_->size() - offset,
              "MmapRowStorage window exceeds the mapped file");
   data_ = bytes_ > 0 ? file_->data() + offset : nullptr;
-}
-
-FileRowStorage::FileRowStorage(const std::string& path, bool keep_file)
-    : file_(path, /*unlink_on_destroy=*/!keep_file) {}
-
-void FileRowStorage::append_bytes(const std::uint8_t* bytes, std::size_t n) {
-  QSYN_CHECK(!file_.sealed(),
-             "FileRowStorage is sealed (read-only): append rejected");
-  file_.append(bytes, n);
-}
-
-void FileRowStorage::replace_bytes(std::vector<std::uint8_t> bytes) {
-  QSYN_CHECK(!file_.sealed(),
-             "FileRowStorage is sealed (read-only): replace rejected");
-  file_.resize(0);
-  file_.append(bytes.data(), bytes.size());
 }
 
 }  // namespace qsyn::synth

@@ -2,40 +2,34 @@
 //
 // Storage backends for the fixed-width row buffers of FlatPermStore (and,
 // through it, ShardedPermStore): the seam that lets closure state live on the
-// heap, inside a read-only memory-mapped catalog, or in a writable
-// memory-mapped spill file on disk.
+// heap or inside a read-only memory-mapped file.
 //
-// A backend owns one contiguous byte buffer of whole rows. Three concrete
+// A backend owns one contiguous byte buffer of whole rows. Two concrete
 // backends exist:
 //
 //  * VectorRowStorage — the in-memory representation the synthesis stack has
-//    always used (a std::vector<uint8_t>), byte-for-byte identical to the
-//    pre-seam behavior. Writable.
-//  * MmapRowStorage — a read-only window into a shared qsyn::io::MmapFile,
-//    used by the persistent catalog (synth/catalog.h) to serve frontier row
-//    tables without copying them off disk. Rows store labels big-endian, so
-//    the on-disk bytes ARE the in-memory representation on every host.
-//  * FileRowStorage — a writable, growable mmap'd file
-//    (qsyn::io::GrowableMmapFile): the out-of-core closure's spill target.
-//    Appended bytes live in kernel file cache instead of program heap;
-//    seal() makes them durable (msync + fsync) and turns the backend
-//    read-only while its mapping keeps serving zero-copy reads.
+//    always used (a std::vector<uint8_t>). The only writable backend.
+//  * MmapRowStorage — a read-only window into a shared qsyn::io::MmapFile.
+//    The persistent catalog (synth/catalog.h) serves its frontier row tables
+//    through such windows without copying them off disk, and a spilled
+//    ShardedPermStore hands back its drained frontier as one (written by
+//    io::SpillWriter, removed with its last view). Rows store labels
+//    big-endian, so the on-disk bytes ARE the in-memory representation on
+//    every host.
 //
-// Construct backends through synth::StorageSpec (synth/storage_spec.h) — the
-// one public surface covering all three — unless you are inside the storage
-// layer itself (the catalog carves window backends out of one shared
-// mapping, which a path-shaped spec cannot express).
+// Construct backends through synth::StorageSpec (synth/storage_spec.h)
+// unless you are inside the storage layer itself (the catalog carves window
+// backends out of one shared mapping, which a path-shaped spec cannot
+// express). Files are written only through io::SpillWriter (spill runs,
+// drained frontiers) or the catalog's stream writer; no backend writes to a
+// file.
 //
-// FlatPermStore caches the writable vector (when the backend offers one)
-// once per backend swap, so the hot set-algebra loops never pay a virtual
-// dispatch per row; the interface is crossed only at backend boundaries.
-// Backends without a vector (FileRowStorage) are mutated through the virtual
-// append_bytes()/replace_bytes() pair — the spill paths that use them are
-// I/O-bound, so the dispatch cost is noise there.
+// FlatPermStore caches the writable vector once per backend swap, so the hot
+// set-algebra loops never pay a virtual dispatch per row; the interface is
+// crossed only at backend boundaries.
 //
-// Error taxonomy: mutating a read-only backend (MmapRowStorage always,
-// FileRowStorage once sealed) throws qsyn::LogicError; filesystem failures
-// underneath FileRowStorage surface as qsyn::IoError.
+// Error taxonomy: mutating a read-only backend (a FlatPermStore over an
+// MmapRowStorage) throws qsyn::LogicError.
 #pragma once
 
 #include <cstddef>
@@ -66,22 +60,10 @@ class RowStorage {
   /// Bytes this backend keeps on disk (0 for pure in-memory backends).
   [[nodiscard]] virtual std::size_t disk_bytes() const;
 
-  /// The mutable byte vector behind a vector-backed writable backend, or
-  /// nullptr otherwise. When non-null, FlatPermStore routes every mutation
-  /// through it (the devirtualized hot path).
+  /// The mutable byte vector behind the writable (vector) backend, or
+  /// nullptr for a read-only one. FlatPermStore routes every mutation
+  /// through it.
   [[nodiscard]] virtual std::vector<std::uint8_t>* mutable_bytes();
-
-  /// True when the backend accepts mutation — either through mutable_bytes()
-  /// or through the virtual append/replace pair below.
-  [[nodiscard]] virtual bool writable() const;
-
-  /// Appends raw bytes. Default implementation goes through mutable_bytes();
-  /// read-only backends throw qsyn::LogicError.
-  virtual void append_bytes(const std::uint8_t* bytes, std::size_t n);
-
-  /// Replaces the whole buffer. Default implementation goes through
-  /// mutable_bytes(); read-only backends throw qsyn::LogicError.
-  virtual void replace_bytes(std::vector<std::uint8_t> bytes);
 };
 
 /// The writable in-memory backend (the historical representation).
@@ -127,41 +109,6 @@ class MmapRowStorage final : public RowStorage {
   std::shared_ptr<const io::MmapFile> file_;
   const std::uint8_t* data_;
   std::size_t bytes_;
-};
-
-/// A writable mmap'd file backend: rows are appended through the mapping
-/// (growable), then seal() freezes the file (fsync) and the backend serves
-/// read-only from the same mapping. The spill engine writes sealed runs and
-/// drained frontiers through this.
-class FileRowStorage final : public RowStorage {
- public:
-  /// Creates (or truncates) `path`. With `keep_file` false the file is
-  /// deleted when the backend dies — the right policy for spill temporaries.
-  /// Throws qsyn::IoError when the file cannot be created.
-  explicit FileRowStorage(const std::string& path, bool keep_file = true);
-
-  [[nodiscard]] const std::uint8_t* data() const override {
-    return file_.data();
-  }
-  [[nodiscard]] std::size_t size_bytes() const override {
-    return file_.size();
-  }
-  [[nodiscard]] std::size_t memory_bytes() const override { return 0; }
-  [[nodiscard]] std::size_t disk_bytes() const override {
-    return file_.size();
-  }
-  [[nodiscard]] bool writable() const override { return !file_.sealed(); }
-  void append_bytes(const std::uint8_t* bytes, std::size_t n) override;
-  void replace_bytes(std::vector<std::uint8_t> bytes) override;
-
-  /// Flushes to stable storage and turns the backend read-only (further
-  /// mutations throw qsyn::LogicError). Idempotent.
-  void seal() { file_.seal(); }
-  [[nodiscard]] bool sealed() const { return file_.sealed(); }
-  [[nodiscard]] const std::string& path() const { return file_.path(); }
-
- private:
-  io::GrowableMmapFile file_;
 };
 
 }  // namespace qsyn::synth

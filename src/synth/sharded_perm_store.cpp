@@ -12,6 +12,7 @@
 #endif
 
 #include "common/error.h"
+#include "common/io/mmap_file.h"
 #include "synth/closure_config.h"
 #include "synth/row_storage.h"
 
@@ -33,10 +34,6 @@ std::string next_spill_path(const std::string& dir) {
   return dir + "/qsyn-spill-" + std::to_string(pid) + "-" +
          std::to_string(id) + ".run";
 }
-
-// drain_sorted() streams merged rows to its spill file in slabs of this many
-// bytes, so the k-way merge's heap cost is one slab regardless of row count.
-constexpr std::size_t kDrainFlushBytes = std::size_t(4) << 20;
 
 }  // namespace
 
@@ -339,28 +336,22 @@ FlatPermStore ShardedPermStore::drain_sorted() {
     return out;
   }
 
-  // Spilled: stream the per-shard merges into one sealed spill file and hand
-  // it back mmap'd read-only — the frontier never materializes on the heap.
-  auto file = std::make_shared<FileRowStorage>(
-      next_spill_path(spill_.dir) + ".drain", /*keep_file=*/false);
+  // Spilled: stream the per-shard merges into one temporary spill file and
+  // hand it back mmap'd read-only — the frontier never materializes on the
+  // heap, and the file goes with the last view of the returned store.
+  io::SpillWriter out(next_spill_path(spill_.dir) + ".drain",
+                      /*keep_file=*/false);
   const std::size_t stride = shards_.empty() ? 0 : shards_[0].row_stride();
-  std::vector<std::uint8_t> slab;
-  slab.reserve(kDrainFlushBytes + stride);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    merge_shard_rows(shards_[s], runs_[s], stride,
-                     [&](const std::uint8_t* row) {
-                       slab.insert(slab.end(), row, row + stride);
-                       if (slab.size() >= kDrainFlushBytes) {
-                         file->append_bytes(slab.data(), slab.size());
-                         slab.clear();
-                       }
-                     });
+    merge_shard_rows(
+        shards_[s], runs_[s], stride,
+        [&out, stride](const std::uint8_t* row) { out.append(row, stride); });
     shards_[s].clear();
     runs_[s].clear();
   }
-  if (!slab.empty()) file->append_bytes(slab.data(), slab.size());
-  file->seal();
-  return FlatPermStore(width_, std::move(file));
+  const std::shared_ptr<const io::MmapFile> file = out.seal();
+  return FlatPermStore(width_,
+                       std::make_shared<MmapRowStorage>(file, 0, file->size()));
 }
 
 void ShardedPermStore::clear() {

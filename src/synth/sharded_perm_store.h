@@ -49,7 +49,10 @@ struct SpillOptions {
   /// of a split store get budget_bytes / S each — and a shard seals its
   /// in-memory rows to disk when a merge leaves them above its slice, so
   /// memory_bytes() stays within budget_bytes between operations.
-  /// 0 = never spill.
+  /// 0 = never spill. Not counted against it: each file being written holds
+  /// an io::kSpillWriteBufferBytes heap buffer (1 MiB) until it is sealed —
+  /// one per shard sealing concurrently, plus one while drain_sorted()
+  /// streams a spilled store to disk.
   std::size_t budget_bytes = 0;
 
   /// Directory for run files. Must be non-empty when budget_bytes > 0 (the

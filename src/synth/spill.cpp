@@ -1,12 +1,10 @@
 #include "synth/spill.h"
 
-#include <cstdio>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "synth/catalog.h"
-#include "synth/row_storage.h"
 
 namespace qsyn::synth {
 
@@ -42,38 +40,27 @@ std::shared_ptr<const SealedRun> SealedRun::write(const std::string& path,
   catalog::put_u64(header, count);
   header.insert(header.end(), first, first + prefix);
 
-  {
-    // Written through the growable-mmap backend so the bytes never take a
-    // round trip through a second heap buffer; seal() msync+fsyncs them.
-    FileRowStorage out(path, /*keep_file=*/true);
-    out.append_bytes(header.data(), header.size());
-    const std::size_t suffix = stride - prefix;
-    if (suffix > 0) {
-      for (std::size_t i = 0; i < count; ++i) {
-        out.append_bytes(rows.row(i) + prefix, suffix);
-      }
+  io::SpillWriter out(path, keep_file);
+  out.append(header.data(), header.size());
+  const std::size_t suffix = stride - prefix;
+  if (suffix > 0) {
+    for (std::size_t i = 0; i < count; ++i) {
+      out.append(rows.row(i) + prefix, suffix);
     }
-    out.seal();
   }
-
-  return open_internal(path, rows.width(), keep_file);
+  return std::shared_ptr<const SealedRun>(
+      new SealedRun(out.seal(), rows.width()));
 }
 
 std::shared_ptr<const SealedRun> SealedRun::open(const std::string& path,
                                                  std::size_t width) {
-  return open_internal(path, width, /*keep_file=*/true);
-}
-
-std::shared_ptr<const SealedRun> SealedRun::open_internal(
-    const std::string& path, std::size_t width, bool keep_file) {
-  std::shared_ptr<const io::MmapFile> file = io::MmapFile::map(path);
   return std::shared_ptr<const SealedRun>(
-      new SealedRun(std::move(file), width, keep_file));
+      new SealedRun(io::MmapFile::map(path), width));
 }
 
 SealedRun::SealedRun(std::shared_ptr<const io::MmapFile> file,
-                     std::size_t width, bool keep_file)
-    : file_(std::move(file)), keep_file_(keep_file) {
+                     std::size_t width)
+    : file_(std::move(file)) {
   const std::string& path = file_->path();
   const std::uint8_t* bytes = file_->data();
   const std::size_t total = file_->size();
@@ -109,15 +96,32 @@ SealedRun::SealedRun(std::shared_ptr<const io::MmapFile> file,
     malformed(path, "prefix_bytes " + std::to_string(prefix_bytes_) +
                         " exceeds row stride " + std::to_string(stride_));
   }
-  rows_ = catalog::get_u64(bytes + 24);
+  const std::uint64_t rows = catalog::get_u64(bytes + 24);
   suffix_stride_ = stride_ - prefix_bytes_;
-
-  const std::size_t expected =
-      spill::kRunHeaderBytes + prefix_bytes_ + rows_ * suffix_stride_;
-  if (total < expected) {
-    malformed(path, "truncated sealed run: " + std::to_string(total) +
-                        " bytes, layout needs " + std::to_string(expected));
+  // Two distinct sorted rows differ inside the stride, so the shared prefix
+  // is the whole stride exactly when the run holds a single row.
+  if (rows == 0 || (rows == 1) != (suffix_stride_ == 0)) {
+    malformed(path, "row count " + std::to_string(rows) +
+                        " contradicts prefix_bytes " +
+                        std::to_string(prefix_bytes_) + " of stride " +
+                        std::to_string(stride_));
   }
+
+  // Count the rows that fit instead of multiplying out the layout size: a
+  // forged row count must not wrap that product around 2^64.
+  const std::size_t head = spill::kRunHeaderBytes + prefix_bytes_;
+  std::uint64_t fit = 0;
+  if (total >= head) {
+    fit = suffix_stride_ == 0 ? 1 : (total - head) / suffix_stride_;
+  }
+  if (rows > fit) {
+    malformed(path, "truncated sealed run: " + std::to_string(total) +
+                        " bytes, layout needs " + std::to_string(rows) +
+                        " rows of " + std::to_string(suffix_stride_) +
+                        " suffix bytes after " + std::to_string(head));
+  }
+  rows_ = static_cast<std::size_t>(rows);
+  const std::size_t expected = head + rows_ * suffix_stride_;
   if (total > expected) {
     malformed(path, std::to_string(total - expected) +
                         " trailing bytes after the last row");
@@ -125,14 +129,6 @@ SealedRun::SealedRun(std::shared_ptr<const io::MmapFile> file,
 
   prefix_ = bytes + spill::kRunHeaderBytes;
   suffix_base_ = prefix_ + prefix_bytes_;
-}
-
-SealedRun::~SealedRun() {
-  if (!keep_file_) {
-    const std::string path = file_->path();
-    file_.reset();  // drop the mapping before unlinking
-    std::remove(path.c_str());
-  }
 }
 
 bool SealedRun::contains_sorted(const std::uint8_t* row_bytes) const {

@@ -27,11 +27,20 @@
 //   [24] u64 rows
 //   [32] prefix bytes [P], then rows x (stride - P) row suffixes
 //
-// The file must end exactly after the last suffix. Error taxonomy: a
+// The file must end exactly after the last suffix, and a run holds at least
+// one row (rows == 1 exactly when P is the whole stride). Error taxonomy: a
 // missing/unreadable file throws qsyn::IoError (from io::MmapFile); any
 // malformed or mismatched content — bad magic, unsupported version, shape
-// mismatch, truncation, trailing bytes — throws qsyn::CatalogError with a
-// distinguishing message, mirroring the persistent catalog's hardening.
+// mismatch, truncation, trailing bytes, a row count the prefix contradicts —
+// throws qsyn::CatalogError with a distinguishing message, mirroring the
+// persistent catalog's hardening.
+//
+// Runs are written with io::SpillWriter (buffered write(2), no writable
+// mapping) and read back through a read-only io::MmapFile. Durability follows
+// ownership: a temporary run (keep_file = false, every run the spill engine
+// seals) is never fsync'd and is removed with the last view of its mapping,
+// or by the writer if the write fails; a kept run is fsync'd before write()
+// returns and stays on disk.
 #pragma once
 
 #include <cstddef>
@@ -56,10 +65,12 @@ inline constexpr std::size_t kRunHeaderBytes = 32;
 class SealedRun {
  public:
   /// Writes `rows` (sorted, duplicate-free, non-empty) prefix-compressed to
-  /// `path` through a FileRowStorage (growable mmap, fsync on seal), then
-  /// reopens it read-only. With `keep_file` false the file is removed when
-  /// the run object dies — the spill engine's temporary policy. Throws
-  /// qsyn::IoError when the path cannot be created (e.g. missing spill dir).
+  /// `path` through an io::SpillWriter, then maps it read-only. With
+  /// `keep_file` false the file is a temporary, removed when the last owner
+  /// of the run dies (the spill engine's policy); with it true the file is
+  /// fsync'd and outlives the run. Throws qsyn::IoError when the file
+  /// cannot be created or written (e.g. missing spill dir, disk full) —
+  /// and then leaves no file behind.
   [[nodiscard]] static std::shared_ptr<const SealedRun> write(
       const std::string& path, const FlatPermStore& rows,
       bool keep_file = false);
@@ -72,7 +83,6 @@ class SealedRun {
 
   SealedRun(const SealedRun&) = delete;
   SealedRun& operator=(const SealedRun&) = delete;
-  ~SealedRun();
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t width() const { return width_; }
@@ -111,11 +121,8 @@ class SealedRun {
   void subtract_from(FlatPermStore& store) const;
 
  private:
-  SealedRun(std::shared_ptr<const io::MmapFile> file, std::size_t width,
-            bool keep_file);
-
-  [[nodiscard]] static std::shared_ptr<const SealedRun> open_internal(
-      const std::string& path, std::size_t width, bool keep_file);
+  // Validates `file` as a run of `width` labels (throws CatalogError).
+  SealedRun(std::shared_ptr<const io::MmapFile> file, std::size_t width);
 
   std::shared_ptr<const io::MmapFile> file_;
   const std::uint8_t* prefix_ = nullptr;
@@ -125,7 +132,6 @@ class SealedRun {
   std::size_t prefix_bytes_ = 0;
   std::size_t suffix_stride_ = 0;
   std::size_t rows_ = 0;
-  bool keep_file_ = true;
 };
 
 }  // namespace qsyn::synth

@@ -6,15 +6,11 @@
 namespace qsyn::synth {
 
 StorageSpec StorageSpec::in_memory() {
-  return StorageSpec(Backend::kInMemory, std::string(), true);
+  return StorageSpec(Backend::kInMemory, std::string());
 }
 
 StorageSpec StorageSpec::mmap_read_only(std::string path) {
-  return StorageSpec(Backend::kMmapReadOnly, std::move(path), true);
-}
-
-StorageSpec StorageSpec::file_backed(std::string path, bool keep_file) {
-  return StorageSpec(Backend::kFileWritable, std::move(path), keep_file);
+  return StorageSpec(Backend::kMmapReadOnly, std::move(path));
 }
 
 std::shared_ptr<RowStorage> StorageSpec::make_storage() const {
@@ -26,8 +22,6 @@ std::shared_ptr<RowStorage> StorageSpec::make_storage() const {
       const std::size_t bytes = file->size();
       return std::make_shared<MmapRowStorage>(file, 0, bytes);
     }
-    case Backend::kFileWritable:
-      return std::make_shared<FileRowStorage>(path_, keep_file_);
   }
   QSYN_CHECK(false, "unreachable: unknown StorageSpec backend");
 }

@@ -2,18 +2,17 @@
 //
 // StorageSpec — the one public way to say where row storage lives.
 //
-// PR 6 grew three RowStorage backends (in-memory vector, read-only mmap
-// window, writable spill file), and construction knowledge was starting to
-// scatter across call sites. A StorageSpec is a small value describing a
-// backend choice:
+// A StorageSpec is a small value describing one of the two RowStorage
+// backends:
 //
-//   StorageSpec::in_memory()                  — writable heap vector (the
-//                                               default everywhere)
-//   StorageSpec::mmap_read_only(path)         — the whole file, mapped
-//                                               read-only, zero-copy
-//   StorageSpec::file_backed(path[, keep])    — writable growable mmap'd
-//                                               file; seal via the concrete
-//                                               FileRowStorage handle
+//   StorageSpec::in_memory()           — writable heap vector (the default
+//                                        everywhere)
+//   StorageSpec::mmap_read_only(path)  — the whole file, mapped read-only,
+//                                        zero-copy
+//
+// Writable storage is always the heap vector; files are written with
+// io::SpillWriter (common/io/mmap_file.h), whose seal() hands back the
+// mapping to wrap, or with the catalog's stream writer.
 //
 // make_storage() materializes the backend; make_store(width) wraps it in a
 // FlatPermStore directly. Specs are cheap to copy and compare, so configs
@@ -24,10 +23,9 @@
 // [a, b) of an already-open file", and that construction never leaves
 // synth/catalog.cpp.
 //
-// Error taxonomy: a missing or unmappable file behind mmap_read_only and an
-// uncreatable file behind file_backed throw qsyn::IoError; wrapping a
-// backend whose byte count is not a whole number of rows throws
-// qsyn::LogicError (from the FlatPermStore constructor).
+// Error taxonomy: a missing or unmappable file behind mmap_read_only throws
+// qsyn::IoError; wrapping a backend whose byte count is not a whole number
+// of rows throws qsyn::LogicError (from the FlatPermStore constructor).
 #pragma once
 
 #include <cstddef>
@@ -45,7 +43,6 @@ class StorageSpec {
   enum class Backend {
     kInMemory,      // writable VectorRowStorage
     kMmapReadOnly,  // read-only MmapRowStorage over a whole file
-    kFileWritable,  // writable FileRowStorage (growable mmap'd file)
   };
 
   /// Writable heap-backed storage (the default).
@@ -54,14 +51,8 @@ class StorageSpec {
   /// The whole of `path`, mapped read-only.
   [[nodiscard]] static StorageSpec mmap_read_only(std::string path);
 
-  /// A writable growable mmap'd file at `path`. With `keep_file` false the
-  /// file is deleted when the backend dies (spill-temporary policy).
-  [[nodiscard]] static StorageSpec file_backed(std::string path,
-                                               bool keep_file = true);
-
   [[nodiscard]] Backend backend() const { return backend_; }
   [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] bool keep_file() const { return keep_file_; }
 
   /// Materializes the backend this spec describes.
   [[nodiscard]] std::shared_ptr<RowStorage> make_storage() const;
@@ -70,20 +61,18 @@ class StorageSpec {
   [[nodiscard]] FlatPermStore make_store(std::size_t width) const;
 
   friend bool operator==(const StorageSpec& a, const StorageSpec& b) {
-    return a.backend_ == b.backend_ && a.path_ == b.path_ &&
-           a.keep_file_ == b.keep_file_;
+    return a.backend_ == b.backend_ && a.path_ == b.path_;
   }
   friend bool operator!=(const StorageSpec& a, const StorageSpec& b) {
     return !(a == b);
   }
 
  private:
-  StorageSpec(Backend backend, std::string path, bool keep_file)
-      : backend_(backend), path_(std::move(path)), keep_file_(keep_file) {}
+  StorageSpec(Backend backend, std::string path)
+      : backend_(backend), path_(std::move(path)) {}
 
   Backend backend_;
   std::string path_;
-  bool keep_file_;
 };
 
 }  // namespace qsyn::synth

@@ -1,9 +1,10 @@
-// Tests for the out-of-core closure machinery: the growable mmap backend,
-// the writable FileRowStorage, the StorageSpec construction seam, sealed
-// prefix-compressed spill runs (including corrupt-input hardening), the
-// spilled ShardedPermStore differential against its in-memory twin (and its
-// re-split), and the spill-invariance of the FMCF per-level stats, frontier
-// bytes and heap budget on split stores.
+// Tests for the out-of-core closure machinery: the append-only spill writer
+// and its file-ownership policy, the StorageSpec construction seam, sealed
+// prefix-compressed spill runs (including corrupt-input hardening and a
+// deterministic mutation fuzzer), the spilled ShardedPermStore differential
+// against its in-memory twin (and its re-split), the spill-invariance of the
+// FMCF per-level stats, frontier bytes and heap budget on split stores, and
+// spill-file cleanup when a closure dies or fails mid-write.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <optional>
 #include <set>
 #include <string>
@@ -20,6 +22,8 @@
 #include <vector>
 
 #ifndef _WIN32
+#include <signal.h>
+#include <sys/resource.h>
 #include <unistd.h>
 #endif
 
@@ -74,100 +78,122 @@ void expect_same_rows(const FlatPermStore& a, const FlatPermStore& b) {
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0);
 }
 
-// --- GrowableMmapFile ------------------------------------------------------
+// --- SpillWriter -----------------------------------------------------------
 
-TEST(GrowableMmapFile, AppendGrowSealReopen) {
-  const std::string path = temp_path("growable_basic");
-  {
-    io::GrowableMmapFile file(path);
-    std::vector<std::uint8_t> chunk(300000);
-    for (std::size_t i = 0; i < chunk.size(); ++i) {
-      chunk[i] = static_cast<std::uint8_t>(i * 7);
-    }
-    // Several appends crossing the initial mapping's capacity.
-    for (int rep = 0; rep < 8; ++rep) {
-      file.append(chunk.data(), chunk.size());
-    }
-    ASSERT_EQ(file.size(), 8 * chunk.size());
-    EXPECT_EQ(file.data()[0], chunk[0]);
-    EXPECT_EQ(file.data()[7 * chunk.size() + 5], chunk[5]);
-    file.seal();
-    EXPECT_TRUE(file.sealed());
-    file.seal();  // idempotent
+bool file_exists(const std::string& path) {
+  std::error_code ec;
+  return std::filesystem::exists(path, ec);
+}
+
+TEST(SpillWriter, AppendSealReopen) {
+  const std::string path = temp_path("writer_basic");
+  std::vector<std::uint8_t> chunk(300000);
+  for (std::size_t i = 0; i < chunk.size(); ++i) {
+    chunk[i] = static_cast<std::uint8_t>(i * 7);
   }
-  // The sealed file is exactly the logical bytes (capacity truncated away).
+  // One append too big to buffer (written through), then several that
+  // fill and flush the buffer.
+  std::vector<std::uint8_t> big(io::kSpillWriteBufferBytes + 3, 0x5a);
+  {
+    io::SpillWriter writer(path, /*keep_file=*/true);
+    writer.append(big.data(), big.size());
+    for (int rep = 0; rep < 8; ++rep) writer.append(chunk.data(), chunk.size());
+    writer.append(chunk.data(), 0);
+    const auto sealed = writer.seal();
+    ASSERT_EQ(sealed->size(), big.size() + 8 * chunk.size());
+    EXPECT_EQ(sealed->path(), path);
+    EXPECT_EQ(sealed->data()[big.size() - 1], 0x5a);
+    EXPECT_EQ(std::memcmp(sealed->data() + big.size() + 7 * chunk.size(),
+                          chunk.data(), chunk.size()),
+              0);
+  }
+  // A kept file outlives its writer and its mapping, byte for byte.
   const auto mapped = io::MmapFile::map(path);
-  ASSERT_EQ(mapped->size(), 8u * 300000u);
-  EXPECT_EQ(mapped->data()[42], static_cast<std::uint8_t>(42 * 7));
+  ASSERT_EQ(mapped->size(), big.size() + 8 * chunk.size());
+  EXPECT_EQ(mapped->data()[big.size() + 42], static_cast<std::uint8_t>(42 * 7));
   std::remove(path.c_str());
 }
 
-TEST(GrowableMmapFile, SealRejectsFurtherMutation) {
-  const std::string path = temp_path("growable_sealed");
-  io::GrowableMmapFile file(path, /*unlink_on_destroy=*/true);
+TEST(SpillWriter, SealRejectsFurtherUse) {
+  const std::string path = temp_path("writer_sealed");
+  io::SpillWriter writer(path, /*keep_file=*/false);
   const std::uint8_t byte = 0xab;
-  file.append(&byte, 1);
-  file.seal();
-  EXPECT_THROW(file.append(&byte, 1), qsyn::LogicError);
-  EXPECT_THROW(file.resize(16), qsyn::LogicError);
-  EXPECT_THROW((void)file.mutable_data(), qsyn::LogicError);
+  writer.append(&byte, 1);
+  const auto sealed = writer.seal();
+  EXPECT_THROW(writer.append(&byte, 1), qsyn::LogicError);
+  EXPECT_THROW((void)writer.seal(), qsyn::LogicError);
+  ASSERT_EQ(sealed->size(), 1u);
+  EXPECT_EQ(sealed->data()[0], 0xab);
 }
 
-TEST(GrowableMmapFile, UnusableDirectoryIsIoError) {
-  EXPECT_THROW(io::GrowableMmapFile(temp_path("no_such_dir") + "/x/y/z"),
+TEST(SpillWriter, UnusableDirectoryIsIoError) {
+  EXPECT_THROW(io::SpillWriter(temp_path("no_such_dir") + "/x/y/z", false),
                qsyn::IoError);
 }
 
-TEST(GrowableMmapFile, UnlinkOnDestroyRemovesFile) {
-  const std::string path = temp_path("growable_unlink");
+TEST(SpillWriter, TemporaryIsRemovedWithLastView) {
+  const std::string path = temp_path("writer_temp");
+  std::shared_ptr<const io::MmapFile> second_owner;
   {
-    io::GrowableMmapFile file(path, /*unlink_on_destroy=*/true);
+    io::SpillWriter writer(path, /*keep_file=*/false);
     const std::uint8_t byte = 1;
-    file.append(&byte, 1);
-    file.seal();
+    writer.append(&byte, 1);
+    auto sealed = writer.seal();
+    second_owner = sealed;
   }
+  // The writer is gone, but a view still owns the temporary.
+  EXPECT_TRUE(file_exists(path));
+  EXPECT_EQ(second_owner->data()[0], 1);
+  second_owner.reset();
+  EXPECT_FALSE(file_exists(path));
   EXPECT_THROW((void)io::MmapFile::map(path), qsyn::IoError);
 }
 
-// --- FileRowStorage behind a FlatPermStore ---------------------------------
+TEST(SpillWriter, UnsealedWriterRemovesItsFileUnderEitherPolicy) {
+  for (const bool keep : {false, true}) {
+    const std::string path = temp_path(keep ? "writer_kept" : "writer_tmp");
+    {
+      io::SpillWriter writer(path, keep);
+      const std::uint8_t byte = 9;
+      writer.append(&byte, 1);
+      EXPECT_TRUE(file_exists(path));
+    }
+    EXPECT_FALSE(file_exists(path)) << "keep_file=" << keep;
+  }
+}
 
-TEST(FileRowStorage, StoreRoundTripAndSealFlipsReadOnly) {
-  const std::string path = temp_path("file_rows");
-  auto storage = std::make_shared<FileRowStorage>(path);
+TEST(SpillWriter, SealedFileServesAReadOnlyStore) {
+  const std::string path = temp_path("writer_rows");
+  FlatPermStore rows(4);
+  rows.push_back(perm::Permutation::from_cycles("(3,4)", 4));
+  rows.push_back(perm::Permutation::from_cycles("(1,2)", 4));
+  rows.sort_unique();
   {
-    FlatPermStore store(4, storage);
-    EXPECT_FALSE(store.read_only());
-    store.push_back(perm::Permutation::from_cycles("(1,2)", 4));
-    store.push_back(perm::Permutation::from_cycles("(3,4)", 4));
-    store.sort_unique();
-    ASSERT_EQ(store.size(), 2u);
+    io::SpillWriter writer(path, /*keep_file=*/true);
+    writer.append(rows.data(), rows.size_bytes());
+    const auto file = writer.seal();
+    FlatPermStore store(
+        4, std::make_shared<MmapRowStorage>(file, 0, file->size()));
+    expect_same_rows(store, rows);
+    EXPECT_TRUE(store.read_only());
     EXPECT_EQ(store.memory_bytes(), 0u);
     EXPECT_EQ(store.disk_bytes(), 8u);
-
-    storage->seal();
-    EXPECT_TRUE(store.read_only());
     EXPECT_THROW(store.push_back(perm::Permutation::identity(4)),
                  qsyn::LogicError);
     EXPECT_THROW(store.sort_unique(), qsyn::LogicError);
-    // Reads still serve from the sealed mapping.
+    EXPECT_THROW(store.assign_rows({}), qsyn::LogicError);
     EXPECT_EQ(store.permutation(1).to_cycle_string(), "(1,2)");
+    // A copy is a writable in-memory store.
+    FlatPermStore copy = store;
+    EXPECT_FALSE(copy.read_only());
+    copy.push_back(perm::Permutation::identity(4));
+    EXPECT_EQ(copy.size(), 3u);
   }
-  // keep_file defaults to true: the sealed bytes persist and re-wrap.
-  storage.reset();
-  FlatPermStore reopened(4, StorageSpec::mmap_read_only(path).make_storage());
-  ASSERT_EQ(reopened.size(), 2u);
+  // The kept bytes reopen through the read-only spec.
+  FlatPermStore reopened = StorageSpec::mmap_read_only(path).make_store(4);
+  expect_same_rows(reopened, rows);
   EXPECT_TRUE(reopened.read_only());
   std::remove(path.c_str());
-}
-
-TEST(FileRowStorage, TemporaryPolicyDeletesFile) {
-  const std::string path = temp_path("file_rows_tmp");
-  {
-    FileRowStorage storage(path, /*keep_file=*/false);
-    const std::uint8_t byte = 9;
-    storage.append_bytes(&byte, 1);
-  }
-  EXPECT_THROW((void)io::MmapFile::map(path), qsyn::IoError);
 }
 
 // --- StorageSpec -----------------------------------------------------------
@@ -175,9 +201,11 @@ TEST(FileRowStorage, TemporaryPolicyDeletesFile) {
 TEST(StorageSpec, BackendsRoundTrip) {
   const std::string path = temp_path("spec_file");
   {
-    FlatPermStore store = StorageSpec::file_backed(path).make_store(3);
-    store.push_back(perm::Permutation::from_cycles("(1,3)", 3));
-    dynamic_cast<FileRowStorage&>(*store.storage()).seal();
+    FlatPermStore row(3);
+    row.push_back(perm::Permutation::from_cycles("(1,3)", 3));
+    io::SpillWriter writer(path, /*keep_file=*/true);
+    writer.append(row.data(), row.size_bytes());
+    (void)writer.seal();
   }
   FlatPermStore mem = StorageSpec::in_memory().make_store(3);
   EXPECT_FALSE(mem.read_only());
@@ -354,6 +382,307 @@ TEST_F(SealedRunCorruption, BadMagicBadVersionWidthMismatch) {
 TEST(SealedRun, MissingFileIsIoError) {
   EXPECT_THROW((void)SealedRun::open(temp_path("run_missing"), 6),
                qsyn::IoError);
+}
+
+TEST(SealedRun, KeptRunSurvivesItsWriter) {
+  Rng rng(4105);
+  FlatPermStore rows = sorted_store(rng, 7, 60, 2);
+  const std::string path = temp_path("run_kept");
+  {
+    const auto run = SealedRun::write(path, rows, /*keep_file=*/true);
+    EXPECT_EQ(run->rows(), rows.size());
+  }
+  ASSERT_TRUE(file_exists(path));
+  const auto reopened = SealedRun::open(path, 7);
+  ASSERT_EQ(reopened->rows(), rows.size());
+  Row buf(7);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    reopened->materialize(i, buf.data());
+    EXPECT_EQ(std::memcmp(buf.data(), rows.row(i), 7), 0) << "row " << i;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SealedRun, WriterEmitsTheDocumentedVersion1Layout) {
+  // Two rows of width 3 sharing their first label: the byte image below is
+  // the v1 layout of spill.h, so runs written by any writer of this format
+  // open with the same SealedRun::open.
+  FlatPermStore rows(3);
+  const Row a = {0, 1, 2};
+  const Row b = {0, 2, 1};
+  rows.push_back(b.data());
+  rows.push_back(a.data());
+  rows.sort_unique();
+  Row golden;
+  const auto put = [&golden](std::initializer_list<std::uint8_t> bytes) {
+    golden.insert(golden.end(), bytes);
+  };
+  put({'Q', 'S', 'Y', 'N', 'R', 'U', 'N', 0});  // magic
+  put({0, 0, 0, 1});                            // version
+  put({0, 0, 0, 3});                            // width
+  put({0, 0, 0, 1});                            // label_bytes
+  put({0, 0, 0, 1});                            // prefix_bytes
+  put({0, 0, 0, 0, 0, 0, 0, 2});                // rows
+  put({0});                                     // prefix
+  put({1, 2, 2, 1});                            // suffixes
+  const std::string path = temp_path("run_golden");
+  (void)SealedRun::write(path, rows, /*keep_file=*/true);
+  EXPECT_EQ(read_file(path), golden);
+
+  const std::string handmade = temp_path("run_handmade");
+  write_file(handmade, golden);
+  const auto run = SealedRun::open(handmade, 3);
+  ASSERT_EQ(run->rows(), 2u);
+  EXPECT_EQ(run->prefix_bytes(), 1u);
+  EXPECT_TRUE(run->contains_sorted(a.data()));
+  EXPECT_TRUE(run->contains_sorted(b.data()));
+  std::remove(path.c_str());
+  std::remove(handmade.c_str());
+}
+
+// Big-endian header field access for hand-corrupted runs.
+void put_be(Row& bytes, std::size_t offset, std::size_t len,
+            std::uint64_t value) {
+  if (bytes.size() < offset + len) return;
+  for (std::size_t i = 0; i < len; ++i) {
+    bytes[offset + i] =
+        static_cast<std::uint8_t>(value >> (8 * (len - 1 - i)));
+  }
+}
+
+std::uint64_t get_be(const Row& bytes, std::size_t offset, std::size_t len) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < len; ++i) value = value << 8 | bytes[offset + i];
+  return value;
+}
+
+TEST(SealedRun, RowCountsThatContradictTheLayoutAreRejected) {
+  // Six rows sharing their first two labels: prefix 2, suffix 4 bytes.
+  FlatPermStore rows(6);
+  for (std::uint8_t i = 0; i < 6; ++i) {
+    const Row row = {4, 5, i, static_cast<std::uint8_t>((i + 1) % 6),
+                     static_cast<std::uint8_t>((i + 2) % 6),
+                     static_cast<std::uint8_t>((i + 3) % 6)};
+    rows.push_back(row.data());
+  }
+  const std::string path = temp_path("run_row_count");
+  (void)SealedRun::write(path, rows, /*keep_file=*/true);
+  const Row pristine = read_file(path);
+  ASSERT_EQ(pristine[23], 2);  // prefix_bytes
+  auto with_rows = [](Row bytes, std::uint64_t count) {
+    put_be(bytes, 24, 8, count);
+    return bytes;
+  };
+  // No rows at all, over an empty body.
+  Row empty = with_rows(pristine, 0);
+  empty.resize(spill::kRunHeaderBytes + 2);
+  write_file(path, empty);
+  EXPECT_THROW((void)SealedRun::open(path, 6), qsyn::CatalogError);
+  // A whole-stride prefix (suffixes of 0 bytes) claiming a million rows.
+  Row whole = with_rows(pristine, 1u << 20);
+  whole[23] = 6;
+  whole.resize(spill::kRunHeaderBytes + 6);
+  write_file(path, whole);
+  EXPECT_THROW((void)SealedRun::open(path, 6), qsyn::CatalogError);
+  // 6 + 2^62 rows of 4 bytes: the layout size wraps around 2^64 onto the
+  // real file size, so only an overflow-safe check rejects it.
+  write_file(path, with_rows(pristine, 6 + (std::uint64_t(1) << 62)));
+  EXPECT_THROW((void)SealedRun::open(path, 6), qsyn::CatalogError);
+  write_file(path, pristine);
+  EXPECT_EQ(SealedRun::open(path, 6)->rows(), 6u);
+  std::remove(path.c_str());
+}
+
+// --- SealedRun::open mutation fuzzer -----------------------------------------
+
+// Sorted, duplicate-free rows of `width` labels (two bytes per label past
+// 256) sharing their first label, as a sealed shard's rows do.
+FlatPermStore fuzz_rows(Rng& rng, std::size_t width, std::size_t count) {
+  FlatPermStore store(width);
+  Row row(store.row_stride());
+  for (std::size_t i = 0; i < count; ++i) {
+    FlatPermStore::write_label(row.data(), 0, store.label_bytes(), 1);
+    for (std::size_t s = 1; s < width; ++s) {
+      FlatPermStore::write_label(row.data(), s, store.label_bytes(),
+                                 static_cast<std::uint32_t>(rng.below(width)));
+    }
+    store.push_back(row.data());
+  }
+  store.sort_unique();
+  return store;
+}
+
+// One to three stacked mutations of `pristine`: bit flips anywhere,
+// truncation, a header field spliced with an edge value or the donor run's
+// value, trailing garbage, or a scribble over the body only.
+Row mutate(Rng& rng, const Row& pristine, const Row& donor,
+           std::size_t stride) {
+  struct Field {
+    std::size_t offset;
+    std::size_t len;
+  };
+  static constexpr Field kFields[] = {{8, 4}, {12, 4}, {16, 4}, {20, 4},
+                                      {24, 8}};
+  Row bytes = pristine;
+  const std::uint64_t steps = 1 + rng.below(3);
+  for (std::uint64_t step = 0; step < steps; ++step) {
+    switch (rng.below(5)) {
+      case 0: {
+        const std::uint64_t flips = 1 + rng.below(8);
+        for (std::uint64_t f = 0; f < flips && !bytes.empty(); ++f) {
+          bytes[rng.below(bytes.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.below(8));
+        }
+        break;
+      }
+      case 1:
+        bytes.resize(rng.below(bytes.size() + 1));
+        break;
+      case 2: {
+        const Field field = kFields[rng.below(5)];
+        const std::uint64_t current =
+            bytes.size() >= field.offset + field.len
+                ? get_be(bytes, field.offset, field.len)
+                : 0;
+        const std::uint64_t suffix =
+            stride - std::min<std::uint64_t>(get_be(pristine, 20, 4), stride);
+        // current + 2^64 / lowbit(suffix): the same layout size modulo 2^64
+        // (for an even suffix), the row count that overflow-prone size
+        // arithmetic accepts.
+        const std::uint64_t lowbit = suffix & (~suffix + 1);
+        const std::uint64_t wrap =
+            lowbit <= 1 ? 0 : current + (~std::uint64_t(0)) / lowbit + 1;
+        const std::uint64_t values[] = {
+            0,
+            1,
+            2,
+            stride - 1,
+            stride,
+            stride + 1,
+            current - 1,
+            current + 1,
+            get_be(donor, field.offset, field.len),
+            0xffffffffu,
+            std::uint64_t(1) << 31,
+            std::uint64_t(1) << 63,
+            ~std::uint64_t(0),
+            suffix == 0 ? 0 : (~std::uint64_t(0)) / suffix + 1,
+            wrap,
+            rng(),
+        };
+        put_be(bytes, field.offset, field.len,
+               values[rng.below(sizeof(values) / sizeof(values[0]))]);
+        break;
+      }
+      case 3: {
+        const std::uint64_t extra = 1 + rng.below(2 * stride);
+        for (std::uint64_t i = 0; i < extra; ++i) {
+          bytes.push_back(static_cast<std::uint8_t>(rng()));
+        }
+        break;
+      }
+      default: {
+        if (bytes.size() <= spill::kRunHeaderBytes) break;
+        const std::uint64_t scribbles = 1 + rng.below(16);
+        for (std::uint64_t i = 0; i < scribbles; ++i) {
+          bytes[spill::kRunHeaderBytes +
+                rng.below(bytes.size() - spill::kRunHeaderBytes)] =
+              static_cast<std::uint8_t>(rng());
+        }
+        break;
+      }
+    }
+  }
+  return bytes;
+}
+
+struct FuzzTally {
+  std::size_t rejected = 0;
+  std::size_t opened = 0;
+  std::size_t intact_header = 0;
+};
+
+// The contract for one mutant: SealedRun::open throws CatalogError or
+// IoError (anything else escapes and fails the test), or the run opens and
+// every row reads from inside the file — row i is the file's prefix
+// followed by its i-th suffix, byte for byte. A mutant whose header and
+// length are untouched must open.
+void check_mutant(const std::string& path, const Row& bytes,
+                  const Row& pristine, std::size_t width, FuzzTally& tally) {
+  write_file(path, bytes);
+  const bool intact =
+      bytes.size() == pristine.size() &&
+      std::equal(pristine.begin(),
+                 pristine.begin() + spill::kRunHeaderBytes, bytes.begin());
+  std::shared_ptr<const SealedRun> run;
+  try {
+    run = SealedRun::open(path, width);
+  } catch (const CatalogError& e) {
+    EXPECT_FALSE(intact) << "intact header rejected: " << e.what();
+    ++tally.rejected;
+    return;
+  } catch (const qsyn::IoError& e) {
+    EXPECT_FALSE(intact) << "intact header rejected: " << e.what();
+    ++tally.rejected;
+    return;
+  }
+  ++tally.opened;
+  if (intact) ++tally.intact_header;
+  const std::size_t stride = run->row_stride();
+  const std::size_t prefix = run->prefix_bytes();
+  const std::size_t suffix = stride - prefix;
+  ASSERT_EQ(run->width(), width);
+  ASSERT_EQ(run->disk_bytes(), bytes.size());
+  ASSERT_LE(run->rows(), bytes.size());  // no row count past the file
+  ASSERT_EQ(spill::kRunHeaderBytes + prefix + run->rows() * suffix,
+            bytes.size());
+  Row got(stride);
+  Row want(stride);
+  const std::uint8_t* base = bytes.data() + spill::kRunHeaderBytes;
+  for (std::size_t i = 0; i < run->rows(); ++i) {
+    run->materialize(i, got.data());
+    std::copy(base, base + prefix, want.begin());
+    std::copy(base + prefix + i * suffix, base + prefix + (i + 1) * suffix,
+              want.begin() + static_cast<std::ptrdiff_t>(prefix));
+    ASSERT_EQ(got, want) << "row " << i;
+    ASSERT_EQ(run->compare(want.data(), i), 0) << "row " << i;
+    (void)run->contains_sorted(want.data());
+  }
+}
+
+void fuzz_sealed_run_open(std::size_t width, std::size_t rows,
+                          std::uint64_t seed, int iterations) {
+  Rng rng(seed);
+  const std::string path = temp_path("fuzz_" + std::to_string(width));
+  const std::string mutant = path + ".mutant";
+  (void)SealedRun::write(path, fuzz_rows(rng, width, rows), true);
+  const Row pristine = read_file(path);
+  (void)SealedRun::write(path, fuzz_rows(rng, width, rows / 2 + 1), true);
+  const Row donor = read_file(path);
+  const std::size_t stride = width <= 256 ? width : 2 * width;
+
+  FuzzTally tally;
+  for (int it = 0; it < iterations; ++it) {
+    SCOPED_TRACE("width " + std::to_string(width) + ", iteration " +
+                 std::to_string(it));
+    check_mutant(mutant, mutate(rng, pristine, donor, stride), pristine,
+                 width, tally);
+    if (::testing::Test::HasFatalFailure()) break;
+  }
+  // The loop reaches both sides of the contract and the intact-header case.
+  EXPECT_GT(tally.rejected, std::size_t(iterations) / 4);
+  EXPECT_GT(tally.opened, 0u);
+  EXPECT_GT(tally.intact_header, 0u);
+  std::remove(path.c_str());
+  std::remove(mutant.c_str());
+}
+
+TEST(SealedRunFuzz, MutantsThrowOrReadInBoundsAtThreeWires) {
+  fuzz_sealed_run_open(38, 40, 6101, 600);  // n = 3 reduced domain
+}
+
+TEST(SealedRunFuzz, MutantsThrowOrReadInBoundsAtFiveWires) {
+  fuzz_sealed_run_open(782, 12, 6102, 600);  // n = 5: two-byte labels
 }
 
 // --- spilled ShardedPermStore differential ---------------------------------
@@ -652,6 +981,85 @@ TEST_F(SpilledClosure3, SpilledCatalogRoundTrips) {
   EXPECT_EQ(entry->cost, spilled.find(cnot)->cost);
   std::remove(path.c_str());
 }
+
+// --- spill-file cleanup -----------------------------------------------------
+
+#ifndef _WIN32
+// A fresh, empty spill directory of this process.
+std::string fresh_spill_dir(const std::string& name) {
+  const std::string dir = temp_path(name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::size_t files_in(const std::string& dir) {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// Lowers the soft RLIMIT_FSIZE and ignores SIGXFSZ, so a write past the
+// limit fails with EFBIG instead of killing the process; restores both.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    ok_ = ::getrlimit(RLIMIT_FSIZE, &saved_limit_) == 0;
+    struct sigaction ignore {};
+    ignore.sa_handler = SIG_IGN;
+    sigemptyset(&ignore.sa_mask);
+    ok_ = ok_ && ::sigaction(SIGXFSZ, &ignore, &saved_action_) == 0;
+    rlimit lowered = saved_limit_;
+    lowered.rlim_cur = std::min(bytes, saved_limit_.rlim_max);
+    ok_ = ok_ && ::setrlimit(RLIMIT_FSIZE, &lowered) == 0;
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_limit_);
+    ::sigaction(SIGXFSZ, &saved_action_, nullptr);
+  }
+  [[nodiscard]] bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_limit_{};
+  struct sigaction saved_action_ {};
+  bool ok_ = false;
+};
+
+TEST_F(SpilledClosure3, FailedWriteLeavesNoSpillFile) {
+  // A 256 KiB file-size cap: the small runs seal, but a level's drained
+  // frontier outgrows it and write(2) fails with EFBIG mid-file.
+  const std::string dir = fresh_spill_dir("leak_failed");
+  {
+    ClosureConfig config = spill_config(4);
+    config.spill_dir = dir;
+    FmcfEnumerator closure(library(), config);
+    {
+      FileSizeLimit limit(256 << 10);
+      ASSERT_TRUE(limit.ok());
+      EXPECT_THROW(closure.run_to(6), qsyn::IoError);
+    }
+  }
+  EXPECT_EQ(files_in(dir), 0u) << "spill files leaked in " << dir;
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(SpilledClosure3, FinishedClosureLeavesNoSpillFile) {
+  const std::string dir = fresh_spill_dir("leak_finished");
+  {
+    ClosureConfig config = spill_config(4);
+    config.spill_dir = dir;
+    FmcfEnumerator closure(library(), config);
+    closure.run_to(6);
+    EXPECT_GT(closure.disk_bytes(), 0u);
+    EXPECT_GT(files_in(dir), 0u);  // the runs live while the closure does
+  }
+  EXPECT_EQ(files_in(dir), 0u) << "spill files leaked in " << dir;
+  std::filesystem::remove_all(dir);
+}
+#endif  // !_WIN32
 
 // --- spilled, split 4-wire closure -----------------------------------------
 
