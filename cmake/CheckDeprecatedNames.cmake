@@ -12,7 +12,10 @@
 #  * the writable file backends `GrowableMmapFile`, `FileRowStorage` and
 #    `StorageSpec::file_backed` — spill files are written only through
 #    io::SpillWriter (buffered write(2)), and writable storage means the
-#    heap vector.
+#    heap vector;
+#  * the row-storage seam `RowStorage` (with `VectorRowStorage` and
+#    `MmapRowStorage`) and its factory `StorageSpec` — a FlatPermStore owns
+#    its heap vector or views a mapped window itself.
 #
 # Usage: cmake -DQSYN_SOURCE_DIR=<repo root> -P CheckDeprecatedNames.cmake
 if(NOT DEFINED QSYN_SOURCE_DIR)
@@ -23,7 +26,8 @@ set(deprecated_names
   "FmcfOptions" "take_flatten"
   "QSYN_SIMD" "force_scalar" "QSYN_WITH_BLAS" "blas_gemm" "gemm_batch"
   "Stopwatch"
-  "GrowableMmapFile" "FileRowStorage" "file_backed")
+  "GrowableMmapFile" "FileRowStorage" "file_backed"
+  "RowStorage" "StorageSpec")
 
 file(GLOB_RECURSE sources RELATIVE "${QSYN_SOURCE_DIR}"
   "${QSYN_SOURCE_DIR}/src/*.h"

@@ -9,8 +9,9 @@
 //
 //  * MmapFile — maps one file read-only for its whole lifetime and hands out
 //    a stable (data, size) byte view. Consumers that outlive the opener
-//    (e.g. the catalog's MmapRowStorage windows, sealed spill runs) share
-//    ownership through the shared_ptr returned by map(), so the mapping is
+//    (read-only FlatPermStore windows such as catalog frontiers and drained
+//    spill frontiers, sealed spill runs) share ownership through the
+//    shared_ptr returned by map(), so the mapping is
 //    released exactly when the last view dies. Pages are faulted in lazily by
 //    the kernel: opening a multi-megabyte catalog costs microseconds, and
 //    only the pages a query actually touches ever become resident. A mapping
@@ -29,7 +30,7 @@
 // true) outlives its writer and is fsync'd on seal(). Either way the writer
 // removes its file when it dies unsealed (a throw mid-write leaks nothing).
 //
-// Error taxonomy (shared with the rest of the storage seam): every failed
+// Error taxonomy (shared with the row stores and spill runs): every failed
 // filesystem operation (open, stat, write, sync, map) throws qsyn::IoError
 // carrying the operation, the path, and the OS detail; using a sealed
 // SpillWriter is a caller bug and throws qsyn::LogicError. No partial state

@@ -1,7 +1,7 @@
 // Persistent catalog save/reopen for FmcfEnumerator (format in
 // synth/catalog.h). Writing streams the closure out through big-endian
 // helpers; reopening validates every field before trusting it and then wraps
-// the mapped frontier sections in read-only FlatPermStore backends, so a
+// the mapped frontier sections in read-only FlatPermStore windows, so a
 // reopened enumerator answers find()/witness() without re-running a single
 // advance() level.
 #include "synth/catalog.h"
@@ -14,7 +14,6 @@
 #include "common/error.h"
 #include "common/io/mmap_file.h"
 #include "synth/fmcf.h"
-#include "synth/row_storage.h"
 
 namespace qsyn::synth {
 
@@ -202,8 +201,11 @@ FmcfEnumerator FmcfEnumerator::open_catalog(const std::string& path,
   // map makes find() O(1) — mapping it lazily would buy nothing).
   const std::uint64_t g_count = cat::get_u64(base + cat::kGCountOffset);
   if (g_count == 0) corrupt(path, "empty G index (identity entry missing)");
-  need(offset, static_cast<std::size_t>(g_count) * cat::kGEntryBytes,
-       "G index");
+  // Compare in entry units: a forged count must not wrap the byte size of
+  // the index around 2^64.
+  if (g_count > (total - offset) / cat::kGEntryBytes) {
+    corrupt(path, "truncated (G index)");
+  }
   out.g_seen_keys_.reserve(static_cast<std::size_t>(g_count));
   out.g_index_.reserve(static_cast<std::size_t>(g_count));
   for (std::uint64_t i = 0; i < g_count; ++i) {
@@ -236,8 +238,7 @@ FmcfEnumerator FmcfEnumerator::open_catalog(const std::string& path,
     }
     const std::size_t bytes = static_cast<std::size_t>(rows) * out.stride_;
     need(offset, bytes, "frontier rows");
-    out.frontiers_.emplace_back(
-        out.width_, std::make_shared<MmapRowStorage>(file, offset, bytes));
+    out.frontiers_.emplace_back(out.width_, file, offset, bytes);
     offset += bytes;
   }
   if (offset != total) corrupt(path, "trailing bytes after the last frontier");

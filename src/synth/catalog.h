@@ -9,7 +9,8 @@
 //
 // Every multi-byte integer in the file is big-endian, matching the stores'
 // big-endian label rows, so the file is bit-identical across hosts and the
-// frontier sections can be memory-mapped directly as FlatPermStore backends.
+// frontier sections can be memory-mapped directly as read-only FlatPermStore
+// windows.
 // Layout:
 //
 //   header (kHeaderBytes, fixed):

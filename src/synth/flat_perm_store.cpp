@@ -15,36 +15,31 @@ FlatPermStore::FlatPermStore(std::size_t width)
 FlatPermStore::FlatPermStore(std::size_t width, std::size_t label_range)
     : width_(width),
       label_bytes_(label_range <= 256 ? 1 : 2),
-      stride_(width * label_bytes_),
-      storage_(std::make_shared<VectorRowStorage>()) {
+      stride_(width * label_bytes_) {
   QSYN_CHECK(width >= 1 && width <= 65536, "unsupported permutation width");
   QSYN_CHECK(label_range >= width && label_range <= 65536,
              "label range must cover the row width");
-  vec_ = storage_->mutable_bytes();
-  sync_view();
 }
 
 FlatPermStore::FlatPermStore(std::size_t width,
-                             std::shared_ptr<RowStorage> storage)
-    : width_(width),
-      label_bytes_(width <= 256 ? 1 : 2),
-      stride_(width * label_bytes_),
-      storage_(std::move(storage)) {
-  QSYN_CHECK(width >= 1 && width <= 65536, "unsupported permutation width");
-  QSYN_CHECK(storage_ != nullptr, "FlatPermStore requires a storage backend");
-  QSYN_CHECK(storage_->size_bytes() % stride_ == 0,
-             "storage backend holds a fractional row");
-  vec_ = storage_->mutable_bytes();
-  sync_view();
+                             std::shared_ptr<const io::MmapFile> file,
+                             std::size_t offset, std::size_t bytes)
+    : FlatPermStore(width) {
+  QSYN_CHECK(file != nullptr, "a mapped FlatPermStore requires a file");
+  QSYN_CHECK(offset <= file->size() && bytes <= file->size() - offset,
+             "FlatPermStore window exceeds the mapped file");
+  QSYN_CHECK(bytes % stride_ == 0,
+             "FlatPermStore window holds a fractional row");
+  file_ = std::move(file);
+  view_data_ = bytes > 0 ? file_->data() + offset : nullptr;
+  view_bytes_ = bytes;
 }
 
 FlatPermStore::FlatPermStore(const FlatPermStore& other)
     : width_(other.width_),
       label_bytes_(other.label_bytes_),
       stride_(other.stride_),
-      storage_(std::make_shared<VectorRowStorage>(std::vector<std::uint8_t>(
-          other.view_data_, other.view_data_ + other.view_bytes_))) {
-  vec_ = storage_->mutable_bytes();
+      bytes_(other.view_data_, other.view_data_ + other.view_bytes_) {
   sync_view();
 }
 
@@ -53,24 +48,24 @@ FlatPermStore& FlatPermStore::operator=(const FlatPermStore& other) {
   width_ = other.width_;
   label_bytes_ = other.label_bytes_;
   stride_ = other.stride_;
-  storage_ = std::make_shared<VectorRowStorage>(std::vector<std::uint8_t>(
-      other.view_data_, other.view_data_ + other.view_bytes_));
-  vec_ = storage_->mutable_bytes();
+  bytes_.assign(other.view_data_, other.view_data_ + other.view_bytes_);
+  file_.reset();
   sync_view();
   return *this;
 }
 
+// A moved vector keeps its buffer and a moved shared_ptr its mapping, so the
+// cached view carries over as is.
 FlatPermStore::FlatPermStore(FlatPermStore&& other) noexcept
     : width_(other.width_),
       label_bytes_(other.label_bytes_),
       stride_(other.stride_),
-      storage_(std::move(other.storage_)),
-      vec_(other.vec_),
+      bytes_(std::move(other.bytes_)),
+      file_(std::move(other.file_)),
       view_data_(other.view_data_),
       view_bytes_(other.view_bytes_) {
-  other.vec_ = nullptr;
-  other.view_data_ = nullptr;
-  other.view_bytes_ = 0;
+  other.bytes_.clear();
+  other.sync_view();
 }
 
 FlatPermStore& FlatPermStore::operator=(FlatPermStore&& other) noexcept {
@@ -78,39 +73,30 @@ FlatPermStore& FlatPermStore::operator=(FlatPermStore&& other) noexcept {
   width_ = other.width_;
   label_bytes_ = other.label_bytes_;
   stride_ = other.stride_;
-  storage_ = std::move(other.storage_);
-  vec_ = other.vec_;
+  bytes_ = std::move(other.bytes_);
+  file_ = std::move(other.file_);
   view_data_ = other.view_data_;
   view_bytes_ = other.view_bytes_;
-  other.vec_ = nullptr;
-  other.view_data_ = nullptr;
-  other.view_bytes_ = 0;
+  other.bytes_.clear();
+  other.file_.reset();
+  other.sync_view();
   return *this;
 }
 
 FlatPermStore::~FlatPermStore() = default;
 
 void FlatPermStore::sync_view() {
-  if (vec_ != nullptr) {
-    view_data_ = vec_->data();
-    view_bytes_ = vec_->size();
-  } else if (storage_ != nullptr) {
-    view_data_ = storage_->data();
-    view_bytes_ = storage_->size_bytes();
-  } else {
-    view_data_ = nullptr;
-    view_bytes_ = 0;
-  }
+  view_data_ = bytes_.data();
+  view_bytes_ = bytes_.size();
 }
 
 void FlatPermStore::ensure_writable() const {
-  QSYN_CHECK(!read_only(),
-             "FlatPermStore is read-only (mmap-backed or moved-from)");
+  QSYN_CHECK(!read_only(), "FlatPermStore is read-only (a mapped window)");
 }
 
 void FlatPermStore::commit_bytes(std::vector<std::uint8_t> bytes) {
   ensure_writable();
-  *vec_ = std::move(bytes);
+  bytes_ = std::move(bytes);
   sync_view();
 }
 
@@ -121,7 +107,7 @@ const std::uint8_t* FlatPermStore::row(std::size_t i) const {
 
 void FlatPermStore::push_back(const std::uint8_t* row_bytes) {
   ensure_writable();
-  vec_->insert(vec_->end(), row_bytes, row_bytes + stride_);
+  bytes_.insert(bytes_.end(), row_bytes, row_bytes + stride_);
   sync_view();
 }
 
@@ -200,8 +186,8 @@ bool FlatPermStore::contains_sorted(const std::uint8_t* row_bytes) const {
 void FlatPermStore::append(const FlatPermStore& other) {
   QSYN_CHECK(width_ == other.width_, "width mismatch");
   ensure_writable();
-  vec_->insert(vec_->end(), other.view_data_,
-               other.view_data_ + other.view_bytes_);
+  bytes_.insert(bytes_.end(), other.view_data_,
+                other.view_data_ + other.view_bytes_);
   sync_view();
 }
 
@@ -212,31 +198,29 @@ void FlatPermStore::assign_rows(std::vector<std::uint8_t> bytes) {
 }
 
 void FlatPermStore::clear_keep_capacity() {
-  if (vec_ == nullptr) {
+  if (read_only()) {
     clear();
     return;
   }
-  vec_->clear();
+  bytes_.clear();
   sync_view();
 }
 
 void FlatPermStore::clear() {
-  storage_ = std::make_shared<VectorRowStorage>();
-  vec_ = storage_->mutable_bytes();
+  bytes_ = std::vector<std::uint8_t>();
+  file_.reset();
   sync_view();
 }
 
-std::size_t FlatPermStore::memory_bytes() const {
-  return storage_ != nullptr ? storage_->memory_bytes() : 0;
-}
+std::size_t FlatPermStore::memory_bytes() const { return bytes_.capacity(); }
 
 std::size_t FlatPermStore::disk_bytes() const {
-  return storage_ != nullptr ? storage_->disk_bytes() : 0;
+  return read_only() ? view_bytes_ : 0;
 }
 
 void FlatPermStore::reserve_rows(std::size_t rows) {
   ensure_writable();
-  vec_->reserve(rows * stride_);
+  bytes_.reserve(rows * stride_);
   sync_view();
 }
 

@@ -19,11 +19,11 @@
 // and the ShardedPermStore partition built on top — is label-width agnostic,
 // and the raw bytes are a host-endianness-independent serialization format.
 //
-// Rows live behind a RowStorage backend (synth/row_storage.h; construct
-// backends via synth::StorageSpec). Writable means vector-backed: the default
-// VectorRowStorage keeps the set-algebra hot loops devirtualized. A store
-// over a read-only MmapRowStorage window (a catalog frontier, or the file a
-// spilled ShardedPermStore drains its frontier into) serves every read
+// A store holds its rows one of two ways. A writable store owns them in a
+// heap std::vector, so the set-algebra hot loops touch the vector directly.
+// A read-only store views a window [offset, offset + bytes) of a shared,
+// memory-mapped io::MmapFile (a catalog frontier, or the file a spilled
+// ShardedPermStore drains its frontier into): it serves every read
 // operation zero-copy and throws qsyn::LogicError from every mutation; copy
 // it to get a writable store. Stores never write files themselves —
 // io::SpillWriter does (common/io/mmap_file.h).
@@ -34,8 +34,8 @@
 #include <memory>
 #include <vector>
 
+#include "common/io/mmap_file.h"
 #include "perm/permutation.h"
-#include "synth/row_storage.h"
 
 namespace qsyn::synth {
 
@@ -43,8 +43,8 @@ namespace qsyn::synth {
 /// image table (0-based). Rows compare lexicographically by label.
 class FlatPermStore {
  public:
-  /// `width` = permutation degree (labels per row), at most 65536. Backed by
-  /// a fresh writable VectorRowStorage.
+  /// `width` = permutation degree (labels per row), at most 65536. An empty
+  /// writable store.
   explicit FlatPermStore(std::size_t width);
 
   /// Same, but rows hold `width` labels drawn from [0, label_range) rather
@@ -54,13 +54,17 @@ class FlatPermStore {
   /// over the *whole* reduced domain — in such a store.
   FlatPermStore(std::size_t width, std::size_t label_range);
 
-  /// Wraps an existing backend (shared: several stores may view disjoint
-  /// windows of one mapped catalog). The backend must hold a whole number of
-  /// rows. A backend without a mutable vector yields a read-only store.
-  FlatPermStore(std::size_t width, std::shared_ptr<RowStorage> storage);
+  /// A read-only view of the rows in bytes [offset, offset + bytes) of
+  /// `file` (shared: several stores may view disjoint windows of one mapped
+  /// catalog, and the mapping lives as long as any of them). The window must
+  /// lie inside the file and hold a whole number of rows, else
+  /// qsyn::LogicError.
+  FlatPermStore(std::size_t width, std::shared_ptr<const io::MmapFile> file,
+                std::size_t offset, std::size_t bytes);
 
-  /// Copies deep-copy the rows into a fresh writable in-memory backend (a
-  /// copy of a read-only store is therefore writable).
+  /// Copies deep-copy the rows into a fresh writable store (a copy of a
+  /// read-only store is therefore writable). A moved-from store is empty
+  /// and writable.
   FlatPermStore(const FlatPermStore& other);
   FlatPermStore& operator=(const FlatPermStore& other);
   FlatPermStore(FlatPermStore&& other) noexcept;
@@ -69,15 +73,10 @@ class FlatPermStore {
 
   [[nodiscard]] std::size_t width() const { return width_; }
 
-  /// True when the store is not vector-backed (mmap'd windows: catalog
-  /// frontiers, drained spill files) or was moved from. Every mutating
-  /// member below throws qsyn::LogicError on such a store.
-  [[nodiscard]] bool read_only() const { return vec_ == nullptr; }
-
-  /// The storage backend (never null for a live store).
-  [[nodiscard]] const std::shared_ptr<RowStorage>& storage() const {
-    return storage_;
-  }
+  /// True when the store views a mapped window (catalog frontiers, drained
+  /// spill files). Every mutating member below throws qsyn::LogicError on
+  /// such a store.
+  [[nodiscard]] bool read_only() const { return file_ != nullptr; }
 
   /// Bytes per label: 1 while labels fit a byte, else 2 (big-endian).
   [[nodiscard]] std::size_t label_bytes() const { return label_bytes_; }
@@ -159,18 +158,18 @@ class FlatPermStore {
   void assign_rows(std::vector<std::uint8_t> bytes);
 
   /// Removes all rows but keeps the allocation (hot-loop buffer reuse).
-  /// On a read-only or moved-from store this degrades to clear().
+  /// On a read-only store this degrades to clear().
   void clear_keep_capacity();
 
-  /// Releases all memory by resetting to a fresh empty writable backend
-  /// (valid on any store, including read-only and moved-from ones).
+  /// Releases all memory (and a read-only store's view of its file),
+  /// leaving an empty writable store.
   void clear();
 
   /// Bytes of heap memory currently held (0 for mmap-backed stores: their
   /// pages are kernel file cache, not program heap).
   [[nodiscard]] std::size_t memory_bytes() const;
 
-  /// Bytes the backend keeps on disk (0 for in-memory stores).
+  /// Bytes of the mapped window (0 for writable in-memory stores).
   [[nodiscard]] std::size_t disk_bytes() const;
 
   void reserve_rows(std::size_t rows);
@@ -183,8 +182,8 @@ class FlatPermStore {
   std::size_t width_;
   std::size_t label_bytes_;
   std::size_t stride_;
-  std::shared_ptr<RowStorage> storage_;
-  std::vector<std::uint8_t>* vec_ = nullptr;  // cached writable vector
+  std::vector<std::uint8_t> bytes_;           // rows of a writable store
+  std::shared_ptr<const io::MmapFile> file_;  // mapping of a read-only one
   const std::uint8_t* view_data_ = nullptr;   // cached (data, size) view
   std::size_t view_bytes_ = 0;
 };

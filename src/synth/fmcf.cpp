@@ -377,6 +377,13 @@ gates::Cascade FmcfEnumerator::witness_for_row(unsigned k,
   std::vector<gates::Gate> sequence;
   std::vector<std::uint8_t> current(frontiers_[k].row(row_index),
                                     frontiers_[k].row(row_index) + stride_);
+  // A reopened catalog's frontier bytes are not checksummed: the walk
+  // indexes the gate tables by label, so the start row must hold domain
+  // labels (every predecessor the tables produce then does too).
+  for (std::size_t s = 0; s < width_; ++s) {
+    QSYN_CHECK(row_label(current.data(), s) < width_,
+               "frontier row holds a label outside the domain");
+  }
   const std::size_t gate_count = gate_inv_tables_.size();
   std::vector<std::uint8_t> cands(gate_count * stride_);
   std::vector<char> valid(gate_count, 0);

@@ -14,7 +14,6 @@
 #include "common/error.h"
 #include "common/io/mmap_file.h"
 #include "synth/closure_config.h"
-#include "synth/row_storage.h"
 
 namespace qsyn::synth {
 
@@ -159,20 +158,10 @@ std::size_t ShardedPermStore::run_count() const {
   return total;
 }
 
-void ShardedPermStore::push_back(const std::uint8_t* row_bytes) {
-  shards_[shard_of(row_bytes)].push_back(row_bytes);
-}
-
 void ShardedPermStore::push_back(const perm::Permutation& p) {
   QSYN_CHECK(p.degree() == width_, "permutation degree mismatch");
-  push_back(shards_[0].encode_row(p).data());
-}
-
-void ShardedPermStore::sort_unique() {
-  QSYN_CHECK(!spilled(),
-             "sort_unique on a spilled ShardedPermStore: sealed runs are "
-             "already sorted and immutable");
-  for (FlatPermStore& s : shards_) s.sort_unique();
+  const std::vector<std::uint8_t> row = shards_[0].encode_row(p);
+  shards_[shard_of(row.data())].push_back(row.data());
 }
 
 bool ShardedPermStore::same_layout(const ShardedPermStore& other) const {
@@ -181,26 +170,6 @@ bool ShardedPermStore::same_layout(const ShardedPermStore& other) const {
          (splitters_.empty() ||
           std::memcmp(splitters_.data(), other.splitters_.data(),
                       splitters_.size_bytes()) == 0);
-}
-
-void ShardedPermStore::subtract_sorted(const ShardedPermStore& other) {
-  QSYN_CHECK(same_layout(other), "sharded store layout mismatch");
-  QSYN_CHECK(!spilled() && !other.spilled(),
-             "whole-store subtract_sorted requires spill-free stores; use "
-             "subtract_shard_from per shard");
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].subtract_sorted(other.shards_[s]);
-  }
-}
-
-void ShardedPermStore::merge_sorted(const ShardedPermStore& other) {
-  QSYN_CHECK(same_layout(other), "sharded store layout mismatch");
-  QSYN_CHECK(!spilled() && !other.spilled(),
-             "whole-store merge_sorted requires spill-free stores; use "
-             "absorb_shard per shard");
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].merge_sorted(other.shards_[s]);
-  }
 }
 
 void ShardedPermStore::subtract_shard_from(std::size_t s,
@@ -236,15 +205,6 @@ void ShardedPermStore::maybe_seal(std::size_t s) {
   if (shards_[s].memory_bytes() <= shard_budget_) return;
   seal(s, shards_[s]);
   shards_[s].clear();
-}
-
-bool ShardedPermStore::contains_sorted(const std::uint8_t* row_bytes) const {
-  const std::size_t s = shard_of(row_bytes);
-  if (shards_[s].contains_sorted(row_bytes)) return true;
-  for (const auto& run : runs_[s]) {
-    if (run->contains_sorted(row_bytes)) return true;
-  }
-  return false;
 }
 
 namespace {
@@ -300,23 +260,6 @@ void merge_shard_rows(const FlatPermStore& active,
 
 }  // namespace
 
-void ShardedPermStore::merge_shard_append(std::size_t s,
-                                          FlatPermStore& out) const {
-  if (runs_[s].empty()) {
-    out.append(shards_[s]);
-    return;
-  }
-  merge_shard_rows(shards_[s], runs_[s], shards_[s].row_stride(),
-                   [&out](const std::uint8_t* row) { out.push_back(row); });
-}
-
-FlatPermStore ShardedPermStore::flatten() const {
-  FlatPermStore out(width_);
-  out.reserve_rows(size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) merge_shard_append(s, out);
-  return out;
-}
-
 FlatPermStore ShardedPermStore::drain_sorted() {
   if (!spilled()) {
     const auto filled = [](const FlatPermStore& s) { return !s.empty(); };
@@ -350,8 +293,7 @@ FlatPermStore ShardedPermStore::drain_sorted() {
     runs_[s].clear();
   }
   const std::shared_ptr<const io::MmapFile> file = out.seal();
-  return FlatPermStore(width_,
-                       std::make_shared<MmapRowStorage>(file, 0, file->size()));
+  return FlatPermStore(width_, file, 0, file->size());
 }
 
 void ShardedPermStore::clear() {

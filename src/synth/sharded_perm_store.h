@@ -12,9 +12,11 @@
 // split() cuts it; the closure takes its splitters as evenly spaced rows of
 // a sorted pilot frontier (splitters_from), which spreads the real rows of
 // later levels evenly, whatever labels every gate fixes. Because shards own
-// disjoint ranges, the set algebra of FlatPermStore (sort/unique/subtract/
-// merge) decomposes into independent per-shard calls — this is what the
-// multi-threaded FMCF closure parallelizes over.
+// disjoint ranges, the closure's set algebra decomposes into independent
+// per-shard calls (subtract_shard_from, merge_into_shard, absorb_shard) —
+// this is what the multi-threaded FMCF closure parallelizes over — and
+// drain_sorted() concatenates the shards into one sorted store. There is no
+// whole-store sort, subtract or merge.
 //
 // Spill-to-disk mode (SpillOptions): give the store a heap budget and a
 // directory, and each shard seals its sorted in-memory rows into a
@@ -121,7 +123,6 @@ class ShardedPermStore {
   /// The in-memory ("active") rows of shard `s`. On a spilled store this is
   /// only part of the shard — the sealed runs are not visible here; prefer
   /// the per-shard primitives below, which see the whole shard.
-  [[nodiscard]] FlatPermStore& shard(std::size_t s) { return shards_[s]; }
   [[nodiscard]] const FlatPermStore& shard(std::size_t s) const {
     return shards_[s];
   }
@@ -145,24 +146,11 @@ class ShardedPermStore {
   /// Total sealed runs across all shards.
   [[nodiscard]] std::size_t run_count() const;
 
-  /// Routes one row to its owning shard's active store (never seals; bulk
-  /// loads go through merge_into_shard for that).
-  void push_back(const std::uint8_t* row_bytes);
+  /// Appends `p` as one row, as is, to its owning shard's active store: the
+  /// caller keeps that shard sorted (the closure seeds its empty seen set
+  /// with the identity this way). Never seals; bulk loads go through
+  /// merge_into_shard.
   void push_back(const perm::Permutation& p);
-
-  /// Per-shard sort_unique (shards are independent; callers may instead
-  /// invoke shard(s).sort_unique() from worker threads). Rejected with
-  /// qsyn::LogicError once runs exist: sealed rows are already sorted and
-  /// must not be re-ordered against unsorted active rows.
-  void sort_unique();
-
-  /// Shard-wise set difference / union; `other` must have the same layout
-  /// (width, shard count and splitters), and both stores must be
-  /// shard-sorted. These legacy
-  /// whole-store forms require both stores spill-free (qsyn::LogicError
-  /// otherwise); the closure uses the per-shard primitives below instead.
-  void subtract_sorted(const ShardedPermStore& other);
-  void merge_sorted(const ShardedPermStore& other);
 
   /// Removes from `rows` (sorted, writable) every row present in shard `s` —
   /// active store and every sealed run. The closure's membership filter.
@@ -180,19 +168,10 @@ class ShardedPermStore {
   /// reference; `other` keeps serving them until cleared.
   void absorb_shard(std::size_t s, const ShardedPermStore& other);
 
-  /// Binary search in the owning shard — active store and sealed runs (store
-  /// must be shard-sorted).
-  [[nodiscard]] bool contains_sorted(const std::uint8_t* row_bytes) const;
-
-  /// Non-destructive flatten: merges the shards (and their sealed runs) in
-  /// shard order into a fresh writable in-memory store. When every shard is
-  /// sorted the result is globally sorted (the partition is monotone). On a
-  /// spilled store this materializes every on-disk row in RAM — use
-  /// drain_sorted() when the store is no longer needed.
-  [[nodiscard]] FlatPermStore flatten() const;
-
   /// Destructive flatten — the one contract for both in-memory and spilled
-  /// stores: returns the globally sorted rows and leaves this store empty.
+  /// stores: returns the globally sorted rows (every shard's active rows and
+  /// runs, which the closure keeps sorted and disjoint) and leaves this
+  /// store empty.
   /// The backing of the result is an implementation detail and callers must
   /// treat it as read-only:
   ///   - at most one non-empty in-memory shard: its storage is moved out,
@@ -201,9 +180,9 @@ class ShardedPermStore {
   ///     writable store and released one by one, so resident memory stays
   ///     near one store's worth of rows;
   ///   - spilled: each shard's active rows and runs are k-way merged and
-  ///     streamed into one sealed spill file, and the result is that file
-  ///     mmap'd read-only (heap cost: one I/O buffer). The file lives as
-  ///     long as the returned store's backend.
+  ///     streamed into one sealed spill file, and the result is a read-only
+  ///     store viewing that file mmap'd (heap cost: one I/O buffer). The
+  ///     file lives as long as the returned store.
   /// Row bytes and order are identical in every mode.
   [[nodiscard]] FlatPermStore drain_sorted();
 
@@ -223,7 +202,6 @@ class ShardedPermStore {
   void slice_budget();  // shard_budget_ = budget over the live shards
   void seal(std::size_t s, const FlatPermStore& rows);
   void maybe_seal(std::size_t s);
-  void merge_shard_append(std::size_t s, FlatPermStore& out) const;
 
   std::size_t width_;
   FlatPermStore splitters_;  // live_shards() - 1 sorted rows

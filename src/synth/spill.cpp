@@ -131,22 +131,6 @@ SealedRun::SealedRun(std::shared_ptr<const io::MmapFile> file,
   suffix_base_ = prefix_ + prefix_bytes_;
 }
 
-bool SealedRun::contains_sorted(const std::uint8_t* row_bytes) const {
-  std::size_t lo = 0;
-  std::size_t hi = rows_;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const int c = compare(row_bytes, mid);
-    if (c == 0) return true;
-    if (c < 0) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return false;
-}
-
 void SealedRun::subtract_from(FlatPermStore& store) const {
   QSYN_CHECK(store.row_stride() == stride_,
              "SealedRun::subtract_from: row stride mismatch");

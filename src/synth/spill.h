@@ -113,9 +113,6 @@ class SealedRun {
                 suffix_stride_);
   }
 
-  /// Binary search for a full row.
-  [[nodiscard]] bool contains_sorted(const std::uint8_t* row_bytes) const;
-
   /// Streaming set difference: removes from `store` (sorted, writable)
   /// every row present in this run.
   void subtract_from(FlatPermStore& store) const;

@@ -1,28 +1,31 @@
-// Unit tests for the persistent closure catalog: the RowStorage backend seam
-// (read-only mmap windows behind FlatPermStore), save/reopen round-trips of
-// the FMCF closure, corrupt-input hardening of the reader, and the
-// concurrent CatalogServer front end.
+// Unit tests for the persistent closure catalog: read-only FlatPermStore
+// windows over a mapped file, save/reopen round-trips of the FMCF closure,
+// corrupt-input hardening of the reader (hand-made cases and a deterministic
+// mutation fuzzer), and the concurrent CatalogServer front end.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.h"
 #include "common/io/mmap_file.h"
+#include "common/rng.h"
 #include "gates/library.h"
 #include "synth/catalog.h"
 #include "synth/catalog_server.h"
 #include "synth/fmcf.h"
 #include "synth/flat_perm_store.h"
 #include "synth/mce.h"
-#include "synth/row_storage.h"
 #include "synth/specs.h"
 
 namespace qsyn::synth {
@@ -119,9 +122,9 @@ TEST(MmapFile, MapsWrittenBytes) {
   std::remove(path.c_str());
 }
 
-// --- read-only storage backend --------------------------------------------
+// --- read-only mapped windows ----------------------------------------------
 
-TEST(RowStorageSeam, MmapBackedStoreServesRowsReadOnly) {
+TEST(MappedWindow, MmapBackedStoreServesRowsReadOnly) {
   // Serialize a little store, map it back, and check the window is the
   // store: same rows, but every mutation rejected.
   FlatPermStore original(4);
@@ -133,8 +136,7 @@ TEST(RowStorageSeam, MmapBackedStoreServesRowsReadOnly) {
   write_file(path, std::vector<std::uint8_t>(
                        original.data(), original.data() + original.size_bytes()));
   const auto file = io::MmapFile::map(path);
-  FlatPermStore mapped(
-      4, std::make_shared<MmapRowStorage>(file, 0, file->size()));
+  FlatPermStore mapped(4, file, 0, file->size());
 
   EXPECT_TRUE(mapped.read_only());
   ASSERT_EQ(mapped.size(), original.size());
@@ -143,37 +145,58 @@ TEST(RowStorageSeam, MmapBackedStoreServesRowsReadOnly) {
   }
   EXPECT_TRUE(mapped.contains_sorted(original.row(1)));
   EXPECT_EQ(mapped.memory_bytes(), 0u) << "mmap pages are not program heap";
+  EXPECT_EQ(mapped.disk_bytes(), original.size_bytes());
 
   EXPECT_THROW(mapped.push_back(perm::Permutation::identity(4)),
                qsyn::LogicError);
   EXPECT_THROW(mapped.sort_unique(), qsyn::LogicError);
+  EXPECT_THROW(mapped.append(original), qsyn::LogicError);
+  EXPECT_THROW(mapped.reserve_rows(8), qsyn::LogicError);
 
-  // Copies deep-copy into a writable in-memory backend.
+  // Copies deep-copy into a writable in-memory store.
   FlatPermStore copy = mapped;
   EXPECT_FALSE(copy.read_only());
+  EXPECT_EQ(copy.disk_bytes(), 0u);
   copy.push_back(perm::Permutation::identity(4));
   EXPECT_EQ(copy.size(), 3u);
   EXPECT_EQ(mapped.size(), 2u);
 
-  // clear() resets to a fresh writable backend even on a read-only store
-  // (and clear_keep_capacity degrades to the same reset: there is no heap
-  // allocation to keep on an mmap window).
-  mapped.clear();
+  // A moved-to store keeps the window; the moved-from one is empty and
+  // writable.
+  FlatPermStore moved = std::move(mapped);
+  EXPECT_TRUE(moved.read_only());
+  EXPECT_EQ(moved.size(), 2u);
   EXPECT_FALSE(mapped.read_only());
   EXPECT_TRUE(mapped.empty());
+
+  // clear() resets to an empty writable store even on a read-only one (and
+  // clear_keep_capacity degrades to the same reset: there is no heap
+  // allocation to keep on an mmap window).
+  moved.clear();
+  EXPECT_FALSE(moved.read_only());
+  EXPECT_TRUE(moved.empty());
+  FlatPermStore window(4, file, 0, file->size());
+  window.clear_keep_capacity();
+  EXPECT_FALSE(window.read_only());
+  EXPECT_TRUE(window.empty());
   std::remove(path.c_str());
 }
 
-TEST(RowStorageSeam, PartialWindowMustAlignToRows) {
+TEST(MappedWindow, PartialWindowMustAlignToRows) {
   const std::string path = temp_path("store_window");
   write_file(path, std::vector<std::uint8_t>(16, 7));
   const auto file = io::MmapFile::map(path);
   // 16 bytes = 4 rows of width 4; a 10-byte window is not a whole number of
   // rows and an out-of-file window must be rejected up front.
-  EXPECT_NO_THROW(FlatPermStore(4, std::make_shared<MmapRowStorage>(file, 4, 8)));
-  EXPECT_THROW(FlatPermStore(4, std::make_shared<MmapRowStorage>(file, 0, 10)),
+  const FlatPermStore middle(4, file, 4, 8);
+  EXPECT_EQ(middle.size(), 2u);
+  EXPECT_EQ(middle.data(), file->data() + 4) << "zero-copy";
+  EXPECT_THROW(FlatPermStore(4, file, 0, 10), qsyn::LogicError);
+  EXPECT_THROW(FlatPermStore(4, file, 8, 12), qsyn::LogicError);
+  EXPECT_THROW(FlatPermStore(4, file, 20, 0), qsyn::LogicError);
+  EXPECT_THROW(FlatPermStore(4, file, 4, ~std::size_t(0) - 3),
                qsyn::LogicError);
-  EXPECT_THROW(std::make_shared<MmapRowStorage>(file, 8, 12), qsyn::LogicError);
+  EXPECT_THROW(FlatPermStore(4, nullptr, 0, 0), qsyn::LogicError);
   std::remove(path.c_str());
 }
 
@@ -413,12 +436,378 @@ TEST(CatalogCorruption, UnsortedGIndexIsRejected) {
   EXPECT_NE(message.find("ascending"), std::string::npos);
 }
 
+TEST(CatalogCorruption, GCountThatWrapsTheIndexSizeIsRejected) {
+  // 419244183493398901 * 44 = 2^64 + 28: a byte-size check of the G index
+  // wraps around to 28 bytes and passes, and the reader then tries to
+  // reserve ~4e17 entries. Counting in entries rejects the forged count.
+  const std::string message =
+      corrupt_message("g_count_wrap", [](std::vector<std::uint8_t>& b) {
+        const std::uint64_t forged = 419244183493398901ull;
+        for (std::size_t i = 0; i < 8; ++i) {
+          b[catalog::kGCountOffset + i] =
+              static_cast<std::uint8_t>(forged >> (8 * (7 - i)));
+        }
+      });
+  EXPECT_NE(message.find("G index"), std::string::npos);
+}
+
 TEST(CatalogCorruption, NotACatalogFileIsRejectedCleanly) {
   const std::string path = temp_path("not_a_catalog");
   write_file(path, {0x7f, 'E', 'L', 'F', 2, 1, 1, 0, 0, 0});
   EXPECT_THROW((void)FmcfEnumerator::open_catalog(path, library3()),
                qsyn::CatalogError);
   std::remove(path.c_str());
+}
+
+// --- open_catalog mutation fuzzer -------------------------------------------
+
+using Bytes = std::vector<std::uint8_t>;
+
+void put_be(Bytes& bytes, std::size_t offset, std::size_t len,
+            std::uint64_t value) {
+  if (bytes.size() < offset + len) return;
+  for (std::size_t i = 0; i < len; ++i) {
+    bytes[offset + i] =
+        static_cast<std::uint8_t>(value >> (8 * (len - 1 - i)));
+  }
+}
+
+std::uint64_t get_be(const Bytes& bytes, std::size_t offset, std::size_t len) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < len; ++i) value = value << 8 | bytes[offset + i];
+  return value;
+}
+
+/// One field of a catalog: `entry` is the byte size of the record a count
+/// field counts (0 for fields that count nothing).
+struct Field {
+  std::size_t offset;
+  std::size_t len;
+  std::size_t entry;
+};
+
+/// Where things live in a well-formed catalog of row stride `stride`: the
+/// header, stats, G-index and section-length fields, the [begin, end) byte
+/// span of each frontier section's rows, and where the first section
+/// starts.
+struct CatalogLayout {
+  std::vector<Field> fields;
+  std::vector<std::pair<std::size_t, std::size_t>> row_spans;
+  std::size_t frontiers = 0;
+};
+
+CatalogLayout layout_of(const Bytes& bytes, std::size_t stride) {
+  namespace cat = catalog;
+  CatalogLayout layout;
+  for (std::size_t offset = cat::kVersionOffset;
+       offset < cat::kDomainFingerprintOffset; offset += 4) {
+    layout.fields.push_back({offset, 4, 0});
+  }
+  layout.fields.push_back({cat::kDomainFingerprintOffset, 8, 0});
+  layout.fields.push_back({cat::kLibraryFingerprintOffset, 8, 0});
+  layout.fields.push_back({cat::kGCountOffset, 8, cat::kGEntryBytes});
+  const std::size_t levels = get_be(bytes, cat::kLevelsOffset, 4);
+  std::size_t offset = cat::kHeaderBytes;
+  for (std::size_t k = 0; k < levels; ++k) {
+    layout.fields.push_back({offset, 4, 0});
+    for (std::size_t f = 0; f < 5; ++f) {
+      layout.fields.push_back({offset + 4 + 8 * f, 8, 0});
+    }
+    offset += cat::kStatsEntryBytes;
+  }
+  const std::size_t g_count = get_be(bytes, cat::kGCountOffset, 8);
+  for (std::size_t e = 0; e < g_count; ++e) {
+    for (std::size_t w = 0; w < 4; ++w) {
+      layout.fields.push_back({offset + 8 * w, 8, 0});
+    }
+    layout.fields.push_back({offset + 32, 4, 0});
+    layout.fields.push_back({offset + 36, 8, 0});
+    offset += cat::kGEntryBytes;
+  }
+  layout.frontiers = offset;
+  for (std::size_t k = 0; k <= levels; ++k) {
+    layout.fields.push_back({offset, 8, stride});
+    const std::size_t rows = get_be(bytes, offset, 8);
+    offset += 8;
+    layout.row_spans.emplace_back(offset, offset + rows * stride);
+    offset += rows * stride;
+  }
+  EXPECT_EQ(offset, bytes.size());
+  return layout;
+}
+
+/// A saved catalog, a donor catalog of the same library to splice fields
+/// from, and the pristine catalog's answers: every G member (all levels)
+/// with its find() result, and each g_set(k).
+struct CatalogFuzzFixture {
+  const gates::GateLibrary* library = nullptr;
+  std::size_t stride = 0;
+  Bytes pristine;
+  Bytes donor;
+  CatalogLayout layout;
+  std::vector<perm::Permutation> g_all;
+  std::vector<std::optional<GEntry>> found;
+  std::vector<std::vector<perm::Permutation>> g_sets;
+};
+
+CatalogFuzzFixture fuzz_fixture(const gates::GateLibrary& library,
+                                unsigned levels, const std::string& name) {
+  CatalogFuzzFixture fx;
+  fx.library = &library;
+  const std::string path = temp_path("fuzz_" + name);
+  FmcfEnumerator fresh(library);
+  fresh.run_to(levels);
+  fresh.save_catalog(path);
+  fx.pristine = read_file(path);
+  fx.stride = fresh.frontier(0).row_stride();
+  // The donor tracks no witnesses and stops a level short (unless that
+  // would leave it empty), so its flags, counts and section lengths differ.
+  ClosureConfig counting;
+  counting.track_witnesses = false;
+  FmcfEnumerator donor(library, counting);
+  donor.run_to(levels > 1 ? levels - 1 : levels);
+  donor.save_catalog(path);
+  fx.donor = read_file(path);
+  std::remove(path.c_str());
+
+  fx.layout = layout_of(fx.pristine, fx.stride);
+  for (unsigned k = 0; k <= fresh.levels_done(); ++k) {
+    fx.g_sets.push_back(fresh.g_set(k));
+    for (const perm::Permutation& g : fx.g_sets.back()) {
+      fx.g_all.push_back(g);
+      fx.found.push_back(fresh.find(g));
+    }
+  }
+  return fx;
+}
+
+/// One to three stacked mutations of the pristine catalog: bit flips
+/// anywhere, truncation, a header/stats/G-index/section-length field set to
+/// an edge value or the donor's value, trailing garbage, or a scribble over
+/// frontier row bytes only.
+Bytes mutate_catalog(Rng& rng, const CatalogFuzzFixture& fx) {
+  Bytes bytes = fx.pristine;
+  const std::uint64_t steps = 1 + rng.below(3);
+  for (std::uint64_t step = 0; step < steps; ++step) {
+    switch (rng.below(5)) {
+      case 0: {
+        const std::uint64_t flips = 1 + rng.below(8);
+        for (std::uint64_t f = 0; f < flips && !bytes.empty(); ++f) {
+          bytes[rng.below(bytes.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.below(8));
+        }
+        break;
+      }
+      case 1:
+        bytes.resize(rng.below(bytes.size() + 1));
+        break;
+      case 2: {
+        const Field field =
+            fx.layout.fields[rng.below(fx.layout.fields.size())];
+        const std::uint64_t current =
+            bytes.size() >= field.offset + field.len
+                ? get_be(bytes, field.offset, field.len)
+                : 0;
+        // current + 2^64 / lowbit(entry): a count whose byte size equals the
+        // real one modulo 2^64, the value overflow-prone size checks accept.
+        const std::uint64_t lowbit = field.entry & (~field.entry + 1);
+        const std::uint64_t wrap =
+            field.len < 8 || lowbit <= 1
+                ? current
+                : current + (~std::uint64_t(0)) / lowbit + 1;
+        const std::uint64_t values[] = {
+            0,
+            1,
+            2,
+            current - 1,
+            current + 1,
+            fx.donor.size() >= field.offset + field.len
+                ? get_be(fx.donor, field.offset, field.len)
+                : rng(),
+            0xffffffffu,
+            std::uint64_t(1) << 31,
+            std::uint64_t(1) << 63,
+            ~std::uint64_t(0),
+            wrap,
+            rng(),
+        };
+        put_be(bytes, field.offset, field.len,
+               values[rng.below(sizeof(values) / sizeof(values[0]))]);
+        break;
+      }
+      case 3: {
+        const std::uint64_t extra = 1 + rng.below(2 * fx.stride);
+        for (std::uint64_t i = 0; i < extra; ++i) {
+          bytes.push_back(static_cast<std::uint8_t>(rng()));
+        }
+        break;
+      }
+      default: {
+        const auto& span =
+            fx.layout.row_spans[rng.below(fx.layout.row_spans.size())];
+        if (span.first == span.second || bytes.size() < span.second) break;
+        const std::uint64_t scribbles = 1 + rng.below(16);
+        for (std::uint64_t i = 0; i < scribbles; ++i) {
+          bytes[span.first + rng.below(span.second - span.first)] =
+              static_cast<std::uint8_t>(rng());
+        }
+        break;
+      }
+    }
+  }
+  return bytes;
+}
+
+struct CatalogFuzzTally {
+  std::size_t rejected = 0;
+  std::size_t opened = 0;
+  std::size_t rows_only = 0;  // opened, only frontier row bytes changed
+};
+
+// The contract for one mutant. open_catalog throws CatalogError or IoError
+// (any other exception escapes and fails the test), or the catalog opens.
+// On an opened catalog, find() over the pristine G set, witness() of what it
+// finds and g_set(k) answer or throw a qsyn::Error, and every frontier(k)
+// row is the file's own bytes at its section's place. A mutant that changes
+// only frontier row bytes must open; one whose bytes before the first
+// frontier section are intact must answer find() and g_set() exactly as the
+// pristine catalog does. Frontier rows carry no checksum, so their contents
+// are held to in-bounds reads.
+void check_catalog_mutant(const std::string& path, const Bytes& bytes,
+                          const CatalogFuzzFixture& fx,
+                          CatalogFuzzTally& tally) {
+  write_file(path, bytes);
+  const std::size_t prefix = fx.layout.frontiers;
+  const bool intact_prefix =
+      bytes.size() >= prefix &&
+      std::equal(fx.pristine.begin(),
+                 fx.pristine.begin() + static_cast<std::ptrdiff_t>(prefix),
+                 bytes.begin());
+  bool rows_only = bytes.size() == fx.pristine.size();
+  for (std::size_t i = 0; rows_only && i < bytes.size(); ++i) {
+    if (bytes[i] == fx.pristine[i]) continue;
+    rows_only = std::any_of(
+        fx.layout.row_spans.begin(), fx.layout.row_spans.end(),
+        [i](const auto& span) { return i >= span.first && i < span.second; });
+  }
+
+  std::optional<FmcfEnumerator> opened;
+  try {
+    opened.emplace(FmcfEnumerator::open_catalog(path, *fx.library));
+  } catch (const qsyn::CatalogError& e) {
+    EXPECT_FALSE(rows_only) << "row-only mutant rejected: " << e.what();
+    ++tally.rejected;
+    return;
+  } catch (const qsyn::IoError& e) {
+    EXPECT_FALSE(rows_only) << "row-only mutant rejected: " << e.what();
+    ++tally.rejected;
+    return;
+  }
+  ++tally.opened;
+  if (rows_only) ++tally.rows_only;
+  const FmcfEnumerator& e = *opened;
+
+  for (std::size_t i = 0; i < fx.g_all.size(); ++i) {
+    std::optional<GEntry> got;
+    try {
+      got = e.find(fx.g_all[i]);
+    } catch (const qsyn::Error& error) {
+      EXPECT_FALSE(intact_prefix) << "find threw: " << error.what();
+    }
+    if (intact_prefix) {
+      ASSERT_EQ(got.has_value(), fx.found[i].has_value()) << "find " << i;
+      if (got.has_value()) {
+        EXPECT_EQ(got->cost, fx.found[i]->cost);
+        EXPECT_EQ(got->frontier_index, fx.found[i]->frontier_index);
+      }
+    }
+    // The back-walk starts from a frontier row the mutant may have
+    // scribbled: it may fail, but only with a qsyn::Error.
+    if (got.has_value()) {
+      try {
+        (void)e.witness(*got);
+      } catch (const qsyn::Error&) {
+        // e.g. no predecessor of a scribbled row in the frontier below.
+      }
+    }
+  }
+  for (unsigned k = 0; k <= e.levels_done(); ++k) {
+    try {
+      const std::vector<perm::Permutation> got = e.g_set(k);
+      if (intact_prefix) {
+        EXPECT_EQ(got, fx.g_sets[k]) << "G[" << k << "]";
+      }
+    } catch (const qsyn::Error& error) {
+      EXPECT_FALSE(intact_prefix) << "g_set threw: " << error.what();
+    }
+  }
+
+  // Walk the mutant's own layout: each frontier is exactly its section's
+  // rows, in place, and the sections end at the end of the file.
+  std::size_t offset = catalog::kHeaderBytes +
+                       e.levels_done() * catalog::kStatsEntryBytes +
+                       get_be(bytes, catalog::kGCountOffset, 8) *
+                           catalog::kGEntryBytes;
+  for (unsigned k = 0; k <= e.levels_done(); ++k) {
+    const FlatPermStore& rows = e.frontier(k);
+    ASSERT_LE(offset + 8, bytes.size());
+    ASSERT_EQ(rows.size(), get_be(bytes, offset, 8)) << "B[" << k << "]";
+    offset += 8;
+    ASSERT_LE(rows.size_bytes(), bytes.size() - offset);
+    if (rows.size_bytes() > 0) {
+      ASSERT_EQ(std::memcmp(rows.data(), bytes.data() + offset,
+                            rows.size_bytes()),
+                0)
+          << "B[" << k << "]";
+    }
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      try {
+        (void)rows.permutation(i);
+      } catch (const qsyn::Error&) {
+        // Scribbled labels need not form a permutation.
+      }
+    }
+    offset += rows.size_bytes();
+  }
+  EXPECT_EQ(offset, bytes.size());
+}
+
+void fuzz_open_catalog(const CatalogFuzzFixture& fx, const std::string& name,
+                       std::uint64_t seed, int iterations) {
+  Rng rng(seed);
+  const std::string path = temp_path("fuzz_mutant_" + name);
+  CatalogFuzzTally tally;
+
+  // The G count forged so its byte size wraps onto the real one.
+  Bytes wrapped = fx.pristine;
+  put_be(wrapped, catalog::kGCountOffset, 8,
+         get_be(wrapped, catalog::kGCountOffset, 8) +
+             (std::uint64_t(1) << 62));
+  check_catalog_mutant(path, wrapped, fx, tally);
+  EXPECT_EQ(tally.rejected, 1u) << "wrapped G count accepted";
+
+  for (int it = 0; it < iterations; ++it) {
+    SCOPED_TRACE(name + ", iteration " + std::to_string(it));
+    check_catalog_mutant(path, mutate_catalog(rng, fx), fx, tally);
+    if (::testing::Test::HasFatalFailure()) break;
+  }
+  // The loop reaches both sides of the contract and the row-only case.
+  EXPECT_GT(tally.rejected, std::size_t(iterations) / 4);
+  EXPECT_GT(tally.opened, 0u);
+  EXPECT_GT(tally.rows_only, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(CatalogFuzz, MutantsThrowOrAnswerAtThreeWires) {
+  const CatalogFuzzFixture fx = fuzz_fixture(library3(), 4, "n3");
+  fuzz_open_catalog(fx, "n3", 7101, 600);
+}
+
+TEST(CatalogFuzz, MutantsThrowOrAnswerAtFiveWires) {
+  // 782 labels: two-byte rows and 256-bit G keys.
+  const gates::GateLibrary lib5 = gates::GateLibrary::standard(5);
+  const CatalogFuzzFixture fx = fuzz_fixture(lib5, 1, "n5");
+  fuzz_open_catalog(fx, "n5", 7102, 400);
 }
 
 // --- CatalogServer ----------------------------------------------------------

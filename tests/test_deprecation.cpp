@@ -1,4 +1,4 @@
-// Compile-time enforcement that the PR 7 migration shims stay deleted.
+// Compile-time enforcement that deleted APIs stay deleted.
 //
 // `FmcfOptions` (the transitional alias of ClosureConfig) and
 // `ShardedPermStore::take_flatten()` (the transitional spelling of
@@ -6,41 +6,71 @@
 // PR. Every in-tree caller now uses the new names; this suite makes the old
 // ones a compile/ctest failure if they creep back:
 //   * member detection proves take_flatten() is gone from ShardedPermStore
-//     (and that drain_sorted(), the migration target, is present);
+//     (and that drain_sorted(), the migration target, is present), and that
+//     ShardedPermStore's whole-store algebra (sort_unique, subtract_sorted,
+//     merge_sorted, contains_sorted, flatten) stays deleted;
 //   * a namespace-scope alias cannot be SFINAE-probed, so the companion
 //     grep ctest (deprecated_names_absent, cmake/CheckDeprecatedNames.cmake)
 //     scans the tree for both spellings — this file is its one exclusion.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <type_traits>
 #include <utility>
 
 #include "synth/closure_config.h"
+#include "synth/flat_perm_store.h"
 #include "synth/fmcf.h"
 #include "synth/sharded_perm_store.h"
 
 namespace qsyn::synth {
 namespace {
 
-template <typename T, typename = void>
-struct HasTakeFlatten : std::false_type {};
-template <typename T>
-struct HasTakeFlatten<
-    T, std::void_t<decltype(std::declval<T&>().take_flatten())>>
-    : std::true_type {};
+// Detected<Op, T>: whether the member expression Op<T> compiles.
+template <template <typename> class Op, typename T, typename = void>
+struct Detected : std::false_type {};
+template <template <typename> class Op, typename T>
+struct Detected<Op, T, std::void_t<Op<T>>> : std::true_type {};
 
-template <typename T, typename = void>
-struct HasDrainSorted : std::false_type {};
 template <typename T>
-struct HasDrainSorted<
-    T, std::void_t<decltype(std::declval<T&>().drain_sorted())>>
-    : std::true_type {};
+using TakeFlatten = decltype(std::declval<T&>().take_flatten());
+template <typename T>
+using DrainSorted = decltype(std::declval<T&>().drain_sorted());
+template <typename T>
+using SortUnique = decltype(std::declval<T&>().sort_unique());
+template <typename T>
+using SubtractSorted =
+    decltype(std::declval<T&>().subtract_sorted(std::declval<const T&>()));
+template <typename T>
+using MergeSorted =
+    decltype(std::declval<T&>().merge_sorted(std::declval<const T&>()));
+template <typename T>
+using ContainsSorted = decltype(std::declval<const T&>().contains_sorted(
+    std::declval<const std::uint8_t*>()));
+template <typename T>
+using Flatten = decltype(std::declval<const T&>().flatten());
 
-static_assert(!HasTakeFlatten<ShardedPermStore>::value,
+static_assert(!Detected<TakeFlatten, ShardedPermStore>::value,
               "take_flatten() was deleted: callers drain stores via "
               "drain_sorted() (same contract, honest name)");
-static_assert(HasDrainSorted<ShardedPermStore>::value,
+static_assert(Detected<DrainSorted, ShardedPermStore>::value,
               "drain_sorted() is the migration target and must stay");
+
+// ShardedPermStore has no whole-store algebra: the closure works shard by
+// shard (subtract_shard_from, merge_into_shard, absorb_shard) and reads the
+// result through drain_sorted(). FlatPermStore keeps its algebra, which also
+// shows the detectors can see these members.
+static_assert(!Detected<SortUnique, ShardedPermStore>::value &&
+                  !Detected<SubtractSorted, ShardedPermStore>::value &&
+                  !Detected<MergeSorted, ShardedPermStore>::value &&
+                  !Detected<ContainsSorted, ShardedPermStore>::value &&
+                  !Detected<Flatten, ShardedPermStore>::value,
+              "ShardedPermStore's whole-store algebra was deleted");
+static_assert(Detected<SortUnique, FlatPermStore>::value &&
+                  Detected<SubtractSorted, FlatPermStore>::value &&
+                  Detected<MergeSorted, FlatPermStore>::value &&
+                  Detected<ContainsSorted, FlatPermStore>::value,
+              "FlatPermStore keeps the per-store set algebra");
 
 TEST(Deprecation, ClosureConfigIsTheOneKnobSurface) {
   // The migration target works end to end: an enumerator built from a

@@ -1,7 +1,7 @@
-// Differential tests for the FlatPermStore / ShardedPermStore set algebra
-// against a std::set<std::vector<uint8_t>> reference model, plus the
-// ShardedPermStore splitter-routing invariants the parallel FMCF sweep
-// relies on.
+// Differential tests for the FlatPermStore set algebra and the
+// ShardedPermStore per-shard primitives against a
+// std::set<std::vector<uint8_t>> reference model, plus the ShardedPermStore
+// splitter-routing invariants the parallel FMCF sweep relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -190,6 +190,38 @@ FlatPermStore splitters_of(const std::vector<Row>& rows, std::size_t width,
       sorted, std::max<std::size_t>(1, std::min(shard_count, sorted.size())));
 }
 
+/// Loads `rows` the way the closure does: routes each to its shard, sorts
+/// each shard's chunk, drops the rows the shard already holds and merges in
+/// the rest.
+void load(ShardedPermStore& store, const std::vector<Row>& rows) {
+  std::vector<FlatPermStore> chunks(store.shard_count(),
+                                    FlatPermStore(store.width()));
+  for (const Row& row : rows) {
+    chunks[store.shard_of(row.data())].push_back(row.data());
+  }
+  for (std::size_t s = 0; s < chunks.size(); ++s) {
+    if (chunks[s].empty()) continue;
+    chunks[s].sort_unique();
+    store.subtract_shard_from(s, chunks[s]);
+    store.merge_into_shard(s, chunks[s]);
+  }
+}
+
+/// Membership through the closure's filter: a row survives
+/// subtract_shard_from exactly when its shard does not hold it.
+bool holds(const ShardedPermStore& store, const std::uint8_t* row) {
+  FlatPermStore probe(store.width());
+  probe.push_back(row);
+  store.subtract_shard_from(store.shard_of(row), probe);
+  return probe.empty();
+}
+
+/// All rows of `store` in order, leaving it intact (drains a copy).
+FlatPermStore drained_copy(const ShardedPermStore& store) {
+  ShardedPermStore copy = store;
+  return copy.drain_sorted();
+}
+
 /// A random label row of `width` whose first `fixed` labels are 0, 1, ...
 /// — the shape of real closure rows, whose leading labels every short
 /// cascade fixes.
@@ -211,8 +243,8 @@ TEST(ShardedPermStore, UnsplitStoreRoutesEverythingToShardZero) {
 
 TEST(ShardedPermStore, RoutingIsMonotoneInRowOrder) {
   // shard_of must be monotone w.r.t. lexicographic row order — that is the
-  // invariant that makes flatten() globally sorted. Rows hold domain labels
-  // in [0, width), as everywhere in the perm stores.
+  // invariant that makes drain_sorted() globally sorted. Rows hold domain
+  // labels in [0, width), as everywhere in the perm stores.
   Rng rng(7100);
   for (const std::size_t shard_count : {2u, 7u, 16u, 64u}) {
     std::vector<Row> sample;
@@ -273,12 +305,11 @@ TEST(ShardedPermStore, SplitMovesEveryRowToItsRange) {
     ShardedPermStore store(width, shard_count);
     for (int i = 0; i < 700; ++i) {
       rows.push_back(fixed_prefix_row(rng, width, 1));
-      store.push_back(rows.back().data());
     }
-    store.sort_unique();
+    load(store, rows);
     store.split(splitters_of(rows, width, shard_count));
     const RowSet model = set_of(rows);
-    expect_equals_model(store.flatten(), model);
+    expect_equals_model(drained_copy(store), model);
     std::size_t smallest = model.size();
     std::size_t largest = 0;
     for (std::size_t s = 0; s < shard_count; ++s) {
@@ -289,7 +320,7 @@ TEST(ShardedPermStore, SplitMovesEveryRowToItsRange) {
       }
     }
     EXPECT_LE(largest - smallest, 1u);
-    for (const Row& row : rows) EXPECT_TRUE(store.contains_sorted(row.data()));
+    for (const Row& row : rows) EXPECT_TRUE(holds(store, row.data()));
   }
 }
 
@@ -321,17 +352,20 @@ TEST(ShardedPermStore, SplitRejectsMalformedSplitters) {
 }
 
 TEST(ShardedPermStore, FlattenEqualsSortedModel) {
+  // drain_sorted() concatenates the shards into the sorted model, from one
+  // shard or many; a drained copy leaves the original intact.
   Rng rng(7101);
   for (const std::size_t shard_count : {1u, 3u, 8u, 32u}) {
     const std::size_t width = 1 + rng.below(10);
-    ShardedPermStore store(width, shard_count);
     std::vector<Row> rows;
     for (int i = 0; i < 400; ++i) {
       rows.push_back(random_row(rng, width, static_cast<std::uint8_t>(width)));
-      store.push_back(rows.back().data());
     }
-    store.sort_unique();
-    expect_equals_model(store.flatten(), set_of(rows));
+    const FlatPermStore splitters = splitters_of(rows, width, shard_count);
+    ShardedPermStore store(width, splitters.size() + 1);
+    store.split(splitters);
+    load(store, rows);
+    expect_equals_model(drained_copy(store), set_of(rows));
     EXPECT_EQ(store.size(), set_of(rows).size());
 
     // drain_sorted yields the same rows and empties the store.
@@ -341,6 +375,10 @@ TEST(ShardedPermStore, FlattenEqualsSortedModel) {
 }
 
 TEST(ShardedPermStore, ShardWiseAlgebraMatchesFlatAlgebra) {
+  // The closure's per-shard primitives compose into whole-set difference
+  // and union: subtract_shard_from filters a sorted chunk against a shard,
+  // merge_into_shard adds a disjoint chunk, absorb_shard adopts a disjoint
+  // shard of a same-layout store.
   Rng rng(7102);
   for (int trial = 0; trial < 30; ++trial) {
     const std::size_t width = 2 + rng.below(10);
@@ -358,70 +396,80 @@ TEST(ShardedPermStore, ShardWiseAlgebraMatchesFlatAlgebra) {
         b_rows.push_back(random_row(rng, width, alphabet));
       }
     }
-    // Both stores cut at the same splitters, sampled from their own rows,
+    // All stores cut at the same splitters, sampled from their own rows,
     // so the shard-wise calls really span several shards.
     std::vector<Row> sample = a_rows;
     sample.insert(sample.end(), b_rows.begin(), b_rows.end());
     const FlatPermStore splitters = splitters_of(sample, width, shard_count);
     ShardedPermStore a(width, splitters.size() + 1);
     ShardedPermStore b(width, splitters.size() + 1);
+    ShardedPermStore b_only(width, splitters.size() + 1);
     a.split(splitters);
     b.split(splitters);
-    for (const Row& row : a_rows) a.push_back(row.data());
-    for (const Row& row : b_rows) b.push_back(row.data());
-    a.sort_unique();
-    b.sort_unique();
+    b_only.split(splitters);
+    load(a, a_rows);
+    load(b, b_rows);
+
+    FlatPermStore a_only(width);
+    for (std::size_t s = 0; s < a.shard_count(); ++s) {
+      FlatPermStore rows = a.shard(s);
+      b.subtract_shard_from(s, rows);
+      a_only.append(rows);
+      rows = b.shard(s);
+      a.subtract_shard_from(s, rows);
+      b_only.merge_into_shard(s, rows);
+    }
+    RowSet a_only_model = set_of(a_rows);
+    for (const Row& row : b_rows) a_only_model.erase(row);
+    expect_equals_model(a_only, a_only_model);
+    RowSet b_only_model = set_of(b_rows);
+    for (const Row& row : a_rows) b_only_model.erase(row);
+    expect_equals_model(drained_copy(b_only), b_only_model);
 
     ShardedPermStore merged = a;
-    merged.merge_sorted(b);
+    for (std::size_t s = 0; s < merged.shard_count(); ++s) {
+      merged.absorb_shard(s, b_only);
+    }
     RowSet union_model = set_of(a_rows);
     for (const Row& row : b_rows) union_model.insert(row);
-    expect_equals_model(merged.flatten(), union_model);
-
-    a.subtract_sorted(b);
-    RowSet difference_model = set_of(a_rows);
-    for (const Row& row : b_rows) difference_model.erase(row);
-    expect_equals_model(a.flatten(), difference_model);
+    expect_equals_model(merged.drain_sorted(), union_model);
   }
 }
 
 TEST(ShardedPermStore, ContainsSortedMatchesModel) {
+  // Membership as the closure tests it (subtract_shard_from), on a store
+  // cut into 16 shards.
   Rng rng(7103);
   const std::size_t width = 6;
-  ShardedPermStore store(width, 16);
   std::vector<Row> rows;
-  for (int i = 0; i < 250; ++i) {
-    rows.push_back(random_row(rng, width, 4));
-    store.push_back(rows.back().data());
-  }
-  store.sort_unique();
+  for (int i = 0; i < 250; ++i) rows.push_back(random_row(rng, width, 4));
+  const FlatPermStore splitters = splitters_of(rows, width, 16);
+  ShardedPermStore store(width, splitters.size() + 1);
+  store.split(splitters);
+  load(store, rows);
   const RowSet model = set_of(rows);
   for (int i = 0; i < 250; ++i) {
     const Row probe = random_row(rng, width, 4);
-    EXPECT_EQ(store.contains_sorted(probe.data()), model.count(probe) == 1);
+    EXPECT_EQ(holds(store, probe.data()), model.count(probe) == 1);
   }
 }
 
 TEST(ShardedPermStore, WidthOneRoutesEverythingConsistently) {
   ShardedPermStore store(1, 8);
-  const std::uint8_t rows[3] = {0, 128, 255};
-  for (const std::uint8_t& row : rows) store.push_back(&row);
-  store.sort_unique();
+  const std::vector<Row> rows = {{255}, {0}, {128}};
+  load(store, rows);
   EXPECT_EQ(store.size(), 3u);
-  const FlatPermStore flat = store.flatten();
+  const FlatPermStore flat = drained_copy(store);
   EXPECT_EQ(flat.row(0)[0], 0);
   EXPECT_EQ(flat.row(1)[0], 128);
   EXPECT_EQ(flat.row(2)[0], 255);
-  for (const std::uint8_t& row : rows) {
-    EXPECT_TRUE(store.contains_sorted(&row));
-  }
+  for (const Row& row : rows) EXPECT_TRUE(holds(store, row.data()));
 }
 
 TEST(ShardedPermStore, RejectsMismatchedLayouts) {
   ShardedPermStore a(4, 8);
   ShardedPermStore b(4, 16);
-  EXPECT_THROW(a.merge_sorted(b), qsyn::LogicError);
-  EXPECT_THROW(a.subtract_sorted(b), qsyn::LogicError);
+  EXPECT_THROW(a.absorb_shard(0, b), qsyn::LogicError);
 
   // Same shard count, different cuts: rows of one shard index would belong
   // to different ranges.
@@ -435,10 +483,8 @@ TEST(ShardedPermStore, RejectsMismatchedLayouts) {
   ShardedPermStore d(4, 2);
   c.split(cut_low);
   d.split(cut_high);
-  EXPECT_THROW(c.merge_sorted(d), qsyn::LogicError);
-  EXPECT_THROW(c.subtract_sorted(d), qsyn::LogicError);
   EXPECT_THROW(c.absorb_shard(0, d), qsyn::LogicError);
-  EXPECT_THROW(c.merge_sorted(ShardedPermStore(4, 2)), qsyn::LogicError);
+  EXPECT_THROW(c.absorb_shard(0, ShardedPermStore(4, 2)), qsyn::LogicError);
 }
 
 // --- wide domains: two-byte label rows (width > 256) -----------------------
@@ -549,8 +595,8 @@ TEST(WidePermStore, SplitterRoutingIsMonotoneAndSpreadsAtWidth782) {
   // 782 = the 5-wire reduced domain, two big-endian bytes per label. The
   // leading label is fixed and the second straddles the 255/256 byte
   // boundary, so the memcmp router must order two-byte labels by value.
-  // Monotonicity in row order keeps flatten() globally sorted; spread keeps
-  // the parallel phase parallel.
+  // Monotonicity in row order keeps drain_sorted() globally sorted; spread
+  // keeps the parallel phase parallel.
   Rng rng(7203);
   const auto sample_row = [&rng] {
     Row row = random_wide_row(rng, 782);

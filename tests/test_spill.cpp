@@ -1,5 +1,5 @@
 // Tests for the out-of-core closure machinery: the append-only spill writer
-// and its file-ownership policy, the StorageSpec construction seam, sealed
+// and its file-ownership policy, read-only store windows over its files, sealed
 // prefix-compressed spill runs (including corrupt-input hardening and a
 // deterministic mutation fuzzer), the spilled ShardedPermStore differential
 // against its in-memory twin (and its re-split), the spill-invariance of the
@@ -35,10 +35,8 @@
 #include "synth/closure_config.h"
 #include "synth/flat_perm_store.h"
 #include "synth/fmcf.h"
-#include "synth/row_storage.h"
 #include "synth/sharded_perm_store.h"
 #include "synth/spill.h"
-#include "synth/storage_spec.h"
 
 namespace qsyn::synth {
 namespace {
@@ -172,8 +170,7 @@ TEST(SpillWriter, SealedFileServesAReadOnlyStore) {
     io::SpillWriter writer(path, /*keep_file=*/true);
     writer.append(rows.data(), rows.size_bytes());
     const auto file = writer.seal();
-    FlatPermStore store(
-        4, std::make_shared<MmapRowStorage>(file, 0, file->size()));
+    FlatPermStore store(4, file, 0, file->size());
     expect_same_rows(store, rows);
     EXPECT_TRUE(store.read_only());
     EXPECT_EQ(store.memory_bytes(), 0u);
@@ -189,17 +186,18 @@ TEST(SpillWriter, SealedFileServesAReadOnlyStore) {
     copy.push_back(perm::Permutation::identity(4));
     EXPECT_EQ(copy.size(), 3u);
   }
-  // The kept bytes reopen through the read-only spec.
-  FlatPermStore reopened = StorageSpec::mmap_read_only(path).make_store(4);
+  // The kept bytes reopen as a window over a fresh mapping.
+  const auto file = io::MmapFile::map(path);
+  FlatPermStore reopened(4, file, 0, file->size());
   expect_same_rows(reopened, rows);
   EXPECT_TRUE(reopened.read_only());
   std::remove(path.c_str());
 }
 
-// --- StorageSpec -----------------------------------------------------------
+// --- read-only windows over writer files ----------------------------------
 
-TEST(StorageSpec, BackendsRoundTrip) {
-  const std::string path = temp_path("spec_file");
+TEST(SpillWindow, WriterFileRoundTrips) {
+  const std::string path = temp_path("window_file");
   {
     FlatPermStore row(3);
     row.push_back(perm::Permutation::from_cycles("(1,3)", 3));
@@ -207,30 +205,38 @@ TEST(StorageSpec, BackendsRoundTrip) {
     writer.append(row.data(), row.size_bytes());
     (void)writer.seal();
   }
-  FlatPermStore mem = StorageSpec::in_memory().make_store(3);
-  EXPECT_FALSE(mem.read_only());
-  FlatPermStore mapped = StorageSpec::mmap_read_only(path).make_store(3);
+  EXPECT_FALSE(FlatPermStore(3).read_only());
+  const auto file = io::MmapFile::map(path);
+  FlatPermStore mapped(3, file, 0, file->size());
   EXPECT_TRUE(mapped.read_only());
   ASSERT_EQ(mapped.size(), 1u);
   EXPECT_EQ(mapped.permutation(0).to_cycle_string(), "(1,3)");
-  EXPECT_EQ(StorageSpec::mmap_read_only(path),
-            StorageSpec::mmap_read_only(path));
-  EXPECT_NE(StorageSpec::in_memory(), StorageSpec::mmap_read_only(path));
+  // An empty window at the end of the file is a valid empty store.
+  FlatPermStore tail(3, file, file->size(), 0);
+  EXPECT_TRUE(tail.read_only());
+  EXPECT_TRUE(tail.empty());
   std::remove(path.c_str());
 }
 
-TEST(StorageSpec, MissingFileIsIoErrorFractionalRowIsLogicError) {
-  EXPECT_THROW(
-      (void)StorageSpec::mmap_read_only(temp_path("spec_missing")).make_store(3),
-      qsyn::IoError);
-  const std::string path = temp_path("spec_fraction");
+TEST(SpillWindow, FractionalRowIsLogicError) {
+  const std::string path = temp_path("window_fraction");
   write_file(path, {1, 2, 3, 4, 5});  // not a multiple of width 3
-  EXPECT_THROW((void)StorageSpec::mmap_read_only(path).make_store(3),
-               qsyn::LogicError);
+  const auto file = io::MmapFile::map(path);
+  EXPECT_THROW(FlatPermStore(3, file, 0, file->size()), qsyn::LogicError);
+  EXPECT_NO_THROW(FlatPermStore(3, file, 2, 3));
   std::remove(path.c_str());
 }
 
 // --- SealedRun -------------------------------------------------------------
+
+/// Membership through the streaming subtract: a one-row store keeps its row
+/// exactly when `run` does not hold it.
+bool run_holds(const SealedRun& run, const std::uint8_t* row) {
+  FlatPermStore probe(run.width());
+  probe.push_back(row);
+  run.subtract_from(probe);
+  return probe.empty();
+}
 
 FlatPermStore sorted_store(Rng& rng, std::size_t width, std::size_t count,
                            std::uint8_t first_label) {
@@ -262,11 +268,11 @@ TEST(SealedRun, RoundTripCompressesAndServes) {
     run->materialize(i, buf.data());
     EXPECT_EQ(std::memcmp(buf.data(), rows.row(i), width), 0) << "row " << i;
     EXPECT_EQ(run->compare(rows.row(i), i), 0);
-    EXPECT_TRUE(run->contains_sorted(rows.row(i)));
+    EXPECT_TRUE(run_holds(*run, rows.row(i)));
   }
   Row absent = random_label_row(rng, width);
   absent[0] = 7;  // outside the run's first-label bracket
-  EXPECT_FALSE(run->contains_sorted(absent.data()));
+  EXPECT_FALSE(run_holds(*run, absent.data()));
 
   // open() agrees with the writer's view.
   const auto reopened = SealedRun::open(path, width);
@@ -434,8 +440,8 @@ TEST(SealedRun, WriterEmitsTheDocumentedVersion1Layout) {
   const auto run = SealedRun::open(handmade, 3);
   ASSERT_EQ(run->rows(), 2u);
   EXPECT_EQ(run->prefix_bytes(), 1u);
-  EXPECT_TRUE(run->contains_sorted(a.data()));
-  EXPECT_TRUE(run->contains_sorted(b.data()));
+  EXPECT_TRUE(run_holds(*run, a.data()));
+  EXPECT_TRUE(run_holds(*run, b.data()));
   std::remove(path.c_str());
   std::remove(handmade.c_str());
 }
@@ -646,7 +652,7 @@ void check_mutant(const std::string& path, const Row& bytes,
               want.begin() + static_cast<std::ptrdiff_t>(prefix));
     ASSERT_EQ(got, want) << "row " << i;
     ASSERT_EQ(run->compare(want.data(), i), 0) << "row " << i;
-    (void)run->contains_sorted(want.data());
+    (void)run_holds(*run, want.data());
   }
 }
 
@@ -686,6 +692,23 @@ TEST(SealedRunFuzz, MutantsThrowOrReadInBoundsAtFiveWires) {
 }
 
 // --- spilled ShardedPermStore differential ---------------------------------
+
+/// Membership through the closure's filter: a row survives
+/// subtract_shard_from exactly when its shard (active rows and runs) does
+/// not hold it.
+bool holds(const ShardedPermStore& store, const Row& row) {
+  FlatPermStore probe(store.width());
+  probe.push_back(row.data());
+  store.subtract_shard_from(store.shard_of(row.data()), probe);
+  return probe.empty();
+}
+
+/// All rows of `store` in order, leaving it intact (drains a copy, which
+/// shares the sealed runs).
+FlatPermStore drained_copy(const ShardedPermStore& store) {
+  ShardedPermStore copy = store;
+  return copy.drain_sorted();
+}
 
 // Drives a spilled store and its unbounded in-memory twin through the same
 // closure-shaped op sequence (sort chunks, subtract against the store, merge
@@ -744,13 +767,14 @@ TEST(ShardedSpillDifferential, RandomizedAgainstInMemoryTwin) {
     // Membership agrees on hits and misses.
     for (int probe = 0; probe < 200; ++probe) {
       const Row row = random_label_row(rng, width);
-      EXPECT_EQ(spilled.contains_sorted(row.data()),
-                plain.contains_sorted(row.data()));
+      EXPECT_EQ(holds(spilled, row), holds(plain, row));
     }
 
-    // flatten() (non-destructive) and drain_sorted() (destructive, possibly
-    // file-backed) both equal the in-memory drain byte for byte.
-    const FlatPermStore flat = spilled.flatten();
+    // A drained copy (the original keeps its runs) and drain_sorted() itself
+    // (destructive, file-backed) both equal the in-memory drain byte for
+    // byte.
+    const FlatPermStore flat = drained_copy(spilled);
+    EXPECT_TRUE(spilled.spilled());
     const FlatPermStore spilled_drain = spilled.drain_sorted();
     const FlatPermStore plain_drain = plain.drain_sorted();
     expect_same_rows(flat, plain_drain);
@@ -819,7 +843,7 @@ TEST(ShardedSpill, SplitOfSpilledStoreKeepsRowsWithinBudget) {
   EXPECT_LE(spilled.memory_bytes(), budget);
 
   const FlatPermStore splitters =
-      ShardedPermStore::splitters_from(plain.flatten(), shards);
+      ShardedPermStore::splitters_from(drained_copy(plain), shards);
   spilled.split(splitters);
   plain.split(splitters);
   EXPECT_LE(spilled.memory_bytes(), budget);
@@ -831,49 +855,33 @@ TEST(ShardedSpill, SplitOfSpilledStoreKeepsRowsWithinBudget) {
   EXPECT_GT(shards_with_runs, 1u);
   for (int probe = 0; probe < 200; ++probe) {
     const Row row = random_label_row(rng, width);
-    EXPECT_EQ(spilled.contains_sorted(row.data()),
-              plain.contains_sorted(row.data()));
+    EXPECT_EQ(holds(spilled, row), holds(plain, row));
   }
   const FlatPermStore spilled_drain = spilled.drain_sorted();
   const FlatPermStore plain_drain = plain.drain_sorted();
   expect_same_rows(spilled_drain, plain_drain);
 }
 
-TEST(ShardedSpill, LegacyWholeStoreOpsRejectSpilledStores) {
-  Rng rng(5203);
-  const std::size_t width = 5;
-  ShardedPermStore spilled(width, 1, SpillOptions{32, ::testing::TempDir()});
-  FlatPermStore chunk(width);
-  for (int i = 0; i < 64; ++i) {
-    chunk.push_back(random_label_row(rng, width).data());
-  }
-  chunk.sort_unique();
-  spilled.merge_into_shard(0, chunk);
-  ASSERT_TRUE(spilled.spilled());
-
-  ShardedPermStore other(width, 1);
-  EXPECT_THROW(spilled.sort_unique(), qsyn::LogicError);
-  EXPECT_THROW(spilled.subtract_sorted(other), qsyn::LogicError);
-  EXPECT_THROW(spilled.merge_sorted(other), qsyn::LogicError);
-  EXPECT_THROW(other.subtract_sorted(spilled), qsyn::LogicError);
-  EXPECT_THROW(other.merge_sorted(spilled), qsyn::LogicError);
-}
-
 TEST(ShardedSpill, DrainSortedMatchesFlattenInMemoryToo) {
-  // drain_sorted() honors the unified contract on plain in-memory stores:
-  // same rows as a flatten(), then the store is empty.
+  // drain_sorted() honors the unified contract on plain in-memory stores,
+  // one shard or several: the sorted rows loaded, then the store is empty.
   Rng rng(5204);
   const std::size_t width = 7;
   for (const std::size_t shards : {std::size_t(1), std::size_t(4)}) {
-    ShardedPermStore a(width, shards);
+    FlatPermStore rows(width);
     for (int i = 0; i < 300; ++i) {
-      const Row row = random_label_row(rng, width);
-      a.push_back(row.data());
+      rows.push_back(random_label_row(rng, width).data());
     }
-    a.sort_unique();
-    const FlatPermStore flat = a.flatten();
-    const FlatPermStore drained = a.drain_sorted();
-    expect_same_rows(drained, flat);
+    rows.sort_unique();
+    ShardedPermStore a(width, shards);
+    a.split(ShardedPermStore::splitters_from(rows, shards));
+    std::vector<FlatPermStore> chunks(shards, FlatPermStore(width));
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      chunks[a.shard_of(rows.row(i))].push_back(rows.row(i));
+    }
+    for (std::size_t s = 0; s < shards; ++s) a.merge_into_shard(s, chunks[s]);
+    EXPECT_EQ(a.size(), rows.size());
+    expect_same_rows(a.drain_sorted(), rows);
     EXPECT_TRUE(a.empty());
   }
 }
