@@ -186,6 +186,10 @@ BENCHMARK(bm_closure_outofcore)
 // The set-algebra kernels in isolation, on the row shapes the closure
 // actually sweeps (38 B = n=3 one-byte labels, 1564 B = n=5 two-byte
 // labels): the LSD radix sort_unique and the memcmp subtract sweep.
+// sort_unique also runs on the closure's own cb = 7 input, whose shape
+// random rows cannot show: B[6] of the 3-wire closure times every gate the
+// banned sets allow, about half of it duplicates, with sorted neighbours
+// sharing most of their leading bytes.
 
 std::vector<std::uint8_t> random_rows(std::size_t count, std::size_t stride,
                                       std::uint32_t seed) {
@@ -195,11 +199,60 @@ std::vector<std::uint8_t> random_rows(std::size_t count, std::size_t stride,
   return rows;
 }
 
+/// The cb = 7 expansion of the 3-wire closure in expansion order: each row
+/// of B[6] composed with every gate its banned set allows (the closure's
+/// "reasonable product" rule), one-byte labels.
+const std::vector<std::uint8_t>& closure_candidates() {
+  static const std::vector<std::uint8_t> rows = [] {
+    const gates::GateLibrary library = gates::GateLibrary::standard(3);
+    const mvl::PatternDomain& domain = library.domain();
+    synth::FmcfEnumerator closure(library);
+    closure.run_to(6);
+    const synth::FlatPermStore& b6 = closure.frontier(6);
+    const std::size_t width = b6.width();
+    std::vector<std::vector<std::uint8_t>> tables(library.size());
+    std::vector<std::uint32_t> class_bits(library.size());
+    for (std::size_t g = 0; g < library.size(); ++g) {
+      for (std::uint32_t label = 1; label <= width; ++label) {
+        tables[g].push_back(static_cast<std::uint8_t>(
+            library.permutation(g).apply(label) - 1));
+      }
+      class_bits[g] = 1u << static_cast<unsigned>(library.banned_class_of(g));
+    }
+    std::vector<std::uint8_t> out;
+    out.reserve(b6.size_bytes() * library.size());
+    for (std::size_t i = 0; i < b6.size(); ++i) {
+      const std::uint8_t* row = b6.row(i);
+      std::uint32_t banned = 0;
+      for (std::size_t s = 0; s < domain.binary_count(); ++s) {
+        banned |= domain.banned_mask(row[s] + 1u);
+      }
+      for (std::size_t g = 0; g < library.size(); ++g) {
+        if ((banned & class_bits[g]) != 0) continue;
+        for (std::size_t s = 0; s < width; ++s) {
+          out.push_back(tables[g][row[s]]);
+        }
+      }
+    }
+    return out;
+  }();
+  return rows;
+}
+
+/// Args: {stride, closure}. closure 1 = the closure's cb = 7 candidates
+/// (stride 38), closure 0 = 8 MiB of uniformly random rows of `stride`
+/// bytes.
 void bm_kernel_sort_unique(benchmark::State& state) {
   const auto stride = static_cast<std::size_t>(state.range(0));
-  const std::size_t count = (std::size_t(8) << 20) / stride;
-  const std::vector<std::uint8_t> rows = random_rows(count, stride, 42);
-  std::vector<std::uint8_t> out;
+  const bool closure_shaped = state.range(1) != 0;
+  std::vector<std::uint8_t> random;
+  if (!closure_shaped) {
+    random = random_rows((std::size_t(8) << 20) / stride, stride, 42);
+  }
+  const std::vector<std::uint8_t>& rows =
+      closure_shaped ? closure_candidates() : random;
+  const std::size_t count = rows.size() / stride;
+  simd::RowBytes out;
   for (auto _ : state) {
     simd::sort_unique_rows(rows.data(), count, stride, out);
     benchmark::DoNotOptimize(out.data());
@@ -207,23 +260,42 @@ void bm_kernel_sort_unique(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows.size()));
   state.counters["rows"] = static_cast<double>(count);
+  // The input's shape: duplicate share, and the mean common prefix (bytes)
+  // of adjacent rows once sorted, duplicates included (a duplicate shares
+  // all `stride` bytes with its neighbour).
+  const std::size_t unique = out.size() / stride;
+  std::size_t shared_bytes = (count - unique) * stride;
+  for (std::size_t i = 1; i < unique; ++i) {
+    const std::uint8_t* a = out.data() + (i - 1) * stride;
+    const std::uint8_t* b = a + stride;
+    std::size_t p = 0;
+    while (p < stride && a[p] == b[p]) ++p;
+    shared_bytes += p;
+  }
+  state.counters["dup_frac"] =
+      1.0 - static_cast<double>(unique) / static_cast<double>(count);
+  state.counters["mean_adjacent_prefix"] =
+      count > 1 ? static_cast<double>(shared_bytes) /
+                      static_cast<double>(count - 1)
+                : 0.0;
 }
 BENCHMARK(bm_kernel_sort_unique)
-    ->Arg(38)
-    ->Arg(1564)
+    ->ArgNames({"stride", "closure"})
+    ->Args({38, 1})
+    ->Args({38, 0})
+    ->Args({1564, 0})
     ->Unit(benchmark::kMillisecond);
 
 void bm_kernel_subtract(benchmark::State& state) {
   const auto stride = static_cast<std::size_t>(state.range(0));
   const std::size_t count = (std::size_t(8) << 20) / stride;
-  std::vector<std::uint8_t> a = random_rows(count, stride, 7);
-  std::vector<std::uint8_t> b = random_rows(count, stride, 11);
-  std::vector<std::uint8_t> sorted;
-  simd::sort_unique_rows(a.data(), count, stride, sorted);
-  a.swap(sorted);
-  simd::sort_unique_rows(b.data(), count, stride, sorted);
-  b.swap(sorted);
-  std::vector<std::uint8_t> out;
+  const std::vector<std::uint8_t> raw_a = random_rows(count, stride, 7);
+  const std::vector<std::uint8_t> raw_b = random_rows(count, stride, 11);
+  simd::RowBytes a;
+  simd::RowBytes b;
+  simd::sort_unique_rows(raw_a.data(), count, stride, a);
+  simd::sort_unique_rows(raw_b.data(), count, stride, b);
+  simd::RowBytes out;
   for (auto _ : state) {
     simd::subtract_sorted_rows(a.data(), a.size() / stride, b.data(),
                                b.size() / stride, stride, out);

@@ -2,8 +2,52 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 namespace qsyn::simd {
+
+// --- RowBytes ---------------------------------------------------------------
+
+// new[] of a trivial type default-initializes: the bytes are not written.
+RowBytes::RowBytes(std::size_t size)
+    : data_(size > 0 ? new std::uint8_t[size] : nullptr),
+      size_(size),
+      capacity_(size) {}
+
+RowBytes::RowBytes(const std::uint8_t* bytes, std::size_t size)
+    : RowBytes(size) {
+  if (size > 0) std::memcpy(data_.get(), bytes, size);
+}
+
+RowBytes::RowBytes(RowBytes&& other) noexcept
+    : data_(std::move(other.data_)),
+      size_(std::exchange(other.size_, 0)),
+      capacity_(std::exchange(other.capacity_, 0)) {}
+
+RowBytes& RowBytes::operator=(RowBytes&& other) noexcept {
+  data_ = std::move(other.data_);
+  size_ = std::exchange(other.size_, 0);
+  capacity_ = std::exchange(other.capacity_, 0);
+  return *this;
+}
+
+void RowBytes::append(const std::uint8_t* bytes, std::size_t size) {
+  if (size == 0) return;
+  if (size > capacity_ - size_) {
+    reserve(std::max(size_ + size, 2 * capacity_));
+  }
+  std::memcpy(data_.get() + size_, bytes, size);
+  size_ += size;
+}
+
+void RowBytes::reserve(std::size_t capacity) {
+  if (capacity <= capacity_) return;
+  std::unique_ptr<std::uint8_t[]> grown(new std::uint8_t[capacity]);
+  if (size_ > 0) std::memcpy(grown.get(), data_.get(), size_);
+  data_ = std::move(grown);
+  capacity_ = capacity;
+}
 
 // --- sort_unique ------------------------------------------------------------
 
@@ -36,11 +80,11 @@ struct RadixPair {
 }  // namespace
 
 void sort_unique_rows(const std::uint8_t* rows, std::size_t count,
-                      std::size_t stride, std::vector<std::uint8_t>& out) {
+                      std::size_t stride, RowBytes& out) {
   out.clear();
   if (count == 0) return;
   if (count == 1) {
-    out.assign(rows, rows + stride);
+    out.append(rows, stride);
     return;
   }
 
@@ -113,11 +157,11 @@ void sort_unique_rows(const std::uint8_t* rows, std::size_t count,
     while (j < count && pairs[j].key == pairs[i].key) ++j;
     if (j == i + 1) {
       const std::uint8_t* r = rows + std::size_t(pairs[i].index) * stride;
-      out.insert(out.end(), r, r + stride);
+      out.append(r, stride);
     } else if (tail == 0) {
       // Fully identical rows: keep one.
       const std::uint8_t* r = rows + std::size_t(pairs[i].index) * stride;
-      out.insert(out.end(), r, r + stride);
+      out.append(r, stride);
     } else {
       group.clear();
       for (std::size_t g = i; g < j; ++g) group.push_back(pairs[g].index);
@@ -136,7 +180,7 @@ void sort_unique_rows(const std::uint8_t* rows, std::size_t count,
             std::memcmp(prev + tail_offset, r + tail_offset, tail) == 0) {
           continue;
         }
-        out.insert(out.end(), r, r + stride);
+        out.append(r, stride);
         prev = r;
       }
     }
@@ -148,11 +192,11 @@ void sort_unique_rows(const std::uint8_t* rows, std::size_t count,
 
 void subtract_sorted_rows(const std::uint8_t* a, std::size_t a_count,
                           const std::uint8_t* b, std::size_t b_count,
-                          std::size_t stride, std::vector<std::uint8_t>& out) {
+                          std::size_t stride, RowBytes& out) {
   out.clear();
   if (a_count == 0) return;
   if (b_count == 0) {
-    out.assign(a, a + a_count * stride);
+    out.append(a, a_count * stride);
     return;
   }
   out.reserve(a_count * stride);
@@ -160,12 +204,12 @@ void subtract_sorted_rows(const std::uint8_t* a, std::size_t a_count,
   std::size_t j = 0;
   while (i < a_count) {
     if (j == b_count) {
-      out.insert(out.end(), a + i * stride, a + a_count * stride);
+      out.append(a + i * stride, (a_count - i) * stride);
       return;
     }
     const int cmp = std::memcmp(a + i * stride, b + j * stride, stride);
     if (cmp < 0) {
-      out.insert(out.end(), a + i * stride, a + (i + 1) * stride);
+      out.append(a + i * stride, stride);
       ++i;
     } else if (cmp > 0) {
       ++j;
@@ -177,7 +221,7 @@ void subtract_sorted_rows(const std::uint8_t* a, std::size_t a_count,
 
 void merge_sorted_rows(const std::uint8_t* a, std::size_t a_count,
                        const std::uint8_t* b, std::size_t b_count,
-                       std::size_t stride, std::vector<std::uint8_t>& out) {
+                       std::size_t stride, RowBytes& out) {
   out.clear();
   out.reserve((a_count + b_count) * stride);
   std::size_t i = 0;
@@ -185,19 +229,19 @@ void merge_sorted_rows(const std::uint8_t* a, std::size_t a_count,
   while (i < a_count && j < b_count) {
     const int cmp = std::memcmp(a + i * stride, b + j * stride, stride);
     if (cmp <= 0) {
-      out.insert(out.end(), a + i * stride, a + (i + 1) * stride);
+      out.append(a + i * stride, stride);
       if (cmp == 0) ++j;  // keep duplicates once
       ++i;
     } else {
-      out.insert(out.end(), b + j * stride, b + (j + 1) * stride);
+      out.append(b + j * stride, stride);
       ++j;
     }
   }
   if (i < a_count) {
-    out.insert(out.end(), a + i * stride, a + a_count * stride);
+    out.append(a + i * stride, (a_count - i) * stride);
   }
   if (j < b_count) {
-    out.insert(out.end(), b + j * stride, b + b_count * stride);
+    out.append(b + j * stride, (b_count - j) * stride);
   }
 }
 

@@ -16,7 +16,9 @@
 //    is already vectorized, and a hand-written AVX2 row compare measured no
 //    faster (9.24 vs 9.73 ms at width 38, 0.899 vs 0.865 ms at width 1564).
 //    Every kernel produces the canonical sorted-unique byte sequence, which
-//    tests/test_kernels.cpp checks against a std::set model.
+//    tests/test_kernels.cpp checks against a std::set model, into a
+//    RowBytes buffer: FlatPermStore's storage, which grows without
+//    zero-filling and appends with one memcpy in every build type.
 //
 //  * Batched complex GEMM. The fused simulation path applies each folded
 //    block unitary to a dense 2^n x batch column matrix as one hand-blocked
@@ -28,9 +30,53 @@
 #include <complex>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 namespace qsyn::simd {
+
+// --- row buffers ------------------------------------------------------------
+
+/// A growable byte buffer of fixed-width rows: the kernels' output type and
+/// FlatPermStore's heap storage. Unlike std::vector<std::uint8_t>, growth
+/// never initializes bytes, so a buffer sized up front (RowBytes(n)) is
+/// first touched by whichever threads write it — ShardedPermStore's pooled
+/// drain — instead of being zero-filled serially by the caller; appends are
+/// one memcpy.
+class RowBytes {
+ public:
+  RowBytes() = default;
+
+  /// `size` bytes whose values are unspecified until written.
+  explicit RowBytes(std::size_t size);
+
+  /// A copy of the `size` bytes at `bytes`.
+  RowBytes(const std::uint8_t* bytes, std::size_t size);
+
+  /// Move-only; a moved-from buffer is empty.
+  RowBytes(RowBytes&& other) noexcept;
+  RowBytes& operator=(RowBytes&& other) noexcept;
+
+  [[nodiscard]] std::uint8_t* data() { return data_.get(); }
+  [[nodiscard]] const std::uint8_t* data() const { return data_.get(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+
+  /// Appends the `size` bytes at `bytes` (which must not point into this
+  /// buffer), growing the allocation geometrically.
+  void append(const std::uint8_t* bytes, std::size_t size);
+
+  /// Grows the allocation to at least `capacity` bytes.
+  void reserve(std::size_t capacity);
+
+  /// Empties the buffer but keeps the allocation.
+  void clear() { size_ = 0; }
+
+ private:
+  std::unique_ptr<std::uint8_t[]> data_;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
+};
 
 // --- sorted-row set algebra -------------------------------------------------
 //
@@ -41,18 +87,18 @@ namespace qsyn::simd {
 
 /// Sorts `count` rows and drops duplicates (LSD radix sort).
 void sort_unique_rows(const std::uint8_t* rows, std::size_t count,
-                      std::size_t stride, std::vector<std::uint8_t>& out);
+                      std::size_t stride, RowBytes& out);
 
 /// Set difference a \ b over sorted, duplicate-free row ranges.
 void subtract_sorted_rows(const std::uint8_t* a, std::size_t a_count,
                           const std::uint8_t* b, std::size_t b_count,
-                          std::size_t stride, std::vector<std::uint8_t>& out);
+                          std::size_t stride, RowBytes& out);
 
 /// Sorted union a ∪ b over sorted, duplicate-free row ranges (rows present
 /// in both are kept once).
 void merge_sorted_rows(const std::uint8_t* a, std::size_t a_count,
                        const std::uint8_t* b, std::size_t b_count,
-                       std::size_t stride, std::vector<std::uint8_t>& out);
+                       std::size_t stride, RowBytes& out);
 
 // --- batched complex GEMM ---------------------------------------------------
 

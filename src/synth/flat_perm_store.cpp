@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "common/simd/kernels.h"
 
 namespace qsyn::synth {
 
@@ -39,7 +38,7 @@ FlatPermStore::FlatPermStore(const FlatPermStore& other)
     : width_(other.width_),
       label_bytes_(other.label_bytes_),
       stride_(other.stride_),
-      bytes_(other.view_data_, other.view_data_ + other.view_bytes_) {
+      bytes_(other.view_data_, other.view_bytes_) {
   sync_view();
 }
 
@@ -48,7 +47,8 @@ FlatPermStore& FlatPermStore::operator=(const FlatPermStore& other) {
   width_ = other.width_;
   label_bytes_ = other.label_bytes_;
   stride_ = other.stride_;
-  bytes_.assign(other.view_data_, other.view_data_ + other.view_bytes_);
+  bytes_.clear();
+  bytes_.append(other.view_data_, other.view_bytes_);
   file_.reset();
   sync_view();
   return *this;
@@ -94,7 +94,7 @@ void FlatPermStore::ensure_writable() const {
   QSYN_CHECK(!read_only(), "FlatPermStore is read-only (a mapped window)");
 }
 
-void FlatPermStore::commit_bytes(std::vector<std::uint8_t> bytes) {
+void FlatPermStore::commit_bytes(simd::RowBytes bytes) {
   ensure_writable();
   bytes_ = std::move(bytes);
   sync_view();
@@ -107,7 +107,7 @@ const std::uint8_t* FlatPermStore::row(std::size_t i) const {
 
 void FlatPermStore::push_back(const std::uint8_t* row_bytes) {
   ensure_writable();
-  bytes_.insert(bytes_.end(), row_bytes, row_bytes + stride_);
+  bytes_.append(row_bytes, stride_);
   sync_view();
 }
 
@@ -141,7 +141,7 @@ void FlatPermStore::sort_unique() {
   const std::size_t n = size();
   if (n <= 1) return;
   // LSD radix over the big-endian rows (common/simd/kernels.h).
-  std::vector<std::uint8_t> sorted;
+  simd::RowBytes sorted;
   simd::sort_unique_rows(view_data_, n, stride_, sorted);
   commit_bytes(std::move(sorted));
 }
@@ -150,7 +150,7 @@ void FlatPermStore::subtract_sorted(const FlatPermStore& other) {
   QSYN_CHECK(width_ == other.width_, "width mismatch");
   ensure_writable();
   if (empty() || other.empty()) return;
-  std::vector<std::uint8_t> kept;
+  simd::RowBytes kept;
   simd::subtract_sorted_rows(view_data_, size(), other.view_data_,
                              other.size(), stride_, kept);
   commit_bytes(std::move(kept));
@@ -160,7 +160,7 @@ void FlatPermStore::merge_sorted(const FlatPermStore& other) {
   QSYN_CHECK(width_ == other.width_, "width mismatch");
   ensure_writable();
   if (other.empty()) return;
-  std::vector<std::uint8_t> merged;
+  simd::RowBytes merged;
   simd::merge_sorted_rows(view_data_, size(), other.view_data_, other.size(),
                           stride_, merged);
   commit_bytes(std::move(merged));
@@ -186,12 +186,11 @@ bool FlatPermStore::contains_sorted(const std::uint8_t* row_bytes) const {
 void FlatPermStore::append(const FlatPermStore& other) {
   QSYN_CHECK(width_ == other.width_, "width mismatch");
   ensure_writable();
-  bytes_.insert(bytes_.end(), other.view_data_,
-                other.view_data_ + other.view_bytes_);
+  bytes_.append(other.view_data_, other.view_bytes_);
   sync_view();
 }
 
-void FlatPermStore::assign_rows(std::vector<std::uint8_t> bytes) {
+void FlatPermStore::assign_rows(simd::RowBytes bytes) {
   QSYN_CHECK(bytes.size() % stride_ == 0,
              "assign_rows requires a whole number of rows");
   commit_bytes(std::move(bytes));
@@ -207,7 +206,7 @@ void FlatPermStore::clear_keep_capacity() {
 }
 
 void FlatPermStore::clear() {
-  bytes_ = std::vector<std::uint8_t>();
+  bytes_ = simd::RowBytes();
   file_.reset();
   sync_view();
 }

@@ -20,7 +20,8 @@
 // and the raw bytes are a host-endianness-independent serialization format.
 //
 // A store holds its rows one of two ways. A writable store owns them in a
-// heap std::vector, so the set-algebra hot loops touch the vector directly.
+// heap simd::RowBytes buffer (common/simd/kernels.h), so the set-algebra
+// hot loops touch the buffer directly.
 // A read-only store views a window [offset, offset + bytes) of a shared,
 // memory-mapped io::MmapFile (a catalog frontier, or the file a spilled
 // ShardedPermStore drains its frontier into): it serves every read
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "common/io/mmap_file.h"
+#include "common/simd/kernels.h"
 #include "perm/permutation.h"
 
 namespace qsyn::synth {
@@ -154,8 +156,8 @@ class FlatPermStore {
 
   /// Replaces the rows wholesale with `bytes` (a whole number of rows in
   /// this store's encoding). The bulk-commit primitive the spill engine's
-  /// streaming subtract/merge passes use.
-  void assign_rows(std::vector<std::uint8_t> bytes);
+  /// streaming subtract/merge passes and ShardedPermStore's drain use.
+  void assign_rows(simd::RowBytes bytes);
 
   /// Removes all rows but keeps the allocation (hot-loop buffer reuse).
   /// On a read-only store this degrades to clear().
@@ -177,12 +179,12 @@ class FlatPermStore {
  private:
   void sync_view();
   void ensure_writable() const;
-  void commit_bytes(std::vector<std::uint8_t> bytes);
+  void commit_bytes(simd::RowBytes bytes);
 
   std::size_t width_;
   std::size_t label_bytes_;
   std::size_t stride_;
-  std::vector<std::uint8_t> bytes_;           // rows of a writable store
+  simd::RowBytes bytes_;                      // rows of a writable store
   std::shared_ptr<const io::MmapFile> file_;  // mapping of a read-only one
   const std::uint8_t* view_data_ = nullptr;   // cached (data, size) view
   std::size_t view_bytes_ = 0;

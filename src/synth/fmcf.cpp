@@ -1,6 +1,7 @@
 #include "synth/fmcf.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/error.h"
 #include "common/metrics.h"
@@ -262,9 +263,10 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
   // The shard partition is monotone, so draining yields B[k] globally
   // sorted — byte-identical to the single-threaded all-in-RAM frontier,
   // preserving row indices for witnesses and the deterministic G-key
-  // extraction below. When the level spilled, the frontier comes back as
-  // one sealed spill file mmap'd read-only instead of a heap store.
-  FlatPermStore fresh = sharded_fresh.drain_sorted();
+  // extraction below. The shards are copied out in the pool; when the level
+  // spilled, the frontier comes back as one sealed spill file mmap'd
+  // read-only instead of a heap store.
+  FlatPermStore fresh = sharded_fresh.drain_sorted(pool_.get());
 
   // The first frontier big enough to sample is the pilot: its evenly spaced
   // rows cut the seen set, and every later level's store, into shards that
@@ -275,34 +277,37 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
     seen_.split(ShardedPermStore::splitters_from(fresh, shards_));
   }
 
-  // Extract pre_G[k] and G[k].
-  std::vector<GKey> level_keys;
-  std::vector<std::pair<GKey, std::size_t>> key_rows;
+  // Extract pre_G[k] and G[k] in one pass over the sorted frontier. A G key
+  // is the row prefix of its binary labels, so each key is one contiguous
+  // run of rows and the run's first row is the lowest-row witness; a row
+  // that repeats the last emitted key is skipped with one prefix compare.
+  // Rows sort by their first label, so once it leaves the binary labels no
+  // later row can be binary-preserving.
+  const std::size_t key_bytes = binary_count_ * label_bytes_;
+  std::vector<std::pair<GKey, std::size_t>> level_keys;  // (key, witness row)
+  const std::uint8_t* last_key_row = nullptr;
   for (std::size_t i = 0; i < fresh.size(); ++i) {
-    const std::uint8_t* row = fresh.row(i);
+    const std::uint8_t* row = fresh.data() + i * stride_;
+    if (row_label(row, 0) >= binary_count_) break;
+    if (last_key_row != nullptr &&
+        std::memcmp(row, last_key_row, key_bytes) == 0) {
+      continue;
+    }
     if (!row_is_binary_preserving(row)) continue;
-    const GKey key = g_key_of_row(row);
-    level_keys.push_back(key);
-    key_rows.emplace_back(key, i);
+    level_keys.emplace_back(g_key_of_row(row), i);
+    last_key_row = row;
   }
   std::sort(level_keys.begin(), level_keys.end());
-  level_keys.erase(std::unique(level_keys.begin(), level_keys.end()),
-                   level_keys.end());
   const std::size_t pre_g = level_keys.size();
 
+  // Register the witness of every key not seen at a lower cost.
   std::vector<GKey> new_keys;
-  std::set_difference(level_keys.begin(), level_keys.end(),
-                      g_seen_keys_.begin(), g_seen_keys_.end(),
-                      std::back_inserter(new_keys));
-  // Register the first (lowest-row) witness for every new key.
-  std::sort(key_rows.begin(), key_rows.end());
-  for (const GKey& key : new_keys) {
-    const auto it = std::lower_bound(
-        key_rows.begin(), key_rows.end(),
-        std::make_pair(key, std::size_t{0}));
-    QSYN_CHECK(it != key_rows.end() && it->first == key,
-               "witness row must exist for a new G key");
-    g_index_.emplace(key, GEntry{k, it->second});
+  auto seen_key = g_seen_keys_.begin();
+  for (const auto& [key, row] : level_keys) {
+    seen_key = std::lower_bound(seen_key, g_seen_keys_.end(), key);
+    if (seen_key != g_seen_keys_.end() && *seen_key == key) continue;
+    new_keys.push_back(key);
+    g_index_.emplace(key, GEntry{k, row});
   }
   std::vector<GKey> merged_keys;
   merged_keys.reserve(g_seen_keys_.size() + new_keys.size());

@@ -30,6 +30,14 @@
 // reachable group below the requested bound the closure saturates:
 // saturated() turns true, and advance()/run_to() become no-ops instead of
 // crashing on the empty frontier.
+//
+// G-key extraction rests on one invariant. Every drained frontier B[k] is
+// memcmp-sorted (the shard partition is monotone), and a G key is a row
+// prefix: the row's first 2^n labels, whose memcmp order is label order.
+// Each key is therefore one contiguous run of rows, binary preservation is
+// decided by that prefix alone, and the run's first row is the lowest-row
+// witness find() reports. One linear pass over B[k] yields pre_G[k] and the
+// witnesses; only the <= |pre_G[k]| distinct keys are sorted.
 #pragma once
 
 #include <array>
@@ -67,7 +75,9 @@ struct FmcfLevelStats {
 /// Handle to one reversible circuit discovered by the closure.
 struct GEntry {
   unsigned cost = 0;            // minimal quantum cost
-  std::size_t frontier_index = 0;  // row in the B[cost] store (0 for cost 0)
+  // Lowest row of the B[cost] store whose restriction is this circuit (0
+  // for cost 0).
+  std::size_t frontier_index = 0;
 };
 
 /// Key identifying a member of G: the restricted permutation on the binary

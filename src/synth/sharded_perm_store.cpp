@@ -13,6 +13,7 @@
 
 #include "common/error.h"
 #include "common/io/mmap_file.h"
+#include "common/thread_pool.h"
 #include "synth/closure_config.h"
 
 namespace qsyn::synth {
@@ -120,8 +121,7 @@ void ShardedPermStore::split(FlatPermStore splitters) {
     for (std::size_t i = begin; i < end; i += piece_rows) {
       const std::size_t n = std::min(piece_rows, end - i);
       FlatPermStore piece(width_);
-      piece.assign_rows(std::vector<std::uint8_t>(rows.row(i),
-                                                  rows.row(i) + n * stride));
+      piece.assign_rows(simd::RowBytes(rows.row(i), n * stride));
       if (i + n < end) {
         seal(s, piece);
       } else {
@@ -260,7 +260,7 @@ void merge_shard_rows(const FlatPermStore& active,
 
 }  // namespace
 
-FlatPermStore ShardedPermStore::drain_sorted() {
+FlatPermStore ShardedPermStore::drain_sorted(ThreadPool* pool) {
   if (!spilled()) {
     const auto filled = [](const FlatPermStore& s) { return !s.empty(); };
     if (std::count_if(shards_.begin(), shards_.end(), filled) <= 1) {
@@ -270,12 +270,28 @@ FlatPermStore ShardedPermStore::drain_sorted() {
       shard.clear();
       return out;
     }
-    FlatPermStore out(width_);
-    out.reserve_rows(size());
-    for (FlatPermStore& s : shards_) {
-      out.append(s);
-      s.clear();
+    // Each shard lands at its prefix-sum offset. The destination is sized
+    // but not zero-filled, so its pages are first touched by the copies —
+    // spread over the pool's workers when there is a pool.
+    std::vector<std::size_t> offsets(shards_.size() + 1, 0);
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      offsets[s + 1] = offsets[s] + shards_[s].size_bytes();
     }
+    simd::RowBytes bytes(offsets.back());
+    const auto copy_shard = [&](std::size_t s, std::size_t) {
+      if (!shards_[s].empty()) {
+        std::memcpy(bytes.data() + offsets[s], shards_[s].data(),
+                    shards_[s].size_bytes());
+      }
+      shards_[s].clear();
+    };
+    if (pool != nullptr) {
+      pool->run(shards_.size(), copy_shard);
+    } else {
+      for (std::size_t s = 0; s < shards_.size(); ++s) copy_shard(s, 0);
+    }
+    FlatPermStore out(width_);
+    out.assign_rows(std::move(bytes));
     return out;
   }
 

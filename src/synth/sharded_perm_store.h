@@ -15,8 +15,8 @@
 // disjoint ranges, the closure's set algebra decomposes into independent
 // per-shard calls (subtract_shard_from, merge_into_shard, absorb_shard) —
 // this is what the multi-threaded FMCF closure parallelizes over — and
-// drain_sorted() concatenates the shards into one sorted store. There is no
-// whole-store sort, subtract or merge.
+// drain_sorted() concatenates the shards into one sorted store, one pooled
+// copy per shard. There is no whole-store sort, subtract or merge.
 //
 // Spill-to-disk mode (SpillOptions): give the store a heap budget and a
 // directory, and each shard seals its sorted in-memory rows into a
@@ -41,6 +41,10 @@
 
 #include "synth/flat_perm_store.h"
 #include "synth/spill.h"
+
+namespace qsyn {
+class ThreadPool;
+}
 
 namespace qsyn::synth {
 
@@ -176,15 +180,19 @@ class ShardedPermStore {
   /// treat it as read-only:
   ///   - at most one non-empty in-memory shard: its storage is moved out,
   ///     no copy;
-  ///   - several in-memory shards: shards are copied into a preallocated
-  ///     writable store and released one by one, so resident memory stays
-  ///     near one store's worth of rows;
+  ///   - several in-memory shards: one writable store is sized (not
+  ///     zero-filled) for every row, and each shard is copied to its
+  ///     prefix-sum offset and released — one task per shard, run as a round
+  ///     of `pool` when one is given, so the destination's pages are first
+  ///     touched by the pool's workers rather than serially, and resident
+  ///     memory stays near one store's worth of rows;
   ///   - spilled: each shard's active rows and runs are k-way merged and
   ///     streamed into one sealed spill file, and the result is a read-only
   ///     store viewing that file mmap'd (heap cost: one I/O buffer). The
   ///     file lives as long as the returned store.
-  /// Row bytes and order are identical in every mode.
-  [[nodiscard]] FlatPermStore drain_sorted();
+  /// Row bytes and order are identical in every mode. `pool` must not be
+  /// running a round of its own (ThreadPool::run is not reentrant).
+  [[nodiscard]] FlatPermStore drain_sorted(ThreadPool* pool = nullptr);
 
   /// Releases all memory and deletes this store's temporary run files (runs
   /// adopted elsewhere via absorb_shard survive until every owner drops

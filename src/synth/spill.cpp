@@ -138,19 +138,19 @@ void SealedRun::subtract_from(FlatPermStore& store) const {
 
   const std::uint8_t* data = store.data();
   const std::size_t n = store.size();
-  std::vector<std::uint8_t> kept;
+  simd::RowBytes kept;
   kept.reserve(store.size_bytes());
 
   std::size_t i = 0;  // store cursor
   std::size_t j = 0;  // run cursor
   while (i < n) {
     if (j == rows_) {
-      kept.insert(kept.end(), data + i * stride_, data + n * stride_);
+      kept.append(data + i * stride_, (n - i) * stride_);
       break;
     }
     const int c = compare(data + i * stride_, j);
     if (c < 0) {
-      kept.insert(kept.end(), data + i * stride_, data + (i + 1) * stride_);
+      kept.append(data + i * stride_, stride_);
       ++i;
     } else if (c > 0) {
       ++j;

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -266,6 +267,76 @@ TEST_F(Fmcf3, FindRejectsUnreachedCircuits) {
   // G at all (G fixes label 1).
   const auto moved = perm::Permutation::from_cycles("(1,2)", 8);
   EXPECT_FALSE(shared().find(moved).has_value());
+}
+
+// --- G-key witness oracle ----------------------------------------------------
+
+/// Checks the closure's G-key pass against an oracle that assumes nothing
+/// about row order: it scans every row of every frontier, keys each
+/// binary-preserving row by its binary image, and keeps the lowest row per
+/// key. |pre_G[k]| must be the oracle's key count, and every member of G[k]
+/// must point at the oracle's row for its key.
+void expect_g_witnesses_match_row_scan(const FmcfEnumerator& e) {
+  const std::size_t binary = e.library().domain().binary_count();
+  for (unsigned k = 1; k <= e.levels_done(); ++k) {
+    const FlatPermStore& frontier = e.frontier(k);
+    std::map<std::vector<std::uint32_t>, std::size_t> lowest_row;
+    std::vector<std::uint32_t> key(binary);
+    for (std::size_t i = 0; i < frontier.size(); ++i) {
+      bool preserving = true;
+      for (std::size_t s = 0; s < binary && preserving; ++s) {
+        key[s] = frontier.label(i, s);
+        preserving = key[s] < binary;
+      }
+      if (!preserving) continue;
+      const auto it = lowest_row.find(key);
+      if (it == lowest_row.end()) {
+        lowest_row.emplace(key, i);
+      } else {
+        it->second = std::min(it->second, i);
+      }
+    }
+    EXPECT_EQ(lowest_row.size(), e.stats()[k - 1].pre_g) << "k = " << k;
+
+    std::size_t members = 0;
+    for (const perm::Permutation& p : e.g_set(k)) {
+      for (std::size_t s = 0; s < binary; ++s) {
+        key[s] = p.apply(static_cast<std::uint32_t>(s + 1)) - 1;
+      }
+      const auto expected = lowest_row.find(key);
+      ASSERT_NE(expected, lowest_row.end()) << "k = " << k;
+      const auto entry = e.find(p);
+      ASSERT_TRUE(entry.has_value());
+      EXPECT_EQ(entry->cost, k);
+      EXPECT_EQ(entry->frontier_index, expected->second) << "k = " << k;
+      ++members;
+    }
+    EXPECT_EQ(members, e.stats()[k - 1].g_new) << "k = " << k;
+  }
+}
+
+TEST_F(Fmcf3, GKeyWitnessesMatchRowScanOracle) {
+  expect_g_witnesses_match_row_scan(shared());
+}
+
+TEST(FmcfGKeyOracle, FourWiresToK4) {
+  const gates::GateLibrary library = gates::GateLibrary::standard(4);
+  FmcfEnumerator e(library);
+  e.run_to(4);
+  expect_g_witnesses_match_row_scan(e);
+}
+
+TEST(FmcfGKeyOracle, FiveWiresToK3OverASpilledFrontier) {
+  // Two-byte labels, and a 32 MiB budget the 69 MB B[3] exceeds, so the
+  // pass runs over a frontier drained into a mapped spill file.
+  const gates::GateLibrary library = gates::GateLibrary::standard(5);
+  ClosureConfig spilled;
+  spilled.spill_budget_bytes = std::size_t(32) << 20;
+  spilled.spill_dir = ::testing::TempDir();
+  FmcfEnumerator e(library, spilled);
+  e.run_to(3);
+  ASSERT_TRUE(e.frontier(3).read_only());
+  expect_g_witnesses_match_row_scan(e);
 }
 
 TEST(ClosureConfig, CountingModeMatchesWitnessMode) {

@@ -69,6 +69,10 @@ std::set<Row> row_set(const Bytes& rows, std::size_t stride) {
   return out;
 }
 
+Bytes bytes_of(const simd::RowBytes& buffer) {
+  return Bytes(buffer.data(), buffer.data() + buffer.size());
+}
+
 Bytes canonical_bytes(const std::set<Row>& model) {
   Bytes out;
   for (const Row& row : model) out.insert(out.end(), row.begin(), row.end());
@@ -89,9 +93,9 @@ TEST(KernelSortUnique, RadixMatchesScalarAndModelRandomized) {
       const std::uint32_t alphabet = 2 + rng.below(250);
       const Bytes rows = rows_with_prefix(rng, count, stride, shared, alphabet);
 
-      Bytes sorted;
+      simd::RowBytes sorted;
       simd::sort_unique_rows(rows.data(), count, stride, sorted);
-      EXPECT_EQ(sorted, canonical_bytes(row_set(rows, stride)));
+      EXPECT_EQ(bytes_of(sorted), canonical_bytes(row_set(rows, stride)));
     }
   }
 }
@@ -101,9 +105,10 @@ TEST(KernelSortUnique, AdversarialTieShapes) {
   // single-row inputs — the tie-break and dedup corner cases.
   for (const std::size_t stride : {std::size_t(8), std::size_t(38)}) {
     Bytes all_same(20 * stride, 0x5A);
-    Bytes out;
+    simd::RowBytes out;
     simd::sort_unique_rows(all_same.data(), 20, stride, out);
-    EXPECT_EQ(out, Bytes(all_same.begin(), all_same.begin() + stride));
+    EXPECT_EQ(bytes_of(out),
+              Bytes(all_same.begin(), all_same.begin() + stride));
 
     Rng rng(903);
     // Identical first min(stride-1, 12) bytes, differing only in the tail —
@@ -111,10 +116,10 @@ TEST(KernelSortUnique, AdversarialTieShapes) {
     const std::size_t shared = std::min<std::size_t>(stride - 1, 12);
     const Bytes rows = rows_with_prefix(rng, 64, stride, shared, 2);
     simd::sort_unique_rows(rows.data(), 64, stride, out);
-    EXPECT_EQ(out, canonical_bytes(row_set(rows, stride)));
+    EXPECT_EQ(bytes_of(out), canonical_bytes(row_set(rows, stride)));
 
     simd::sort_unique_rows(rows.data(), 1, stride, out);
-    EXPECT_EQ(out, Bytes(rows.begin(), rows.begin() + stride));
+    EXPECT_EQ(bytes_of(out), Bytes(rows.begin(), rows.begin() + stride));
     simd::sort_unique_rows(rows.data(), 0, stride, out);
     EXPECT_TRUE(out.empty());
   }
@@ -131,12 +136,12 @@ TEST(KernelSetAlgebra, SubtractAndMergeMatchModelAndScalar) {
           rows_with_prefix(rng, 1 + rng.below(200), stride, 2, alphabet);
       const Bytes raw_b =
           rows_with_prefix(rng, 1 + rng.below(200), stride, 2, alphabet);
-      Bytes a;
-      Bytes b;
+      simd::RowBytes a;
+      simd::RowBytes b;
       simd::sort_unique_rows(raw_a.data(), raw_a.size() / stride, stride, a);
       simd::sort_unique_rows(raw_b.data(), raw_b.size() / stride, stride, b);
-      const std::set<Row> model_a = row_set(a, stride);
-      const std::set<Row> model_b = row_set(b, stride);
+      const std::set<Row> model_a = row_set(bytes_of(a), stride);
+      const std::set<Row> model_b = row_set(bytes_of(b), stride);
 
       std::set<Row> difference;
       std::set<Row> united = model_b;
@@ -145,14 +150,14 @@ TEST(KernelSetAlgebra, SubtractAndMergeMatchModelAndScalar) {
         united.insert(row);
       }
 
-      Bytes out;
+      simd::RowBytes out;
       simd::subtract_sorted_rows(a.data(), a.size() / stride, b.data(),
                                  b.size() / stride, stride, out);
-      EXPECT_EQ(out, canonical_bytes(difference));
+      EXPECT_EQ(bytes_of(out), canonical_bytes(difference));
 
       simd::merge_sorted_rows(a.data(), a.size() / stride, b.data(),
                               b.size() / stride, stride, out);
-      EXPECT_EQ(out, canonical_bytes(united));
+      EXPECT_EQ(bytes_of(out), canonical_bytes(united));
     }
   }
 }

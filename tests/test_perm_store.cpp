@@ -1,7 +1,8 @@
 // Differential tests for the FlatPermStore set algebra and the
 // ShardedPermStore per-shard primitives against a
 // std::set<std::vector<uint8_t>> reference model, plus the ShardedPermStore
-// splitter-routing invariants the parallel FMCF sweep relies on.
+// splitter-routing invariants the parallel FMCF sweep relies on and the
+// serial and pooled drain_sorted() around empty shards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "synth/flat_perm_store.h"
 #include "synth/sharded_perm_store.h"
 
@@ -627,6 +629,81 @@ TEST(WidePermStore, SplitterRoutingIsMonotoneAndSpreadsAtWidth782) {
       EXPECT_GT(hits[s], 0u) << "shard " << s << " of " << shard_count;
     }
   }
+}
+
+// --- drain_sorted around empty shards ----------------------------------------
+
+/// Cuts a 6-shard store at splitters sampled from random `width`-label rows,
+/// then, for each filling below, loads only the sample rows that route to a
+/// filled shard and drains the store with `pool` (nullptr = serially). The
+/// drain must equal the serial concatenation of the shards and leave every
+/// shard empty.
+void expect_drain_concatenates_shards(std::size_t width, ThreadPool* pool) {
+  constexpr std::size_t kShards = 6;
+  const std::vector<std::vector<std::size_t>> fillings = {
+      {0, 1, 2, 3, 4, 5},  // every shard
+      {1, 2, 3, 4, 5},     // first shard empty
+      {0, 1, 4, 5},        // middle shards empty
+      {0, 1, 2, 3, 4},     // last shard empty
+      {0, 5},              // only the outer shards
+      {3},                 // exactly one live shard
+      {},                  // every shard empty
+  };
+  Rng rng(7300 + static_cast<std::uint32_t>(width));
+  std::vector<Row> sample;
+  for (int i = 0; i < 600; ++i) sample.push_back(random_wide_row(rng, width));
+  const FlatPermStore splitters = splitters_of(sample, width, kShards);
+  ASSERT_EQ(splitters.size() + 1, kShards);
+
+  for (const std::vector<std::size_t>& filled : fillings) {
+    const auto is_filled = [&filled](std::size_t s) {
+      return std::find(filled.begin(), filled.end(), s) != filled.end();
+    };
+    ShardedPermStore store(width, kShards);
+    store.split(splitters);
+    std::vector<Row> rows;
+    for (const Row& row : sample) {
+      if (is_filled(store.shard_of(row.data()))) rows.push_back(row);
+    }
+    load(store, rows);
+
+    Row expected;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      const FlatPermStore& shard = store.shard(s);
+      EXPECT_EQ(shard.empty(), !is_filled(s)) << "shard " << s;
+      expected.insert(expected.end(), shard.data(),
+                      shard.data() + shard.size_bytes());
+    }
+
+    const FlatPermStore drained = store.drain_sorted(pool);
+    EXPECT_EQ(drained.row_stride(), store.shard(0).row_stride());
+    EXPECT_EQ(Row(drained.data(), drained.data() + drained.size_bytes()),
+              expected)
+        << filled.size() << " filled shards";
+    EXPECT_TRUE(store.empty());
+    for (std::size_t s = 0; s < kShards; ++s) {
+      EXPECT_TRUE(store.shard(s).empty()) << "shard " << s;
+    }
+  }
+}
+
+TEST(ShardedPermStoreDrain, SerialDrainConcatenatesShardsAroundEmptyOnes) {
+  expect_drain_concatenates_shards(5, nullptr);
+  expect_drain_concatenates_shards(38, nullptr);
+}
+
+TEST(ShardedPermStoreDrain, PooledDrainConcatenatesShardsAroundEmptyOnes) {
+  // Four workers over six shards: copies of different shards overlap.
+  ThreadPool pool(4);
+  expect_drain_concatenates_shards(5, &pool);
+  expect_drain_concatenates_shards(38, &pool);
+}
+
+TEST(ShardedPermStoreDrain, TwoByteLabelRowsDrainSeriallyAndPooled) {
+  // Width 300 packs two big-endian bytes per label (stride 600).
+  ThreadPool pool(4);
+  expect_drain_concatenates_shards(300, nullptr);
+  expect_drain_concatenates_shards(300, &pool);
 }
 
 }  // namespace

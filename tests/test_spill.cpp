@@ -886,6 +886,66 @@ TEST(ShardedSpill, DrainSortedMatchesFlattenInMemoryToo) {
   }
 }
 
+TEST(ShardedSpill, DrainSortedAroundEmptyShards) {
+  // The spilled drain streams each shard's active rows and sealed runs in
+  // shard order; empty shards first, in the middle, last, everywhere, or all
+  // but one must not disturb the concatenation. One- and two-byte labels.
+  constexpr std::size_t kShards = 6;
+  const std::vector<std::vector<std::size_t>> fillings = {
+      {1, 2, 3, 4, 5}, {0, 1, 4, 5}, {0, 1, 2, 3, 4}, {3}, {}};
+  Rng rng(5205);
+  for (const std::size_t width : {std::size_t(7), std::size_t(300)}) {
+    const std::size_t label_bytes = width <= 256 ? 1 : 2;
+    FlatPermStore sample(width);
+    Row row(width * label_bytes);
+    for (int i = 0; i < 400; ++i) {
+      for (std::size_t l = 0; l < width; ++l) {
+        FlatPermStore::write_label(
+            row.data(), l, label_bytes,
+            rng.below(static_cast<std::uint32_t>(width)));
+      }
+      sample.push_back(row.data());
+    }
+    sample.sort_unique();
+    const FlatPermStore splitters =
+        ShardedPermStore::splitters_from(sample, kShards);
+
+    for (const std::vector<std::size_t>& filled : fillings) {
+      ShardedPermStore store(width, kShards,
+                             SpillOptions{kShards * 256, ::testing::TempDir()});
+      store.split(splitters);
+      FlatPermStore expected(width);
+      // Three load rounds, so filled shards hold several runs plus rows.
+      for (std::size_t round = 0; round < 3; ++round) {
+        std::vector<FlatPermStore> chunks(kShards, FlatPermStore(width));
+        for (std::size_t i = round; i < sample.size(); i += 3) {
+          const std::size_t s = store.shard_of(sample.row(i));
+          if (std::find(filled.begin(), filled.end(), s) == filled.end()) {
+            continue;
+          }
+          chunks[s].push_back(sample.row(i));
+          expected.push_back(sample.row(i));
+        }
+        for (std::size_t s = 0; s < kShards; ++s) {
+          store.subtract_shard_from(s, chunks[s]);
+          store.merge_into_shard(s, chunks[s]);
+        }
+      }
+      expected.sort_unique();
+      for (std::size_t s = 0; s < kShards; ++s) {
+        const bool is_filled =
+            std::find(filled.begin(), filled.end(), s) != filled.end();
+        EXPECT_EQ(store.shard_run_count(s) > 0, is_filled) << "shard " << s;
+      }
+      const FlatPermStore drained = store.drain_sorted();
+      EXPECT_EQ(drained.read_only(), !filled.empty());
+      expect_same_rows(drained, expected);
+      EXPECT_TRUE(store.empty());
+      EXPECT_FALSE(store.spilled());
+    }
+  }
+}
+
 // --- spill-invariance of the FMCF closure ----------------------------------
 
 class SpilledClosure3 : public ::testing::Test {
@@ -1224,9 +1284,11 @@ TEST(ClosureConfigResolution, TempDirFallbackIsObservable) {
   ::unsetenv("QSYN_SPILL_DIR");
   ::setenv("TMPDIR", "/nonexistent/qsyn/tmp", 1);
   std::error_code ec;
-  std::filesystem::temp_directory_path(ec);
+  const std::filesystem::path resolved =
+      std::filesystem::temp_directory_path(ec);
   if (!ec) {
-    GTEST_SKIP() << "this libstdc++ resolves a temp dir despite bogus TMPDIR";
+    GTEST_SKIP() << "this libstdc++ resolves a temp dir (" << resolved
+                 << ") despite bogus TMPDIR";
   }
   const std::size_t before = spill_dir_fallback_count();
   EXPECT_EQ(resolve_spill_dir(""), ".");
