@@ -10,9 +10,9 @@
 // The crossover is the point of the seam: the catalog wins on stored
 // answers, the closure wins on repeated queries it can amortize, and the
 // DFS is the only engine that answers past the closure's memory wall — the
-// 5-wire cost-4 row below is the regime where the in-memory closure would
-// need a ~2.5 GiB spill (PR 7 measurements) and the search answers from a
-// memo a couple of orders of magnitude smaller.
+// 5-wire cost-4 row below is the regime where the closure materializes a
+// 1.2 GiB level-4 frontier (1.26 GiB spilled under a 32 MiB budget) and the
+// search answers from a memo a couple of orders of magnitude smaller.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -120,8 +120,8 @@ void regenerate() {
                    std::to_string(memo_bytes >> 20) + " MiB (" +
                        std::to_string(wide_search.stats().peak_memo_rows) +
                        " states)");
-  // PR 7's measured level-4 spill for the 5-wire closure was ~2.5 GiB.
-  std::printf("  %-34s %s (closure needs ~2.5 GiB spilled)\n",
+  // The 5-wire closure's level 4 spills 1.26 GiB under a 32 MiB budget.
+  std::printf("  %-34s %s (closure needs ~1.3 GiB spilled)\n",
               "answered without a closure spill",
               bench::status_word(wide_answer.has_value() &&
                                  memo_bytes < (std::size_t(1) << 28)));

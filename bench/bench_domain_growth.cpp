@@ -14,10 +14,12 @@
 // caps every width at once (1..8) for quick smoke runs or deeper pushes.
 //
 // The out-of-core section pushes the 5-wire closure one level past what the
-// in-memory sweep records (k = 3: |B[3]| = 44350 rows of 1564 B, ~70 MiB of
-// seen-set) under a spill budget far below the working set, so the seen-set
-// and frontier stores seal to prefix-compressed run files and the level's set
-// algebra runs as streaming merges. Its table adds heap-vs-disk columns, and
+// in-memory sweep records (k = 3: |B[3]| = 44350 rows of 1564 B, ~66 MiB)
+// under a spill budget far below that frontier. The seen set holds one
+// canonical row per wire-relabeling orbit (530 rows, ~0.8 MiB, at k = 3) and
+// stays in RAM; the store the frontier is materialized into seals to
+// prefix-compressed run files and drains into one mapped frontier file.
+// Its table adds heap-vs-disk columns, and
 // bm_closure_outofcore/n:5/threads:{1,2,4} exports the same run (levels,
 // frontier rows, heap/disk MiB counters) into the bench JSON.
 #include <benchmark/benchmark.h>
@@ -104,15 +106,15 @@ void regenerate() {
   }
 }
 
-// Spill budget for the out-of-core rows: well under the ~70 MiB the 5-wire
-// seen-set reaches by k = 3, so it seals several runs per shard, yet large
+// Spill budget for the out-of-core rows: well under the ~66 MiB frontier the
+// 5-wire closure materializes at k = 3, so that store seals runs, yet large
 // enough that run files stay chunky and the merge fan-in low.
 constexpr std::size_t kOutOfCoreBudgetBytes = std::size_t(32) << 20;
 
 unsigned outofcore_depth() {
   // One level past the in-memory default for n = 5. QSYN_GROWTH_DEPTH moves
-  // it within 1..4: smoke runs set 1, and 4 opts into the ~1.6 GiB-of-rows
-  // level that only fits because the stores spill.
+  // it within 1..4: smoke runs set 1, and 4 opts into the ~1.2 GiB frontier
+  // of level 4, which drains to disk because its store spills.
   return growth_depth_env(3, 4);
 }
 

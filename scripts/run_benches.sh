@@ -25,9 +25,12 @@
 #
 # bench_domain_growth carries the out-of-core closure rows
 # (bm_closure_outofcore/n:5/threads:{1,2,4}): the 5-wire closure to k=3 under
-# a 32 MiB spill budget, with heap_MiB/disk_MiB counters showing the working
-# set living in sealed run files instead of RAM, and the 4-wire k=4 closure
-# on the same threads axis (bm_closure_n4_k4). The aggregate records the
+# a 32 MiB spill budget, and the 4-wire k=4 closure on the same threads axis
+# (bm_closure_n4_k4). The closure stores one canonical row per
+# wire-relabeling orbit in its seen set and materializes each frontier from
+# them, so at n=5 the seen set (530 rows) stays in RAM: heap_MiB counts it
+# plus the in-memory frontiers, and disk_MiB is the drained B[3] file
+# (~66 MiB) that the 32 MiB budget pushes to disk. The aggregate records the
 # host's CPU count (num_cpus): thread-axis rows from hosts with different
 # counts are not comparable. QSYN_GROWTH_DEPTH=4 opts the same row into
 # the gigabyte-scale level 4; its "spill engaged" stdout line turns into a
@@ -36,7 +39,7 @@
 # bench_backends races the three SynthesisBackend engines on time to first
 # cascade (fresh closure sweep vs catalog open vs topology-search DFS) and
 # carries the beyond-closure row (bm_search_5wire_cost4: a 5-wire cost-4
-# target answered in-memory where the closure would need a ~2.5 GiB spill).
+# target answered in-memory where the closure spills a 1.2 GiB frontier).
 #
 # bench_catalog measures the persistent-catalog serving layer:
 # bm_catalog_cold_start (open + first locate on a saved cb=7 catalog — the

@@ -39,7 +39,9 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::run(std::size_t tasks, const Task& fn) {
   if (tasks == 0) return;
-  if (workers_.empty()) {
+  // A lone task has nothing to overlap with: run it on the caller and skip
+  // the wake-up round trip (worker 0 is the caller in every round).
+  if (workers_.empty() || tasks == 1) {
     for (std::size_t t = 0; t < tasks; ++t) fn(t, 0);
     return;
   }

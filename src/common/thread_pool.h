@@ -42,7 +42,8 @@ class ThreadPool {
   [[nodiscard]] std::size_t size() const { return workers_.size() + 1; }
 
   /// Runs fn(task, worker) for every task in [0, tasks), blocking until all
-  /// complete. Rethrows the first task exception. Not reentrant.
+  /// complete. Rethrows the first task exception. Not reentrant. A round of
+  /// one task runs inline on the caller, as worker 0.
   void run(std::size_t tasks, const Task& fn);
 
   /// Thread count from the QSYN_THREADS environment variable when set to a

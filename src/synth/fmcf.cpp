@@ -11,9 +11,118 @@ namespace qsyn::synth {
 
 namespace {
 
-// Levels run unsplit until a frontier holds this many rows per shard; that
-// sorted frontier is the pilot sample the shard splitters are cut from.
+// Frontier stores run unsplit until a frontier holds this many rows per
+// shard; that sorted frontier is the pilot sample their splitters are cut
+// from.
 constexpr std::size_t kPilotRowsPerShard = 64;
+
+// The seen set runs unsplit until it holds this many rows per shard.
+constexpr std::size_t kSeenCutRowsPerShard = 16;
+
+// Decoded and encoded row buffers of one worker.
+struct RowScratch {
+  RowScratch(std::size_t width, std::size_t stride)
+      : labels(width), product(width), bytes(stride) {}
+  std::vector<std::uint16_t> labels;
+  std::vector<std::uint16_t> product;
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::uint32_t> candidates;
+};
+
+void decode_row(const std::uint8_t* row, std::size_t width,
+                std::size_t label_bytes, std::uint16_t* labels) {
+  for (std::size_t s = 0; s < width; ++s) {
+    labels[s] = static_cast<std::uint16_t>(
+        FlatPermStore::read_label(row, s, label_bytes));
+  }
+}
+
+// One pooled round of a level. `produce(i, worker, emit)` runs for every row
+// i of `input` and emits up to `per_row` rows, each routed to its owning
+// shard of `store`. Rows are produced in super-chunks of at most
+// `chunk_rows` candidates; after each, every live shard's candidates are
+// sort_unique'd and handed to `settle(s, chunk)` in a second round.
+//
+// Worker-local per-shard buffers: the produce round routes rows into
+// locals[worker][shard] without any synchronization, and the settle round
+// drains every worker's buffer for one shard from a single thread.
+// Appending order across workers is scheduling-dependent, but each shard is
+// sort_unique'd before use, so the resulting *sets* — and hence every stat —
+// are identical to the single-threaded sweep. With one worker the produce
+// round runs inline on the caller, so it writes straight into shard_chunks
+// and skips the local-buffer copy.
+template <typename Produce, typename Settle>
+void fan_out(ThreadPool& pool, std::size_t threads, std::size_t chunk_rows,
+             const FlatPermStore& input, std::size_t per_row,
+             const ShardedPermStore& store, Produce&& produce,
+             Settle&& settle) {
+  if (per_row == 0 || input.empty()) return;
+  const std::size_t width = store.width();
+  const std::size_t live = store.live_shards();
+  std::vector<std::vector<FlatPermStore>> locals(threads > 1 ? threads : 0);
+  for (auto& per_worker : locals) {
+    per_worker.reserve(live);
+    for (std::size_t s = 0; s < live; ++s) per_worker.emplace_back(width);
+  }
+  std::vector<FlatPermStore> shard_chunks;
+  shard_chunks.reserve(live);
+  for (std::size_t s = 0; s < live; ++s) shard_chunks.emplace_back(width);
+
+  // Threaded sweeps hold each candidate twice at the settle round
+  // (worker-local buffer + shard chunk), so they use half-size super-chunks
+  // to keep peak memory at the same chunk_rows bound as the single-threaded
+  // sweep.
+  const std::size_t candidate_budget =
+      threads > 1 ? chunk_rows / 2 : chunk_rows;
+  const std::size_t rows_per_super =
+      std::max<std::size_t>(1, candidate_budget / per_row);
+
+  for (std::size_t super = 0; super < input.size(); super += rows_per_super) {
+    const std::size_t super_end =
+        std::min(input.size(), super + rows_per_super);
+    const std::size_t super_rows = super_end - super;
+    // Each buffer reserves its even share of the candidate bound up front
+    // (address space only: pages are touched as rows land), so most never
+    // regrow and copy.
+    const std::size_t share = super_rows * per_row / (threads * live) + 1;
+    for (auto& per_worker : locals) {
+      for (FlatPermStore& buffer : per_worker) buffer.reserve_rows(share);
+    }
+    if (threads == 1) {
+      for (FlatPermStore& chunk : shard_chunks) chunk.reserve_rows(share);
+    }
+    // Small blocks load-balance uneven rows (banned-set pruning); at least
+    // 4 blocks per worker, capped so tiny inputs stay single-block.
+    const std::size_t block_rows = std::max<std::size_t>(
+        1, std::min<std::size_t>(4096, super_rows / (4 * threads) + 1));
+    const std::size_t blocks = (super_rows + block_rows - 1) / block_rows;
+    pool.run(blocks, [&](std::size_t block, std::size_t worker) {
+      std::vector<FlatPermStore>& buffers =
+          threads > 1 ? locals[worker] : shard_chunks;
+      const bool route = live > 1;  // an unsplit store routes to shard 0
+      const auto emit = [&](const std::uint8_t* row) {
+        buffers[route ? store.shard_of(row) : 0].push_back(row);
+      };
+      const std::size_t begin = super + block * block_rows;
+      const std::size_t end = std::min(super_end, begin + block_rows);
+      for (std::size_t i = begin; i < end; ++i) produce(i, worker, emit);
+    });
+    pool.run(live, [&](std::size_t s, std::size_t) {
+      FlatPermStore& chunk = shard_chunks[s];
+      std::size_t rows = chunk.size();
+      for (const auto& per_worker : locals) rows += per_worker[s].size();
+      chunk.reserve_rows(rows);
+      for (auto& per_worker : locals) {
+        chunk.append(per_worker[s]);
+        per_worker[s].clear();
+      }
+      if (chunk.empty()) return;
+      chunk.sort_unique();
+      settle(s, std::move(chunk));
+      chunk.clear();
+    });
+  }
+}
 
 }  // namespace
 
@@ -31,14 +140,18 @@ FmcfEnumerator::FmcfEnumerator(const gates::GateLibrary& library,
       spill_dir_(spill_budget_ != 0 ? resolve_spill_dir(options.spill_dir)
                                     : options.spill_dir),
       backwalk_pool_busy_(std::make_unique<std::atomic<bool>>(false)),
+      symmetry_(library),
       seen_(library.domain().size(), shards_,
-            SpillOptions{spill_budget_, spill_dir_}) {
+            SpillOptions{spill_budget_, spill_dir_}),
+      reps_(width_),
+      frontier_splitters_(width_) {
   init_gate_tables();
 
-  // Level 0: the identity.
+  // Level 0: the identity, its own orbit.
   const perm::Permutation id =
       perm::Permutation::identity(width_);
   seen_.push_back(id);
+  reps_.push_back(id);
   frontiers_.emplace_back(width_);
   frontiers_.back().push_back(id);
 
@@ -59,9 +172,13 @@ FmcfEnumerator::FmcfEnumerator(const gates::GateLibrary& library,
       shards_(resolve_shards(options.shards, threads_)),
       spill_budget_(0),
       backwalk_pool_busy_(std::make_unique<std::atomic<bool>>(false)),
-      // Catalog-backed enumerators never advance(), so the seen-set stays
-      // empty; one shard keeps it inert.
+      // Catalog-backed enumerators never advance(), so they skip the
+      // symmetry search and the seen-set stays empty; one shard keeps it
+      // inert.
+      symmetry_(width_),
       seen_(library.domain().size(), 1),
+      reps_(width_),
+      frontier_splitters_(width_),
       read_only_(true) {
   init_gate_tables();
 }
@@ -152,113 +269,89 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
   (void)worker_pool();
   const std::uint64_t start_ns = metrics::now_ns();
   const unsigned k = levels_done() + 1;
-  const FlatPermStore& previous = frontiers_.back();
-  QSYN_CHECK(!previous.empty() || k == 1,
+  QSYN_CHECK(!reps_.empty() || k == 1,
              "closure already exhausted (empty frontier)");
+  const SpillOptions spill{spill_budget_, spill_dir_};
+  std::vector<RowScratch> scratch(threads_, RowScratch(width_, stride_));
 
+  // Rep step: R[k-1] x L, each product canonicalized, minus the seen reps.
+  // A product of a conjugate of a rep is a conjugate of a product of that
+  // rep (the relabeled gate is in L and allowed alike), so expanding the
+  // reps reaches every orbit of B[k].
   const std::size_t gate_count = gate_tables_.size();
-  ShardedPermStore sharded_fresh(width_, shards_,
-                                 SpillOptions{spill_budget_, spill_dir_});
-  if (seen_.live_shards() > 1) sharded_fresh.split(seen_.splitters());
-  const std::size_t live = sharded_fresh.live_shards();
-
-  if (gate_count > 0 && !previous.empty()) {
-    // Worker-local per-shard buffers: phase 1 routes products into
-    // locals[worker][shard] without any synchronization, phase 2 drains
-    // every worker's buffer for one shard from a single thread. Appending
-    // order across workers is scheduling-dependent, but each shard is
-    // sort_unique'd before use, so the resulting *sets* — and hence every
-    // stat — are identical to the single-threaded sweep. With one worker
-    // the expansion runs inline on the caller, so it writes straight into
-    // shard_chunks and skips the local-buffer copy.
-    std::vector<std::vector<FlatPermStore>> locals(threads_ > 1 ? threads_ : 0);
-    for (auto& per_worker : locals) {
-      per_worker.reserve(live);
-      for (std::size_t s = 0; s < live; ++s) per_worker.emplace_back(width_);
-    }
-    std::vector<FlatPermStore> shard_chunks;
-    shard_chunks.reserve(live);
-    for (std::size_t s = 0; s < live; ++s) shard_chunks.emplace_back(width_);
-    std::vector<std::vector<std::uint8_t>> outs(
-        threads_, std::vector<std::uint8_t>(stride_));
-
-    // A super-chunk expands to at most chunk_rows candidate rows before the
-    // per-shard set algebra drains the buffers. Threaded sweeps hold each
-    // candidate twice at the drain (worker-local buffer + shard chunk), so
-    // they use half-size super-chunks to keep peak memory at the same
-    // chunk_rows bound as the single-threaded sweep.
-    const std::size_t candidate_budget =
-        threads_ > 1 ? options_.chunk_rows / 2 : options_.chunk_rows;
-    const std::size_t rows_per_super =
-        std::max<std::size_t>(1, candidate_budget / gate_count);
-
-    for (std::size_t super = 0; super < previous.size();
-         super += rows_per_super) {
-      const std::size_t super_end =
-          std::min(previous.size(), super + rows_per_super);
-      const std::size_t super_rows = super_end - super;
-      // Small blocks load-balance the uneven banned-set pruning; at least
-      // 4 blocks per worker, capped so tiny frontiers stay single-block.
-      const std::size_t block_rows = std::max<std::size_t>(
-          1, std::min<std::size_t>(4096, super_rows / (4 * threads_) + 1));
-      const std::size_t blocks = (super_rows + block_rows - 1) / block_rows;
-      pool_->run(blocks, [&](std::size_t block, std::size_t worker) {
-        std::vector<std::uint8_t>& out = outs[worker];
-        std::vector<FlatPermStore>& buffers =
-            threads_ > 1 ? locals[worker] : shard_chunks;
-        const bool route = live > 1;  // an unsplit store routes to shard 0
-        const std::size_t begin = super + block * block_rows;
-        const std::size_t end = std::min(super_end, begin + block_rows);
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::uint8_t* row = previous.row(i);
-          const std::uint32_t banned =
-              options_.use_banned_sets ? banned_mask_of_row(row) : 0u;
-          for (std::size_t g = 0; g < gate_count; ++g) {
-            if ((banned & gate_class_bits_[g]) != 0) continue;
-            const std::uint16_t* table = gate_tables_[g].data();
-            if (label_bytes_ == 1) {
-              for (std::size_t s = 0; s < width_; ++s) {
-                out[s] = static_cast<std::uint8_t>(table[row[s]]);
-              }
-            } else {
-              for (std::size_t s = 0; s < width_; ++s) {
-                const std::uint16_t image =
-                    table[static_cast<std::size_t>(row[2 * s]) << 8 |
-                          row[2 * s + 1]];
-                out[2 * s] = static_cast<std::uint8_t>(image >> 8);
-                out[2 * s + 1] = static_cast<std::uint8_t>(image);
-              }
-            }
-            buffers[route ? sharded_fresh.shard_of(out.data()) : 0].push_back(
-                out.data());
+  ShardedPermStore fresh_reps(width_, shards_, spill);
+  if (seen_.live_shards() > 1) fresh_reps.split(seen_.splitters());
+  fan_out(
+      *pool_, threads_, options_.chunk_rows, reps_, gate_count, fresh_reps,
+      [&](std::size_t i, std::size_t worker, const auto& emit) {
+        RowScratch& w = scratch[worker];
+        const std::uint8_t* row = reps_.row(i);
+        const std::uint32_t banned =
+            options_.use_banned_sets ? banned_mask_of_row(row) : 0u;
+        decode_row(row, width_, label_bytes_, w.labels.data());
+        for (std::size_t g = 0; g < gate_count; ++g) {
+          if ((banned & gate_class_bits_[g]) != 0) continue;
+          const std::uint16_t* table = gate_tables_[g].data();
+          for (std::size_t s = 0; s < width_; ++s) {
+            w.product[s] = table[w.labels[s]];
           }
+          symmetry_.canonicalize(w.product.data(), label_bytes_,
+                                 w.bytes.data(), w.candidates);
+          emit(w.bytes.data());
         }
-      });
-      pool_->run(live, [&](std::size_t s, std::size_t) {
-        FlatPermStore& chunk = shard_chunks[s];
-        for (auto& per_worker : locals) {
-          chunk.append(per_worker[s]);
-          per_worker[s].clear_keep_capacity();
-        }
-        if (chunk.empty()) return;
-        chunk.sort_unique();
+      },
+      [&](std::size_t s, FlatPermStore&& chunk) {
         // Subtract against the *whole* shard — active rows and any sealed
-        // spill runs — of both the seen-set and this level's accumulator.
+        // spill runs — of both the seen set and this level's accumulator.
         // Every piece a shard holds therefore stays mutually disjoint, which
         // keeps sizes exact and the per-level stats spill-invariant.
         seen_.subtract_shard_from(s, chunk);
-        sharded_fresh.subtract_shard_from(s, chunk);
-        sharded_fresh.merge_into_shard(s, chunk);
-        chunk.clear_keep_capacity();
+        fresh_reps.subtract_shard_from(s, chunk);
+        fresh_reps.merge_into_shard(s, std::move(chunk));
       });
-    }
+  // fresh_reps now holds R[k], shard-sorted. Update the seen set per shard
+  // (sealed runs are adopted by reference, not rewritten), then drain R[k]
+  // sorted for the next level.
+  pool_->run(fresh_reps.live_shards(), [&](std::size_t s, std::size_t) {
+    seen_.absorb_shard(s, fresh_reps);
+  });
+  FlatPermStore reps = fresh_reps.drain_sorted(pool_.get());
+
+  // Canonical rows cluster low in memcmp order, and where they cluster
+  // drifts from level to level, so no one rep level samples the next well.
+  // The seen set is cut at its own evenly spaced rows instead: once it holds
+  // kSeenCutRowsPerShard rows per shard, and again whenever it has grown 4x
+  // since the last cut. The set is small and sorted, so a cut is a range
+  // copy per shard, and geometric growth keeps the copies at O(1) per row.
+  // A spilled seen set is cut only once: re-cutting it would rewrite every
+  // sealed run as budget-slice-sized files.
+  const std::size_t seen_reps = seen_.size();
+  if (shards_ > 1 && seen_reps >= kSeenCutRowsPerShard * shards_ &&
+      seen_reps >= 4 * seen_reps_at_cut_ &&
+      (seen_.live_shards() == 1 || !seen_.spilled())) {
+    seen_.split_evenly();
+    seen_reps_at_cut_ = seen_reps;
   }
 
-  // sharded_fresh is now B[k], shard-sorted. Update A[k] per shard (sealed
-  // frontier runs are adopted by reference, not rewritten).
-  pool_->run(live, [&](std::size_t s, std::size_t) {
-    seen_.absorb_shard(s, sharded_fresh);
-  });
+  // Materialize B[k]: every rep's distinct conjugates. Orbits are disjoint,
+  // so the rows are too and go straight into the level's store.
+  ShardedPermStore level(width_, shards_, spill);
+  if (!frontier_splitters_.empty()) level.split(frontier_splitters_);
+  fan_out(
+      *pool_, threads_, options_.chunk_rows, reps, symmetry_.order(), level,
+      [&](std::size_t i, std::size_t worker, const auto& emit) {
+        RowScratch& w = scratch[worker];
+        decode_row(reps.row(i), width_, label_bytes_, w.labels.data());
+        symmetry_.orbit_elements(w.labels.data(), w.candidates);
+        for (const std::uint32_t e : w.candidates) {
+          symmetry_.conjugate(e, w.labels.data(), label_bytes_,
+                              w.bytes.data());
+          emit(w.bytes.data());
+        }
+      },
+      [&](std::size_t s, FlatPermStore&& chunk) {
+        level.merge_into_shard(s, std::move(chunk));
+      });
 
   // The shard partition is monotone, so draining yields B[k] globally
   // sorted — byte-identical to the single-threaded all-in-RAM frontier,
@@ -266,15 +359,13 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
   // extraction below. The shards are copied out in the pool; when the level
   // spilled, the frontier comes back as one sealed spill file mmap'd
   // read-only instead of a heap store.
-  FlatPermStore fresh = sharded_fresh.drain_sorted(pool_.get());
+  FlatPermStore fresh = level.drain_sorted(pool_.get());
 
-  // The first frontier big enough to sample is the pilot: its evenly spaced
-  // rows cut the seen set, and every later level's store, into shards that
-  // later frontiers fill evenly. The seen set is still small here, and
-  // sorted, so the one re-split is a range copy per shard.
-  if (seen_.live_shards() < shards_ &&
+  // The first frontier big enough to sample is the pilot for the frontier
+  // stores of every later level.
+  if (frontier_splitters_.empty() && shards_ > 1 &&
       fresh.size() >= kPilotRowsPerShard * shards_) {
-    seen_.split(ShardedPermStore::splitters_from(fresh, shards_));
+    frontier_splitters_ = ShardedPermStore::splitters_from(fresh, shards_);
   }
 
   // Extract pre_G[k] and G[k] in one pass over the sorted frontier. A G key
@@ -320,8 +411,9 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
   stats.frontier = fresh.size();
   stats.g_new = new_keys.size();
   stats.pre_g = pre_g;
-  stats.seen = seen_.size();
+  stats.seen = seen_count() + fresh.size();
 
+  reps_ = std::move(reps);
   frontiers_.push_back(std::move(fresh));
   if (!options_.track_witnesses && frontiers_.size() >= 2) {
     frontiers_[frontiers_.size() - 2].clear();
@@ -493,13 +585,13 @@ std::vector<std::size_t> FmcfEnumerator::seen_shard_rows() const {
 }
 
 std::size_t FmcfEnumerator::memory_bytes() const {
-  std::size_t total = seen_.memory_bytes();
+  std::size_t total = seen_.memory_bytes() + reps_.memory_bytes();
   for (const FlatPermStore& f : frontiers_) total += f.memory_bytes();
   return total;
 }
 
 std::size_t FmcfEnumerator::disk_bytes() const {
-  std::size_t total = seen_.disk_bytes();
+  std::size_t total = seen_.disk_bytes() + reps_.disk_bytes();
   for (const FlatPermStore& f : frontiers_) total += f.disk_bytes();
   return total;
 }

@@ -15,21 +15,39 @@
 //
 // The enumerator runs level by level (advance()), storing each frontier as a
 // sorted flat byte store, so the paper's memory bound cb can be pushed well
-// past 7 on a modern machine (see bench_beyond_cb7). Each level is swept in
-// parallel: the frontier expansion fans out over a worker pool and the set
-// algebra runs per shard of a lexicographically partitioned store
-// (ShardedPermStore), with results — including every per-level stat —
-// byte-identical to the single-threaded sweep. The stores are cut into
-// shards once, at splitter rows sampled from the first frontier with 64 rows
-// per shard; the levels before it are small and run unsplit. With a spill
-// budget (ClosureConfig::spill_budget_bytes) the seen-set and frontier stores
-// seal to prefix-compressed run files when RAM runs out and the set algebra
+// past 7 on a modern machine (see bench_beyond_cb7).
+//
+// Each level runs on wire-relabeling orbits. Relabeling the wires maps the
+// library and its banned classes onto themselves (synth/wire_symmetry.h),
+// so it maps every B[k] onto itself, and B[k] is a union of conjugation
+// orbits. The closure therefore works on one canonical row per orbit, its
+// memcmp-least conjugate:
+//   1. Rep step: the reps R[k-1] of B[k-1] times every gate the banned sets
+//      allow, each product canonicalized, sort_unique'd per shard and
+//      subtracted against the seen set, which holds the reps of A[k-1] and
+//      nothing else. What is left is R[k].
+//   2. Materialize: every rep's conjugates are routed to the shards of a
+//      second store, sort_unique'd and merged, and draining it yields the
+//      full sorted B[k]. Orbits are disjoint, so no subtraction is needed.
+// So the frontiers, witnesses, catalogs and every stat are those of a
+// closure over full rows; |A[k]| is the sum of the frontier sizes, and
+// seen_count() reads it from the stats. Each phase fans out over a worker
+// pool and runs its set algebra per shard of a lexicographically
+// partitioned store (ShardedPermStore), byte-identical to the
+// single-threaded sweep. Canonical rows cluster low in memcmp order, so the
+// seen set is cut at its own evenly spaced rows (once it holds 16 rows per
+// shard, and again whenever it has grown 4x while in RAM); each level's
+// frontier store is cut at splitters from the first frontier with 64 rows
+// per shard. The levels before are small and run unsplit. With a spill budget
+// (ClosureConfig::spill_budget_bytes) the sharded stores seal to
+// prefix-compressed run files when RAM runs out and the set algebra
 // continues as streaming merges over the sealed runs — stats and frontier
 // bytes stay identical to the all-in-RAM sweep, which is how the 5-wire
-// closure reaches k >= 3 on bounded memory. When the library exhausts its
-// reachable group below the requested bound the closure saturates:
-// saturated() turns true, and advance()/run_to() become no-ops instead of
-// crashing on the empty frontier.
+// closure reaches k >= 3 on bounded memory. A spilled frontier drains into
+// one file mapped read-only. When the library exhausts its reachable group
+// below the requested bound the closure saturates: saturated() turns true,
+// and advance()/run_to() become no-ops instead of crashing on the empty
+// frontier.
 //
 // G-key extraction rests on one invariant. Every drained frontier B[k] is
 // memcmp-sorted (the shard partition is monotone), and a G key is a row
@@ -55,6 +73,7 @@
 #include "synth/closure_config.h"
 #include "synth/flat_perm_store.h"
 #include "synth/sharded_perm_store.h"
+#include "synth/wire_symmetry.h"
 
 namespace qsyn {
 class ThreadPool;
@@ -198,12 +217,10 @@ class FmcfEnumerator {
   [[nodiscard]] gates::Cascade witness_for_row(unsigned k,
                                                std::size_t row) const;
 
-  /// Total number of distinct cascade-permutations reached (|A[k]|).
-  /// Catalog-backed enumerators do not reload the seen-set (advance() is
-  /// unavailable, so it would be dead weight) and answer from the stats.
+  /// Total number of distinct cascade-permutations reached (|A[k]|), read
+  /// from the last level's stats.
   [[nodiscard]] std::size_t seen_count() const {
-    if (read_only_) return stats_.empty() ? 1 : stats_.back().seen;
-    return seen_.size();
+    return stats_.empty() ? 1 : stats_.back().seen;
   }
 
   /// The sorted rows of B[k]. Without track_witnesses only the last
@@ -211,18 +228,24 @@ class FmcfEnumerator {
   /// k <= levels_done().
   [[nodiscard]] const FlatPermStore& frontier(unsigned k) const;
 
-  /// The seen set A[k] (empty on catalog-backed enumerators).
+  /// The seen set: the canonical row of every orbit in A[k], one per orbit
+  /// (empty on catalog-backed enumerators, which never advance()).
   [[nodiscard]] const ShardedPermStore& seen_store() const { return seen_; }
 
   /// Rows of each seen-set shard, sealed runs included: how evenly the
-  /// splitters spread the closure's rows.
+  /// splitters spread the closure's canonical rows.
   [[nodiscard]] std::vector<std::size_t> seen_shard_rows() const;
+
+  /// The wire relabelings the closure runs its orbits over (the identity
+  /// alone on catalog-backed enumerators).
+  [[nodiscard]] const WireSymmetry& symmetry() const { return symmetry_; }
 
   /// Approximate heap usage of the stored sets.
   [[nodiscard]] std::size_t memory_bytes() const;
 
-  /// Bytes held in spill files (sealed seen-set runs and file-backed
-  /// frontiers). 0 unless a spill budget is configured and was exceeded.
+  /// Bytes held in spill files (sealed seen-set runs, file-backed frontiers
+  /// and rep levels). 0 unless a spill budget is configured and was
+  /// exceeded.
   [[nodiscard]] std::size_t disk_bytes() const;
 
   [[nodiscard]] const gates::GateLibrary& library() const { return *library_; }
@@ -263,7 +286,11 @@ class FmcfEnumerator {
   std::vector<std::uint32_t> gate_class_bits_;               // [gate]
   std::vector<std::uint32_t> label_banned_;                  // [label0]
 
-  ShardedPermStore seen_;                // A[k], shard-sorted
+  WireSymmetry symmetry_;
+  ShardedPermStore seen_;                // canonical rows of A[k], shard-sorted
+  FlatPermStore reps_;                   // canonical rows of B[k], sorted
+  std::size_t seen_reps_at_cut_ = 0;     // seen_ rows at its last cut
+  FlatPermStore frontier_splitters_;     // cuts the level's frontier store
   std::vector<FlatPermStore> frontiers_; // B[0..k]; emptied if !track_witnesses
   std::vector<FmcfLevelStats> stats_;
 

@@ -13,8 +13,8 @@
 // state is the image table of the 2^n binary labels under the cascade prefix
 // (the only part of the full domain permutation the banned sets and the
 // target test consult), so a node costs O(2^n) and the whole search for a
-// 5-wire cost-4 target fits in a few dozen MiB of memo where the in-memory
-// closure would need a 2.5 GiB level store.
+// 5-wire cost-4 target fits in a few dozen MiB of memo where the closure
+// materializes a 1.2 GiB level-4 frontier.
 //
 // Pruning (all exactness-preserving):
 //   * banned classes (NQubitDomain): a gate whose banned set meets the

@@ -103,6 +103,17 @@ void ShardedPermStore::split(FlatPermStore splitters) {
   }
   const FlatPermStore rows = drain_sorted();
   splitters_ = std::move(splitters);
+  load(rows);
+}
+
+void ShardedPermStore::split_evenly() {
+  QSYN_CHECK(size() >= shard_count(), "split_evenly needs a row per shard");
+  const FlatPermStore rows = drain_sorted();
+  splitters_ = splitters_from(rows, shard_count());
+  load(rows);
+}
+
+void ShardedPermStore::load(const FlatPermStore& rows) {
   slice_budget();
 
   // Sorted rows under a monotone router: each shard is one contiguous range,
@@ -181,9 +192,13 @@ void ShardedPermStore::subtract_shard_from(std::size_t s,
   }
 }
 
-void ShardedPermStore::merge_into_shard(std::size_t s,
-                                        const FlatPermStore& rows) {
-  shards_[s].merge_sorted(rows);
+void ShardedPermStore::merge_into_shard(std::size_t s, FlatPermStore rows) {
+  if (shards_[s].empty() && !rows.read_only()) {
+    QSYN_CHECK(rows.width() == width_, "width mismatch");
+    shards_[s] = std::move(rows);
+  } else {
+    shards_[s].merge_sorted(rows);
+  }
   maybe_seal(s);
 }
 

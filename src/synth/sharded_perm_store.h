@@ -9,9 +9,11 @@
 // label widths, so the shard index is monotone in the rows' lexicographic
 // order: concatenating sorted shards in shard order yields a globally sorted
 // store. A store starts unsplit — every row routes to shard 0 — until
-// split() cuts it; the closure takes its splitters as evenly spaced rows of
-// a sorted pilot frontier (splitters_from), which spreads the real rows of
-// later levels evenly, whatever labels every gate fixes. Because shards own
+// split() cuts it; the closure takes its frontier stores' splitters as
+// evenly spaced rows of a sorted pilot frontier (splitters_from), which
+// spreads the real rows of later levels evenly, whatever labels every gate
+// fixes, and cuts its seen set at its own evenly spaced rows
+// (split_evenly). Because shards own
 // disjoint ranges, the closure's set algebra decomposes into independent
 // per-shard calls (subtract_shard_from, merge_into_shard, absorb_shard) —
 // this is what the multi-threaded FMCF closure parallelizes over — and
@@ -97,6 +99,12 @@ class ShardedPermStore {
   /// re-sliced over the new shards, sealing whole slices as they load.
   void split(FlatPermStore splitters);
 
+  /// Cuts the store at its own rows of evenly spaced rank
+  /// (splitters_from(rows, shard_count())), so every shard ends up with the
+  /// same number of rows give or take one, moving the rows as split() does.
+  /// Needs at least shard_count() rows.
+  void split_evenly();
+
   /// The splitter rows (empty while unsplit).
   [[nodiscard]] const FlatPermStore& splitters() const { return splitters_; }
 
@@ -163,7 +171,9 @@ class ShardedPermStore {
   /// Merges `rows` (sorted, disjoint from shard `s` — i.e. already passed
   /// through subtract_shard_from) into shard `s`'s active store, then seals
   /// the active store to a new run if it exceeds the shard's budget slice.
-  void merge_into_shard(std::size_t s, const FlatPermStore& rows);
+  /// Takes `rows` by value: a moved-in chunk becomes the active store as is
+  /// when the shard holds no in-memory rows.
+  void merge_into_shard(std::size_t s, FlatPermStore rows);
 
   /// Merges shard `s` of `other` (same layout) — active rows and sealed
   /// runs — into shard `s` of this store. The shard contents must be
@@ -207,6 +217,7 @@ class ShardedPermStore {
 
  private:
   [[nodiscard]] bool same_layout(const ShardedPermStore& other) const;
+  void load(const FlatPermStore& rows);  // sorted rows into empty shards
   void slice_budget();  // shard_budget_ = budget over the live shards
   void seal(std::size_t s, const FlatPermStore& rows);
   void maybe_seal(std::size_t s);

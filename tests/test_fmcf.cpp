@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -490,11 +491,15 @@ TEST(FmcfThreads, ShardingAloneIsInvariant) {
   EXPECT_GE(2 * filled, rows.size()) << filled << " of 32 shards hold rows";
 }
 
-/// Max over mean of the seen set's shard sizes.
+/// Max over mean of the seen set's shard sizes. The mean comes from the
+/// shards' own rows: the seen set holds one canonical row per orbit, so
+/// seen_count() (|A[k]|, every row) would inflate it up to n!-fold.
 double seen_shard_imbalance(const FmcfEnumerator& e) {
   const std::vector<std::size_t> rows = e.seen_shard_rows();
-  const double mean = static_cast<double>(e.seen_count()) /
-                      static_cast<double>(rows.size());
+  const double mean =
+      static_cast<double>(std::accumulate(rows.begin(), rows.end(),
+                                          std::size_t{0})) /
+      static_cast<double>(rows.size());
   return static_cast<double>(*std::max_element(rows.begin(), rows.end())) /
          mean;
 }
@@ -508,10 +513,10 @@ ClosureConfig four_threads_sixteen_shards() {
 }
 
 TEST(FmcfSharding, SeenSetIsBalancedAtThreeWiresCb5) {
-  // Every gate fixes label 0 and most short cascades fix label 1, so a
-  // router on leading labels parks the whole seen set in one shard (16x
-  // the mean). Splitters sampled from the pilot frontier keep the fullest
-  // shard within 2x of the mean.
+  // Every gate fixes label 0 and canonical rows cluster low in memcmp
+  // order, so a router on leading labels parks the whole seen set in one
+  // shard (16x the mean). Cutting the seen set at its own evenly spaced
+  // rows keeps the fullest shard within 2x of the mean.
   const gates::GateLibrary library = gates::GateLibrary::standard(3);
   FmcfEnumerator e(library, four_threads_sixteen_shards());
   e.run_to(5);

@@ -438,6 +438,45 @@ TEST(ShardedPermStore, ShardWiseAlgebraMatchesFlatAlgebra) {
   }
 }
 
+TEST(ShardedPermStore, MovedChunkMergesIntoEmptyAndNonEmptyShards) {
+  // merge_into_shard takes its chunk by value: a chunk moved into an empty
+  // shard becomes the shard's store as is, one moved into a filled shard is
+  // merged, and one passed as an lvalue is copied and left intact.
+  Rng rng(7106);
+  const std::size_t width = 6;
+  std::vector<Row> rows;
+  for (int i = 0; i < 120; ++i) rows.push_back(random_row(rng, width, 6));
+  const std::vector<Row> first(rows.begin(), rows.begin() + 60);
+  const std::vector<Row> second(rows.begin() + 60, rows.end());
+  ShardedPermStore store(width, 4);
+
+  FlatPermStore chunk = store_of(first, width);
+  chunk.sort_unique();
+  const std::uint8_t* const bytes = chunk.row(0);
+  store.merge_into_shard(0, std::move(chunk));
+  EXPECT_EQ(store.shard(0).row(0), bytes);  // taken over, not copied
+  expect_equals_model(store.shard(0), set_of(first));
+
+  FlatPermStore more = store_of(second, width);
+  more.sort_unique();
+  store.subtract_shard_from(0, more);
+  store.merge_into_shard(0, std::move(more));
+  expect_equals_model(store.shard(0), set_of(rows));
+
+  FlatPermStore kept = store_of(second, width);
+  kept.sort_unique();
+  const std::size_t kept_rows = kept.size();
+  ShardedPermStore other(width, 4);
+  other.merge_into_shard(0, kept);
+  EXPECT_EQ(kept.size(), kept_rows);
+  expect_equals_model(other.shard(0), set_of(second));
+
+  ShardedPermStore narrow(width - 1, 4);
+  FlatPermStore wide = store_of(first, width);
+  wide.sort_unique();
+  EXPECT_THROW(narrow.merge_into_shard(0, std::move(wide)), LogicError);
+}
+
 TEST(ShardedPermStore, ContainsSortedMatchesModel) {
   // Membership as the closure tests it (subtract_shard_from), on a store
   // cut into 16 shards.

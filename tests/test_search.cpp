@@ -461,9 +461,9 @@ TEST(Backend4, SpotCheckCnotChainAgainstClosure) {
 
 // ---------------------------------------------------------------------------
 // 5 wires: the acceptance case — a target the in-memory closure cannot
-// reach. Deepening the 5-wire closure to k = 4 takes a ~2.5 GiB spill (PR 7
-// measurements in BENCH_pr7.json); the DFS engine answers the same question
-// in tens of MiB by searching instead of storing.
+// reach. Deepening the 5-wire closure to k = 4 spills its 1.2 GiB level-4
+// frontier; the DFS engine answers the same question in tens of MiB by
+// searching instead of storing.
 
 TEST(Backend5, PeresEmbeddedBeyondInMemoryClosureReach) {
   const gates::GateLibrary library = gates::GateLibrary::standard(5);

@@ -968,9 +968,10 @@ class SpilledClosure3 : public ::testing::Test {
   static ClosureConfig spill_config(std::size_t threads) {
     ClosureConfig config;
     config.threads = threads;
-    // ~64 KiB per store: the 3-wire closure holds ~26 MB of rows by cb = 7,
-    // so every level past the first few seals multiple runs per shard.
-    config.spill_budget_bytes = std::size_t(64) << 10;
+    // ~16 KiB per store: the 3-wire closure's seen set holds ~4.4 MB of
+    // canonical rows by cb = 7 (its frontiers ~20 MB), so every level past
+    // the first few seals multiple runs per shard.
+    config.spill_budget_bytes = std::size_t(16) << 10;
     config.spill_dir = ::testing::TempDir();
     return config;
   }
@@ -1149,8 +1150,9 @@ ClosureConfig spill_config4(std::size_t budget_bytes) {
 
 TEST(SpilledClosure4, SeenStoreStaysWithinBudgetOnEveryLevel) {
   // The budget means the configured bytes: the unsplit seen set gets all of
-  // it, a split one slices it over its shards.
-  const std::size_t budget = std::size_t(1) << 20;
+  // it, a split one slices it over its shards. 256 KiB is well under the
+  // ~865 KB of canonical rows the seen set holds at k = 4.
+  const std::size_t budget = std::size_t(256) << 10;
   ClosureConfig config = spill_config4(budget);
   config.track_witnesses = false;
   FmcfEnumerator closure(library4(), config);
@@ -1168,16 +1170,17 @@ TEST(SpilledClosure4, SeenStoreStaysWithinBudgetOnEveryLevel) {
 }
 
 TEST(SpilledClosure4, ResplitOfSpilledSeenSetIsByteIdentical) {
-  // A budget small enough that the unsplit seen set seals runs before the
-  // pilot level: the one re-split then streams sealed runs into the new
-  // shards, and the closure must still match the single-threaded in-memory
-  // sweep in every stat and every frontier byte.
+  // A budget small enough that the unsplit seen set seals runs before its
+  // first cut (at k = 2 it holds 40 canonical rows, 7040 B): the cuts then
+  // stream sealed runs into the new shards, and the closure must still
+  // match the single-threaded in-memory sweep in every stat and every
+  // frontier byte.
   ClosureConfig single;
   single.threads = 1;
   FmcfEnumerator reference(library4(), single);
   reference.run_to(4);
 
-  FmcfEnumerator spilled(library4(), spill_config4(std::size_t(64) << 10));
+  FmcfEnumerator spilled(library4(), spill_config4(std::size_t(6) << 10));
   bool spilled_before_split = false;
   while (spilled.levels_done() < 4) {
     spilled.advance();
