@@ -16,6 +16,7 @@
 #include <climits>
 #include <fstream>
 #include <iterator>
+#include <mutex>
 #else
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -42,6 +43,15 @@ long write_some(int fd, const std::uint8_t* bytes, std::size_t n) {
   return ::_write(fd, bytes,
                   static_cast<unsigned>(std::min<std::size_t>(n, INT_MAX)));
 }
+// No pwrite: a seek and a write under one process-wide lock, so positional
+// writes from several threads are serialized.
+long write_some_at(int fd, const std::uint8_t* bytes, std::size_t n,
+                   std::uint64_t offset) {
+  static std::mutex seek_then_write;
+  const std::lock_guard<std::mutex> lock(seek_then_write);
+  if (::_lseeki64(fd, static_cast<__int64>(offset), SEEK_SET) < 0) return -1;
+  return write_some(fd, bytes, n);
+}
 int sync_fd(int fd) { return ::_commit(fd); }
 int close_fd_raw(int fd) { return ::_close(fd); }
 #else
@@ -51,9 +61,29 @@ int create_for_write(const std::string& path) {
 long write_some(int fd, const std::uint8_t* bytes, std::size_t n) {
   return static_cast<long>(::write(fd, bytes, n));
 }
+long write_some_at(int fd, const std::uint8_t* bytes, std::size_t n,
+                   std::uint64_t offset) {
+  return static_cast<long>(::pwrite(fd, bytes, n, static_cast<off_t>(offset)));
+}
 int sync_fd(int fd) { return ::fsync(fd); }
 int close_fd_raw(int fd) { return ::close(fd); }
 #endif
+
+// Writes all `n` bytes through `write_once(bytes + done, n - done, done)`,
+// which returns what one call wrote or -1; retries EINTR and short writes.
+template <typename WriteOnce>
+void write_fully(const std::string& path, const std::uint8_t* bytes,
+                 std::size_t n, WriteOnce&& write_once) {
+  std::size_t done = 0;
+  while (done < n) {
+    const long written = write_once(bytes + done, n - done, done);
+    if (written < 0 && errno == EINTR) continue;
+    if (written <= 0) {
+      fail("write", path, written < 0 ? std::strerror(errno) : "no progress");
+    }
+    done += static_cast<std::size_t>(written);
+  }
+}
 
 }  // namespace
 
@@ -162,6 +192,16 @@ std::shared_ptr<const MmapFile> SpillWriter::seal() {
   return file;
 }
 
+void SpillWriter::write_at(std::uint64_t offset, const std::uint8_t* bytes,
+                           std::size_t n) {
+  QSYN_CHECK(!sealed_, "SpillWriter is sealed: write_at rejected");
+  write_fully(path_, bytes, n,
+              [this, offset](const std::uint8_t* b, std::size_t k,
+                             std::size_t done) {
+                return write_some_at(fd_, b, k, offset + done);
+              });
+}
+
 void SpillWriter::flush() {
   if (buffer_.empty()) return;
   write_all(buffer_.data(), buffer_.size());
@@ -169,15 +209,42 @@ void SpillWriter::flush() {
 }
 
 void SpillWriter::write_all(const std::uint8_t* bytes, std::size_t n) {
-  while (n > 0) {
-    const long written = write_some(fd_, bytes, n);
-    if (written < 0 && errno == EINTR) continue;
-    if (written <= 0) {
-      fail("write", path_, written < 0 ? std::strerror(errno) : "no progress");
+  write_fully(path_, bytes, n,
+              [this](const std::uint8_t* b, std::size_t k, std::size_t) {
+                return write_some(fd_, b, k);
+              });
+}
+
+SpillRangeWriter::SpillRangeWriter(SpillWriter& file, std::uint64_t offset,
+                                   std::size_t bytes)
+    : file_(file), next_(offset), left_(bytes) {
+  buffer_.reserve(std::min(bytes, kSpillWriteBufferBytes));
+}
+
+void SpillRangeWriter::append(const std::uint8_t* bytes, std::size_t n) {
+  QSYN_CHECK(n <= left_, "SpillRangeWriter: append past the end of its range");
+  left_ -= n;
+  if (buffer_.size() + n > buffer_.capacity()) {
+    flush();
+    if (n >= buffer_.capacity()) {  // too big to buffer: write through
+      file_.write_at(next_, bytes, n);
+      next_ += n;
+      return;
     }
-    bytes += written;
-    n -= static_cast<std::size_t>(written);
   }
+  buffer_.insert(buffer_.end(), bytes, bytes + n);
+}
+
+void SpillRangeWriter::finish() {
+  flush();
+  QSYN_CHECK(left_ == 0, "SpillRangeWriter: range finished short of its end");
+}
+
+void SpillRangeWriter::flush() {
+  if (buffer_.empty()) return;
+  file_.write_at(next_, buffer_.data(), buffer_.size());
+  next_ += buffer_.size();
+  buffer_.clear();
 }
 
 }  // namespace qsyn::io

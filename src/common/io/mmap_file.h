@@ -22,6 +22,10 @@
 //    one bounded heap buffer (kSpillWriteBufferBytes). seal() flushes the
 //    buffer and hands back a read-only MmapFile of the file; the page cache
 //    is coherent, so the mapping sees every written byte without a flush.
+//    A file whose layout is known up front is filled by positional writes
+//    instead (write_at, pwrite(2)): several threads may each fill their own
+//    byte range at once, each through a SpillRangeWriter of its own that
+//    buffers at most kSpillWriteBufferBytes.
 //
 // Durability follows ownership. A temporary (keep_file = false) is deleted by
 // its owner — the writer if the write never completed, else the last view
@@ -46,8 +50,9 @@
 
 namespace qsyn::io {
 
-/// Heap bytes one SpillWriter buffers before it calls write(2). This heap
-/// sits outside the spill budget (synth::SpillOptions::budget_bytes).
+/// Heap bytes one SpillWriter (or SpillRangeWriter) buffers before it
+/// writes. This heap sits outside the spill budget
+/// (synth::SpillOptions::budget_bytes).
 inline constexpr std::size_t kSpillWriteBufferBytes = std::size_t(1) << 20;
 
 /// An immutable byte view of one file, memory-mapped where possible.
@@ -99,6 +104,13 @@ class SpillWriter {
   /// when the write fails (e.g. disk full, file-size limit).
   void append(const std::uint8_t* bytes, std::size_t n);
 
+  /// Writes `n` bytes at byte `offset` of the file, unbuffered and without
+  /// moving the append position. Threads may call it at once for disjoint
+  /// ranges (POSIX pwrite(2); Windows serializes the calls). A file is
+  /// filled either by append() or by write_at(), not both. Throws as
+  /// append() does.
+  void write_at(std::uint64_t offset, const std::uint8_t* bytes, std::size_t n);
+
   /// Flushes the buffer, fsyncs a kept file, closes it, and maps it
   /// read-only. The mapping owns a temporary file from here on (the last
   /// view removes it); a kept file stays on disk. Throws qsyn::LogicError
@@ -114,6 +126,31 @@ class SpillWriter {
   int fd_ = -1;
   bool keep_file_ = false;
   bool sealed_ = false;
+};
+
+/// Fills the byte range [offset, offset + bytes) of a SpillWriter's file
+/// front to back through its own buffer of min(bytes,
+/// kSpillWriteBufferBytes) bytes, flushed with SpillWriter::write_at. One
+/// per thread: writers of disjoint ranges of one file run concurrently.
+class SpillRangeWriter {
+ public:
+  SpillRangeWriter(SpillWriter& file, std::uint64_t offset, std::size_t bytes);
+
+  /// Appends `n` bytes to the range. Throws qsyn::LogicError past its end,
+  /// qsyn::IoError when a write fails.
+  void append(const std::uint8_t* bytes, std::size_t n);
+
+  /// Writes out the buffer. Throws qsyn::LogicError unless the range is then
+  /// exactly full.
+  void finish();
+
+ private:
+  void flush();
+
+  SpillWriter& file_;
+  std::uint64_t next_;  // file offset of buffer_[0]
+  std::size_t left_;    // range bytes not yet appended
+  std::vector<std::uint8_t> buffer_;
 };
 
 }  // namespace qsyn::io

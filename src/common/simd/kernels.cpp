@@ -72,28 +72,47 @@ std::size_t common_prefix(const std::uint8_t* a, const std::uint8_t* b,
   return p;
 }
 
+// A row's 8-byte key window and a pointer to the row: 16 bytes per row
+// wherever the row lies, so sorting out of several buffers needs no second
+// per-row array.
 struct RadixPair {
   std::uint64_t key;
-  std::uint32_t index;
+  const std::uint8_t* row;
 };
+static_assert(sizeof(RadixPair) == 16, "one key and one pointer per row");
 
 }  // namespace
 
 void sort_unique_rows(const std::uint8_t* rows, std::size_t count,
                       std::size_t stride, RowBytes& out) {
+  const RowRange range{rows, count};
+  sort_unique_rows(&range, 1, stride, out);
+}
+
+void sort_unique_rows(const RowRange* ranges, std::size_t range_count,
+                      std::size_t stride, RowBytes& out) {
   out.clear();
+  std::size_t count = 0;
+  const std::uint8_t* first = nullptr;
+  for (std::size_t r = 0; r < range_count; ++r) {
+    if (first == nullptr && ranges[r].count > 0) first = ranges[r].rows;
+    count += ranges[r].count;
+  }
   if (count == 0) return;
   if (count == 1) {
-    out.append(rows, stride);
+    out.append(first, stride);
     return;
   }
 
   // The key window must start at a true common prefix of every row — the
   // radix order below only sees the window, so any byte before it has to be
-  // globally constant. One early-exiting scan against row 0 finds it.
+  // globally constant. One early-exiting scan against the first row finds
+  // it.
   std::size_t lcp = stride;
-  for (std::size_t i = 1; i < count && lcp > 0; ++i) {
-    lcp = common_prefix(rows, rows + i * stride, lcp);
+  for (std::size_t r = 0; r < range_count && lcp > 0; ++r) {
+    for (std::size_t i = 0; i < ranges[r].count && lcp > 0; ++i) {
+      lcp = common_prefix(first, ranges[r].rows + i * stride, lcp);
+    }
   }
 
   // 8-byte big-endian key window at the first discriminating byte: integer
@@ -101,14 +120,17 @@ void sort_unique_rows(const std::uint8_t* rows, std::size_t count,
   const std::size_t window = std::min<std::size_t>(8, stride - lcp);
   std::vector<RadixPair> pairs(count);
   std::vector<RadixPair> scratch(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint8_t* at = rows + i * stride + lcp;
-    std::uint64_t key = 0;
-    for (std::size_t b = 0; b < window; ++b) {
-      key = key << 8 | at[b];
+  std::size_t next = 0;
+  for (std::size_t r = 0; r < range_count; ++r) {
+    for (std::size_t i = 0; i < ranges[r].count; ++i) {
+      const std::uint8_t* row = ranges[r].rows + i * stride;
+      std::uint64_t key = 0;
+      for (std::size_t b = 0; b < window; ++b) {
+        key = key << 8 | row[lcp + b];
+      }
+      key <<= 8 * (8 - window);
+      pairs[next++] = RadixPair{key, row};
     }
-    key <<= 8 * (8 - window);
-    pairs[i] = RadixPair{key, static_cast<std::uint32_t>(i)};
   }
 
   // LSD radix over the key: all 8 histograms in one pre-pass, then one
@@ -143,39 +165,32 @@ void sort_unique_rows(const std::uint8_t* rows, std::size_t count,
     }
     std::swap(pairs, scratch);
   }
+  scratch = std::vector<RadixPair>();  // released before `out` grows
 
   // Gather in key order. Rows with equal keys agree on bytes [0, lcp + 8);
-  // groups are comparison-sorted on the tail and deduplicated (duplicates
-  // always share a key, so cross-group duplicates cannot exist).
+  // groups are comparison-sorted on the tail in place and deduplicated
+  // (duplicates always share a key, so cross-group duplicates cannot
+  // exist).
   out.reserve(count * stride);
   const std::size_t tail_offset = lcp + window;
   const std::size_t tail = stride - tail_offset;
-  std::vector<std::uint32_t> group;
+  const auto tail_less = [tail_offset, tail](const RadixPair& a,
+                                             const RadixPair& b) {
+    return std::memcmp(a.row + tail_offset, b.row + tail_offset, tail) < 0;
+  };
   std::size_t i = 0;
   while (i < count) {
     std::size_t j = i + 1;
     while (j < count && pairs[j].key == pairs[i].key) ++j;
-    if (j == i + 1) {
-      const std::uint8_t* r = rows + std::size_t(pairs[i].index) * stride;
-      out.append(r, stride);
-    } else if (tail == 0) {
-      // Fully identical rows: keep one.
-      const std::uint8_t* r = rows + std::size_t(pairs[i].index) * stride;
-      out.append(r, stride);
+    if (j == i + 1 || tail == 0) {
+      // A lone row, or fully identical rows: keep one.
+      out.append(pairs[i].row, stride);
     } else {
-      group.clear();
-      for (std::size_t g = i; g < j; ++g) group.push_back(pairs[g].index);
-      std::sort(group.begin(), group.end(),
-                [rows, stride, tail_offset, tail](std::uint32_t a,
-                                                  std::uint32_t b) {
-                  return std::memcmp(
-                             rows + std::size_t(a) * stride + tail_offset,
-                             rows + std::size_t(b) * stride + tail_offset,
-                             tail) < 0;
-                });
+      std::sort(pairs.begin() + static_cast<std::ptrdiff_t>(i),
+                pairs.begin() + static_cast<std::ptrdiff_t>(j), tail_less);
       const std::uint8_t* prev = nullptr;
-      for (const std::uint32_t idx : group) {
-        const std::uint8_t* r = rows + std::size_t(idx) * stride;
+      for (std::size_t g = i; g < j; ++g) {
+        const std::uint8_t* r = pairs[g].row;
         if (prev != nullptr &&
             std::memcmp(prev + tail_offset, r + tail_offset, tail) == 0) {
           continue;

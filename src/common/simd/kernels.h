@@ -11,7 +11,8 @@
 //    over an 8-byte big-endian key window (positioned past the rows' common
 //    prefix, with full-row tie-breaking), so the sweep cost scales with row
 //    bytes moved instead of comparator calls: 18.0 vs 71.3 ms for an
-//    index-indirect std::sort at width 38 (Release, 4-CPU x86-64 host).
+//    index-indirect std::sort at width 38 (Release, 4-CPU x86-64 host). Its
+//    (key, row pointer) pairs may point into several buffers at once.
 //    Subtract and merge are std::memcmp two-pointer sweeps: glibc's memcmp
 //    is already vectorized, and a hand-written AVX2 row compare measured no
 //    faster (9.24 vs 9.73 ms at width 38, 0.899 vs 0.865 ms at width 1564).
@@ -85,8 +86,22 @@ class RowBytes {
 // ascending in memcmp order and duplicate-free (given sorted inputs for the
 // binary operations), appended to `out` (cleared first).
 
+/// `count` contiguous rows starting at `rows`.
+struct RowRange {
+  const std::uint8_t* rows;
+  std::size_t count;
+};
+
 /// Sorts `count` rows and drops duplicates (LSD radix sort).
 void sort_unique_rows(const std::uint8_t* rows, std::size_t count,
+                      std::size_t stride, RowBytes& out);
+
+/// Sorts the rows of all `range_count` ranges together and drops
+/// duplicates: the result equals sort_unique_rows over the ranges'
+/// concatenation, but the radix pass reads each row where it lies, so the
+/// ranges are never copied into one buffer first. The closure sorts a
+/// shard's candidates straight out of every worker's buffer this way.
+void sort_unique_rows(const RowRange* ranges, std::size_t range_count,
                       std::size_t stride, RowBytes& out);
 
 /// Set difference a \ b over sorted, duplicate-free row ranges.

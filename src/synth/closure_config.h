@@ -34,7 +34,8 @@ struct ClosureConfig {
   bool use_banned_sets = true;
 
   /// Candidate-buffer chunk size (rows) for the level expansion; bounds peak
-  /// memory at deep levels.
+  /// memory at deep levels. With a spill budget, a round is also capped in
+  /// bytes (see spill_budget_bytes).
   std::size_t chunk_rows = std::size_t(1) << 24;
 
   /// Worker threads for the level sweep. 0 = the QSYN_THREADS environment
@@ -55,7 +56,13 @@ struct ClosureConfig {
   /// When the budget trips, shards seal their sorted rows into
   /// prefix-compressed run files under spill_dir and the level's set algebra
   /// continues as streaming merges over the sealed runs — per-level stats
-  /// stay byte-identical to the in-memory sweep.
+  /// stay byte-identical to the in-memory sweep. The budget also caps each
+  /// round of candidate rows the level expansion buffers before sorting
+  /// them into a store: at most max(budget, 1 MiB) bytes (the floor keeps
+  /// tiny budgets from sealing a run per shard per handful of rows).
+  /// Outside the budget: each file being written holds one 1 MiB write
+  /// buffer, and while a spilled frontier drains to disk each running shard
+  /// task holds one (see SpillOptions::budget_bytes).
   std::size_t spill_budget_bytes = 0;
 
   /// Directory for spill files. Empty = the QSYN_SPILL_DIR environment

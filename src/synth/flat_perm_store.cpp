@@ -183,13 +183,6 @@ bool FlatPermStore::contains_sorted(const std::uint8_t* row_bytes) const {
   return false;
 }
 
-void FlatPermStore::append(const FlatPermStore& other) {
-  QSYN_CHECK(width_ == other.width_, "width mismatch");
-  ensure_writable();
-  bytes_.append(other.view_data_, other.view_bytes_);
-  sync_view();
-}
-
 void FlatPermStore::assign_rows(simd::RowBytes bytes) {
   QSYN_CHECK(bytes.size() % stride_ == 0,
              "assign_rows requires a whole number of rows");

@@ -151,9 +151,6 @@ class FlatPermStore {
   [[nodiscard]] std::vector<std::uint8_t> encode_row(
       const perm::Permutation& p) const;
 
-  /// Appends every row of `other` as-is (widths must match).
-  void append(const FlatPermStore& other);
-
   /// Replaces the rows wholesale with `bytes` (a whole number of rows in
   /// this store's encoding). The bulk-commit primitive the spill engine's
   /// streaming subtract/merge passes and ShardedPermStore's drain use.

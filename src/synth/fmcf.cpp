@@ -40,43 +40,32 @@ void decode_row(const std::uint8_t* row, std::size_t width,
 // One pooled round of a level. `produce(i, worker, emit)` runs for every row
 // i of `input` and emits up to `per_row` rows, each routed to its owning
 // shard of `store`. Rows are produced in super-chunks of at most
-// `chunk_rows` candidates; after each, every live shard's candidates are
+// `round_rows` candidates; after each, every live shard's candidates are
 // sort_unique'd and handed to `settle(s, chunk)` in a second round.
 //
 // Worker-local per-shard buffers: the produce round routes rows into
 // locals[worker][shard] without any synchronization, and the settle round
-// drains every worker's buffer for one shard from a single thread.
-// Appending order across workers is scheduling-dependent, but each shard is
-// sort_unique'd before use, so the resulting *sets* — and hence every stat —
-// are identical to the single-threaded sweep. With one worker the produce
-// round runs inline on the caller, so it writes straight into shard_chunks
-// and skips the local-buffer copy.
+// radix-sorts one shard's rows straight out of every worker's buffer and
+// releases them. Appending order across workers is scheduling-dependent,
+// but each shard is sort_unique'd before use, so the resulting *sets* — and
+// hence every stat — are identical to the single-threaded sweep.
 template <typename Produce, typename Settle>
-void fan_out(ThreadPool& pool, std::size_t threads, std::size_t chunk_rows,
+void fan_out(ThreadPool& pool, std::size_t threads, std::size_t round_rows,
              const FlatPermStore& input, std::size_t per_row,
              const ShardedPermStore& store, Produce&& produce,
              Settle&& settle) {
   if (per_row == 0 || input.empty()) return;
   const std::size_t width = store.width();
+  const std::size_t stride = input.row_stride();
   const std::size_t live = store.live_shards();
-  std::vector<std::vector<FlatPermStore>> locals(threads > 1 ? threads : 0);
+  std::vector<std::vector<FlatPermStore>> locals(threads);
   for (auto& per_worker : locals) {
     per_worker.reserve(live);
     for (std::size_t s = 0; s < live; ++s) per_worker.emplace_back(width);
   }
-  std::vector<FlatPermStore> shard_chunks;
-  shard_chunks.reserve(live);
-  for (std::size_t s = 0; s < live; ++s) shard_chunks.emplace_back(width);
 
-  // Threaded sweeps hold each candidate twice at the settle round
-  // (worker-local buffer + shard chunk), so they use half-size super-chunks
-  // to keep peak memory at the same chunk_rows bound as the single-threaded
-  // sweep.
-  const std::size_t candidate_budget =
-      threads > 1 ? chunk_rows / 2 : chunk_rows;
   const std::size_t rows_per_super =
-      std::max<std::size_t>(1, candidate_budget / per_row);
-
+      std::max<std::size_t>(1, round_rows / per_row);
   for (std::size_t super = 0; super < input.size(); super += rows_per_super) {
     const std::size_t super_end =
         std::min(input.size(), super + rows_per_super);
@@ -88,17 +77,13 @@ void fan_out(ThreadPool& pool, std::size_t threads, std::size_t chunk_rows,
     for (auto& per_worker : locals) {
       for (FlatPermStore& buffer : per_worker) buffer.reserve_rows(share);
     }
-    if (threads == 1) {
-      for (FlatPermStore& chunk : shard_chunks) chunk.reserve_rows(share);
-    }
     // Small blocks load-balance uneven rows (banned-set pruning); at least
     // 4 blocks per worker, capped so tiny inputs stay single-block.
     const std::size_t block_rows = std::max<std::size_t>(
         1, std::min<std::size_t>(4096, super_rows / (4 * threads) + 1));
     const std::size_t blocks = (super_rows + block_rows - 1) / block_rows;
     pool.run(blocks, [&](std::size_t block, std::size_t worker) {
-      std::vector<FlatPermStore>& buffers =
-          threads > 1 ? locals[worker] : shard_chunks;
+      std::vector<FlatPermStore>& buffers = locals[worker];
       const bool route = live > 1;  // an unsplit store routes to shard 0
       const auto emit = [&](const std::uint8_t* row) {
         buffers[route ? store.shard_of(row) : 0].push_back(row);
@@ -108,20 +93,48 @@ void fan_out(ThreadPool& pool, std::size_t threads, std::size_t chunk_rows,
       for (std::size_t i = begin; i < end; ++i) produce(i, worker, emit);
     });
     pool.run(live, [&](std::size_t s, std::size_t) {
-      FlatPermStore& chunk = shard_chunks[s];
-      std::size_t rows = chunk.size();
-      for (const auto& per_worker : locals) rows += per_worker[s].size();
-      chunk.reserve_rows(rows);
-      for (auto& per_worker : locals) {
-        chunk.append(per_worker[s]);
-        per_worker[s].clear();
+      std::vector<simd::RowRange> ranges;
+      ranges.reserve(threads);
+      for (const auto& per_worker : locals) {
+        const FlatPermStore& buffer = per_worker[s];
+        if (!buffer.empty()) ranges.push_back({buffer.data(), buffer.size()});
       }
-      if (chunk.empty()) return;
-      chunk.sort_unique();
+      if (ranges.empty()) return;
+      simd::RowBytes sorted;
+      simd::sort_unique_rows(ranges.data(), ranges.size(), stride, sorted);
+      for (auto& per_worker : locals) per_worker[s].clear();
+      FlatPermStore chunk(width);
+      chunk.assign_rows(std::move(sorted));
       settle(s, std::move(chunk));
-      chunk.clear();
     });
   }
+}
+
+// The first row after row `i` of sorted `rows` whose leading `bytes` bytes
+// differ from row i's: rows sharing them form one block, found by galloping
+// forward from i and then bisecting the last step.
+std::size_t end_of_block(const FlatPermStore& rows, std::size_t i,
+                         std::size_t bytes) {
+  const std::uint8_t* head = rows.row(i);
+  const auto same = [&](std::size_t j) {
+    return std::memcmp(rows.row(j), head, bytes) == 0;
+  };
+  std::size_t lo = i;  // the last row known to share the bytes
+  std::size_t step = 1;
+  while (lo + step < rows.size() && same(lo + step)) {
+    lo += step;
+    step *= 2;
+  }
+  std::size_t hi = std::min(rows.size(), lo + step);  // differs, or the end
+  while (hi - lo > 1) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (same(mid)) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return hi;
 }
 
 }  // namespace
@@ -273,6 +286,18 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
              "closure already exhausted (empty frontier)");
   const SpillOptions spill{spill_budget_, spill_dir_};
   std::vector<RowScratch> scratch(threads_, RowScratch(width_, stride_));
+  // A round's candidates are bounded in rows, and with a spill budget in
+  // bytes too, so the worker buffers hold no more than the budget. A shard
+  // of the store a round settles into seals about once per round, and every
+  // run is a file and a mapping, so rounds never shrink below one spill
+  // write buffer (1 MiB): budgets of a few KiB would otherwise seal thousands
+  // of runs per shard and subtract against all of them every round.
+  std::size_t round_rows = options_.chunk_rows;
+  if (spill_budget_ != 0) {
+    const std::size_t round_bytes =
+        std::max(spill_budget_, io::kSpillWriteBufferBytes);
+    round_rows = std::min(round_rows, round_bytes / stride_);
+  }
 
   // Rep step: R[k-1] x L, each product canonicalized, minus the seen reps.
   // A product of a conjugate of a rep is a conjugate of a product of that
@@ -282,7 +307,7 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
   ShardedPermStore fresh_reps(width_, shards_, spill);
   if (seen_.live_shards() > 1) fresh_reps.split(seen_.splitters());
   fan_out(
-      *pool_, threads_, options_.chunk_rows, reps_, gate_count, fresh_reps,
+      *pool_, threads_, round_rows, reps_, gate_count, fresh_reps,
       [&](std::size_t i, std::size_t worker, const auto& emit) {
         RowScratch& w = scratch[worker];
         const std::uint8_t* row = reps_.row(i);
@@ -338,7 +363,7 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
   ShardedPermStore level(width_, shards_, spill);
   if (!frontier_splitters_.empty()) level.split(frontier_splitters_);
   fan_out(
-      *pool_, threads_, options_.chunk_rows, reps, symmetry_.order(), level,
+      *pool_, threads_, round_rows, reps, symmetry_.order(), level,
       [&](std::size_t i, std::size_t worker, const auto& emit) {
         RowScratch& w = scratch[worker];
         decode_row(reps.row(i), width_, label_bytes_, w.labels.data());
@@ -370,23 +395,22 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
 
   // Extract pre_G[k] and G[k] in one pass over the sorted frontier. A G key
   // is the row prefix of its binary labels, so each key is one contiguous
-  // run of rows and the run's first row is the lowest-row witness; a row
-  // that repeats the last emitted key is skipped with one prefix compare.
-  // Rows sort by their first label, so once it leaves the binary labels no
-  // later row can be binary-preserving.
-  const std::size_t key_bytes = binary_count_ * label_bytes_;
+  // block of rows and the block's first row is the lowest-row witness. A row
+  // whose first non-binary image is at binary point p > 0 starts a block of
+  // rows sharing labels [0, p), all of whose images of p sort at or above
+  // its own, so none of them is binary-preserving either. The pass visits
+  // the first row of each such block and skips the rest by galloping
+  // search, reading a small share of the frontier's pages. Rows sort by
+  // their first label, so once it leaves the binary labels no later row can
+  // be binary-preserving.
   std::vector<std::pair<GKey, std::size_t>> level_keys;  // (key, witness row)
-  const std::uint8_t* last_key_row = nullptr;
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    const std::uint8_t* row = fresh.data() + i * stride_;
-    if (row_label(row, 0) >= binary_count_) break;
-    if (last_key_row != nullptr &&
-        std::memcmp(row, last_key_row, key_bytes) == 0) {
-      continue;
-    }
-    if (!row_is_binary_preserving(row)) continue;
-    level_keys.emplace_back(g_key_of_row(row), i);
-    last_key_row = row;
+  for (std::size_t i = 0; i < fresh.size();) {
+    const std::uint8_t* row = fresh.row(i);
+    std::size_t p = 0;
+    while (p < binary_count_ && row_label(row, p) < binary_count_) ++p;
+    if (p == 0) break;
+    if (p == binary_count_) level_keys.emplace_back(g_key_of_row(row), i);
+    i = end_of_block(fresh, i, p * label_bytes_);
   }
   std::sort(level_keys.begin(), level_keys.end());
   const std::size_t pre_g = level_keys.size();

@@ -38,24 +38,33 @@
 // seen set is cut at its own evenly spaced rows (once it holds 16 rows per
 // shard, and again whenever it has grown 4x while in RAM); each level's
 // frontier store is cut at splitters from the first frontier with 64 rows
-// per shard. The levels before are small and run unsplit. With a spill budget
+// per shard. The levels before are small and run unsplit. Both steps buffer
+// their candidates per worker and shard, and each shard's candidates are
+// radix-sorted straight out of those buffers. With a spill budget
 // (ClosureConfig::spill_budget_bytes) the sharded stores seal to
 // prefix-compressed run files when RAM runs out and the set algebra
 // continues as streaming merges over the sealed runs — stats and frontier
 // bytes stay identical to the all-in-RAM sweep, which is how the 5-wire
-// closure reaches k >= 3 on bounded memory. A spilled frontier drains into
-// one file mapped read-only. When the library exhausts its reachable group
-// below the requested bound the closure saturates: saturated() turns true,
-// and advance()/run_to() become no-ops instead of crashing on the empty
-// frontier.
+// closure reaches k >= 3 on bounded memory. The budget also bounds each
+// round of candidates in bytes, so a level whose conjugates far outgrow it
+// (n = 5, k = 4: ~1.3 GB) is materialized in many budget-sized rounds. A
+// spilled frontier drains into one file mapped read-only: one pool task per
+// shard merges that shard's runs and writes them at the shard's offset.
+// When the library exhausts its reachable group below the requested bound
+// the closure saturates: saturated() turns true, and advance()/run_to()
+// become no-ops instead of crashing on the empty frontier.
 //
 // G-key extraction rests on one invariant. Every drained frontier B[k] is
 // memcmp-sorted (the shard partition is monotone), and a G key is a row
 // prefix: the row's first 2^n labels, whose memcmp order is label order.
-// Each key is therefore one contiguous run of rows, binary preservation is
-// decided by that prefix alone, and the run's first row is the lowest-row
-// witness find() reports. One linear pass over B[k] yields pre_G[k] and the
-// witnesses; only the <= |pre_G[k]| distinct keys are sorted.
+// Each key is therefore one contiguous block of rows, binary preservation is
+// decided by that prefix alone, and the block's first row is the lowest-row
+// witness find() reports. The rows that share a prefix ending in a
+// non-binary image form one block too, and none of them is
+// binary-preserving. One pass visits the first row of each block and skips
+// the rest by galloping search, yielding pre_G[k] and the witnesses while
+// reading a small share of B[k] (a spilled frontier's pages are not all
+// faulted in); only the <= |pre_G[k]| distinct keys are sorted.
 #pragma once
 
 #include <array>

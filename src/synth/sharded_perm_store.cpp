@@ -224,52 +224,68 @@ void ShardedPermStore::maybe_seal(std::size_t s) {
 
 namespace {
 
-// Linear min-scan k-way merge over one shard: the active store plus its
-// sealed runs, all sorted and mutually disjoint. Run fan-in per shard is
-// small (budget trips are rare within a level), so a heap would be overkill.
+// K-way merge over one shard: the active store plus its sealed runs, all
+// sorted and mutually disjoint. Candidate rounds are bounded by the spill
+// budget, so a shard that took many rounds holds one run per round it sealed
+// in (dozens at n = 5, k = 4): the cursors sit in a binary min-heap on their
+// head rows, O(log runs) row compares per row emitted.
 template <typename Emit>
 void merge_shard_rows(const FlatPermStore& active,
                       const std::vector<std::shared_ptr<const SealedRun>>& runs,
                       std::size_t stride, Emit&& emit) {
-  struct RunCursor {
-    const SealedRun* run;
+  struct Cursor {
+    const SealedRun* run;  // nullptr: the active store
     std::size_t i;
-    std::vector<std::uint8_t> head;  // materialized run row i
+    std::size_t rows;
+    const std::uint8_t* head;       // row i
+    std::vector<std::uint8_t> row;  // a run's row i, materialized
   };
-  std::vector<RunCursor> cursors;
-  cursors.reserve(runs.size());
+  std::vector<Cursor> cursors;
+  cursors.reserve(runs.size() + 1);
+  if (!active.empty()) {
+    cursors.push_back(Cursor{nullptr, 0, active.size(), active.data(), {}});
+  }
   for (const auto& run : runs) {
     if (run->rows() == 0) continue;
-    RunCursor c{run.get(), 0, std::vector<std::uint8_t>(stride)};
-    c.run->materialize(0, c.head.data());
+    Cursor c{run.get(), 0, run->rows(), nullptr,
+             std::vector<std::uint8_t>(stride)};
+    run->materialize(0, c.row.data());
+    c.head = c.row.data();
     cursors.push_back(std::move(c));
   }
 
-  std::size_t ai = 0;
-  const std::size_t an = active.size();
-  while (true) {
-    const std::uint8_t* best = ai < an ? active.row(ai) : nullptr;
-    std::size_t best_cursor = cursors.size();  // sentinel: active wins
-    for (std::size_t c = 0; c < cursors.size(); ++c) {
-      const std::uint8_t* head = cursors[c].head.data();
-      if (best == nullptr || std::memcmp(head, best, stride) < 0) {
-        best = head;
-        best_cursor = c;
-      }
+  std::vector<Cursor*> heap;
+  heap.reserve(cursors.size());
+  for (Cursor& c : cursors) heap.push_back(&c);
+  const auto later = [stride](const Cursor* a, const Cursor* b) {
+    return std::memcmp(a->head, b->head, stride) > 0;
+  };
+  std::make_heap(heap.begin(), heap.end(), later);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Cursor& c = *heap.back();
+    emit(c.head);
+    if (++c.i == c.rows) {
+      heap.pop_back();
+      continue;
     }
-    if (best == nullptr) break;
-    emit(best);
-    if (best_cursor == cursors.size()) {
-      ++ai;
+    if (c.run == nullptr) {
+      c.head += stride;
     } else {
-      RunCursor& c = cursors[best_cursor];
-      if (++c.i == c.run->rows()) {
-        cursors.erase(cursors.begin() +
-                      static_cast<std::ptrdiff_t>(best_cursor));
-      } else {
-        c.run->materialize(c.i, c.head.data());
-      }
+      c.run->materialize(c.i, c.row.data());
     }
+    std::push_heap(heap.begin(), heap.end(), later);
+  }
+}
+
+// Runs fn(s, worker) for every shard s: as one round of `pool` when there
+// is one, else inline.
+void for_each_shard(ThreadPool* pool, std::size_t shards,
+                    const ThreadPool::Task& fn) {
+  if (pool != nullptr) {
+    pool->run(shards, fn);
+  } else {
+    for (std::size_t s = 0; s < shards; ++s) fn(s, 0);
   }
 }
 
@@ -300,29 +316,36 @@ FlatPermStore ShardedPermStore::drain_sorted(ThreadPool* pool) {
       }
       shards_[s].clear();
     };
-    if (pool != nullptr) {
-      pool->run(shards_.size(), copy_shard);
-    } else {
-      for (std::size_t s = 0; s < shards_.size(); ++s) copy_shard(s, 0);
-    }
+    for_each_shard(pool, shards_.size(), copy_shard);
     FlatPermStore out(width_);
     out.assign_rows(std::move(bytes));
     return out;
   }
 
-  // Spilled: stream the per-shard merges into one temporary spill file and
-  // hand it back mmap'd read-only — the frontier never materializes on the
-  // heap, and the file goes with the last view of the returned store.
+  // Spilled: shard sizes are exact (a shard's pieces are disjoint), so
+  // every shard's rows land at its prefix-sum offset of one temporary spill
+  // file. One task per shard k-way merges its active rows and runs and
+  // writes them there through its own buffer, then releases them; the file
+  // comes back mmap'd read-only, so the frontier never materializes on the
+  // heap, and it goes with the last view of the returned store.
+  const std::size_t stride = shards_[0].row_stride();
+  std::vector<std::uint64_t> offsets(shards_.size() + 1, 0);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    offsets[s + 1] = offsets[s] + shard_size(s) * stride;
+  }
   io::SpillWriter out(next_spill_path(spill_.dir) + ".drain",
                       /*keep_file=*/false);
-  const std::size_t stride = shards_.empty() ? 0 : shards_[0].row_stride();
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    merge_shard_rows(
-        shards_[s], runs_[s], stride,
-        [&out, stride](const std::uint8_t* row) { out.append(row, stride); });
+  const auto drain_shard = [&](std::size_t s, std::size_t) {
+    io::SpillRangeWriter range(out, offsets[s], offsets[s + 1] - offsets[s]);
+    merge_shard_rows(shards_[s], runs_[s], stride,
+                     [&range, stride](const std::uint8_t* row) {
+                       range.append(row, stride);
+                     });
+    range.finish();
     shards_[s].clear();
     runs_[s].clear();
-  }
+  };
+  for_each_shard(pool, shards_.size(), drain_shard);
   const std::shared_ptr<const io::MmapFile> file = out.seal();
   return FlatPermStore(width_, file, 0, file->size());
 }

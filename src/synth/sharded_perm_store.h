@@ -29,9 +29,10 @@
 // primitives below subtract incoming rows against the whole shard (active
 // plus every run) before merging. Disjointness makes sizes exact, so the
 // FMCF per-level stats are byte-identical with and without spilling; the
-// monotone partition makes drain_sorted()'s per-shard k-way merges
-// concatenate into a globally sorted result, so frontier bytes are
-// byte-identical too. With a zero budget (the default) nothing ever spills.
+// monotone partition makes drain_sorted()'s per-shard k-way merges, each
+// written at its shard's offset of one file, concatenate into a globally
+// sorted result, so frontier bytes are byte-identical too. With a zero
+// budget (the default) nothing ever spills.
 #pragma once
 
 #include <cstddef>
@@ -56,11 +57,14 @@ struct SpillOptions {
   /// shards — the one shard of an unsplit store gets all of it, the S shards
   /// of a split store get budget_bytes / S each — and a shard seals its
   /// in-memory rows to disk when a merge leaves them above its slice, so
-  /// memory_bytes() stays within budget_bytes between operations.
+  /// memory_bytes() stays within budget_bytes between operations. The
+  /// closure also caps each round of candidate rows it feeds the store at
+  /// max(budget_bytes, 1 MiB) (ClosureConfig::spill_budget_bytes).
   /// 0 = never spill. Not counted against it: each file being written holds
   /// an io::kSpillWriteBufferBytes heap buffer (1 MiB) until it is sealed —
-  /// one per shard sealing concurrently, plus one while drain_sorted()
-  /// streams a spilled store to disk.
+  /// one per shard sealing concurrently — and while drain_sorted() writes a
+  /// spilled store to disk, each of its running shard tasks holds one
+  /// buffer of at most that size (one per pool worker).
   std::size_t budget_bytes = 0;
 
   /// Directory for run files. Must be non-empty when budget_bytes > 0 (the
@@ -196,12 +200,19 @@ class ShardedPermStore {
   ///     of `pool` when one is given, so the destination's pages are first
   ///     touched by the pool's workers rather than serially, and resident
   ///     memory stays near one store's worth of rows;
-  ///   - spilled: each shard's active rows and runs are k-way merged and
-  ///     streamed into one sealed spill file, and the result is a read-only
-  ///     store viewing that file mmap'd (heap cost: one I/O buffer). The
-  ///     file lives as long as the returned store.
-  /// Row bytes and order are identical in every mode. `pool` must not be
-  /// running a round of its own (ThreadPool::run is not reentrant).
+  ///   - spilled: shard sizes are exact, so each shard owns the byte range
+  ///     at its prefix-sum offset of one spill file. One task per shard —
+  ///     a round of `pool` when one is given — k-way merges the shard's
+  ///     active rows and runs, writes them into its range with positional
+  ///     writes through a buffer of its own (at most
+  ///     io::kSpillWriteBufferBytes), and releases the shard. The result
+  ///     is a read-only store viewing the sealed file mmap'd; the file lives
+  ///     as long as the returned store. When a write fails the IoError
+  ///     propagates, the partial file is removed, and the store's contents
+  ///     are unspecified (shards already drained are empty).
+  /// Row bytes and order are identical in every mode and with or without a
+  /// pool. `pool` must not be running a round of its own (ThreadPool::run
+  /// is not reentrant).
   [[nodiscard]] FlatPermStore drain_sorted(ThreadPool* pool = nullptr);
 
   /// Releases all memory and deletes this store's temporary run files (runs

@@ -150,7 +150,6 @@ TEST(MappedWindow, MmapBackedStoreServesRowsReadOnly) {
   EXPECT_THROW(mapped.push_back(perm::Permutation::identity(4)),
                qsyn::LogicError);
   EXPECT_THROW(mapped.sort_unique(), qsyn::LogicError);
-  EXPECT_THROW(mapped.append(original), qsyn::LogicError);
   EXPECT_THROW(mapped.reserve_rows(8), qsyn::LogicError);
 
   // Copies deep-copy into a writable in-memory store.

@@ -11,6 +11,7 @@
 // registration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <set>
@@ -123,6 +124,66 @@ TEST(KernelSortUnique, AdversarialTieShapes) {
     simd::sort_unique_rows(rows.data(), 0, stride, out);
     EXPECT_TRUE(out.empty());
   }
+}
+
+TEST(KernelSortUnique, MultiRangeMatchesSingleBuffer) {
+  // The closure sorts a shard's rows straight out of every worker's buffer:
+  // any cut of the rows into ranges, empty ones included, must sort to the
+  // bytes of the concatenation. Duplicates are dense within ranges and
+  // copied across them.
+  Rng rng(904);
+  for (const std::size_t stride : kStrides) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const std::size_t count = 2 + rng.below(300);
+      const std::size_t shared =
+          std::min<std::size_t>(stride - 1, rng.below(20));
+      const std::uint32_t alphabet = 2 + rng.below(8);
+      Bytes rows = rows_with_prefix(rng, count, stride, shared, alphabet);
+      for (int copy = 0; copy < 8; ++copy) {
+        const std::size_t from = rng.below(static_cast<std::uint32_t>(count));
+        const std::size_t to = rng.below(static_cast<std::uint32_t>(count));
+        std::copy_n(rows.begin() + static_cast<std::ptrdiff_t>(from * stride),
+                    stride,
+                    rows.begin() + static_cast<std::ptrdiff_t>(to * stride));
+      }
+      simd::RowBytes single;
+      simd::sort_unique_rows(rows.data(), count, stride, single);
+
+      // Cut points drawn with repeats, so some ranges are empty; an empty
+      // range leads and one trails.
+      std::vector<std::size_t> cuts = {0, 0, count, count};
+      for (int c = 0; c < 4; ++c) {
+        cuts.push_back(rng.below(static_cast<std::uint32_t>(count + 1)));
+      }
+      std::sort(cuts.begin(), cuts.end());
+      std::vector<simd::RowRange> ranges;
+      for (std::size_t c = 1; c < cuts.size(); ++c) {
+        const std::size_t in_range = cuts[c] - cuts[c - 1];
+        ranges.push_back({rows.data() + cuts[c - 1] * stride, in_range});
+      }
+      simd::RowBytes multi;
+      simd::sort_unique_rows(ranges.data(), ranges.size(), stride, multi);
+      EXPECT_EQ(bytes_of(multi), bytes_of(single)) << "stride " << stride;
+
+      // One range is the single-buffer call.
+      const simd::RowRange whole{rows.data(), count};
+      simd::sort_unique_rows(&whole, 1, stride, multi);
+      EXPECT_EQ(bytes_of(multi), bytes_of(single));
+    }
+  }
+
+  // Ranges holding only empty or single rows, and no ranges at all.
+  const Bytes row(38, 0x11);
+  const std::vector<simd::RowRange> lone = {
+      {row.data(), 0}, {row.data(), 1}, {row.data(), 0}};
+  simd::RowBytes out;
+  simd::sort_unique_rows(lone.data(), lone.size(), 38, out);
+  EXPECT_EQ(bytes_of(out), row);
+  const std::vector<simd::RowRange> twice = {{row.data(), 1}, {row.data(), 1}};
+  simd::sort_unique_rows(twice.data(), twice.size(), 38, out);
+  EXPECT_EQ(bytes_of(out), row);
+  simd::sort_unique_rows(lone.data(), 0, 38, out);
+  EXPECT_TRUE(out.empty());
 }
 
 // --- subtract / merge -------------------------------------------------------

@@ -30,6 +30,7 @@
 #include "common/error.h"
 #include "common/io/mmap_file.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "gates/library.h"
 #include "mvl/domain.h"
 #include "synth/closure_config.h"
@@ -192,6 +193,38 @@ TEST(SpillWriter, SealedFileServesAReadOnlyStore) {
   expect_same_rows(reopened, rows);
   EXPECT_TRUE(reopened.read_only());
   std::remove(path.c_str());
+}
+
+TEST(SpillWriter, RangeWritersFillDisjointRangesOfOneFile) {
+  // Three ranges filled last to first, the middle one larger than a range
+  // writer's buffer (flushes, then writes a large append through).
+  const std::size_t big = io::kSpillWriteBufferBytes + 1000;
+  const std::vector<std::size_t> sizes = {10, big, 3};
+  std::vector<std::uint8_t> expected;
+  for (std::size_t r = 0; r < sizes.size(); ++r) {
+    for (std::size_t i = 0; i < sizes[r]; ++i) {
+      expected.push_back(static_cast<std::uint8_t>(r * 50 + i % 7));
+    }
+  }
+  const std::string path = temp_path("writer_ranges");
+  io::SpillWriter writer(path, /*keep_file=*/false);
+  std::size_t offset = expected.size();
+  for (std::size_t r = sizes.size(); r-- > 0;) {
+    offset -= sizes[r];
+    io::SpillRangeWriter range(writer, offset, sizes[r]);
+    range.append(expected.data() + offset, 2);
+    range.append(expected.data() + offset + 2, sizes[r] - 2);
+    EXPECT_THROW(range.append(expected.data(), 1), qsyn::LogicError);
+    range.finish();
+  }
+  const auto file = writer.seal();
+  ASSERT_EQ(file->size(), expected.size());
+  EXPECT_EQ(std::memcmp(file->data(), expected.data(), expected.size()), 0);
+
+  io::SpillWriter short_writer(temp_path("writer_short"), false);
+  io::SpillRangeWriter range(short_writer, 0, 4);
+  range.append(expected.data(), 3);
+  EXPECT_THROW(range.finish(), qsyn::LogicError);
 }
 
 // --- read-only windows over writer files ----------------------------------
@@ -946,6 +979,67 @@ TEST(ShardedSpill, DrainSortedAroundEmptyShards) {
   }
 }
 
+TEST(ShardedSpill, PooledDrainMatchesSerialMerge) {
+  // drain_sorted(pool) merges each shard in its own pool task and writes it
+  // at the shard's offset of the frontier file. It must equal the serial
+  // drain of a copy (which shares the sealed runs) and the rows loaded, byte
+  // for byte: with many runs per shard, an empty shard between filled ones
+  // and an empty last shard, and on a one-shard store.
+  ThreadPool pool(4);
+  Rng rng(5206);
+  for (const std::size_t width : {std::size_t(7), std::size_t(300)}) {
+    const std::size_t label_bytes = width <= 256 ? 1 : 2;
+    FlatPermStore sample(width);
+    Row row(width * label_bytes);
+    for (int i = 0; i < 600; ++i) {
+      for (std::size_t l = 0; l < width; ++l) {
+        FlatPermStore::write_label(
+            row.data(), l, label_bytes,
+            rng.below(static_cast<std::uint32_t>(width)));
+      }
+      sample.push_back(row.data());
+    }
+    sample.sort_unique();
+    for (const std::size_t shards : {std::size_t(1), std::size_t(5)}) {
+      const auto filled = [shards](std::size_t s) {
+        return shards == 1 || (s != 1 && s != shards - 1);
+      };
+      ShardedPermStore store(width, shards,
+                             SpillOptions{shards * 64, ::testing::TempDir()});
+      store.split(ShardedPermStore::splitters_from(sample, shards));
+      FlatPermStore expected(width);
+      for (std::size_t round = 0; round < 8; ++round) {
+        std::vector<FlatPermStore> chunks(shards, FlatPermStore(width));
+        for (std::size_t i = round; i < sample.size(); i += 8) {
+          const std::size_t s = store.shard_of(sample.row(i));
+          if (!filled(s)) continue;
+          chunks[s].push_back(sample.row(i));
+          expected.push_back(sample.row(i));
+        }
+        for (std::size_t s = 0; s < shards; ++s) {
+          store.subtract_shard_from(s, chunks[s]);
+          store.merge_into_shard(s, chunks[s]);
+        }
+      }
+      expected.sort_unique();
+      for (std::size_t s = 0; s < shards; ++s) {
+        if (filled(s)) {
+          EXPECT_GE(store.shard_run_count(s), 4u) << "shard " << s;
+        } else {
+          EXPECT_EQ(store.shard_size(s), 0u) << "shard " << s;
+        }
+      }
+      const FlatPermStore serial = drained_copy(store);
+      const FlatPermStore pooled = store.drain_sorted(&pool);
+      EXPECT_TRUE(pooled.read_only());
+      expect_same_rows(pooled, serial);
+      expect_same_rows(pooled, expected);
+      EXPECT_TRUE(store.empty());
+      EXPECT_FALSE(store.spilled());
+    }
+  }
+}
+
 // --- spill-invariance of the FMCF closure ----------------------------------
 
 class SpilledClosure3 : public ::testing::Test {
@@ -1115,6 +1209,55 @@ TEST_F(SpilledClosure3, FailedWriteLeavesNoSpillFile) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ShardedSpill, FailedDrainWriteInALaterShardLeavesNoSpillFile) {
+  // The first three shards hold 10 % of the rows each and the last one the
+  // other 70 %, and the file-size cap sits at half the frontier: the early
+  // shards write their ranges and finish, the last shard's write fails with
+  // EFBIG, and the partial frontier file must go — serially and pooled.
+  constexpr std::size_t kWidth = 64;  // one-byte labels: 64-byte rows
+  constexpr std::size_t kShards = 4;
+  Rng rng(5207);
+  FlatPermStore rows(kWidth);
+  for (int i = 0; i < 4000; ++i) {
+    rows.push_back(random_label_row(rng, kWidth).data());
+  }
+  rows.sort_unique();
+  FlatPermStore splitters(kWidth);
+  for (std::size_t s = 1; s < kShards; ++s) {
+    splitters.push_back(rows.row(s * rows.size() / 10));
+  }
+  ThreadPool pool(4);
+  for (const bool pooled : {false, true}) {
+    const std::string dir = fresh_spill_dir("leak_late_shard");
+    {
+      ShardedPermStore store(kWidth, kShards, SpillOptions{16 << 10, dir});
+      store.split(splitters);
+      for (std::size_t round = 0; round < 2; ++round) {
+        std::vector<FlatPermStore> chunks(kShards, FlatPermStore(kWidth));
+        for (std::size_t i = round; i < rows.size(); i += 2) {
+          chunks[store.shard_of(rows.row(i))].push_back(rows.row(i));
+        }
+        for (std::size_t s = 0; s < kShards; ++s) {
+          store.merge_into_shard(s, chunks[s]);
+        }
+      }
+      ASSERT_TRUE(store.spilled());
+      {
+        FileSizeLimit limit(rows.size_bytes() / 2);
+        ASSERT_TRUE(limit.ok());
+        EXPECT_THROW((void)store.drain_sorted(pooled ? &pool : nullptr),
+                     qsyn::IoError);
+      }
+      for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        EXPECT_NE(entry.path().extension(), ".drain")
+            << "partial frontier file " << entry.path();
+      }
+    }
+    EXPECT_EQ(files_in(dir), 0u) << "spill files leaked in " << dir;
+    std::filesystem::remove_all(dir);
+  }
+}
+
 TEST_F(SpilledClosure3, FinishedClosureLeavesNoSpillFile) {
   const std::string dir = fresh_spill_dir("leak_finished");
   {
@@ -1202,6 +1345,41 @@ TEST(SpilledClosure4, ResplitOfSpilledSeenSetIsByteIdentical) {
     expect_same_rows(spilled.frontier(k), reference.frontier(k));
   }
   expect_most_shards_filled(spilled);
+}
+
+TEST(SpilledClosure4, MultiRoundMaterializeIsByteIdentical) {
+  // A budget caps each candidate round at its bytes, and B[4]'s ~18 MB of
+  // conjugates are several times a 4 MiB budget, so the materialize step
+  // takes several rounds, each sealing runs. Every frontier byte and stat
+  // must still match the single-threaded in-memory sweep, at 1 and 4
+  // threads.
+  const std::size_t budget = std::size_t(4) << 20;
+  ClosureConfig single;
+  single.threads = 1;
+  FmcfEnumerator reference(library4(), single);
+  reference.run_to(4);
+  ASSERT_GT(reference.frontier(4).size_bytes(), 3 * budget);
+
+  for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
+    ClosureConfig config;
+    config.threads = threads;
+    config.spill_budget_bytes = budget;
+    config.spill_dir = ::testing::TempDir();
+    FmcfEnumerator spilled(library4(), config);
+    spilled.run_to(4);
+    EXPECT_TRUE(spilled.frontier(4).read_only()) << threads << " threads";
+    for (unsigned k = 0; k <= 4; ++k) {
+      if (k > 0) {
+        const FmcfLevelStats& want = reference.stats()[k - 1];
+        const FmcfLevelStats& got = spilled.stats()[k - 1];
+        EXPECT_EQ(got.frontier, want.frontier) << "level " << k;
+        EXPECT_EQ(got.g_new, want.g_new) << "level " << k;
+        EXPECT_EQ(got.pre_g, want.pre_g) << "level " << k;
+        EXPECT_EQ(got.seen, want.seen) << "level " << k;
+      }
+      expect_same_rows(spilled.frontier(k), reference.frontier(k));
+    }
+  }
 }
 
 // --- configuration resolution ----------------------------------------------
