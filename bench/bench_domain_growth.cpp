@@ -17,8 +17,8 @@
 // in-memory sweep records (k = 3: |B[3]| = 44350 rows of 1564 B, ~66 MiB)
 // under a spill budget far below that frontier. The seen set holds one
 // canonical row per wire-relabeling orbit (530 rows, ~0.8 MiB, at k = 3) and
-// stays in RAM; the store the frontier is materialized into seals to
-// prefix-compressed run files and drains into one mapped frontier file.
+// stays in RAM; the store the frontier is materialized into seals its
+// sorted rows to run files and drains into one mapped frontier file.
 // Its table adds heap-vs-disk columns, and
 // bm_closure_outofcore/n:5/threads:{1,2,4} exports the same run (levels,
 // frontier rows, heap/disk MiB counters) into the bench JSON.

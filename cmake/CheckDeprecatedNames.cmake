@@ -15,7 +15,11 @@
 #    heap vector;
 #  * the row-storage seam `RowStorage` (with `VectorRowStorage` and
 #    `MmapRowStorage`) and its factory `StorageSpec` — a FlatPermStore owns
-#    its heap vector or views a mapped window itself.
+#    its heap vector or views a mapped window itself;
+#  * the second on-disk row format `SealedRun` (magic `QSYNRUN`, a header
+#    and a shared-prefix compression) and SpillWriter's `keep_file` policy —
+#    a sealed spill run is the shard's raw sorted rows behind a mapped
+#    FlatPermStore window, and every spill file is a temporary.
 #
 # Usage: cmake -DQSYN_SOURCE_DIR=<repo root> -P CheckDeprecatedNames.cmake
 if(NOT DEFINED QSYN_SOURCE_DIR)
@@ -27,7 +31,8 @@ set(deprecated_names
   "QSYN_SIMD" "force_scalar" "QSYN_WITH_BLAS" "blas_gemm" "gemm_batch"
   "Stopwatch"
   "GrowableMmapFile" "FileRowStorage" "file_backed"
-  "RowStorage" "StorageSpec")
+  "RowStorage" "StorageSpec"
+  "SealedRun" "QSYNRUN" "keep_file")
 
 file(GLOB_RECURSE sources RELATIVE "${QSYN_SOURCE_DIR}"
   "${QSYN_SOURCE_DIR}/src/*.h"

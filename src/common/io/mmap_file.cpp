@@ -52,7 +52,6 @@ long write_some_at(int fd, const std::uint8_t* bytes, std::size_t n,
   if (::_lseeki64(fd, static_cast<__int64>(offset), SEEK_SET) < 0) return -1;
   return write_some(fd, bytes, n);
 }
-int sync_fd(int fd) { return ::_commit(fd); }
 int close_fd_raw(int fd) { return ::_close(fd); }
 #else
 int create_for_write(const std::string& path) {
@@ -65,7 +64,6 @@ long write_some_at(int fd, const std::uint8_t* bytes, std::size_t n,
                    std::uint64_t offset) {
   return static_cast<long>(::pwrite(fd, bytes, n, static_cast<off_t>(offset)));
 }
-int sync_fd(int fd) { return ::fsync(fd); }
 int close_fd_raw(int fd) { return ::close(fd); }
 #endif
 
@@ -150,14 +148,13 @@ MmapFile::~MmapFile() {
 
 #endif
 
-SpillWriter::SpillWriter(std::string path, bool keep_file)
-    : path_(std::move(path)), keep_file_(keep_file) {
+SpillWriter::SpillWriter(std::string path) : path_(std::move(path)) {
   fd_ = create_for_write(path_);
   if (fd_ < 0) fail("open", path_, std::strerror(errno));
 }
 
 SpillWriter::~SpillWriter() {
-  if (sealed_) return;  // the file now belongs to the mapping or the disk
+  if (sealed_) return;  // the file now belongs to the mapping
   if (fd_ >= 0) close_fd_raw(fd_);
   std::remove(path_.c_str());
 }
@@ -180,14 +177,11 @@ std::shared_ptr<const MmapFile> SpillWriter::seal() {
   QSYN_CHECK(!sealed_, "SpillWriter is already sealed");
   flush();
   buffer_ = std::vector<std::uint8_t>();
-  if (keep_file_ && sync_fd(fd_) != 0) {
-    fail("fsync", path_, std::strerror(errno));
-  }
   const int fd = fd_;
   fd_ = -1;
   if (close_fd_raw(fd) != 0) fail("close", path_, std::strerror(errno));
   std::shared_ptr<const MmapFile> file(
-      new MmapFile(path_, /*remove_on_destroy=*/!keep_file_));
+      new MmapFile(path_, /*remove_on_destroy=*/true));
   sealed_ = true;
   return file;
 }

@@ -1,22 +1,22 @@
 // qsyn/common/io/mmap_file.h
 //
 // Memory-mapped files — the zero-copy substrate of the persistent synthesis
-// catalog (synth/catalog.h) and the out-of-core closure spill engine
-// (synth/spill.h).
+// catalog (synth/catalog.h) and the out-of-core closure's spill files
+// (synth/sharded_perm_store.h).
 //
 // Two classes live here, and together they hold the whole spill-file policy
-// (who writes, who syncs, who deletes):
+// (who writes, who deletes):
 //
 //  * MmapFile — maps one file read-only for its whole lifetime and hands out
 //    a stable (data, size) byte view. Consumers that outlive the opener
-//    (read-only FlatPermStore windows such as catalog frontiers and drained
-//    spill frontiers, sealed spill runs) share ownership through the
+//    (read-only FlatPermStore windows such as catalog frontiers, sealed
+//    spill runs and drained spill frontiers) share ownership through the
 //    shared_ptr returned by map(), so the mapping is
 //    released exactly when the last view dies. Pages are faulted in lazily by
 //    the kernel: opening a multi-megabyte catalog costs microseconds, and
 //    only the pages a query actually touches ever become resident. A mapping
-//    handed out by SpillWriter::seal() for a temporary file also removes the
-//    file when the last view dies.
+//    handed out by SpillWriter::seal() also removes its file when the last
+//    view dies.
 //
 //  * SpillWriter — creates one file and appends to it with write(2) through
 //    one bounded heap buffer (kSpillWriteBufferBytes). seal() flushes the
@@ -27,18 +27,17 @@
 //    byte range at once, each through a SpillRangeWriter of its own that
 //    buffers at most kSpillWriteBufferBytes.
 //
-// Durability follows ownership. A temporary (keep_file = false) is deleted by
-// its owner — the writer if the write never completed, else the last view
-// of the sealed mapping — and is never fsync'd: nothing reopens it, so after
-// a crash it is an orphan with or without the sync. A kept file (keep_file =
-// true) outlives its writer and is fsync'd on seal(). Either way the writer
-// removes its file when it dies unsealed (a throw mid-write leaks nothing).
+// Every spill file is a temporary of the process that wrote it. It is
+// deleted by its owner — the writer if the write never completed (a throw
+// mid-write leaks nothing), else the last view of the sealed mapping — and
+// is never fsync'd: nothing reopens it, so after a crash it is an orphan
+// with or without the sync.
 //
-// Error taxonomy (shared with the row stores and spill runs): every failed
-// filesystem operation (open, stat, write, sync, map) throws qsyn::IoError
-// carrying the operation, the path, and the OS detail; using a sealed
-// SpillWriter is a caller bug and throws qsyn::LogicError. No partial state
-// escapes a throwing constructor. On platforms without POSIX mmap MmapFile
+// Error taxonomy (shared with the row stores): every failed filesystem
+// operation (open, stat, write, map) throws qsyn::IoError carrying the
+// operation, the path, and the OS detail; using a sealed SpillWriter is a
+// caller bug and throws qsyn::LogicError. No partial state escapes a
+// throwing constructor. On platforms without POSIX mmap MmapFile
 // degrades to a private heap buffer — same API, no laziness.
 #pragma once
 
@@ -89,10 +88,10 @@ class MmapFile {
 /// thread-safe; one writer owns the file until seal().
 class SpillWriter {
  public:
-  /// Creates (or truncates) `path`. Throws qsyn::IoError when the file
-  /// cannot be created (e.g. the spill directory does not exist or is not
-  /// writable). `keep_file` picks the durability policy described above.
-  SpillWriter(std::string path, bool keep_file);
+  /// Creates (or truncates) the temporary `path`. Throws qsyn::IoError when
+  /// the file cannot be created (e.g. the spill directory does not exist or
+  /// is not writable).
+  explicit SpillWriter(std::string path);
 
   SpillWriter(const SpillWriter&) = delete;
   SpillWriter& operator=(const SpillWriter&) = delete;
@@ -111,10 +110,9 @@ class SpillWriter {
   /// append() does.
   void write_at(std::uint64_t offset, const std::uint8_t* bytes, std::size_t n);
 
-  /// Flushes the buffer, fsyncs a kept file, closes it, and maps it
-  /// read-only. The mapping owns a temporary file from here on (the last
-  /// view removes it); a kept file stays on disk. Throws qsyn::LogicError
-  /// when called twice.
+  /// Flushes the buffer, closes the file, and maps it read-only. The
+  /// mapping owns the file from here on (the last view removes it). Throws
+  /// qsyn::LogicError when called twice.
   [[nodiscard]] std::shared_ptr<const MmapFile> seal();
 
  private:
@@ -124,7 +122,6 @@ class SpillWriter {
   std::string path_;
   std::vector<std::uint8_t> buffer_;
   int fd_ = -1;
-  bool keep_file_ = false;
   bool sealed_ = false;
 };
 

@@ -5,14 +5,15 @@
 // implementation per job; there is no runtime dispatch and no switch:
 //
 //  * Fixed-width row set algebra. FlatPermStore (and through it
-//    ShardedPermStore and the SealedRun streaming merges) stores
-//    permutations as fixed-width big-endian label rows whose raw-byte
-//    memcmp order equals label order. sort_unique_rows is an LSD radix sort
-//    over an 8-byte big-endian key window (positioned past the rows' common
-//    prefix, with full-row tie-breaking), so the sweep cost scales with row
-//    bytes moved instead of comparator calls: 18.0 vs 71.3 ms for an
-//    index-indirect std::sort at width 38 (Release, 4-CPU x86-64 host). Its
-//    (key, row pointer) pairs may point into several buffers at once.
+//    ShardedPermStore, whose sealed spill runs are mapped FlatPermStore
+//    windows) stores permutations as fixed-width big-endian label rows
+//    whose raw-byte memcmp order equals label order. sort_unique_rows is an
+//    LSD radix sort over an 8-byte big-endian key window (positioned past
+//    the rows' common prefix, with full-row tie-breaking), so the sweep cost
+//    scales with row bytes moved instead of comparator calls: 18.0 vs
+//    71.3 ms for an index-indirect std::sort at width 38 (Release, 4-CPU
+//    x86-64 host). Its (key, row pointer) pairs may point into several
+//    buffers at once.
 //    Subtract and merge are std::memcmp two-pointer sweeps: glibc's memcmp
 //    is already vectorized, and a hand-written AVX2 row compare measured no
 //    faster (9.24 vs 9.73 ms at width 38, 0.899 vs 0.865 ms at width 1564).

@@ -53,13 +53,13 @@ struct ClosureConfig {
   /// set and the level under construction), shared by its live shards. 0 = the
   /// QSYN_SPILL_BUDGET_MB environment variable (in MiB) when set to a
   /// positive integer, else unlimited (the historical all-in-RAM behavior).
-  /// When the budget trips, shards seal their sorted rows into
-  /// prefix-compressed run files under spill_dir and the level's set algebra
-  /// continues as streaming merges over the sealed runs — per-level stats
-  /// stay byte-identical to the in-memory sweep. The budget also caps each
-  /// round of candidate rows the level expansion buffers before sorting
-  /// them into a store: at most max(budget, 1 MiB) bytes (the floor keeps
-  /// tiny budgets from sealing a run per shard per handful of rows).
+  /// When the budget trips, shards seal their sorted rows into run files
+  /// (the rows byte for byte) under spill_dir and the level's set algebra
+  /// continues over the mapped runs — per-level stats stay byte-identical
+  /// to the in-memory sweep. The budget also caps each round of candidate
+  /// rows the level expansion buffers before sorting them into a store: at
+  /// most max(budget, 1 MiB) bytes (the floor keeps tiny budgets from
+  /// sealing a run per shard per handful of rows).
   /// Outside the budget: each file being written holds one 1 MiB write
   /// buffer, and while a spilled frontier drains to disk each running shard
   /// task holds one (see SpillOptions::budget_bytes).

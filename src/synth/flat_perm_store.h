@@ -23,11 +23,11 @@
 // heap simd::RowBytes buffer (common/simd/kernels.h), so the set-algebra
 // hot loops touch the buffer directly.
 // A read-only store views a window [offset, offset + bytes) of a shared,
-// memory-mapped io::MmapFile (a catalog frontier, or the file a spilled
-// ShardedPermStore drains its frontier into): it serves every read
-// operation zero-copy and throws qsyn::LogicError from every mutation; copy
-// it to get a writable store. Stores never write files themselves —
-// io::SpillWriter does (common/io/mmap_file.h).
+// memory-mapped io::MmapFile (a catalog frontier, a run a spilled
+// ShardedPermStore sealed, or the file it drains its frontier into): it
+// serves every read operation zero-copy and throws qsyn::LogicError from
+// every mutation; copy it to get a writable store. Stores never write files
+// themselves — io::SpillWriter does (common/io/mmap_file.h).
 #pragma once
 
 #include <cstddef>
@@ -75,9 +75,9 @@ class FlatPermStore {
 
   [[nodiscard]] std::size_t width() const { return width_; }
 
-  /// True when the store views a mapped window (catalog frontiers, drained
-  /// spill files). Every mutating member below throws qsyn::LogicError on
-  /// such a store.
+  /// True when the store views a mapped window (catalog frontiers, sealed
+  /// spill runs, drained spill frontiers). Every mutating member below
+  /// throws qsyn::LogicError on such a store.
   [[nodiscard]] bool read_only() const { return file_ != nullptr; }
 
   /// Bytes per label: 1 while labels fit a byte, else 2 (big-endian).
@@ -152,8 +152,8 @@ class FlatPermStore {
       const perm::Permutation& p) const;
 
   /// Replaces the rows wholesale with `bytes` (a whole number of rows in
-  /// this store's encoding). The bulk-commit primitive the spill engine's
-  /// streaming subtract/merge passes and ShardedPermStore's drain use.
+  /// this store's encoding). The bulk-commit primitive the closure's sorted
+  /// candidate chunks and ShardedPermStore's load and drain use.
   void assign_rows(simd::RowBytes bytes);
 
   /// Removes all rows but keeps the allocation (hot-loop buffer reuse).

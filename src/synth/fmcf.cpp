@@ -152,7 +152,6 @@ FmcfEnumerator::FmcfEnumerator(const gates::GateLibrary& library,
       spill_budget_(resolve_spill_budget(options.spill_budget_bytes)),
       spill_dir_(spill_budget_ != 0 ? resolve_spill_dir(options.spill_dir)
                                     : options.spill_dir),
-      backwalk_pool_busy_(std::make_unique<std::atomic<bool>>(false)),
       symmetry_(library),
       seen_(library.domain().size(), shards_,
             SpillOptions{spill_budget_, spill_dir_}),
@@ -184,7 +183,6 @@ FmcfEnumerator::FmcfEnumerator(const gates::GateLibrary& library,
       threads_(resolve_threads(options.threads)),
       shards_(resolve_shards(options.shards, threads_)),
       spill_budget_(0),
-      backwalk_pool_busy_(std::make_unique<std::atomic<bool>>(false)),
       // Catalog-backed enumerators never advance(), so they skip the
       // symmetry search and the seen-set stays empty; one shard keeps it
       // inert.
@@ -492,9 +490,8 @@ gates::Cascade FmcfEnumerator::witness_for_row(unsigned k,
              "witness reconstruction requires track_witnesses");
   QSYN_CHECK(k <= levels_done(), "level not yet computed");
   // Back-walk: repeatedly find a gate d and predecessor prev in B[j-1] with
-  // prev * d == current and the product reasonable. Both paths pick the
-  // lowest valid gate index, so serial and pooled walks reconstruct the
-  // same cascade.
+  // prev * d == current and the product reasonable, taking the lowest valid
+  // gate index.
   std::vector<gates::Gate> sequence;
   std::vector<std::uint8_t> current(frontiers_[k].row(row_index),
                                     frontiers_[k].row(row_index) + stride_);
@@ -506,10 +503,9 @@ gates::Cascade FmcfEnumerator::witness_for_row(unsigned k,
                "frontier row holds a label outside the domain");
   }
   const std::size_t gate_count = gate_inv_tables_.size();
-  std::vector<std::uint8_t> cands(gate_count * stride_);
-  std::vector<char> valid(gate_count, 0);
+  std::vector<std::uint8_t> prev(stride_);
 
-  const auto invert_into = [&](std::size_t g, std::uint8_t* prev) {
+  const auto invert_into = [&](std::size_t g) {
     const std::uint16_t* inv = gate_inv_tables_[g].data();
     if (label_bytes_ == 1) {
       for (std::size_t s = 0; s < width_; ++s) {
@@ -525,53 +521,21 @@ gates::Cascade FmcfEnumerator::witness_for_row(unsigned k,
       }
     }
   };
-  const auto candidate_ok = [&](unsigned j, const std::uint8_t* prev,
-                                std::size_t g) {
-    if (!frontiers_[j - 1].contains_sorted(prev)) return false;
+  const auto candidate_ok = [&](unsigned j, std::size_t g) {
+    if (!frontiers_[j - 1].contains_sorted(prev.data())) return false;
     return !options_.use_banned_sets ||
-           (banned_mask_of_row(prev) & gate_class_bits_[g]) == 0;
+           (banned_mask_of_row(prev.data()) & gate_class_bits_[g]) == 0;
   };
 
   for (unsigned j = k; j >= 1; --j) {
-    std::size_t chosen = gate_count;
-    // ThreadPool::run is not reentrant, so only one back-walk may own the
-    // pool at a time; concurrent witness reconstructions (and calls from
-    // inside another pool round) degrade to the serial scan below.
-    const bool pooled = pool_ != nullptr && threads_ > 1 && gate_count > 1 &&
-                        !backwalk_pool_busy_->exchange(true);
-    if (pooled) {
-      // Pooled scan: every candidate gate inverts into its own slice, then
-      // the lowest valid index wins (matching the serial first-hit order).
-      try {
-        pool_->run(gate_count, [&](std::size_t g, std::size_t) {
-          std::uint8_t* prev = cands.data() + g * stride_;
-          invert_into(g, prev);
-          valid[g] = candidate_ok(j, prev, g) ? 1 : 0;
-        });
-      } catch (...) {
-        backwalk_pool_busy_->store(false);
-        throw;
-      }
-      backwalk_pool_busy_->store(false);
-      for (std::size_t g = 0; g < gate_count; ++g) {
-        if (valid[g] != 0) {
-          chosen = g;
-          break;
-        }
-      }
-    } else {
-      for (std::size_t g = 0; g < gate_count; ++g) {
-        std::uint8_t* prev = cands.data() + g * stride_;
-        invert_into(g, prev);
-        if (candidate_ok(j, prev, g)) {
-          chosen = g;
-          break;
-        }
-      }
+    std::size_t chosen = 0;
+    for (; chosen < gate_count; ++chosen) {
+      invert_into(chosen);
+      if (candidate_ok(j, chosen)) break;
     }
     QSYN_CHECK(chosen < gate_count, "back-walk failed: frontier inconsistency");
     sequence.push_back(library_->gate(chosen));
-    std::copy_n(cands.data() + chosen * stride_, stride_, current.data());
+    current = prev;
   }
   std::reverse(sequence.begin(), sequence.end());
   return gates::Cascade(library_->domain().wires(), std::move(sequence));

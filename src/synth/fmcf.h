@@ -41,15 +41,15 @@
 // per shard. The levels before are small and run unsplit. Both steps buffer
 // their candidates per worker and shard, and each shard's candidates are
 // radix-sorted straight out of those buffers. With a spill budget
-// (ClosureConfig::spill_budget_bytes) the sharded stores seal to
-// prefix-compressed run files when RAM runs out and the set algebra
-// continues as streaming merges over the sealed runs — stats and frontier
-// bytes stay identical to the all-in-RAM sweep, which is how the 5-wire
-// closure reaches k >= 3 on bounded memory. The budget also bounds each
-// round of candidates in bytes, so a level whose conjugates far outgrow it
-// (n = 5, k = 4: ~1.3 GB) is materialized in many budget-sized rounds. A
-// spilled frontier drains into one file mapped read-only: one pool task per
-// shard merges that shard's runs and writes them at the shard's offset.
+// (ClosureConfig::spill_budget_bytes) the sharded stores seal their sorted
+// rows to run files when RAM runs out and the set algebra continues over
+// the mapped runs — stats and frontier bytes stay identical to the
+// all-in-RAM sweep, which is how the 5-wire closure reaches k >= 3 on
+// bounded memory. The budget also bounds each round of candidates in bytes,
+// so a level whose conjugates far outgrow it (n = 5, k = 4: ~1.3 GB) is
+// expanded in many budget-sized rounds. A spilled frontier drains into one
+// file mapped read-only: one pool task per shard merges that shard's runs
+// and writes them at the shard's offset.
 // When the library exhausts its reachable group below the requested bound
 // the closure saturates: saturated() turns true, and advance()/run_to()
 // become no-ops instead of crashing on the empty frontier.
@@ -68,7 +68,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -208,12 +207,10 @@ class FmcfEnumerator {
 
   /// Reconstructs one minimal witness cascade for an entry by the paper's
   /// back-walk (find d with b*(d)^{-1} in B[k-1] and the product reasonable).
-  /// Each back-step scans the candidate gates across the worker pool when
-  /// the sweep ran multi-threaded, always selecting the lowest valid gate
-  /// index, so the reconstructed cascade is thread-count invariant. Safe to
-  /// call concurrently with other witness reconstructions (the pool admits
-  /// one back-walk at a time; contending callers run the serial scan) but
-  /// not with advance(). Requires track_witnesses.
+  /// Each back-step scans the candidate gates in library order and takes the
+  /// lowest valid one, so the reconstructed cascade is thread-count
+  /// invariant. Safe to call concurrently with other witness reconstructions
+  /// but not with advance(). Requires track_witnesses.
   [[nodiscard]] gates::Cascade witness(const GEntry& entry) const;
 
   /// All rows b in B[k] whose restriction to S equals `restricted` —
@@ -286,10 +283,6 @@ class FmcfEnumerator {
   std::size_t spill_budget_;   // resolved bytes per sharded store; 0 = never
   std::string spill_dir_;      // resolved spill directory
   std::unique_ptr<ThreadPool> pool_;  // created lazily by advance()
-  // True while a witness back-walk owns the pool (ThreadPool::run is not
-  // reentrant); contending const callers degrade to the serial scan.
-  // Behind a unique_ptr so the enumerator stays movable.
-  std::unique_ptr<std::atomic<bool>> backwalk_pool_busy_;
   std::vector<std::vector<std::uint16_t>> gate_tables_;      // [gate][label0]
   std::vector<std::vector<std::uint16_t>> gate_inv_tables_;  // [gate][label0]
   std::vector<std::uint32_t> gate_class_bits_;               // [gate]

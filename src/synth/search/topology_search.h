@@ -3,8 +3,7 @@
 // TopologySearchBackend — topology-guided exact synthesis by DFS over gate
 // cascades, the complementary attack to the FMCF breadth-first closure (in
 // the spirit of percy's fence enumeration: walk circuit topologies and test
-// whether the target fits, instead of materializing every reachable
-// function).
+// whether the target fits, instead of building every reachable function).
 //
 // The engine runs iterative deepening on quantum cost: iteration t exhausts
 // every reasonable cascade of exactly t library gates, so the first hit is a
@@ -14,7 +13,7 @@
 // (the only part of the full domain permutation the banned sets and the
 // target test consult), so a node costs O(2^n) and the whole search for a
 // 5-wire cost-4 target fits in a few dozen MiB of memo where the closure
-// materializes a 1.2 GiB level-4 frontier.
+// builds a 1.2 GiB level-4 frontier.
 //
 // Pruning (all exactness-preserving):
 //   * banned classes (NQubitDomain): a gate whose banned set meets the

@@ -152,7 +152,7 @@ std::size_t ShardedPermStore::size() const {
 
 std::size_t ShardedPermStore::shard_size(std::size_t s) const {
   std::size_t total = shards_[s].size();
-  for (const auto& run : runs_[s]) total += run->rows();
+  for (const auto& run : runs_[s]) total += run->size();
   return total;
 }
 
@@ -188,7 +188,7 @@ void ShardedPermStore::subtract_shard_from(std::size_t s,
   rows.subtract_sorted(shards_[s]);
   for (const auto& run : runs_[s]) {
     if (rows.empty()) break;
-    run->subtract_from(rows);
+    rows.subtract_sorted(*run);
   }
 }
 
@@ -211,8 +211,11 @@ void ShardedPermStore::absorb_shard(std::size_t s,
 }
 
 void ShardedPermStore::seal(std::size_t s, const FlatPermStore& rows) {
-  runs_[s].push_back(SealedRun::write(next_spill_path(spill_.dir), rows,
-                                      /*keep_file=*/false));
+  io::SpillWriter out(next_spill_path(spill_.dir));
+  out.append(rows.data(), rows.size_bytes());
+  const std::shared_ptr<const io::MmapFile> file = out.seal();
+  runs_[s].push_back(
+      std::make_shared<const FlatPermStore>(width_, file, 0, file->size()));
 }
 
 void ShardedPermStore::maybe_seal(std::size_t s) {
@@ -230,51 +233,38 @@ namespace {
 // in (dozens at n = 5, k = 4): the cursors sit in a binary min-heap on their
 // head rows, O(log runs) row compares per row emitted.
 template <typename Emit>
-void merge_shard_rows(const FlatPermStore& active,
-                      const std::vector<std::shared_ptr<const SealedRun>>& runs,
-                      std::size_t stride, Emit&& emit) {
+void merge_shard_rows(
+    const FlatPermStore& active,
+    const std::vector<std::shared_ptr<const FlatPermStore>>& runs,
+    std::size_t stride, Emit&& emit) {
   struct Cursor {
-    const SealedRun* run;  // nullptr: the active store
-    std::size_t i;
-    std::size_t rows;
-    const std::uint8_t* head;       // row i
-    std::vector<std::uint8_t> row;  // a run's row i, materialized
+    const std::uint8_t* head;  // next row
+    const std::uint8_t* end;   // one past the last row
   };
-  std::vector<Cursor> cursors;
-  cursors.reserve(runs.size() + 1);
-  if (!active.empty()) {
-    cursors.push_back(Cursor{nullptr, 0, active.size(), active.data(), {}});
-  }
-  for (const auto& run : runs) {
-    if (run->rows() == 0) continue;
-    Cursor c{run.get(), 0, run->rows(), nullptr,
-             std::vector<std::uint8_t>(stride)};
-    run->materialize(0, c.row.data());
-    c.head = c.row.data();
-    cursors.push_back(std::move(c));
-  }
+  std::vector<Cursor> heap;
+  heap.reserve(runs.size() + 1);
+  const auto add = [&heap](const FlatPermStore& rows) {
+    if (!rows.empty()) {
+      heap.push_back(Cursor{rows.data(), rows.data() + rows.size_bytes()});
+    }
+  };
+  add(active);
+  for (const auto& run : runs) add(*run);
 
-  std::vector<Cursor*> heap;
-  heap.reserve(cursors.size());
-  for (Cursor& c : cursors) heap.push_back(&c);
-  const auto later = [stride](const Cursor* a, const Cursor* b) {
-    return std::memcmp(a->head, b->head, stride) > 0;
+  const auto later = [stride](const Cursor& a, const Cursor& b) {
+    return std::memcmp(a.head, b.head, stride) > 0;
   };
   std::make_heap(heap.begin(), heap.end(), later);
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), later);
-    Cursor& c = *heap.back();
+    Cursor& c = heap.back();
     emit(c.head);
-    if (++c.i == c.rows) {
+    c.head += stride;
+    if (c.head == c.end) {
       heap.pop_back();
-      continue;
-    }
-    if (c.run == nullptr) {
-      c.head += stride;
     } else {
-      c.run->materialize(c.i, c.row.data());
+      std::push_heap(heap.begin(), heap.end(), later);
     }
-    std::push_heap(heap.begin(), heap.end(), later);
   }
 }
 
@@ -326,15 +316,14 @@ FlatPermStore ShardedPermStore::drain_sorted(ThreadPool* pool) {
   // every shard's rows land at its prefix-sum offset of one temporary spill
   // file. One task per shard k-way merges its active rows and runs and
   // writes them there through its own buffer, then releases them; the file
-  // comes back mmap'd read-only, so the frontier never materializes on the
-  // heap, and it goes with the last view of the returned store.
+  // comes back mmap'd read-only, so the frontier never sits on the heap,
+  // and it goes with the last view of the returned store.
   const std::size_t stride = shards_[0].row_stride();
   std::vector<std::uint64_t> offsets(shards_.size() + 1, 0);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     offsets[s + 1] = offsets[s] + shard_size(s) * stride;
   }
-  io::SpillWriter out(next_spill_path(spill_.dir) + ".drain",
-                      /*keep_file=*/false);
+  io::SpillWriter out(next_spill_path(spill_.dir) + ".drain");
   const auto drain_shard = [&](std::size_t s, std::size_t) {
     io::SpillRangeWriter range(out, offsets[s], offsets[s + 1] - offsets[s]);
     merge_shard_rows(shards_[s], runs_[s], stride,

@@ -21,11 +21,16 @@
 // copy per shard. There is no whole-store sort, subtract or merge.
 //
 // Spill-to-disk mode (SpillOptions): give the store a heap budget and a
-// directory, and each shard seals its sorted in-memory rows into a
-// prefix-compressed SealedRun file (synth/spill.h) whenever a merge pushes
-// the shard past its slice of the budget. A spilled shard is then the union
-// of one writable in-memory "active" store and a list of immutable sorted
-// runs — mutually disjoint by construction, because the closure's per-shard
+// directory, and each shard seals its sorted in-memory rows into a run
+// whenever a merge pushes the shard past its slice of the budget. A run is
+// those rows byte for byte — no header, no compression — written to a
+// temporary file by io::SpillWriter and kept as a read-only FlatPermStore
+// window over its mapping; the file goes with the last view (a run adopted
+// by absorb_shard is shared by both stores). The drained frontier file has
+// the same format, so the set algebra over runs is the in-memory set
+// algebra over mapped rows. A spilled shard is then the union of one
+// writable in-memory "active" store and a list of immutable sorted runs —
+// mutually disjoint by construction, because the closure's per-shard
 // primitives below subtract incoming rows against the whole shard (active
 // plus every run) before merging. Disjointness makes sizes exact, so the
 // FMCF per-level stats are byte-identical with and without spilling; the
@@ -43,7 +48,6 @@
 #include <vector>
 
 #include "synth/flat_perm_store.h"
-#include "synth/spill.h"
 
 namespace qsyn {
 class ThreadPool;
@@ -236,7 +240,8 @@ class ShardedPermStore {
   std::size_t width_;
   FlatPermStore splitters_;  // live_shards() - 1 sorted rows
   std::vector<FlatPermStore> shards_;
-  std::vector<std::vector<std::shared_ptr<const SealedRun>>> runs_;
+  // Sealed runs per shard: read-only windows over temporary spill files.
+  std::vector<std::vector<std::shared_ptr<const FlatPermStore>>> runs_;
   SpillOptions spill_;
   std::size_t shard_budget_ = 0;  // bytes per live shard; 0 = never seal
 };

@@ -1,10 +1,10 @@
 // Tests for the out-of-core closure machinery: the append-only spill writer
-// and its file-ownership policy, read-only store windows over its files, sealed
-// prefix-compressed spill runs (including corrupt-input hardening and a
-// deterministic mutation fuzzer), the spilled ShardedPermStore differential
-// against its in-memory twin (and its re-split), the spill-invariance of the
-// FMCF per-level stats, frontier bytes and heap budget on split stores, and
-// spill-file cleanup when a closure dies or fails mid-write.
+// and its temporary-file policy, read-only store windows over its files, the
+// raw-row run files a spilled ShardedPermStore seals and their ownership, the
+// spilled store differential against its in-memory twin (and its re-split),
+// the spill-invariance of the FMCF per-level stats, frontier bytes and heap
+// budget on split stores, and spill-file cleanup when a closure dies or
+// fails mid-write.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,7 +37,6 @@
 #include "synth/flat_perm_store.h"
 #include "synth/fmcf.h"
 #include "synth/sharded_perm_store.h"
-#include "synth/spill.h"
 
 namespace qsyn::synth {
 namespace {
@@ -77,12 +76,29 @@ void expect_same_rows(const FlatPermStore& a, const FlatPermStore& b) {
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0);
 }
 
-// --- SpillWriter -----------------------------------------------------------
-
 bool file_exists(const std::string& path) {
   std::error_code ec;
   return std::filesystem::exists(path, ec);
 }
+
+// A fresh, empty spill directory of this process.
+std::string fresh_spill_dir(const std::string& name) {
+  const std::string dir = temp_path(name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::size_t files_in(const std::string& dir) {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// --- SpillWriter -----------------------------------------------------------
 
 TEST(SpillWriter, AppendSealReopen) {
   const std::string path = temp_path("writer_basic");
@@ -94,7 +110,7 @@ TEST(SpillWriter, AppendSealReopen) {
   // fill and flush the buffer.
   std::vector<std::uint8_t> big(io::kSpillWriteBufferBytes + 3, 0x5a);
   {
-    io::SpillWriter writer(path, /*keep_file=*/true);
+    io::SpillWriter writer(path);
     writer.append(big.data(), big.size());
     for (int rep = 0; rep < 8; ++rep) writer.append(chunk.data(), chunk.size());
     writer.append(chunk.data(), 0);
@@ -105,17 +121,21 @@ TEST(SpillWriter, AppendSealReopen) {
     EXPECT_EQ(std::memcmp(sealed->data() + big.size() + 7 * chunk.size(),
                           chunk.data(), chunk.size()),
               0);
+    // While a sealed view lives, the file reopens as a second mapping of
+    // the same bytes.
+    const auto reopened = io::MmapFile::map(path);
+    ASSERT_EQ(reopened->size(), sealed->size());
+    EXPECT_EQ(reopened->data()[big.size() + 42],
+              static_cast<std::uint8_t>(42 * 7));
+    EXPECT_EQ(std::memcmp(reopened->data(), sealed->data(), sealed->size()),
+              0);
   }
-  // A kept file outlives its writer and its mapping, byte for byte.
-  const auto mapped = io::MmapFile::map(path);
-  ASSERT_EQ(mapped->size(), big.size() + 8 * chunk.size());
-  EXPECT_EQ(mapped->data()[big.size() + 42], static_cast<std::uint8_t>(42 * 7));
-  std::remove(path.c_str());
+  EXPECT_FALSE(file_exists(path));
 }
 
 TEST(SpillWriter, SealRejectsFurtherUse) {
   const std::string path = temp_path("writer_sealed");
-  io::SpillWriter writer(path, /*keep_file=*/false);
+  io::SpillWriter writer(path);
   const std::uint8_t byte = 0xab;
   writer.append(&byte, 1);
   const auto sealed = writer.seal();
@@ -126,7 +146,7 @@ TEST(SpillWriter, SealRejectsFurtherUse) {
 }
 
 TEST(SpillWriter, UnusableDirectoryIsIoError) {
-  EXPECT_THROW(io::SpillWriter(temp_path("no_such_dir") + "/x/y/z", false),
+  EXPECT_THROW(io::SpillWriter(temp_path("no_such_dir") + "/x/y/z"),
                qsyn::IoError);
 }
 
@@ -134,7 +154,7 @@ TEST(SpillWriter, TemporaryIsRemovedWithLastView) {
   const std::string path = temp_path("writer_temp");
   std::shared_ptr<const io::MmapFile> second_owner;
   {
-    io::SpillWriter writer(path, /*keep_file=*/false);
+    io::SpillWriter writer(path);
     const std::uint8_t byte = 1;
     writer.append(&byte, 1);
     auto sealed = writer.seal();
@@ -148,17 +168,15 @@ TEST(SpillWriter, TemporaryIsRemovedWithLastView) {
   EXPECT_THROW((void)io::MmapFile::map(path), qsyn::IoError);
 }
 
-TEST(SpillWriter, UnsealedWriterRemovesItsFileUnderEitherPolicy) {
-  for (const bool keep : {false, true}) {
-    const std::string path = temp_path(keep ? "writer_kept" : "writer_tmp");
-    {
-      io::SpillWriter writer(path, keep);
-      const std::uint8_t byte = 9;
-      writer.append(&byte, 1);
-      EXPECT_TRUE(file_exists(path));
-    }
-    EXPECT_FALSE(file_exists(path)) << "keep_file=" << keep;
+TEST(SpillWriter, UnsealedWriterRemovesItsFile) {
+  const std::string path = temp_path("writer_unsealed");
+  {
+    io::SpillWriter writer(path);
+    const std::uint8_t byte = 9;
+    writer.append(&byte, 1);
+    EXPECT_TRUE(file_exists(path));
   }
+  EXPECT_FALSE(file_exists(path));
 }
 
 TEST(SpillWriter, SealedFileServesAReadOnlyStore) {
@@ -168,7 +186,7 @@ TEST(SpillWriter, SealedFileServesAReadOnlyStore) {
   rows.push_back(perm::Permutation::from_cycles("(1,2)", 4));
   rows.sort_unique();
   {
-    io::SpillWriter writer(path, /*keep_file=*/true);
+    io::SpillWriter writer(path);
     writer.append(rows.data(), rows.size_bytes());
     const auto file = writer.seal();
     FlatPermStore store(4, file, 0, file->size());
@@ -186,13 +204,14 @@ TEST(SpillWriter, SealedFileServesAReadOnlyStore) {
     EXPECT_FALSE(copy.read_only());
     copy.push_back(perm::Permutation::identity(4));
     EXPECT_EQ(copy.size(), 3u);
+    // While the sealed view lives, the bytes reopen as a window over a
+    // fresh mapping.
+    const auto reopened_file = io::MmapFile::map(path);
+    FlatPermStore reopened(4, reopened_file, 0, reopened_file->size());
+    expect_same_rows(reopened, rows);
+    EXPECT_TRUE(reopened.read_only());
   }
-  // The kept bytes reopen as a window over a fresh mapping.
-  const auto file = io::MmapFile::map(path);
-  FlatPermStore reopened(4, file, 0, file->size());
-  expect_same_rows(reopened, rows);
-  EXPECT_TRUE(reopened.read_only());
-  std::remove(path.c_str());
+  EXPECT_FALSE(file_exists(path));
 }
 
 TEST(SpillWriter, RangeWritersFillDisjointRangesOfOneFile) {
@@ -207,7 +226,7 @@ TEST(SpillWriter, RangeWritersFillDisjointRangesOfOneFile) {
     }
   }
   const std::string path = temp_path("writer_ranges");
-  io::SpillWriter writer(path, /*keep_file=*/false);
+  io::SpillWriter writer(path);
   std::size_t offset = expected.size();
   for (std::size_t r = sizes.size(); r-- > 0;) {
     offset -= sizes[r];
@@ -221,7 +240,7 @@ TEST(SpillWriter, RangeWritersFillDisjointRangesOfOneFile) {
   ASSERT_EQ(file->size(), expected.size());
   EXPECT_EQ(std::memcmp(file->data(), expected.data(), expected.size()), 0);
 
-  io::SpillWriter short_writer(temp_path("writer_short"), false);
+  io::SpillWriter short_writer(temp_path("writer_short"));
   io::SpillRangeWriter range(short_writer, 0, 4);
   range.append(expected.data(), 3);
   EXPECT_THROW(range.finish(), qsyn::LogicError);
@@ -231,24 +250,25 @@ TEST(SpillWriter, RangeWritersFillDisjointRangesOfOneFile) {
 
 TEST(SpillWindow, WriterFileRoundTrips) {
   const std::string path = temp_path("window_file");
+  EXPECT_FALSE(FlatPermStore(3).read_only());
   {
     FlatPermStore row(3);
     row.push_back(perm::Permutation::from_cycles("(1,3)", 3));
-    io::SpillWriter writer(path, /*keep_file=*/true);
+    io::SpillWriter writer(path);
     writer.append(row.data(), row.size_bytes());
-    (void)writer.seal();
+    const auto sealed = writer.seal();
+    // Reopened while the sealed view lives: a window over a second mapping.
+    const auto file = io::MmapFile::map(path);
+    FlatPermStore mapped(3, file, 0, file->size());
+    EXPECT_TRUE(mapped.read_only());
+    ASSERT_EQ(mapped.size(), 1u);
+    EXPECT_EQ(mapped.permutation(0).to_cycle_string(), "(1,3)");
+    // An empty window at the end of the file is a valid empty store.
+    FlatPermStore tail(3, file, file->size(), 0);
+    EXPECT_TRUE(tail.read_only());
+    EXPECT_TRUE(tail.empty());
   }
-  EXPECT_FALSE(FlatPermStore(3).read_only());
-  const auto file = io::MmapFile::map(path);
-  FlatPermStore mapped(3, file, 0, file->size());
-  EXPECT_TRUE(mapped.read_only());
-  ASSERT_EQ(mapped.size(), 1u);
-  EXPECT_EQ(mapped.permutation(0).to_cycle_string(), "(1,3)");
-  // An empty window at the end of the file is a valid empty store.
-  FlatPermStore tail(3, file, file->size(), 0);
-  EXPECT_TRUE(tail.read_only());
-  EXPECT_TRUE(tail.empty());
-  std::remove(path.c_str());
+  EXPECT_FALSE(file_exists(path));
 }
 
 TEST(SpillWindow, FractionalRowIsLogicError) {
@@ -258,470 +278,6 @@ TEST(SpillWindow, FractionalRowIsLogicError) {
   EXPECT_THROW(FlatPermStore(3, file, 0, file->size()), qsyn::LogicError);
   EXPECT_NO_THROW(FlatPermStore(3, file, 2, 3));
   std::remove(path.c_str());
-}
-
-// --- SealedRun -------------------------------------------------------------
-
-/// Membership through the streaming subtract: a one-row store keeps its row
-/// exactly when `run` does not hold it.
-bool run_holds(const SealedRun& run, const std::uint8_t* row) {
-  FlatPermStore probe(run.width());
-  probe.push_back(row);
-  run.subtract_from(probe);
-  return probe.empty();
-}
-
-FlatPermStore sorted_store(Rng& rng, std::size_t width, std::size_t count,
-                           std::uint8_t first_label) {
-  // Rows sharing a fixed first label, so the run has a real common prefix.
-  FlatPermStore store(width);
-  for (std::size_t i = 0; i < count; ++i) {
-    Row row = random_label_row(rng, width);
-    row[0] = first_label;
-    store.push_back(row.data());
-  }
-  store.sort_unique();
-  return store;
-}
-
-TEST(SealedRun, RoundTripCompressesAndServes) {
-  Rng rng(4101);
-  const std::size_t width = 16;
-  FlatPermStore rows = sorted_store(rng, width, 400, 3);
-  const std::string path = temp_path("run_roundtrip");
-  const auto run = SealedRun::write(path, rows, /*keep_file=*/true);
-
-  ASSERT_EQ(run->rows(), rows.size());
-  EXPECT_GE(run->prefix_bytes(), 1u);  // the shared first label, at least
-  EXPECT_LT(run->disk_bytes(),
-            spill::kRunHeaderBytes + rows.size_bytes());  // compressed
-
-  Row buf(width);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    run->materialize(i, buf.data());
-    EXPECT_EQ(std::memcmp(buf.data(), rows.row(i), width), 0) << "row " << i;
-    EXPECT_EQ(run->compare(rows.row(i), i), 0);
-    EXPECT_TRUE(run_holds(*run, rows.row(i)));
-  }
-  Row absent = random_label_row(rng, width);
-  absent[0] = 7;  // outside the run's first-label bracket
-  EXPECT_FALSE(run_holds(*run, absent.data()));
-
-  // open() agrees with the writer's view.
-  const auto reopened = SealedRun::open(path, width);
-  EXPECT_EQ(reopened->rows(), run->rows());
-  EXPECT_EQ(reopened->prefix_bytes(), run->prefix_bytes());
-  std::remove(path.c_str());
-}
-
-TEST(SealedRun, SubtractFromMatchesReference) {
-  Rng rng(4102);
-  const std::size_t width = 9;
-  for (int trial = 0; trial < 20; ++trial) {
-    FlatPermStore run_rows = sorted_store(rng, width, 1 + rng.below(120), 2);
-    FlatPermStore victim = sorted_store(rng, width, 1 + rng.below(120), 2);
-    // Random disjoint sets would make the subtraction a no-op; plant real
-    // overlap by copying a slice of the run into the victim.
-    for (std::size_t i = 0; i < run_rows.size(); i += 3) {
-      victim.push_back(run_rows.row(i));
-    }
-    victim.sort_unique();
-
-    std::set<Row> model;
-    for (std::size_t i = 0; i < victim.size(); ++i) {
-      model.emplace(victim.row(i), victim.row(i) + width);
-    }
-    for (std::size_t i = 0; i < run_rows.size(); ++i) {
-      model.erase(Row(run_rows.row(i), run_rows.row(i) + width));
-    }
-
-    const auto run = SealedRun::write(temp_path("run_subtract"), run_rows,
-                                      /*keep_file=*/false);
-    run->subtract_from(victim);
-    ASSERT_EQ(victim.size(), model.size());
-    std::size_t i = 0;
-    for (const Row& row : model) {
-      EXPECT_EQ(std::memcmp(victim.row(i), row.data(), width), 0);
-      ++i;
-    }
-  }
-}
-
-TEST(SealedRun, TemporaryRunFileIsRemovedWithLastOwner) {
-  Rng rng(4103);
-  FlatPermStore rows = sorted_store(rng, 5, 10, 1);
-  const std::string path = temp_path("run_temp");
-  {
-    auto run = SealedRun::write(path, rows, /*keep_file=*/false);
-    auto second_owner = run;  // shared: survives the first reset
-    run.reset();
-    EXPECT_EQ(second_owner->rows(), 10u);  // file still mapped and valid
-  }
-  EXPECT_THROW((void)SealedRun::open(path, 5), qsyn::IoError);
-}
-
-class SealedRunCorruption : public ::testing::Test {
- protected:
-  std::string fresh_run(const std::string& name) {
-    Rng rng(4104);
-    FlatPermStore rows = sorted_store(rng, 6, 50, 4);
-    const std::string path = temp_path("corrupt_" + name);
-    (void)SealedRun::write(path, rows, /*keep_file=*/true);
-    return path;
-  }
-};
-
-TEST_F(SealedRunCorruption, TruncatedHeader) {
-  const std::string path = fresh_run("header");
-  auto bytes = read_file(path);
-  bytes.resize(spill::kRunHeaderBytes - 5);
-  write_file(path, bytes);
-  EXPECT_THROW((void)SealedRun::open(path, 6), qsyn::CatalogError);
-  std::remove(path.c_str());
-}
-
-TEST_F(SealedRunCorruption, TruncatedRows) {
-  const std::string path = fresh_run("rows");
-  auto bytes = read_file(path);
-  bytes.resize(bytes.size() - 3);
-  write_file(path, bytes);
-  EXPECT_THROW((void)SealedRun::open(path, 6), qsyn::CatalogError);
-  std::remove(path.c_str());
-}
-
-TEST_F(SealedRunCorruption, TrailingBytes) {
-  const std::string path = fresh_run("trailing");
-  auto bytes = read_file(path);
-  bytes.push_back(0);
-  write_file(path, bytes);
-  EXPECT_THROW((void)SealedRun::open(path, 6), qsyn::CatalogError);
-  std::remove(path.c_str());
-}
-
-TEST_F(SealedRunCorruption, BadMagicBadVersionWidthMismatch) {
-  const std::string path = fresh_run("fields");
-  const auto pristine = read_file(path);
-
-  auto bytes = pristine;
-  bytes[0] ^= 0xff;
-  write_file(path, bytes);
-  EXPECT_THROW((void)SealedRun::open(path, 6), qsyn::CatalogError);
-
-  bytes = pristine;
-  bytes[11] = 99;  // version u32 at offset 8, low byte
-  write_file(path, bytes);
-  EXPECT_THROW((void)SealedRun::open(path, 6), qsyn::CatalogError);
-
-  write_file(path, pristine);
-  EXPECT_THROW((void)SealedRun::open(path, 7), qsyn::CatalogError);
-  EXPECT_NO_THROW((void)SealedRun::open(path, 6));
-  std::remove(path.c_str());
-}
-
-TEST(SealedRun, MissingFileIsIoError) {
-  EXPECT_THROW((void)SealedRun::open(temp_path("run_missing"), 6),
-               qsyn::IoError);
-}
-
-TEST(SealedRun, KeptRunSurvivesItsWriter) {
-  Rng rng(4105);
-  FlatPermStore rows = sorted_store(rng, 7, 60, 2);
-  const std::string path = temp_path("run_kept");
-  {
-    const auto run = SealedRun::write(path, rows, /*keep_file=*/true);
-    EXPECT_EQ(run->rows(), rows.size());
-  }
-  ASSERT_TRUE(file_exists(path));
-  const auto reopened = SealedRun::open(path, 7);
-  ASSERT_EQ(reopened->rows(), rows.size());
-  Row buf(7);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    reopened->materialize(i, buf.data());
-    EXPECT_EQ(std::memcmp(buf.data(), rows.row(i), 7), 0) << "row " << i;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SealedRun, WriterEmitsTheDocumentedVersion1Layout) {
-  // Two rows of width 3 sharing their first label: the byte image below is
-  // the v1 layout of spill.h, so runs written by any writer of this format
-  // open with the same SealedRun::open.
-  FlatPermStore rows(3);
-  const Row a = {0, 1, 2};
-  const Row b = {0, 2, 1};
-  rows.push_back(b.data());
-  rows.push_back(a.data());
-  rows.sort_unique();
-  Row golden;
-  const auto put = [&golden](std::initializer_list<std::uint8_t> bytes) {
-    golden.insert(golden.end(), bytes);
-  };
-  put({'Q', 'S', 'Y', 'N', 'R', 'U', 'N', 0});  // magic
-  put({0, 0, 0, 1});                            // version
-  put({0, 0, 0, 3});                            // width
-  put({0, 0, 0, 1});                            // label_bytes
-  put({0, 0, 0, 1});                            // prefix_bytes
-  put({0, 0, 0, 0, 0, 0, 0, 2});                // rows
-  put({0});                                     // prefix
-  put({1, 2, 2, 1});                            // suffixes
-  const std::string path = temp_path("run_golden");
-  (void)SealedRun::write(path, rows, /*keep_file=*/true);
-  EXPECT_EQ(read_file(path), golden);
-
-  const std::string handmade = temp_path("run_handmade");
-  write_file(handmade, golden);
-  const auto run = SealedRun::open(handmade, 3);
-  ASSERT_EQ(run->rows(), 2u);
-  EXPECT_EQ(run->prefix_bytes(), 1u);
-  EXPECT_TRUE(run_holds(*run, a.data()));
-  EXPECT_TRUE(run_holds(*run, b.data()));
-  std::remove(path.c_str());
-  std::remove(handmade.c_str());
-}
-
-// Big-endian header field access for hand-corrupted runs.
-void put_be(Row& bytes, std::size_t offset, std::size_t len,
-            std::uint64_t value) {
-  if (bytes.size() < offset + len) return;
-  for (std::size_t i = 0; i < len; ++i) {
-    bytes[offset + i] =
-        static_cast<std::uint8_t>(value >> (8 * (len - 1 - i)));
-  }
-}
-
-std::uint64_t get_be(const Row& bytes, std::size_t offset, std::size_t len) {
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < len; ++i) value = value << 8 | bytes[offset + i];
-  return value;
-}
-
-TEST(SealedRun, RowCountsThatContradictTheLayoutAreRejected) {
-  // Six rows sharing their first two labels: prefix 2, suffix 4 bytes.
-  FlatPermStore rows(6);
-  for (std::uint8_t i = 0; i < 6; ++i) {
-    const Row row = {4, 5, i, static_cast<std::uint8_t>((i + 1) % 6),
-                     static_cast<std::uint8_t>((i + 2) % 6),
-                     static_cast<std::uint8_t>((i + 3) % 6)};
-    rows.push_back(row.data());
-  }
-  const std::string path = temp_path("run_row_count");
-  (void)SealedRun::write(path, rows, /*keep_file=*/true);
-  const Row pristine = read_file(path);
-  ASSERT_EQ(pristine[23], 2);  // prefix_bytes
-  auto with_rows = [](Row bytes, std::uint64_t count) {
-    put_be(bytes, 24, 8, count);
-    return bytes;
-  };
-  // No rows at all, over an empty body.
-  Row empty = with_rows(pristine, 0);
-  empty.resize(spill::kRunHeaderBytes + 2);
-  write_file(path, empty);
-  EXPECT_THROW((void)SealedRun::open(path, 6), qsyn::CatalogError);
-  // A whole-stride prefix (suffixes of 0 bytes) claiming a million rows.
-  Row whole = with_rows(pristine, 1u << 20);
-  whole[23] = 6;
-  whole.resize(spill::kRunHeaderBytes + 6);
-  write_file(path, whole);
-  EXPECT_THROW((void)SealedRun::open(path, 6), qsyn::CatalogError);
-  // 6 + 2^62 rows of 4 bytes: the layout size wraps around 2^64 onto the
-  // real file size, so only an overflow-safe check rejects it.
-  write_file(path, with_rows(pristine, 6 + (std::uint64_t(1) << 62)));
-  EXPECT_THROW((void)SealedRun::open(path, 6), qsyn::CatalogError);
-  write_file(path, pristine);
-  EXPECT_EQ(SealedRun::open(path, 6)->rows(), 6u);
-  std::remove(path.c_str());
-}
-
-// --- SealedRun::open mutation fuzzer -----------------------------------------
-
-// Sorted, duplicate-free rows of `width` labels (two bytes per label past
-// 256) sharing their first label, as a sealed shard's rows do.
-FlatPermStore fuzz_rows(Rng& rng, std::size_t width, std::size_t count) {
-  FlatPermStore store(width);
-  Row row(store.row_stride());
-  for (std::size_t i = 0; i < count; ++i) {
-    FlatPermStore::write_label(row.data(), 0, store.label_bytes(), 1);
-    for (std::size_t s = 1; s < width; ++s) {
-      FlatPermStore::write_label(row.data(), s, store.label_bytes(),
-                                 static_cast<std::uint32_t>(rng.below(width)));
-    }
-    store.push_back(row.data());
-  }
-  store.sort_unique();
-  return store;
-}
-
-// One to three stacked mutations of `pristine`: bit flips anywhere,
-// truncation, a header field spliced with an edge value or the donor run's
-// value, trailing garbage, or a scribble over the body only.
-Row mutate(Rng& rng, const Row& pristine, const Row& donor,
-           std::size_t stride) {
-  struct Field {
-    std::size_t offset;
-    std::size_t len;
-  };
-  static constexpr Field kFields[] = {{8, 4}, {12, 4}, {16, 4}, {20, 4},
-                                      {24, 8}};
-  Row bytes = pristine;
-  const std::uint64_t steps = 1 + rng.below(3);
-  for (std::uint64_t step = 0; step < steps; ++step) {
-    switch (rng.below(5)) {
-      case 0: {
-        const std::uint64_t flips = 1 + rng.below(8);
-        for (std::uint64_t f = 0; f < flips && !bytes.empty(); ++f) {
-          bytes[rng.below(bytes.size())] ^=
-              static_cast<std::uint8_t>(1u << rng.below(8));
-        }
-        break;
-      }
-      case 1:
-        bytes.resize(rng.below(bytes.size() + 1));
-        break;
-      case 2: {
-        const Field field = kFields[rng.below(5)];
-        const std::uint64_t current =
-            bytes.size() >= field.offset + field.len
-                ? get_be(bytes, field.offset, field.len)
-                : 0;
-        const std::uint64_t suffix =
-            stride - std::min<std::uint64_t>(get_be(pristine, 20, 4), stride);
-        // current + 2^64 / lowbit(suffix): the same layout size modulo 2^64
-        // (for an even suffix), the row count that overflow-prone size
-        // arithmetic accepts.
-        const std::uint64_t lowbit = suffix & (~suffix + 1);
-        const std::uint64_t wrap =
-            lowbit <= 1 ? 0 : current + (~std::uint64_t(0)) / lowbit + 1;
-        const std::uint64_t values[] = {
-            0,
-            1,
-            2,
-            stride - 1,
-            stride,
-            stride + 1,
-            current - 1,
-            current + 1,
-            get_be(donor, field.offset, field.len),
-            0xffffffffu,
-            std::uint64_t(1) << 31,
-            std::uint64_t(1) << 63,
-            ~std::uint64_t(0),
-            suffix == 0 ? 0 : (~std::uint64_t(0)) / suffix + 1,
-            wrap,
-            rng(),
-        };
-        put_be(bytes, field.offset, field.len,
-               values[rng.below(sizeof(values) / sizeof(values[0]))]);
-        break;
-      }
-      case 3: {
-        const std::uint64_t extra = 1 + rng.below(2 * stride);
-        for (std::uint64_t i = 0; i < extra; ++i) {
-          bytes.push_back(static_cast<std::uint8_t>(rng()));
-        }
-        break;
-      }
-      default: {
-        if (bytes.size() <= spill::kRunHeaderBytes) break;
-        const std::uint64_t scribbles = 1 + rng.below(16);
-        for (std::uint64_t i = 0; i < scribbles; ++i) {
-          bytes[spill::kRunHeaderBytes +
-                rng.below(bytes.size() - spill::kRunHeaderBytes)] =
-              static_cast<std::uint8_t>(rng());
-        }
-        break;
-      }
-    }
-  }
-  return bytes;
-}
-
-struct FuzzTally {
-  std::size_t rejected = 0;
-  std::size_t opened = 0;
-  std::size_t intact_header = 0;
-};
-
-// The contract for one mutant: SealedRun::open throws CatalogError or
-// IoError (anything else escapes and fails the test), or the run opens and
-// every row reads from inside the file — row i is the file's prefix
-// followed by its i-th suffix, byte for byte. A mutant whose header and
-// length are untouched must open.
-void check_mutant(const std::string& path, const Row& bytes,
-                  const Row& pristine, std::size_t width, FuzzTally& tally) {
-  write_file(path, bytes);
-  const bool intact =
-      bytes.size() == pristine.size() &&
-      std::equal(pristine.begin(),
-                 pristine.begin() + spill::kRunHeaderBytes, bytes.begin());
-  std::shared_ptr<const SealedRun> run;
-  try {
-    run = SealedRun::open(path, width);
-  } catch (const CatalogError& e) {
-    EXPECT_FALSE(intact) << "intact header rejected: " << e.what();
-    ++tally.rejected;
-    return;
-  } catch (const qsyn::IoError& e) {
-    EXPECT_FALSE(intact) << "intact header rejected: " << e.what();
-    ++tally.rejected;
-    return;
-  }
-  ++tally.opened;
-  if (intact) ++tally.intact_header;
-  const std::size_t stride = run->row_stride();
-  const std::size_t prefix = run->prefix_bytes();
-  const std::size_t suffix = stride - prefix;
-  ASSERT_EQ(run->width(), width);
-  ASSERT_EQ(run->disk_bytes(), bytes.size());
-  ASSERT_LE(run->rows(), bytes.size());  // no row count past the file
-  ASSERT_EQ(spill::kRunHeaderBytes + prefix + run->rows() * suffix,
-            bytes.size());
-  Row got(stride);
-  Row want(stride);
-  const std::uint8_t* base = bytes.data() + spill::kRunHeaderBytes;
-  for (std::size_t i = 0; i < run->rows(); ++i) {
-    run->materialize(i, got.data());
-    std::copy(base, base + prefix, want.begin());
-    std::copy(base + prefix + i * suffix, base + prefix + (i + 1) * suffix,
-              want.begin() + static_cast<std::ptrdiff_t>(prefix));
-    ASSERT_EQ(got, want) << "row " << i;
-    ASSERT_EQ(run->compare(want.data(), i), 0) << "row " << i;
-    (void)run_holds(*run, want.data());
-  }
-}
-
-void fuzz_sealed_run_open(std::size_t width, std::size_t rows,
-                          std::uint64_t seed, int iterations) {
-  Rng rng(seed);
-  const std::string path = temp_path("fuzz_" + std::to_string(width));
-  const std::string mutant = path + ".mutant";
-  (void)SealedRun::write(path, fuzz_rows(rng, width, rows), true);
-  const Row pristine = read_file(path);
-  (void)SealedRun::write(path, fuzz_rows(rng, width, rows / 2 + 1), true);
-  const Row donor = read_file(path);
-  const std::size_t stride = width <= 256 ? width : 2 * width;
-
-  FuzzTally tally;
-  for (int it = 0; it < iterations; ++it) {
-    SCOPED_TRACE("width " + std::to_string(width) + ", iteration " +
-                 std::to_string(it));
-    check_mutant(mutant, mutate(rng, pristine, donor, stride), pristine,
-                 width, tally);
-    if (::testing::Test::HasFatalFailure()) break;
-  }
-  // The loop reaches both sides of the contract and the intact-header case.
-  EXPECT_GT(tally.rejected, std::size_t(iterations) / 4);
-  EXPECT_GT(tally.opened, 0u);
-  EXPECT_GT(tally.intact_header, 0u);
-  std::remove(path.c_str());
-  std::remove(mutant.c_str());
-}
-
-TEST(SealedRunFuzz, MutantsThrowOrReadInBoundsAtThreeWires) {
-  fuzz_sealed_run_open(38, 40, 6101, 600);  // n = 3 reduced domain
-}
-
-TEST(SealedRunFuzz, MutantsThrowOrReadInBoundsAtFiveWires) {
-  fuzz_sealed_run_open(782, 12, 6102, 600);  // n = 5: two-byte labels
 }
 
 // --- spilled ShardedPermStore differential ---------------------------------
@@ -820,8 +376,9 @@ TEST(ShardedSpillDifferential, RandomizedAgainstInMemoryTwin) {
 TEST(ShardedSpill, AbsorbShardAdoptsRuns) {
   Rng rng(5202);
   const std::size_t width = 6;
-  ShardedPermStore fresh(width, 1, SpillOptions{64, ::testing::TempDir()});
-  ShardedPermStore seen(width, 1, SpillOptions{1 << 20, ::testing::TempDir()});
+  const std::string dir = fresh_spill_dir("absorb");
+  ShardedPermStore fresh(width, 1, SpillOptions{64, dir});
+  ShardedPermStore seen(width, 1, SpillOptions{1 << 20, dir});
   ShardedPermStore reference(width, 1);
 
   for (int round = 0; round < 6; ++round) {
@@ -838,15 +395,101 @@ TEST(ShardedSpill, AbsorbShardAdoptsRuns) {
     reference.merge_into_shard(0, twin);
   }
   ASSERT_TRUE(fresh.spilled());
+  const std::size_t runs = fresh.run_count();
+  EXPECT_EQ(files_in(dir), runs);  // one temporary file per sealed run
   seen.absorb_shard(0, fresh);
   EXPECT_EQ(seen.size(), reference.size());
-  EXPECT_GT(seen.run_count(), 0u);
+  EXPECT_EQ(seen.run_count(), runs);
+  EXPECT_EQ(files_in(dir), runs);  // adopted by reference, not copied
 
-  // The adopted runs outlive the donor.
+  // The adopted runs outlive the donor: its clear() drops its views, but
+  // the files stay while the adopter holds them.
   fresh.clear();
-  FlatPermStore drained = seen.drain_sorted();
-  FlatPermStore expected = reference.drain_sorted();
-  expect_same_rows(drained, expected);
+  EXPECT_EQ(files_in(dir), runs);
+  const FlatPermStore expected = reference.drain_sorted();
+  expect_same_rows(drained_copy(seen), expected);
+
+  // Once both stores are cleared, no run file is left.
+  seen.clear();
+  EXPECT_EQ(files_in(dir), 0u) << "spill files leaked in " << dir;
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardedSpill, RunFilesHoldTheShardsRawRows) {
+  // A sealed run is its shard's sorted rows byte for byte: no header, and
+  // no shared prefix stripped, although every row here starts with the
+  // same label. So the run files hold (sealed rows) x (row stride) bytes,
+  // and each one reads back as sorted rows of the store.
+  Rng rng(5208);
+  const std::size_t width = 12;
+  const std::size_t shards = 4;
+  const std::string dir = fresh_spill_dir("raw_runs");
+  std::set<Row> model;
+  {
+    FlatPermStore sample(width);
+    for (int i = 0; i < 256; ++i) {
+      Row row = random_label_row(rng, width);
+      row[0] = 3;
+      sample.push_back(row.data());
+    }
+    sample.sort_unique();
+    ShardedPermStore store(width, shards, SpillOptions{shards * 96, dir});
+    store.split(ShardedPermStore::splitters_from(sample, shards));
+    for (int round = 0; round < 6; ++round) {
+      std::vector<FlatPermStore> chunks(shards, FlatPermStore(width));
+      for (int i = 0; i < 40; ++i) {
+        Row row = random_label_row(rng, width);
+        row[0] = 3;
+        chunks[store.shard_of(row.data())].push_back(row.data());
+        model.insert(row);
+      }
+      for (std::size_t s = 0; s < shards; ++s) {
+        chunks[s].sort_unique();
+        store.subtract_shard_from(s, chunks[s]);
+        store.merge_into_shard(s, chunks[s]);
+      }
+    }
+    ASSERT_EQ(store.size(), model.size());
+    std::size_t active_rows = 0;
+    std::size_t shards_with_runs = 0;
+    for (std::size_t s = 0; s < shards; ++s) {
+      active_rows += store.shard(s).size();
+      if (store.shard_run_count(s) > 1) ++shards_with_runs;
+    }
+    EXPECT_GT(shards_with_runs, 1u);
+    const std::size_t sealed_rows = store.size() - active_rows;
+    EXPECT_EQ(store.disk_bytes(), sealed_rows * width);
+
+    std::size_t file_rows = 0;
+    ASSERT_EQ(files_in(dir), store.run_count());
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      const Row bytes = read_file(entry.path().string());
+      ASSERT_EQ(bytes.size() % width, 0u) << entry.path();
+      for (std::size_t i = 0; i < bytes.size(); i += width) {
+        const Row row(bytes.begin() + static_cast<std::ptrdiff_t>(i),
+                      bytes.begin() + static_cast<std::ptrdiff_t>(i + width));
+        EXPECT_EQ(model.count(row), 1u) << entry.path() << " row " << i;
+        if (i > 0) {
+          EXPECT_LT(std::memcmp(bytes.data() + i - width, row.data(), width),
+                    0)
+              << entry.path() << " row " << i;
+        }
+      }
+      file_rows += bytes.size() / width;
+    }
+    EXPECT_EQ(file_rows, sealed_rows);
+
+    const FlatPermStore drained = store.drain_sorted();
+    ASSERT_EQ(drained.size(), model.size());
+    std::size_t i = 0;
+    for (const Row& row : model) {
+      EXPECT_EQ(std::memcmp(drained.row(i), row.data(), width), 0)
+          << "row " << i;
+      ++i;
+    }
+  }
+  EXPECT_EQ(files_in(dir), 0u) << "spill files leaked in " << dir;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardedSpill, SplitOfSpilledStoreKeepsRowsWithinBudget) {
@@ -1148,23 +791,6 @@ TEST_F(SpilledClosure3, SpilledCatalogRoundTrips) {
 // --- spill-file cleanup -----------------------------------------------------
 
 #ifndef _WIN32
-// A fresh, empty spill directory of this process.
-std::string fresh_spill_dir(const std::string& name) {
-  const std::string dir = temp_path(name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
-std::size_t files_in(const std::string& dir) {
-  std::size_t n = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    (void)entry;
-    ++n;
-  }
-  return n;
-}
-
 // Lowers the soft RLIMIT_FSIZE and ignores SIGXFSZ, so a write past the
 // limit fails with EFBIG instead of killing the process; restores both.
 class FileSizeLimit {
