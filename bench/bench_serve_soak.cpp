@@ -3,11 +3,15 @@
 // mixed cascade sizes n = 2..4 serves a sustained stream of step / sample /
 // distribution traffic with measurement-backend flips mid-stream and tenant
 // churn (departing tenants replaced by circuits synthesized through a
-// CatalogServer, so the witness cache sees serving traffic too). Reports
-// requests/s, p50/p99 serving latency, and the block-unitary / witness
-// cache hit rates — the steady-state numbers the serving layer exists for.
+// CatalogServer, so the witness cache sees serving traffic too), then
+// drives the same service from 1, 2 and 4 concurrent submitter threads.
+// Reports requests/s, p50/p99 serving latency overall and per submitter
+// count, and the block-unitary / witness cache hit rates — the steady-state
+// numbers the serving layer exists for.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -33,6 +37,11 @@ using namespace qsyn;
 
 /// Requests the soak must sustain (the serving acceptance floor).
 constexpr std::uint64_t kSoakFloor = 100000;
+
+/// The submitter axis: concurrent single-request submitters on one service,
+/// each on its own tenant, each sending kAxisRequests requests.
+constexpr std::array<std::size_t, 3> kSubmitterAxis = {1, 2, 4};
+constexpr std::size_t kAxisRequests = 200000;
 
 /// A random cascade over the library that stays reasonable gate by gate —
 /// reasonable circuits keep the MV and Hilbert backends bit-identical, so
@@ -77,8 +86,18 @@ struct TenantInfo {
       automata::MeasurementBackend::kMultiValued;
 };
 
+/// One point of the submitter axis: requests/s over the point's wall time
+/// and per-request latency quantiles measured by the submitters.
+struct AxisPoint {
+  std::size_t submitters = 0;
+  double rps = 0.0;
+  double p50_us = 0.0;
+  double p99_us = 0.0;
+};
+
 struct SoakResult {
   serve::ServiceStats stats;
+  std::vector<AxisPoint> axis;
   sim::UnitaryCache::Stats engine_cache;
   synth::CatalogServer::CacheStats witness_cache;
   double seconds = 0.0;
@@ -162,8 +181,7 @@ SoakResult run_soak() {
   constexpr std::size_t kChunk = 128;
   std::uint64_t submitted = 0;
   std::uint64_t chunk_index = 0;
-  const std::uint64_t threaded_budget = 4 * 3000;
-  while (submitted + threaded_budget < kSoakFloor + 8000) {
+  while (submitted < kSoakFloor) {
     std::vector<serve::Request> chunk;
     chunk.reserve(kChunk);
     for (std::size_t i = 0; i < kChunk; ++i) {
@@ -210,28 +228,48 @@ SoakResult run_soak() {
     }
   }
 
-  // Phase 2: concurrent submitters — four threads, each hammering its own
-  // tenant through single-request submits, coalescing via the combining
-  // queue (and on a 1-CPU box, mostly through combiner handoff).
-  std::vector<std::thread> submitters;
-  for (std::size_t t = 0; t < 4; ++t) {
-    const TenantInfo tenant = tenants[t % tenants.size()];
-    submitters.emplace_back([&service, tenant, t] {
-      Rng rng(1000 + t);
-      for (int i = 0; i < 3000; ++i) {
-        serve::Request request;
-        request.tenant = tenant.id;
-        request.kind = tenant.is_qrng ? serve::RequestKind::kSample
-                                      : serve::RequestKind::kStep;
-        request.input_bits =
-            static_cast<std::uint32_t>(rng.below(tenant.input_words));
-        const serve::Response response = service.submit(request);
-        QSYN_CHECK(response.status == serve::ResponseStatus::kOk,
-                   "threaded soak traffic must be accepted");
-      }
-    });
+  // Phase 2: the submitter axis. Each of n threads hammers its own tenant
+  // through single-request submits; requests to distinct tenants run in
+  // parallel on their callers' threads.
+  for (const std::size_t count : kSubmitterAxis) {
+    std::vector<std::vector<std::uint64_t>> latencies(count);
+    std::vector<std::thread> submitters;
+    const std::uint64_t axis_start = metrics::now_ns();
+    for (std::size_t t = 0; t < count; ++t) {
+      const TenantInfo tenant = tenants[t % tenants.size()];
+      submitters.emplace_back([&service, &latencies, tenant, t] {
+        Rng rng(1000 + t);
+        std::vector<std::uint64_t>& own = latencies[t];
+        own.reserve(kAxisRequests);
+        for (std::size_t i = 0; i < kAxisRequests; ++i) {
+          serve::Request request;
+          request.tenant = tenant.id;
+          request.kind = tenant.is_qrng ? serve::RequestKind::kSample
+                                        : serve::RequestKind::kStep;
+          request.input_bits =
+              static_cast<std::uint32_t>(rng.below(tenant.input_words));
+          const std::uint64_t t0 = metrics::now_ns();
+          const serve::Response response = service.submit(request);
+          own.push_back(metrics::now_ns() - t0);
+          QSYN_CHECK(response.status == serve::ResponseStatus::kOk,
+                     "threaded soak traffic must be accepted");
+        }
+      });
+    }
+    for (std::thread& submitter : submitters) submitter.join();
+    const double seconds = metrics::seconds_since(axis_start);
+    std::vector<std::uint64_t> all;
+    for (const auto& own : latencies) {
+      all.insert(all.end(), own.begin(), own.end());
+    }
+    std::sort(all.begin(), all.end());
+    AxisPoint point;
+    point.submitters = count;
+    point.rps = static_cast<double>(all.size()) / seconds;
+    point.p50_us = static_cast<double>(all[all.size() / 2]) / 1e3;
+    point.p99_us = static_cast<double>(all[all.size() * 99 / 100]) / 1e3;
+    result.axis.push_back(point);
   }
-  for (std::thread& submitter : submitters) submitter.join();
 
   result.seconds = metrics::seconds_since(start);
   result.stats = service.stats();
@@ -260,17 +298,18 @@ void report(const SoakResult& result) {
       result.seconds > 0.0 ? stats.requests / result.seconds : 0.0;
   bench::value_row("throughput",
                    std::to_string(static_cast<long long>(rps)) + " req/s");
-  bench::value_row("latency p50/p99/max",
-                   std::to_string(stats.all.p50_ns / 1000) + " us / " +
-                       std::to_string(stats.all.p99_ns / 1000) + " us / " +
-                       std::to_string(stats.all.max_ns / 1000) + " us");
-  bench::value_row("engine batches",
-                   std::to_string(stats.engine_batches) + " (" +
-                       std::to_string(stats.engine_jobs) + " jobs, " +
-                       std::to_string(stats.waves) + " waves, " +
-                       std::to_string(stats.combine_rounds) +
-                       " combine rounds)");
   char buffer[128];
+  std::snprintf(buffer, sizeof(buffer), "%.2f us / %.2f us / %.2f us",
+                stats.all.p50_ns / 1e3, stats.all.p99_ns / 1e3,
+                stats.all.max_ns / 1e3);
+  bench::value_row("latency p50/p99/max", buffer);
+  bench::value_row("Hilbert evaluations", std::to_string(stats.engine_jobs));
+  for (const AxisPoint& point : result.axis) {
+    std::snprintf(buffer, sizeof(buffer), "%.0f req/s, p50 %.2f, p99 %.2f us",
+                  point.rps, point.p50_us, point.p99_us);
+    bench::value_row(std::to_string(point.submitters) + " submitter(s)",
+                     buffer);
+  }
   std::snprintf(buffer, sizeof(buffer), "%.3f (%zu hits, %zu misses, %zu dup)",
                 hit_rate(result.engine_cache.hits, result.engine_cache.misses),
                 result.engine_cache.hits, result.engine_cache.misses,
@@ -302,6 +341,12 @@ void bm_serve_soak(benchmark::State& bench_state) {
       hit_rate(result.engine_cache.hits, result.engine_cache.misses);
   bench_state.counters["witness_cache_hit_rate"] =
       hit_rate(result.witness_cache.hits, result.witness_cache.misses);
+  for (const AxisPoint& point : result.axis) {
+    const std::string suffix = "_" + std::to_string(point.submitters) + "sub";
+    bench_state.counters["rps" + suffix] = point.rps;
+    bench_state.counters["p50_us" + suffix] = point.p50_us;
+    bench_state.counters["p99_us" + suffix] = point.p99_us;
+  }
 }
 BENCHMARK(bm_serve_soak)->Iterations(1)->Unit(benchmark::kSecond);
 

@@ -19,7 +19,11 @@
 #  * the second on-disk row format `SealedRun` (magic `QSYNRUN`, a header
 #    and a shared-prefix compression) and SpillWriter's `keep_file` policy —
 #    a sealed spill run is the shard's raw sorted rows behind a mapped
-#    FlatPermStore window, and every spill file is a temporary.
+#    FlatPermStore window, and every spill file is a temporary;
+#  * the serving combining queue (`combiner_active_`, `process_round`) and
+#    its wave scheduler (`WaveEntry`) — AutomataService serves each request
+#    on its caller's thread under the tenant's own mutex, so nothing may
+#    elect a combiner or pack tenants into engine waves again.
 #
 # Usage: cmake -DQSYN_SOURCE_DIR=<repo root> -P CheckDeprecatedNames.cmake
 if(NOT DEFINED QSYN_SOURCE_DIR)
@@ -32,7 +36,8 @@ set(deprecated_names
   "Stopwatch"
   "GrowableMmapFile" "FileRowStorage" "file_backed"
   "RowStorage" "StorageSpec"
-  "SealedRun" "QSYNRUN" "keep_file")
+  "SealedRun" "QSYNRUN" "keep_file"
+  "combiner_active_" "process_round" "WaveEntry")
 
 file(GLOB_RECURSE sources RELATIVE "${QSYN_SOURCE_DIR}"
   "${QSYN_SOURCE_DIR}/src/*.h"

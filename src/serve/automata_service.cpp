@@ -2,12 +2,12 @@
 
 #include <complex>
 #include <cstddef>
-#include <deque>
 #include <utility>
 
 #include "automata/measurement.h"
 #include "la/vector.h"
 #include "mvl/pattern.h"
+#include "sim/state_vector.h"
 
 namespace qsyn::serve {
 
@@ -26,113 +26,109 @@ std::vector<double> probabilities(const la::Vector& amplitudes) {
 AutomataService::AutomataService() : AutomataService(Options{}) {}
 
 AutomataService::AutomataService(Options options)
-    : options_(options),
-      engine_(std::make_unique<sim::BatchSimulator>(options.sim)),
-      root_rng_(options.seed) {}
+    : options_(options), root_rng_(options.seed) {}
 
 AutomataService::~AutomataService() = default;
 
+std::uint64_t AutomataService::add_tenant(
+    std::optional<automata::QuantumAutomaton> machine,
+    std::optional<automata::ControlledQrng> qrng) {
+  auto tenant = std::make_shared<Tenant>();
+  tenant->machine = std::move(machine);
+  tenant->qrng = std::move(qrng);
+  std::lock_guard lock(tenants_mutex_);
+  const std::uint64_t id = next_tenant_id_++;
+  tenant->rng = root_rng_.split();
+  tenants_.emplace(id, std::move(tenant));
+  return id;
+}
+
 std::uint64_t AutomataService::add_automaton(
     automata::QuantumAutomaton machine) {
-  // Tenants are always served through the shared engine, so the machine must
+  // Tenants are always served through the shared cache, so the machine must
   // not hold a Hilbert engine of its own (its backend setting is replaced by
   // the per-tenant one here).
   machine.set_measurement_backend(automata::MeasurementBackend::kMultiValued);
-  std::lock_guard lock(tenants_mutex_);
-  const std::uint64_t id = next_tenant_id_++;
-  Tenant& tenant = tenants_[id];
-  tenant.machine.emplace(std::move(machine));
-  tenant.rng = root_rng_.split();
-  return id;
+  return add_tenant(std::move(machine), std::nullopt);
 }
 
 std::uint64_t AutomataService::add_qrng(automata::ControlledQrng qrng) {
-  std::lock_guard lock(tenants_mutex_);
-  const std::uint64_t id = next_tenant_id_++;
-  Tenant& tenant = tenants_[id];
-  tenant.qrng.emplace(std::move(qrng));
-  tenant.rng = root_rng_.split();
-  return id;
+  return add_tenant(std::nullopt, std::move(qrng));
 }
 
 bool AutomataService::remove_tenant(std::uint64_t id) {
-  std::lock_guard lock(tenants_mutex_);
-  return tenants_.erase(id) == 1;
+  std::shared_ptr<Tenant> tenant;
+  {
+    std::lock_guard lock(tenants_mutex_);
+    const auto it = tenants_.find(id);
+    if (it == tenants_.end()) return false;
+    tenant = std::move(it->second);
+    tenants_.erase(it);
+  }
+  // Waits out the request holding the tenant; requests that found it
+  // before the erase but lock it after answer kUnknownTenant.
+  std::lock_guard lock(tenant->mutex);
+  tenant->removed = true;
+  return true;
 }
 
 std::size_t AutomataService::tenant_count() const {
-  std::lock_guard lock(tenants_mutex_);
+  std::shared_lock lock(tenants_mutex_);
   return tenants_.size();
 }
 
 sim::UnitaryCache::Stats AutomataService::engine_cache_stats() const {
-  return engine_->cache().stats();
+  return cache_.stats();
 }
 
 Response AutomataService::submit(const Request& request) {
-  Response response;
-  Pending pending;
-  pending.requests = &request;
-  pending.count = 1;
-  pending.responses = &response;
-  pending.start_ns = metrics::now_ns();
-  serve(pending);
-  return response;
+  calls_.add();
+  return serve(request, metrics::now_ns());
 }
 
 std::vector<Response> AutomataService::submit_batch(
     const std::vector<Request>& requests) {
-  std::vector<Response> responses(requests.size());
-  if (requests.empty()) return responses;
-  Pending pending;
-  pending.requests = requests.data();
-  pending.count = requests.size();
-  pending.responses = responses.data();
-  pending.start_ns = metrics::now_ns();
-  serve(pending);
+  calls_.add();
+  const std::uint64_t start_ns = metrics::now_ns();
+  std::vector<Response> responses;
+  responses.reserve(requests.size());
+  for (const Request& request : requests) {
+    responses.push_back(serve(request, start_ns));
+  }
   return responses;
 }
 
-void AutomataService::serve(Pending& pending) {
-  std::unique_lock lock(queue_mutex_);
-  queue_.push_back(&pending);
-  // Leader/follower combining: while a combiner is active, park; it may
-  // drain and answer this Pending, in which case there is nothing left to
-  // do. Otherwise become the combiner and drain rounds until the queue is
-  // empty (requests that arrive while a round is in flight coalesce into
-  // the next round).
-  while (combiner_active_ && !pending.done) queue_cv_.wait(lock);
-  if (pending.done) return;
-  combiner_active_ = true;
-  std::vector<Pending*> round;
-  while (!queue_.empty()) {
-    round.clear();
-    round.swap(queue_);
-    lock.unlock();
-    process_round(round);
-    lock.lock();
-    // done flips under the queue lock — the flag the followers' wait reads.
-    for (Pending* p : round) p->done = true;
-    queue_cv_.notify_all();
+std::vector<double> AutomataService::distribution(Tenant& tenant,
+                                                  std::uint32_t word) {
+  const gates::Cascade& circuit = tenant.machine.has_value()
+                                      ? tenant.machine->circuit()
+                                      : tenant.qrng->circuit();
+  if (tenant.backend == automata::MeasurementBackend::kHilbert) {
+    std::vector<double> probs;
+    if (options_.sim.fuse_block == 0) {
+      sim::StateVector state = sim::StateVector::basis(circuit.wires(), word);
+      state.apply_cascade(circuit);
+      probs = probabilities(state.amplitudes());
+    } else {
+      if (!tenant.fused.has_value()) {
+        tenant.fused.emplace(circuit, options_.sim.fuse_block, cache_);
+      }
+      probs = probabilities(tenant.fused->apply_to_basis(word).amplitudes());
+    }
+    hilbert_evaluations_.add();
+    return probs;
   }
-  combiner_active_ = false;
-  queue_cv_.notify_all();
-}
-
-std::vector<double> AutomataService::automaton_distribution(
-    const Tenant& tenant, std::uint32_t word,
-    const la::Vector* amplitudes) const {
-  if (amplitudes != nullptr) return probabilities(*amplitudes);
-  const gates::Cascade& circuit = tenant.machine->circuit();
+  if (tenant.qrng.has_value()) return tenant.qrng->distribution(word);
   const mvl::Pattern output =
       circuit.apply(mvl::Pattern::from_binary(circuit.wires(), word));
   return automata::outcome_distribution(output);
 }
 
-void AutomataService::finish(const Item& item, Response&& response) {
-  const std::uint64_t elapsed = metrics::now_ns() - item.start_ns;
+void AutomataService::record(RequestKind kind, ResponseStatus status,
+                             std::uint64_t start_ns) {
+  const std::uint64_t elapsed = metrics::now_ns() - start_ns;
   all_latency_.record_ns(elapsed);
-  switch (item.request->kind) {
+  switch (kind) {
     case RequestKind::kStep:
       step_latency_.record_ns(elapsed);
       break;
@@ -145,160 +141,73 @@ void AutomataService::finish(const Item& item, Response&& response) {
     case RequestKind::kSetBackend:
       break;
   }
-  if (response.status == ResponseStatus::kOk) {
+  if (status == ResponseStatus::kOk) {
     requests_.add();
   } else {
     rejected_.add();
   }
-  *item.response = std::move(response);
 }
 
-void AutomataService::process_round(const std::vector<Pending*>& round) {
-  combine_rounds_.add();
-  // Tenant state (automaton registers, rng streams, backends) mutates for
-  // the whole round under the registry lock; it also pins every circuit the
-  // engine reads.
-  std::lock_guard tenants_lock(tenants_mutex_);
-
-  // Per-tenant FIFO queues, tenants ordered by first appearance in the
-  // round. Unknown tenants answer immediately.
-  std::vector<std::uint64_t> order;
-  std::unordered_map<std::uint64_t, std::deque<Item>> by_tenant;
-  for (Pending* pending : round) {
-    for (std::size_t i = 0; i < pending->count; ++i) {
-      Item item;
-      item.request = pending->requests + i;
-      item.response = pending->responses + i;
-      item.start_ns = pending->start_ns;
-      if (tenants_.find(item.request->tenant) == tenants_.end()) {
-        Response response;
-        response.status = ResponseStatus::kUnknownTenant;
-        finish(item, std::move(response));
-        continue;
-      }
-      auto [it, inserted] = by_tenant.try_emplace(item.request->tenant);
-      if (inserted) order.push_back(item.request->tenant);
-      it->second.push_back(item);
-    }
+Response AutomataService::serve(const Request& request,
+                                std::uint64_t start_ns) {
+  std::shared_ptr<Tenant> tenant;
+  {
+    std::shared_lock lock(tenants_mutex_);
+    const auto it = tenants_.find(request.tenant);
+    if (it != tenants_.end()) tenant = it->second;
   }
-
-  // Waves: one request per tenant per wave, so per-tenant order (and hence
-  // each tenant's rng draw sequence) is independent of how requests packed
-  // into batches, rounds, and waves.
-  struct WaveEntry {
-    Item item;
-    Tenant* tenant = nullptr;
-    std::uint32_t word = 0;       // engine/model input word
-    std::ptrdiff_t job = -1;      // index into the wave's engine batch
-    bool needs_random = false;    // kStep / kSample: one inverse-CDF draw
-  };
-  std::vector<WaveEntry> wave;
-  std::vector<sim::SimJob> jobs;
-  std::vector<la::Vector> outputs;
-  bool live = !order.empty();
-  while (live) {
-    live = false;
-    wave.clear();
-    jobs.clear();
-    waves_.add();
-    for (const std::uint64_t id : order) {
-      auto& queue = by_tenant[id];
-      if (queue.empty()) continue;
-      Item item = queue.front();
-      queue.pop_front();
-      if (!queue.empty()) live = true;
-
-      Tenant& tenant = tenants_.at(id);
-      const Request& request = *item.request;
-      WaveEntry entry;
-      entry.item = item;
-      entry.tenant = &tenant;
-
-      if (request.kind == RequestKind::kSetBackend) {
-        tenant.backend = request.backend;
-        Response response;
-        response.status = ResponseStatus::kOk;
-        finish(item, std::move(response));
-        continue;
-      }
-
-      const bool is_automaton = tenant.machine.has_value();
-      const gates::Cascade& circuit =
-          is_automaton ? tenant.machine->circuit() : tenant.qrng->circuit();
-      const std::size_t input_wires =
-          is_automaton ? tenant.machine->input_wires() : circuit.wires();
-      const bool kind_ok =
-          request.kind == RequestKind::kDistribution ||
-          (request.kind == RequestKind::kStep) == is_automaton;
-      if (!kind_ok ||
-          request.input_bits >= (std::uint64_t(1) << input_wires)) {
-        Response response;
-        response.status = ResponseStatus::kBadRequest;
-        finish(item, std::move(response));
-        continue;
-      }
-
-      entry.word = is_automaton
-                       ? (tenant.machine->state()
-                          << tenant.machine->input_wires()) |
-                             request.input_bits
-                       : request.input_bits;
-      entry.needs_random = request.kind != RequestKind::kDistribution;
-      if (tenant.backend == automata::MeasurementBackend::kHilbert) {
-        entry.job = static_cast<std::ptrdiff_t>(jobs.size());
-        jobs.push_back(sim::SimJob{&circuit, entry.word});
-      }
-      wave.push_back(entry);
-    }
-
-    // One engine call evaluates the whole wave's Hilbert jobs: circuits
-    // shared by several tenants fold once (block-unitary cache) and jobs
-    // GEMM-group and fan out across the engine pool.
-    if (!jobs.empty()) {
-      outputs = engine_->run(jobs);
-      engine_batches_.add();
-      engine_jobs_.add(jobs.size());
-    }
-
-    for (WaveEntry& entry : wave) {
-      Tenant& tenant = *entry.tenant;
-      const la::Vector* amplitudes =
-          entry.job >= 0 ? &outputs[static_cast<std::size_t>(entry.job)]
-                         : nullptr;
-      std::vector<double> dist =
-          tenant.machine.has_value()
-              ? automaton_distribution(tenant, entry.word, amplitudes)
-              : (amplitudes != nullptr
-                     ? probabilities(*amplitudes)
-                     : tenant.qrng->distribution(entry.word));
-      Response response;
-      response.status = ResponseStatus::kOk;
-      if (entry.needs_random) {
-        // One uniform draw per step/sample, from the tenant's own stream,
-        // in the tenant's request order — the backend only chose how the
-        // (identical, dyadic) distribution was computed.
-        const std::uint32_t measured =
-            automata::sample_index(dist, tenant.rng);
-        response.word = measured;
-        if (entry.item.request->kind == RequestKind::kStep) {
-          tenant.machine->reset(measured >> tenant.machine->input_wires());
-        }
-      } else {
-        response.distribution = std::move(dist);
-      }
-      finish(entry.item, std::move(response));
-    }
+  Response response;
+  response.status = ResponseStatus::kUnknownTenant;
+  if (tenant != nullptr) {
+    std::lock_guard lock(tenant->mutex);
+    if (!tenant->removed) response = answer(*tenant, request);
   }
+  record(request.kind, response.status, start_ns);
+  return response;
+}
+
+Response AutomataService::answer(Tenant& tenant, const Request& request) {
+  Response response;  // kBadRequest until answered
+  if (request.kind == RequestKind::kSetBackend) {
+    tenant.backend = request.backend;
+    response.status = ResponseStatus::kOk;
+    return response;
+  }
+  const bool is_automaton = tenant.machine.has_value();
+  const std::size_t input_wires = is_automaton
+                                      ? tenant.machine->input_wires()
+                                      : tenant.qrng->circuit().wires();
+  const bool kind_ok = request.kind == RequestKind::kDistribution ||
+                       (request.kind == RequestKind::kStep) == is_automaton;
+  if (!kind_ok || request.input_bits >= (std::uint64_t(1) << input_wires)) {
+    return response;
+  }
+  // An automaton's engine input is its state bits above the input bits.
+  std::uint32_t word = request.input_bits;
+  if (is_automaton) word |= tenant.machine->state() << input_wires;
+  std::vector<double> dist = distribution(tenant, word);
+  response.status = ResponseStatus::kOk;
+  if (request.kind == RequestKind::kDistribution) {
+    response.distribution = std::move(dist);
+    return response;
+  }
+  // One uniform draw per step/sample, from the tenant's own stream, in the
+  // tenant's request order — the backend only chose how the (identical,
+  // dyadic) distribution was computed.
+  response.word = automata::sample_index(dist, tenant.rng);
+  if (request.kind == RequestKind::kStep) {
+    tenant.machine->reset(response.word >> input_wires);
+  }
+  return response;
 }
 
 ServiceStats AutomataService::stats() const {
   ServiceStats stats;
   stats.requests = requests_.value();
   stats.rejected = rejected_.value();
-  stats.combine_rounds = combine_rounds_.value();
-  stats.waves = waves_.value();
-  stats.engine_batches = engine_batches_.value();
-  stats.engine_jobs = engine_jobs_.value();
+  stats.combine_rounds = calls_.value();
+  stats.engine_batches = hilbert_evaluations_.value();
+  stats.engine_jobs = stats.engine_batches;
   stats.all = all_latency_.snapshot();
   stats.step = step_latency_.snapshot();
   stats.sample = sample_latency_.snapshot();

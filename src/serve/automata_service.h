@@ -2,20 +2,17 @@
 //
 // Multi-tenant serving front end for the automata layer (Figure 3 machines):
 // N tenants — each a QuantumAutomaton or a ControlledQrng with its own
-// reproducible Rng stream — multiplexed over ONE shared BatchSimulator
-// engine and its block-unitary cache. Concurrent step / sample /
-// distribution requests coalesce into batched engine calls, and every
-// request reports through the common/metrics latency recorders.
+// reproducible Rng stream — served over ONE shared block-unitary cache, and
+// every request reports through the common/metrics latency recorders.
 //
-// Batching model. submit() calls from any number of threads enqueue into a
-// combining queue; one caller at a time elects itself the combiner, drains
-// everything queued, and serves the whole batch. A batch is processed in
-// *waves*: each wave takes the oldest pending request of every tenant, runs
-// all of the wave's Hilbert-backend simulations as one BatchSimulator::run
-// (folded circuits shared through the engine cache, jobs GEMM-grouped and
-// fanned out), then finishes each request in order. Per-tenant request order
-// is preserved exactly, which is what makes serving deterministic (below);
-// cross-tenant batching is where the engine sharing pays.
+// Serving model. A request is served on its caller's thread: submit() finds
+// the tenant under a reader lock on the registry and serves it under that
+// tenant's own mutex, so requests to different tenants run in parallel and
+// requests to one tenant run one at a time. submit_batch() does the same for
+// each of its requests in order. A Hilbert tenant folds its circuit through
+// the shared cache on its first Hilbert request (tenants on equal circuits
+// share the folded blocks) and keeps that fold, so each later Hilbert request
+// is one column read and a few block products, with no cache lookup.
 //
 // Determinism. Tenant streams split() off one root seed in add-order, and a
 // step samples its outcome by inverse CDF from the tenant's *exact* joint
@@ -24,15 +21,16 @@
 // the kMultiValued and kHilbert distributions of a reasonable cascade are
 // bit-identical, and therefore: same seed + same per-tenant request trace
 // => identical per-tenant outcome streams, regardless of submitter thread
-// count, batch boundaries, wave composition, engine thread count, or
-// measurement backend (tested in tests/test_serve.cpp).
+// count, batch boundaries, or measurement backend (tested in
+// tests/test_serve.cpp). A request that throws (a failed fold) draws
+// nothing and leaves its tenant as it was.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -40,7 +38,7 @@
 #include "automata/qrng.h"
 #include "common/metrics.h"
 #include "common/rng.h"
-#include "sim/batch.h"
+#include "sim/fused.h"
 
 namespace qsyn::serve {
 
@@ -93,10 +91,9 @@ struct Response {
 struct ServiceStats {
   std::uint64_t requests = 0;        // completed OK
   std::uint64_t rejected = 0;        // kUnknownTenant / kBadRequest
-  std::uint64_t combine_rounds = 0;  // combiner drains of the submit queue
-  std::uint64_t waves = 0;           // engine scheduling waves
-  std::uint64_t engine_batches = 0;  // BatchSimulator::run calls
-  std::uint64_t engine_jobs = 0;     // jobs across those calls
+  std::uint64_t combine_rounds = 0;  // submit() / submit_batch() calls
+  std::uint64_t engine_batches = 0;  // Hilbert-backend evaluations
+  std::uint64_t engine_jobs = 0;     // Hilbert-backend evaluations
   metrics::LatencySnapshot all;
   metrics::LatencySnapshot step;
   metrics::LatencySnapshot sample;
@@ -104,12 +101,14 @@ struct ServiceStats {
 };
 
 /// The serving front end. Thread-safe throughout: submit()/submit_batch()
-/// may be called from any thread concurrently with each other; tenant
-/// add/remove serializes against in-flight batches.
+/// may be called from any thread concurrently with each other and with
+/// tenant add/remove.
 class AutomataService {
  public:
   struct Options {
-    /// Engine knobs of the one shared BatchSimulator.
+    /// Only fuse_block is read: gates folded per block of a Hilbert tenant's
+    /// circuit (0 = the gate-at-a-time reference path). Requests run on
+    /// their callers' threads, so `threads` has no effect here.
     sim::SimOptions sim{};
     /// Root seed: tenant i's Rng is the i-th split() of this seed, in
     /// add-order, so one number reproduces every tenant stream.
@@ -124,101 +123,84 @@ class AutomataService {
   AutomataService& operator=(const AutomataService&) = delete;
 
   /// Registers a tenant; returns its id (ids are never reused). The machine
-  /// is served through the shared engine — its own measurement backend
+  /// is served through the shared cache — its own measurement backend
   /// setting is ignored in favor of the per-tenant backend here.
   std::uint64_t add_automaton(automata::QuantumAutomaton machine);
   std::uint64_t add_qrng(automata::ControlledQrng qrng);
 
-  /// Removes a tenant (false when unknown). In-flight batches complete
-  /// first; later requests for the id answer kUnknownTenant.
+  /// Removes a tenant (false when unknown). Returns once the tenant's
+  /// in-flight request, if any, has finished; later requests for the id
+  /// answer kUnknownTenant.
   bool remove_tenant(std::uint64_t id);
 
   [[nodiscard]] std::size_t tenant_count() const;
 
-  /// Serves one request, coalescing with concurrently submitted ones.
+  /// Serves one request on the calling thread. An exception thrown while it
+  /// is served (a failed fold) propagates to the caller.
   [[nodiscard]] Response submit(const Request& request);
 
-  /// Serves a batch (request order is per-tenant execution order),
-  /// coalescing with concurrent submitters.
+  /// Serves a batch on the calling thread, in request order (so request
+  /// order is per-tenant execution order).
   [[nodiscard]] std::vector<Response> submit_batch(
       const std::vector<Request>& requests);
 
-  /// The shared engine (its cache() carries the fold hit-rates the soak
-  /// bench reports).
-  [[nodiscard]] sim::BatchSimulator& engine() { return *engine_; }
+  /// The shared block-unitary cache Hilbert tenants fold through.
+  [[nodiscard]] sim::UnitaryCache& engine_cache() { return cache_; }
 
-  /// One consistent snapshot of the engine's block-unitary cache.
+  /// One consistent snapshot of the shared block-unitary cache.
   [[nodiscard]] sim::UnitaryCache::Stats engine_cache_stats() const;
 
   [[nodiscard]] ServiceStats stats() const;
 
  private:
   struct Tenant {
+    // Serializes this tenant's requests, and guards every field below.
+    std::mutex mutex;
+    // Set by remove_tenant(); a request that found the tenant before its
+    // removal answers kUnknownTenant.
+    bool removed = false;
     // Exactly one of machine / qrng is set.
     std::optional<automata::QuantumAutomaton> machine;
     std::optional<automata::ControlledQrng> qrng;
     automata::MeasurementBackend backend =
         automata::MeasurementBackend::kMultiValued;
     Rng rng{0};
+    // The circuit folded through cache_, on the first Hilbert request.
+    std::optional<sim::FusedCascade> fused;
   };
 
-  /// One queued request with its response slot and arrival timestamp.
-  struct Item {
-    const Request* request = nullptr;
-    Response* response = nullptr;
-    std::uint64_t start_ns = 0;
-  };
-
-  /// A submit()/submit_batch() call parked in the combining queue.
-  struct Pending {
-    const Request* requests = nullptr;
-    std::size_t count = 0;
-    Response* responses = nullptr;
-    std::uint64_t start_ns = 0;
-    bool done = false;
-  };
-
-  void serve(Pending& pending);
-  /// Serves a drained combine round (runs exclusively: one combiner at a
-  /// time, under tenants_mutex_ for tenant state).
-  void process_round(const std::vector<Pending*>& round);
-  /// Exact joint output distribution of an automaton tenant for one input
-  /// word, through the tenant's backend (kHilbert amplitudes may be handed
-  /// in from the wave's batched engine run).
-  [[nodiscard]] std::vector<double> automaton_distribution(
-      const Tenant& tenant, std::uint32_t word,
-      const la::Vector* amplitudes) const;
-  void finish(const Item& item, Response&& response);
+  std::uint64_t add_tenant(std::optional<automata::QuantumAutomaton> machine,
+                           std::optional<automata::ControlledQrng> qrng);
+  /// Serves one request; start_ns is its submit time.
+  [[nodiscard]] Response serve(const Request& request, std::uint64_t start_ns);
+  /// Validates and answers a request to a live tenant, under tenant.mutex.
+  [[nodiscard]] Response answer(Tenant& tenant, const Request& request);
+  /// The tenant's exact output distribution for one engine input word,
+  /// through its measurement backend, under tenant.mutex.
+  [[nodiscard]] std::vector<double> distribution(Tenant& tenant,
+                                                 std::uint32_t word);
+  void record(RequestKind kind, ResponseStatus status,
+              std::uint64_t start_ns);
 
   Options options_;
-  std::unique_ptr<sim::BatchSimulator> engine_;
+  sim::UnitaryCache cache_;
 
-  // Tenant registry + root rng; held across a whole combine round, and by
-  // add/remove, so circuits stay pinned while the engine reads them.
-  mutable std::mutex tenants_mutex_;
-  std::unordered_map<std::uint64_t, Tenant> tenants_;
+  // Tenant registry + root rng. Requests hold it shared only to find their
+  // tenant; add/remove hold it exclusively.
+  mutable std::shared_mutex tenants_mutex_;
+  std::unordered_map<std::uint64_t, std::shared_ptr<Tenant>> tenants_;
   Rng root_rng_;
   std::uint64_t next_tenant_id_ = 1;
 
-  // Combining queue (leader/follower): submitters park a Pending; whoever
-  // finds no active combiner drains the queue and serves, repeating until
-  // the queue is empty, then hands off.
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::vector<Pending*> queue_;
-  bool combiner_active_ = false;
-
-  // Observability (lock-free recorders; counters tick inside the round).
+  // Observability (lock-free recorders).
   metrics::LatencyRecorder all_latency_;
   metrics::LatencyRecorder step_latency_;
   metrics::LatencyRecorder sample_latency_;
   metrics::LatencyRecorder distribution_latency_;
   metrics::Counter requests_;
   metrics::Counter rejected_;
-  metrics::Counter combine_rounds_;
-  metrics::Counter waves_;
-  metrics::Counter engine_batches_;
-  metrics::Counter engine_jobs_;
+  metrics::Counter calls_;
+  metrics::Counter hilbert_evaluations_;
 };
 
 }  // namespace qsyn::serve

@@ -1,13 +1,16 @@
 // Unit tests for the serving layer: the common/metrics observability
 // substrate and the multi-tenant AutomataService front end — request
-// routing, validation, per-tenant backend switching, engine sharing, and
-// above all serving *determinism*: the same seed and the same per-tenant
-// request trace must yield identical per-tenant outcome streams no matter
-// how requests pack into batches, which threads submit them, how wide the
-// engine pool is, or which measurement backend computes the distributions.
+// routing, validation, per-tenant backend switching, fold sharing, failure
+// and removal under load, and above all serving *determinism*: the same seed
+// and the same per-tenant request trace must yield identical per-tenant
+// outcome streams no matter how requests pack into batches, which threads
+// submit them, or which measurement backend computes the distributions.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "gates/library.h"
 #include "mvl/domain.h"
 #include "serve/automata_service.h"
+#include "sim/fused.h"
 
 namespace qsyn::serve {
 namespace {
@@ -271,21 +275,161 @@ TEST(AutomataService, HilbertBackendSharesTheServiceEngine) {
   EXPECT_EQ(service.engine_cache_stats().misses, 0u);
   EXPECT_EQ(service.stats().engine_batches, 0u);
 
-  // After the flip, steps fold the circuit through the shared cache once
-  // and serve from it thereafter.
+  // After the flip, the first step folds the circuit through the shared
+  // cache (one miss per block) and the tenant keeps that fold, so later
+  // steps look nothing up.
+  sim::UnitaryCache scratch;
+  const std::size_t blocks =
+      sim::FusedCascade(coin_circuit(), sim::kDefaultFuseBlock, scratch)
+          .block_count();
   ASSERT_EQ(service.submit(backend_request(id, MeasurementBackend::kHilbert))
                 .status,
             ResponseStatus::kOk);
   (void)service.submit(step_request(id, 0b01));
+  const sim::UnitaryCache::Stats first = service.engine_cache_stats();
+  EXPECT_EQ(first.misses, blocks);
+  EXPECT_EQ(first.hits, 0u);
+  EXPECT_EQ(first.entries, blocks);
   (void)service.submit(step_request(id, 0b01));
-  const sim::UnitaryCache::Stats cache = service.engine_cache_stats();
-  EXPECT_GT(cache.misses, 0u);
-  EXPECT_GT(cache.entries, 0u);
+  const sim::UnitaryCache::Stats later = service.engine_cache_stats();
+  EXPECT_EQ(later.hits + later.misses, first.hits + first.misses);
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.engine_batches, 2u);
   EXPECT_EQ(stats.engine_jobs, 2u);
-  // Second Hilbert step found every block folded.
-  EXPECT_GT(cache.hits, 0u);
+
+  // A second tenant on an identical circuit folds from the shared cache:
+  // hits only.
+  const std::uint64_t twin =
+      service.add_automaton(QuantumAutomaton(coin_circuit(), 1));
+  ASSERT_EQ(service.submit(backend_request(twin, MeasurementBackend::kHilbert))
+                .status,
+            ResponseStatus::kOk);
+  (void)service.submit(step_request(twin, 0b01));
+  const sim::UnitaryCache::Stats shared = service.engine_cache_stats();
+  EXPECT_EQ(shared.misses, blocks);
+  EXPECT_EQ(shared.hits, blocks);
+  EXPECT_EQ(shared.entries, blocks);
+}
+
+TEST(AutomataService, FailedRequestLeavesTheServiceServing) {
+  // A request that throws while it is served (here its tenant's first fold)
+  // reaches its caller, draws nothing from the tenant's stream, and leaves
+  // the service serving: the stream matches a service that never saw it.
+  const auto run = [](bool fail_once) {
+    AutomataService::Options options;
+    options.seed = 31;
+    AutomataService service(options);
+    const std::uint64_t id =
+        service.add_automaton(QuantumAutomaton(coin_circuit(), 1));
+    std::vector<std::uint32_t> words;
+    for (int i = 0; i < 8; ++i) {
+      words.push_back(service.submit(step_request(id, 0b01)).word);
+    }
+    EXPECT_EQ(service.submit(backend_request(id, MeasurementBackend::kHilbert))
+                  .status,
+              ResponseStatus::kOk);
+    if (fail_once) {
+      service.engine_cache().set_fold_hook(
+          [] { throw std::runtime_error("fold failed"); });
+      EXPECT_THROW((void)service.submit(step_request(id, 0b01)),
+                   std::runtime_error);
+      service.engine_cache().set_fold_hook(nullptr);
+    }
+    for (int i = 0; i < 16; ++i) {
+      const Response response = service.submit(step_request(id, 0b01));
+      EXPECT_EQ(response.status, ResponseStatus::kOk);
+      words.push_back(response.word);
+    }
+    return words;
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
+TEST(AutomataService, RemoveTenantRacesSubmitters) {
+  // Race coverage (tsan runs this suite whole-binary): submitters hammer
+  // one shared tenant, flipping its backend now and then, while a churn
+  // thread removes it and adds its replacement. Every request is answered,
+  // and only as served or as addressed to a removed tenant.
+  AutomataService service;
+  std::atomic<std::uint64_t> current{
+      service.add_automaton(QuantumAutomaton(coin_circuit(), 1))};
+  constexpr int kSubmitters = 3;
+  constexpr int kPerSubmitter = 600;
+  constexpr int kChurnEvery = 50;  // requests answered between churns
+  std::atomic<int> answered{0};
+  std::atomic<int> finished{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&service, &current, &answered, &finished] {
+      for (int i = 0; i < kPerSubmitter; ++i) {
+        Request request = step_request(current.load(), 0b01);
+        if (i % 8 == 0) {
+          request.kind = RequestKind::kSetBackend;
+          request.backend = i % 16 == 0 ? MeasurementBackend::kHilbert
+                                        : MeasurementBackend::kMultiValued;
+        }
+        const ResponseStatus status = service.submit(request).status;
+        EXPECT_TRUE(status == ResponseStatus::kOk ||
+                    status == ResponseStatus::kUnknownTenant)
+            << static_cast<int>(status);
+        answered.fetch_add(1);
+      }
+      finished.fetch_add(1);
+    });
+  }
+  std::thread churn([&service, &current, &answered, &finished] {
+    for (int mark = kChurnEvery; finished.load() < kSubmitters;) {
+      if (answered.load() < mark) {
+        std::this_thread::yield();
+        continue;
+      }
+      EXPECT_TRUE(service.remove_tenant(current.load()));
+      current.store(service.add_automaton(QuantumAutomaton(coin_circuit(), 1)));
+      mark += kChurnEvery;
+    }
+  });
+  for (std::thread& submitter : submitters) submitter.join();
+  churn.join();
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests + stats.rejected,
+            std::uint64_t(kSubmitters) * kPerSubmitter);
+  EXPECT_EQ(service.tenant_count(), 1u);
+}
+
+TEST(AutomataService, RemoveTenantWaitsForTheRequestInFlight) {
+  // A Hilbert step held inside its fold is in flight: remove_tenant must
+  // not return until it has finished, and later requests find no tenant.
+  AutomataService service;
+  const std::uint64_t id =
+      service.add_automaton(QuantumAutomaton(coin_circuit(), 1));
+  ASSERT_EQ(service.submit(backend_request(id, MeasurementBackend::kHilbert))
+                .status,
+            ResponseStatus::kOk);
+  std::atomic<bool> in_fold{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> removed{false};
+  service.engine_cache().set_fold_hook([&in_fold, &release] {
+    in_fold.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  std::thread stepper([&service, id] {
+    EXPECT_EQ(service.submit(step_request(id, 0b01)).status,
+              ResponseStatus::kOk);
+  });
+  while (!in_fold.load()) std::this_thread::yield();
+  std::thread remover([&service, &removed, id] {
+    EXPECT_TRUE(service.remove_tenant(id));
+    removed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(removed.load());
+  release.store(true);
+  stepper.join();
+  remover.join();
+  EXPECT_TRUE(removed.load());
+  EXPECT_EQ(service.submit(step_request(id, 0b01)).status,
+            ResponseStatus::kUnknownTenant);
 }
 
 TEST(AutomataService, BackendsYieldIdenticalDistributions) {
@@ -468,7 +612,7 @@ Streams run_threaded() {
   Streams streams(scripts.size());
   // One submitter thread per tenant: per-tenant order is preserved by the
   // thread, cross-tenant interleaving is whatever the scheduler does, and
-  // concurrent submits coalesce through the combining queue.
+  // concurrent submits to different tenants run in parallel.
   std::vector<std::thread> submitters;
   for (std::size_t t = 0; t < scripts.size(); ++t) {
     submitters.emplace_back([&service, &scripts, &streams, t] {
@@ -495,7 +639,7 @@ TEST(ServingDeterminism, StreamsSurviveBatchingThreadsAndBackends) {
   // Same trace, concurrent per-tenant submitter threads.
   EXPECT_EQ(run_threaded(), reference);
   EXPECT_EQ(run_threaded(), reference);
-  // Same trace, wider engine pool.
+  // Same trace, sim.threads = 4 (serving runs on the callers' threads).
   EXPECT_EQ(run_sequential(4), reference);
 }
 
