@@ -15,11 +15,13 @@
 //
 // The out-of-core section pushes the 5-wire closure one level past what the
 // in-memory sweep records (k = 3: |B[3]| = 44350 rows of 1564 B, ~66 MiB)
-// under a spill budget far below that frontier. The seen set holds one
-// canonical row per wire-relabeling orbit (530 rows, ~0.8 MiB, at k = 3) and
-// stays in RAM; the store the frontier is materialized into seals its
-// sorted rows to run files and drains into one mapped frontier file.
-// Its table adds heap-vs-disk columns, and
+// under a spill budget far below that frontier. The closure stores only one
+// canonical row per wire-relabeling orbit (530 rows, ~0.8 MiB, at k = 3), so
+// the level stays in RAM and within the budget; at k = 4 (7,807 reps,
+// 12 MB) the stores seal ~16 MB of runs. B[k] itself is never built. The
+// spill gate reruns the k = 3 closure under a budget below its rep stores,
+// so they seal runs and drain R[3] from them, and checks it against the
+// 32 MiB run's stats. Its table adds heap-vs-disk columns, and
 // bm_closure_outofcore/n:5/threads:{1,2,4} exports the same run (levels,
 // frontier rows, heap/disk MiB counters) into the bench JSON.
 #include <benchmark/benchmark.h>
@@ -106,15 +108,19 @@ void regenerate() {
   }
 }
 
-// Spill budget for the out-of-core rows: well under the ~66 MiB frontier the
-// 5-wire closure materializes at k = 3, so that store seals runs, yet large
-// enough that run files stay chunky and the merge fan-in low.
+// Spill budget for the out-of-core rows: well under the ~66 MiB B[3] of the
+// 5-wire closure, which the rep-only closure never stores, and large enough
+// that run files stay chunky and the merge fan-in low.
 constexpr std::size_t kOutOfCoreBudgetBytes = std::size_t(32) << 20;
+
+// Spill budget for the spill gate: below the ~0.8 MiB seen set and the
+// R[3] store of the 5-wire closure at k = 3, so both seal runs to disk.
+constexpr std::size_t kSpillGateBudgetBytes = std::size_t(256) << 10;
 
 unsigned outofcore_depth() {
   // One level past the in-memory default for n = 5. QSYN_GROWTH_DEPTH moves
-  // it within 1..4: smoke runs set 1, and 4 opts into the ~1.2 GiB frontier
-  // of level 4, which drains to disk because its store spills.
+  // it within 1..4: smoke runs set 1, and 4 opts into level 4 (|B[4]| =
+  // 837,460, ~1.2 GiB as full rows), whose rep stores seal runs to disk.
   return growth_depth_env(3, 4);
 }
 
@@ -138,15 +144,39 @@ void regenerate_outofcore() {
                 enumerator.disk_bytes() >> 20);
   }
   if (depth >= 3) {
-    // The point of the exercise: the k = 3 level ran with sealed runs on
-    // disk, and the stats it produced are the same ones the all-in-RAM
-    // sweep computes (test_spill pins that identity at n = 3).
-    bench::value_row("n=5 spill engaged",
-                     enumerator.disk_bytes() > 0 ? "yes" : "NO (DIFFERS)");
+    // The point of the exercise: the 66 MiB k = 3 level runs within a
+    // 32 MiB heap budget, and the stats it produces are the ones the
+    // unbudgeted sweep computes (test_spill pins that identity).
+    bench::value_row("n=5 heap within budget",
+                     enumerator.memory_bytes() <= kOutOfCoreBudgetBytes
+                         ? "yes"
+                         : "NO (DIFFERS)");
     bench::value_row(
         "n=5 heap vs disk",
         std::to_string(enumerator.memory_bytes() >> 20) + " MiB heap, " +
             std::to_string(enumerator.disk_bytes() >> 20) + " MiB spilled");
+    // The spill gate: under a budget the rep stores outgrow, the closure
+    // seals runs, drains R[k] from them into a mapped file and still
+    // computes the same stats.
+    synth::ClosureConfig tight = options;
+    tight.spill_budget_bytes = kSpillGateBudgetBytes;
+    synth::FmcfEnumerator spilled(library, tight);
+    spilled.run_to(depth);
+    bool same_stats = spilled.levels_done() == enumerator.levels_done();
+    for (unsigned k = 0; same_stats && k < spilled.levels_done(); ++k) {
+      const synth::FmcfLevelStats& a = spilled.stats()[k];
+      const synth::FmcfLevelStats& b = enumerator.stats()[k];
+      same_stats = a.frontier == b.frontier && a.g_new == b.g_new &&
+                   a.pre_g == b.pre_g && a.seen == b.seen;
+    }
+    const std::size_t drained = spilled.reps(depth).disk_bytes();
+    bench::value_row("n=5 spill engaged",
+                     drained > 0 && same_stats
+                         ? "yes (R[" + std::to_string(depth) +
+                               "] drained from " +
+                               std::to_string(drained >> 10) +
+                               " KiB of runs at a 256 KiB budget, same stats)"
+                         : "NO (DIFFERS)");
   }
 }
 
@@ -173,8 +203,7 @@ void bm_closure_outofcore(benchmark::State& state) {
   }
 }
 // Threads axis 1/2/4: one thread sweeps one shard; more threads cut the
-// stores into 4 shards per thread at splitters sampled from the pilot
-// frontier.
+// seen set into 4 shards per thread at its own evenly spaced rows.
 BENCHMARK(bm_closure_outofcore)
     ->ArgNames({"n", "threads"})
     ->Args({5, 1})
@@ -210,7 +239,7 @@ const std::vector<std::uint8_t>& closure_candidates() {
     const mvl::PatternDomain& domain = library.domain();
     synth::FmcfEnumerator closure(library);
     closure.run_to(6);
-    const synth::FlatPermStore& b6 = closure.frontier(6);
+    const synth::FlatPermStore b6 = closure.frontier(6);
     const std::size_t width = b6.width();
     std::vector<std::vector<std::uint8_t>> tables(library.size());
     std::vector<std::uint32_t> class_bits(library.size());
@@ -310,6 +339,35 @@ BENCHMARK(bm_kernel_subtract)
     ->Arg(38)
     ->Arg(1564)
     ->Unit(benchmark::kMillisecond);
+
+/// Args: {stride, a_rows, b_rows}, sorted random rows. A short chunk
+/// against a long run is the spilled shard's shape (one call per sealed
+/// run), where subtract_sorted_rows gallops over b; a chunk many times its
+/// shard is the cb = 7 in-RAM shape (16 shards: ~16 k candidates against
+/// ~1.6 k seen reps per shard at k = 7).
+void bm_kernel_subtract_skewed(benchmark::State& state) {
+  const auto stride = static_cast<std::size_t>(state.range(0));
+  const auto a_rows = static_cast<std::size_t>(state.range(1));
+  const auto b_rows = static_cast<std::size_t>(state.range(2));
+  const std::vector<std::uint8_t> raw_a = random_rows(a_rows, stride, 7);
+  const std::vector<std::uint8_t> raw_b = random_rows(b_rows, stride, 11);
+  simd::RowBytes a;
+  simd::RowBytes b;
+  simd::sort_unique_rows(raw_a.data(), a_rows, stride, a);
+  simd::sort_unique_rows(raw_b.data(), b_rows, stride, b);
+  simd::RowBytes out;
+  for (auto _ : state) {
+    simd::subtract_sorted_rows(a.data(), a.size() / stride, b.data(),
+                               b.size() / stride, stride, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(bm_kernel_subtract_skewed)
+    ->ArgNames({"stride", "a", "b"})
+    ->Args({38, 1024, 262144})
+    ->Args({1564, 64, 8192})
+    ->Args({38, 16384, 1024})
+    ->Unit(benchmark::kMicrosecond);
 
 void bm_standard_library(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -23,7 +23,11 @@
 #  * the serving combining queue (`combiner_active_`, `process_round`) and
 #    its wave scheduler (`WaveEntry`) — AutomataService serves each request
 #    on its caller's thread under the tenant's own mutex, so nothing may
-#    elect a combiner or pack tenants into engine waves again.
+#    elect a combiner or pack tenants into engine waves again;
+#  * the materialized frontier: its store's pilot splitters
+#    (`frontier_splitters_`, `kPilotRowsPerShard`) and the block-galloping
+#    G-key pass over it (`end_of_block`) — the closure keeps only each
+#    level's canonical rows and answers every query from them.
 #
 # Usage: cmake -DQSYN_SOURCE_DIR=<repo root> -P CheckDeprecatedNames.cmake
 if(NOT DEFINED QSYN_SOURCE_DIR)
@@ -37,7 +41,8 @@ set(deprecated_names
   "GrowableMmapFile" "FileRowStorage" "file_backed"
   "RowStorage" "StorageSpec"
   "SealedRun" "QSYNRUN" "keep_file"
-  "combiner_active_" "process_round" "WaveEntry")
+  "combiner_active_" "process_round" "WaveEntry"
+  "frontier_splitters_" "kPilotRowsPerShard" "end_of_block")
 
 file(GLOB_RECURSE sources RELATIVE "${QSYN_SOURCE_DIR}"
   "${QSYN_SOURCE_DIR}/src/*.h"

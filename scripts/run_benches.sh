@@ -26,20 +26,23 @@
 # bench_domain_growth carries the out-of-core closure rows
 # (bm_closure_outofcore/n:5/threads:{1,2,4}): the 5-wire closure to k=3 under
 # a 32 MiB spill budget, and the 4-wire k=4 closure on the same threads axis
-# (bm_closure_n4_k4). The closure stores one canonical row per
-# wire-relabeling orbit in its seen set and materializes each frontier from
-# them, so at n=5 the seen set (530 rows) stays in RAM: heap_MiB counts it
-# plus the in-memory frontiers, and disk_MiB is the drained B[3] file
-# (~66 MiB) that the 32 MiB budget pushes to disk. The aggregate records the
+# (bm_closure_n4_k4). The closure keeps only one canonical row per
+# wire-relabeling orbit of each level (R[k]) and never builds B[k], so at
+# n=5, k=3 everything (~1 MiB) stays in RAM under the 32 MiB budget:
+# heap_MiB counts it, and disk_MiB reads 0. The aggregate records the
 # host's CPU count (num_cpus): thread-axis rows from hosts with different
 # counts are not comparable. QSYN_GROWTH_DEPTH=4 opts the same row into
-# the gigabyte-scale level 4; its "spill engaged" stdout line turns into a
-# DIFFERS failure if the run ever stops spilling.
+# level 4, whose rep stores seal runs under 32 MiB. The stdout's
+# "spill engaged" line reruns the same closure under a 256 KiB budget,
+# which its rep stores outgrow, and turns into a DIFFERS failure if that
+# run stops sealing runs and draining its last R[k] from them, or reaches
+# other stats.
 #
 # bench_backends races the three SynthesisBackend engines on time to first
 # cascade (fresh closure sweep vs catalog open vs topology-search DFS) and
 # carries the beyond-closure row (bm_search_5wire_cost4: a 5-wire cost-4
-# target answered in-memory where the closure spills a 1.2 GiB frontier).
+# target answered from a small memo at a level whose full frontier would be
+# ~1.2 GiB; the closure stores its ~12 MB of canonical rows instead).
 #
 # bench_catalog measures the persistent-catalog serving layer:
 # bm_catalog_cold_start (open + first locate on a saved cb=7 catalog — the

@@ -205,6 +205,11 @@ void sort_unique_rows(const RowRange* ranges, std::size_t range_count,
 
 // --- subtract / merge -------------------------------------------------------
 
+// subtract_sorted_rows steps through b one row at a time until this many b
+// rows in a row sort below the current a row, then gallops: interleaved
+// inputs pay no extra comparisons, and long runs of b cost a logarithm.
+constexpr std::size_t kGallopAfter = 8;
+
 void subtract_sorted_rows(const std::uint8_t* a, std::size_t a_count,
                           const std::uint8_t* b, std::size_t b_count,
                           std::size_t stride, RowBytes& out) {
@@ -215,21 +220,48 @@ void subtract_sorted_rows(const std::uint8_t* a, std::size_t a_count,
     return;
   }
   out.reserve(a_count * stride);
+  const auto below = [&](std::size_t jb, const std::uint8_t* row) {
+    return std::memcmp(b + jb * stride, row, stride) < 0;
+  };
   std::size_t i = 0;
   std::size_t j = 0;
+  std::size_t b_run = 0;  // b rows skipped in a row since the last a row
   while (i < a_count) {
     if (j == b_count) {
       out.append(a + i * stride, (a_count - i) * stride);
       return;
     }
-    const int cmp = std::memcmp(a + i * stride, b + j * stride, stride);
+    const std::uint8_t* row = a + i * stride;
+    const int cmp = std::memcmp(row, b + j * stride, stride);
     if (cmp < 0) {
-      out.append(a + i * stride, stride);
+      out.append(row, stride);
       ++i;
+      b_run = 0;
     } else if (cmp > 0) {
       ++j;
+      // A long run of b below a's row: gallop to the first b row not below
+      // it, so an a much shorter than b costs |a| log |b|, not |b|.
+      if (++b_run < kGallopAfter) continue;
+      std::size_t lo = j - 1;  // the last b row known to be below `row`
+      std::size_t step = 1;
+      while (lo + step < b_count && below(lo + step, row)) {
+        lo += step;
+        step *= 2;
+      }
+      std::size_t hi = std::min(b_count, lo + step);
+      while (hi - lo > 1) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (below(mid, row)) {
+          lo = mid;
+        } else {
+          hi = mid;
+        }
+      }
+      j = hi;
+      b_run = 0;
     } else {
       ++i;  // drop: present in b
+      b_run = 0;
     }
   }
 }

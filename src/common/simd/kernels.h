@@ -105,7 +105,9 @@ void sort_unique_rows(const std::uint8_t* rows, std::size_t count,
 void sort_unique_rows(const RowRange* ranges, std::size_t range_count,
                       std::size_t stride, RowBytes& out);
 
-/// Set difference a \ b over sorted, duplicate-free row ranges.
+/// Set difference a \ b over sorted, duplicate-free row ranges. Long runs
+/// of b rows between two a rows are skipped by galloping search, so a
+/// small a against a large b costs about |a| log |b| comparisons.
 void subtract_sorted_rows(const std::uint8_t* a, std::size_t a_count,
                           const std::uint8_t* b, std::size_t b_count,
                           std::size_t stride, RowBytes& out);

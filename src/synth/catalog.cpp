@@ -1,9 +1,9 @@
 // Persistent catalog save/reopen for FmcfEnumerator (format in
 // synth/catalog.h). Writing streams the closure out through big-endian
-// helpers; reopening validates every field before trusting it and then wraps
-// the mapped frontier sections in read-only FlatPermStore windows, so a
-// reopened enumerator answers find()/witness() without re-running a single
-// advance() level.
+// helpers; reopening validates every field before trusting it, wraps the
+// mapped rep sections in read-only FlatPermStore windows, checks their rows
+// and rebuilds each level's orbit prefix sums, so a reopened enumerator
+// answers find()/witness() without re-running a single advance() level.
 #include "synth/catalog.h"
 
 #include <algorithm>
@@ -90,28 +90,19 @@ void FmcfEnumerator::save_catalog(const std::string& path) const {
   out.write(reinterpret_cast<const char*>(head.data()),
             static_cast<std::streamsize>(head.size()));
 
-  // Frontier sections, k = 0..levels. Store rows are big-endian already, so
-  // the row bytes go out verbatim (and come back in as an mmap window).
-  // Spilled closures hand their frontiers over as mmap'd sealed spill files,
-  // so the copy below streams kernel-cached file pages straight into the
-  // ofstream in bounded slices — the frontier never takes a round trip
-  // through a frontier-sized heap buffer. Without witness tracking the
-  // pre-latest frontiers were released and serialize as zero-row sections.
-  constexpr std::size_t kCopySliceBytes = std::size_t(8) << 20;
+  // Rep sections, k = 0..levels. Store rows are big-endian already, so the
+  // row bytes go out verbatim (and come back in as an mmap window). Without
+  // witness tracking the pre-latest levels were released and serialize as
+  // zero-row sections.
   std::vector<std::uint8_t> prefix;
   for (unsigned k = 0; k <= levels; ++k) {
-    const FlatPermStore& frontier = frontiers_[k];
+    const FlatPermStore& reps = levels_[k].reps;
     prefix.clear();
-    cat::put_u64(prefix, frontier.size());
+    cat::put_u64(prefix, reps.size());
     out.write(reinterpret_cast<const char*>(prefix.data()),
               static_cast<std::streamsize>(prefix.size()));
-    for (std::size_t off = 0; off < frontier.size_bytes();
-         off += kCopySliceBytes) {
-      const std::size_t n =
-          std::min(kCopySliceBytes, frontier.size_bytes() - off);
-      out.write(reinterpret_cast<const char*>(frontier.data() + off),
-                static_cast<std::streamsize>(n));
-    }
+    out.write(reinterpret_cast<const char*>(reps.data()),
+              static_cast<std::streamsize>(reps.size_bytes()));
   }
   out.flush();
   if (!out) {
@@ -141,8 +132,11 @@ FmcfEnumerator FmcfEnumerator::open_catalog(const std::string& path,
   }
   const std::uint32_t version = cat::get_u32(base + cat::kVersionOffset);
   if (version != cat::kVersion) {
+    // Catalogs are derived data: version 1 (full frontiers) and any other
+    // layout are rebuilt, never converted.
     corrupt(path, "unsupported format version " + std::to_string(version) +
-                      " (expected " + std::to_string(cat::kVersion) + ")");
+                      " (expected " + std::to_string(cat::kVersion) +
+                      "); regenerate the catalog with save_catalog");
   }
   if (cat::get_u32(base + cat::kEndianOffset) != cat::kEndianTag) {
     corrupt(path, "endianness tag mismatch");
@@ -225,36 +219,70 @@ FmcfEnumerator FmcfEnumerator::open_catalog(const std::string& path,
     offset += cat::kGEntryBytes;
   }
 
-  // Frontier sections, mapped zero-copy: each FlatPermStore is a read-only
-  // window into the shared mapping, so opening cost is independent of how
-  // many millions of rows the closure holds (pages fault in on first query).
-  out.frontiers_.reserve(std::size_t{levels} + 1);
+  // Rep sections, mapped zero-copy: each FlatPermStore is a read-only
+  // window into the shared mapping.
+  out.levels_.reserve(std::size_t{levels} + 1);
   for (std::uint32_t k = 0; k <= levels; ++k) {
-    need(offset, 8, "frontier section header");
+    need(offset, 8, "frontier rep section header");
     const std::uint64_t rows = cat::get_u64(base + offset);
     offset += 8;
     if (rows > total / out.stride_) {
-      corrupt(path, "frontier row count overflows the file");
+      corrupt(path, "frontier rep row count overflows the file");
     }
     const std::size_t bytes = static_cast<std::size_t>(rows) * out.stride_;
-    need(offset, bytes, "frontier rows");
-    out.frontiers_.emplace_back(out.width_, file, offset, bytes);
+    need(offset, bytes, "frontier rep rows");
+    out.levels_.emplace_back(FlatPermStore(out.width_, file, offset, bytes));
     offset += bytes;
   }
-  if (offset != total) corrupt(path, "trailing bytes after the last frontier");
+  if (offset != total) corrupt(path, "trailing bytes after the last section");
 
-  if (out.options_.track_witnesses) {
-    if (out.frontiers_[0].size() != 1) {
-      corrupt(path, "level-0 frontier must hold exactly the identity");
+  // Every rep label must name a domain label before any rep indexes the
+  // symmetry or gate tables, and rows must be strictly ascending (the G-key
+  // pass and implementations() stop at the first rep past the binary
+  // labels).
+  for (const RepLevel& level : out.levels_) {
+    const std::uint8_t* bytes = level.reps.data();
+    const std::size_t size = level.reps.size_bytes();
+    bool in_domain = true;
+    for (std::size_t l = 0; l < size / out.label_bytes_; ++l) {
+      in_domain &= FlatPermStore::read_label(bytes, l, out.label_bytes_) <
+                   out.width_;
     }
-    for (std::uint32_t k = 1; k <= levels; ++k) {
-      if (out.frontiers_[k].size() != out.stats_[k - 1].frontier) {
-        corrupt(path, "frontier row count disagrees with the level stats");
+    if (!in_domain) corrupt(path, "rep row holds a label outside the domain");
+    for (std::size_t at = out.stride_; at < size; at += out.stride_) {
+      if (std::memcmp(bytes + at - out.stride_, bytes + at, out.stride_) >= 0) {
+        corrupt(path, "rep rows not strictly ascending");
       }
     }
+  }
+  // Orbit prefix sums, checked against the stats. Without witness tracking
+  // only the last level keeps its reps.
+  for (std::uint32_t k = 0; k <= levels; ++k) {
+    RepLevel& level = out.levels_[k];
+    const bool kept = out.options_.track_witnesses || k == levels;
+    if (!kept) {
+      if (!level.reps.empty()) corrupt(path, "rep rows in a released level");
+      continue;
+    }
+    if (k == 0) {
+      // The back-walk ends at R[0]; anything but the identity there would
+      // only surface as failed walks at query time.
+      FlatPermStore identity(out.width_);
+      identity.push_back(perm::Permutation::identity(out.width_));
+      if (level.reps.size() != 1 ||
+          std::memcmp(level.reps.row(0), identity.row(0), out.stride_) != 0) {
+        corrupt(path, "level 0 rep row is not the identity");
+      }
+    }
+    out.count_orbits(level);
+    const std::size_t expected = k == 0 ? 1 : out.stats_[k - 1].frontier;
+    if (level.starts.back() != expected) {
+      corrupt(path, "rep row orbits disagree with the level stats");
+    }
+  }
+  if (out.options_.track_witnesses) {
     for (const auto& [key, entry] : out.g_index_) {
-      if (entry.cost == 0) continue;
-      if (entry.frontier_index >= out.frontiers_[entry.cost].size()) {
+      if (entry.frontier_index >= out.levels_[entry.cost].starts.back()) {
         corrupt(path, "witness row index outside its frontier");
       }
     }

@@ -1,15 +1,22 @@
 // qsyn/synth/catalog.h
 //
-// The on-disk persistent synthesis catalog: format v1.
+// The on-disk persistent synthesis catalog: format v2.
 //
 // A catalog is one completed FMCF closure, serialized so later processes can
 // serve locate()/witness() queries without redoing the multi-second sweep —
 // percy's serialize-then-synthesize shape (write the expensive enumeration
 // once, replay it cheaply and concurrently; see SNIPPETS.md).
 //
+// v2 stores each level's canonical rows R[k], one per wire-relabeling orbit
+// of B[k] (synth/fmcf.h), not B[k] itself: 114,963 rows (4.4 MB) instead of
+// 689,402 (26.2 MB) at cb = 7. A reopened enumerator rebuilds each level's
+// orbit prefix sums from its reps and answers every query on the same path
+// as the closure that saved it. v1 files (full frontiers) are rejected with
+// a message to regenerate them: catalogs are derived data.
+//
 // Every multi-byte integer in the file is big-endian, matching the stores'
 // big-endian label rows, so the file is bit-identical across hosts and the
-// frontier sections can be memory-mapped directly as read-only FlatPermStore
+// rep sections can be memory-mapped directly as read-only FlatPermStore
 // windows.
 // Layout:
 //
@@ -36,16 +43,21 @@
 //
 //   G index: g_count x kGEntryBytes, ascending by key
 //     32-byte GKey (four u64 words, each big-endian), u32 cost,
-//     u64 frontier row index (the witness metadata)
+//     u64 witness row (an orbit-order index into B[cost])
 //
-//   frontier sections: (levels + 1) sections, k = 0..levels
-//     u64 row_count, then row_count x (width * label_bytes) raw row bytes —
-//     exactly the FlatPermStore byte image, mapped read-only on reopen
+//   rep sections: (levels + 1) sections, k = 0..levels
+//     u64 row_count, then row_count x (width * label_bytes) raw row bytes of
+//     R[k], strictly ascending — exactly the FlatPermStore byte image,
+//     mapped read-only on reopen. Without witness tracking only the last
+//     section holds rows. A kept R[0] is exactly the identity row.
 //
-// The file must end exactly after the last frontier section; trailing bytes
-// are rejected. Readers throw qsyn::CatalogError for any malformed or
+// The file must end exactly after the last rep section; trailing bytes are
+// rejected. Readers throw qsyn::CatalogError for any malformed or
 // incompatible input (truncation, bad magic/version/endian tag, fingerprint
-// mismatch, unsorted G index, out-of-range witness rows) — never UB.
+// mismatch, unsorted G index or rep rows, a rep label outside the domain,
+// an R[0] other than the identity, orbit counts that disagree with the
+// stats, out-of-range witness rows) — never UB. Every rep label is checked
+// before any of them indexes a table.
 #pragma once
 
 #include <cstddef>
@@ -56,7 +68,7 @@ namespace qsyn::synth::catalog {
 
 inline constexpr std::uint8_t kMagic[8] = {'Q', 'S', 'Y', 'N',
                                            'C', 'A', 'T', '\0'};
-inline constexpr std::uint32_t kVersion = 1;
+inline constexpr std::uint32_t kVersion = 2;
 inline constexpr std::uint32_t kEndianTag = 0x01020304;
 
 inline constexpr std::uint32_t kFlagTrackWitnesses = 1u << 0;

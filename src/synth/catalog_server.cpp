@@ -9,8 +9,8 @@ namespace qsyn::synth {
 
 namespace {
 
-// Cache key: one word per (level, row). Frontier rows are indices into
-// stores of at most a few hundred million rows, so 48 bits are ample.
+// Cache key: one word per (level, row). A row is an orbit-order index into
+// B[level], at most a few hundred million rows, so 48 bits are ample.
 std::uint64_t witness_key(unsigned cost, std::size_t row) {
   QSYN_CHECK(row < (std::uint64_t(1) << 48), "frontier row exceeds cache key");
   return static_cast<std::uint64_t>(cost) << 48 | row;
@@ -149,7 +149,7 @@ gates::Cascade CatalogServer::cached_witness(unsigned cost,
     }
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Back-walk outside any lock: reconstruction only reads immutable frontier
+  // Back-walk outside any lock: reconstruction only reads immutable rep
   // tables. Concurrent misses on the same row redo the walk; the first
   // emplace wins and the duplicates are dropped, which is cheaper than
   // holding a lock across the walk.

@@ -1,8 +1,8 @@
 // qsyn/synth/catalog_server.h
 //
 // Concurrent serving front end over one FMCF closure — typically a catalog
-// reopened read-only from disk (synth/catalog.h), where every G-set table is
-// an mmap'd window and queries touch pages on demand.
+// reopened read-only from disk (synth/catalog.h), where every level's
+// canonical rows are an mmap'd window and queries touch pages on demand.
 //
 // The split from McExpressor: the expressor *builds* (it deepens the closure
 // on a miss), the server *answers*. A server never mutates its enumerator, so
@@ -58,7 +58,10 @@ struct CatalogServerOptions {
 /// A locate() answer: where the target's core lives in the catalog.
 struct CatalogAnswer {
   unsigned cost = 0;               // minimal library-gate count of the core
-  std::size_t frontier_index = 0;  // witness row in B[cost]
+  // The witness row of B[cost], as an orbit-order index (FmcfEnumerator's
+  // row handle: reps of R[cost] in memcmp order, each rep's conjugates in
+  // orbit order). The witness cache keys on (cost, frontier_index).
+  std::size_t frontier_index = 0;
   std::vector<gates::Gate> not_prefix;  // Theorem 2's cost-0 NOT layer
 };
 

@@ -24,8 +24,11 @@ namespace qsyn::synth {
 
 /// Configuration of one FMCF closure (enumeration, parallelism, spilling).
 struct ClosureConfig {
-  /// Keep every level's frontier so witness cascades can be reconstructed
-  /// (the paper's MCE back-walk). Costs memory; disable for pure counting.
+  /// Keep every level's canonical rows R[k] (one per wire-relabeling orbit
+  /// of B[k]) so witness cascades can be reconstructed (the paper's MCE
+  /// back-walk tests each predecessor against R[k-1]) and implementations()
+  /// can list any level. Costs memory — 4.4 MB at cb = 7 — but no time;
+  /// disable for pure counting, which keeps only the latest level.
   bool track_witnesses = true;
 
   /// Honor the banned sets (the paper's "reasonable product"). Turning this
@@ -50,7 +53,8 @@ struct ClosureConfig {
   std::size_t shards = 0;
 
   /// Heap budget (bytes) of each of the closure's sharded stores (the seen
-  /// set and the level under construction), shared by its live shards. 0 = the
+  /// set and the rep level under construction), shared by its live shards.
+  /// 0 = the
   /// QSYN_SPILL_BUDGET_MB environment variable (in MiB) when set to a
   /// positive integer, else unlimited (the historical all-in-RAM behavior).
   /// When the budget trips, shards seal their sorted rows into run files
@@ -61,8 +65,8 @@ struct ClosureConfig {
   /// most max(budget, 1 MiB) bytes (the floor keeps tiny budgets from
   /// sealing a run per shard per handful of rows).
   /// Outside the budget: each file being written holds one 1 MiB write
-  /// buffer, and while a spilled frontier drains to disk each running shard
-  /// task holds one (see SpillOptions::budget_bytes).
+  /// buffer, and while a spilled level's canonical rows drain to disk each
+  /// running shard task holds one (see SpillOptions::budget_bytes).
   std::size_t spill_budget_bytes = 0;
 
   /// Directory for spill files. Empty = the QSYN_SPILL_DIR environment

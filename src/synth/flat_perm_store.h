@@ -23,8 +23,8 @@
 // heap simd::RowBytes buffer (common/simd/kernels.h), so the set-algebra
 // hot loops touch the buffer directly.
 // A read-only store views a window [offset, offset + bytes) of a shared,
-// memory-mapped io::MmapFile (a catalog frontier, a run a spilled
-// ShardedPermStore sealed, or the file it drains its frontier into): it
+// memory-mapped io::MmapFile (a catalog's rep section, a run a spilled
+// ShardedPermStore sealed, or the file it drains into): it
 // serves every read operation zero-copy and throws qsyn::LogicError from
 // every mutation; copy it to get a writable store. Stores never write files
 // themselves — io::SpillWriter does (common/io/mmap_file.h).
@@ -75,8 +75,8 @@ class FlatPermStore {
 
   [[nodiscard]] std::size_t width() const { return width_; }
 
-  /// True when the store views a mapped window (catalog frontiers, sealed
-  /// spill runs, drained spill frontiers). Every mutating member below
+  /// True when the store views a mapped window (catalog rep sections,
+  /// sealed spill runs, drained spilled stores). Every mutating member below
   /// throws qsyn::LogicError on such a store.
   [[nodiscard]] bool read_only() const { return file_ != nullptr; }
 

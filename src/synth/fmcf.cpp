@@ -1,7 +1,8 @@
 #include "synth/fmcf.h"
 
 #include <algorithm>
-#include <cstring>
+#include <iterator>
+#include <utility>
 
 #include "common/error.h"
 #include "common/metrics.h"
@@ -10,11 +11,6 @@
 namespace qsyn::synth {
 
 namespace {
-
-// Frontier stores run unsplit until a frontier holds this many rows per
-// shard; that sorted frontier is the pilot sample their splitters are cut
-// from.
-constexpr std::size_t kPilotRowsPerShard = 64;
 
 // The seen set runs unsplit until it holds this many rows per shard.
 constexpr std::size_t kSeenCutRowsPerShard = 16;
@@ -110,31 +106,37 @@ void fan_out(ThreadPool& pool, std::size_t threads, std::size_t round_rows,
   }
 }
 
-// The first row after row `i` of sorted `rows` whose leading `bytes` bytes
-// differ from row i's: rows sharing them form one block, found by galloping
-// forward from i and then bisecting the last step.
-std::size_t end_of_block(const FlatPermStore& rows, std::size_t i,
-                         std::size_t bytes) {
-  const std::uint8_t* head = rows.row(i);
-  const auto same = [&](std::size_t j) {
-    return std::memcmp(rows.row(j), head, bytes) == 0;
-  };
-  std::size_t lo = i;  // the last row known to share the bytes
-  std::size_t step = 1;
-  while (lo + step < rows.size() && same(lo + step)) {
-    lo += step;
-    step *= 2;
+// Runs body(i, worker) for every i in [0, count), in blocks of the pool.
+template <typename Body>
+void for_each_row(ThreadPool& pool, std::size_t count, Body&& body) {
+  if (count == 0) return;
+  const std::size_t block_rows = std::max<std::size_t>(
+      1, std::min<std::size_t>(4096, count / (4 * pool.size()) + 1));
+  pool.run((count + block_rows - 1) / block_rows,
+           [&](std::size_t block, std::size_t worker) {
+             const std::size_t begin = block * block_rows;
+             const std::size_t end = std::min(count, begin + block_rows);
+             for (std::size_t i = begin; i < end; ++i) body(i, worker);
+           });
+}
+
+// The open-addressing slot of an orbit hash in a table of `slots` (a power
+// of two): the top bits of a Fibonacci-hashed product.
+std::size_t hash_slot(std::uint64_t hash, std::size_t slots) {
+  return static_cast<std::size_t>((hash * 0x9e3779b97f4a7c15ull) >> 32) &
+         (slots - 1);
+}
+
+// The G key of a binary-preserving row: one byte per binary point; at most
+// 32 points (5 wires) x 8 bits fill the 256-bit key. Binary images are
+// < 2^n <= 32, so a byte always suffices.
+template <typename Image>
+GKey key_of(std::size_t binary_count, Image&& image) {
+  GKey key{};
+  for (std::size_t s = 0; s < binary_count; ++s) {
+    key[s >> 3] |= static_cast<std::uint64_t>(image(s)) << (8 * (s & 7));
   }
-  std::size_t hi = std::min(rows.size(), lo + step);  // differs, or the end
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (same(mid)) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return hi;
+  return key;
 }
 
 }  // namespace
@@ -154,20 +156,17 @@ FmcfEnumerator::FmcfEnumerator(const gates::GateLibrary& library,
                                     : options.spill_dir),
       symmetry_(library),
       seen_(library.domain().size(), shards_,
-            SpillOptions{spill_budget_, spill_dir_}),
-      reps_(width_),
-      frontier_splitters_(width_) {
+            SpillOptions{spill_budget_, spill_dir_}) {
   init_gate_tables();
 
   // Level 0: the identity, its own orbit.
-  const perm::Permutation id =
-      perm::Permutation::identity(width_);
+  const perm::Permutation id = perm::Permutation::identity(width_);
   seen_.push_back(id);
-  reps_.push_back(id);
-  frontiers_.emplace_back(width_);
-  frontiers_.back().push_back(id);
+  levels_.emplace_back(FlatPermStore(width_));
+  levels_.back().reps.push_back(id);
+  count_orbits(levels_.back());
 
-  const GKey id_key = g_key_of_row(frontiers_.back().row(0));
+  const GKey id_key = key_of(binary_count_, [](std::size_t s) { return s; });
   g_seen_keys_.push_back(id_key);
   g_index_.emplace(id_key, GEntry{0, 0});
 }
@@ -183,13 +182,11 @@ FmcfEnumerator::FmcfEnumerator(const gates::GateLibrary& library,
       threads_(resolve_threads(options.threads)),
       shards_(resolve_shards(options.shards, threads_)),
       spill_budget_(0),
-      // Catalog-backed enumerators never advance(), so they skip the
-      // symmetry search and the seen-set stays empty; one shard keeps it
-      // inert.
-      symmetry_(width_),
+      // Catalog-backed enumerators never advance(), so the seen set stays
+      // empty; one shard keeps it inert. The symmetry names the orbits the
+      // saved reps stand for.
+      symmetry_(library),
       seen_(library.domain().size(), 1),
-      reps_(width_),
-      frontier_splitters_(width_),
       read_only_(true) {
   init_gate_tables();
 }
@@ -231,18 +228,11 @@ FmcfEnumerator::~FmcfEnumerator() = default;
 FmcfEnumerator::FmcfEnumerator(FmcfEnumerator&&) noexcept = default;
 FmcfEnumerator& FmcfEnumerator::operator=(FmcfEnumerator&&) noexcept = default;
 
-std::uint32_t FmcfEnumerator::banned_mask_of_row(
-    const std::uint8_t* row) const {
+std::uint32_t FmcfEnumerator::banned_mask(
+    const std::uint16_t* labels) const {
   std::uint32_t mask = 0;
-  if (label_bytes_ == 1) {
-    for (std::size_t s = 0; s < binary_count_; ++s) {
-      mask |= label_banned_[row[s]];
-    }
-  } else {
-    for (std::size_t s = 0; s < binary_count_; ++s) {
-      mask |= label_banned_[static_cast<std::size_t>(row[2 * s]) << 8 |
-                            row[2 * s + 1]];
-    }
+  for (std::size_t s = 0; s < binary_count_; ++s) {
+    mask |= label_banned_[labels[s]];
   }
   return mask;
 }
@@ -254,20 +244,8 @@ bool FmcfEnumerator::row_is_binary_preserving(const std::uint8_t* row) const {
   return true;
 }
 
-GKey FmcfEnumerator::g_key_of_row(const std::uint8_t* row) const {
-  // One byte per binary point; at most 32 points (5 wires) x 8 bits fill the
-  // 256-bit key. Binary images are < 2^n <= 32, so a byte always suffices.
-  GKey key{};
-  for (std::size_t s = 0; s < binary_count_; ++s) {
-    key[s >> 3] |= static_cast<std::uint64_t>(row_label(row, s))
-                   << (8 * (s & 7));
-  }
-  return key;
-}
-
 ThreadPool& FmcfEnumerator::worker_pool() {
-  // Workers spawn on the first sweep, not at construction, so enumerators
-  // that only probe already-computed levels stay thread-free.
+  // Workers spawn on the first pooled pass, not at construction.
   if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(threads_);
   return *pool_;
 }
@@ -280,7 +258,8 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
   (void)worker_pool();
   const std::uint64_t start_ns = metrics::now_ns();
   const unsigned k = levels_done() + 1;
-  QSYN_CHECK(!reps_.empty() || k == 1,
+  const FlatPermStore& last = levels_.back().reps;
+  QSYN_CHECK(!last.empty() || k == 1,
              "closure already exhausted (empty frontier)");
   const SpillOptions spill{spill_budget_, spill_dir_};
   std::vector<RowScratch> scratch(threads_, RowScratch(width_, stride_));
@@ -305,13 +284,12 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
   ShardedPermStore fresh_reps(width_, shards_, spill);
   if (seen_.live_shards() > 1) fresh_reps.split(seen_.splitters());
   fan_out(
-      *pool_, threads_, round_rows, reps_, gate_count, fresh_reps,
+      *pool_, threads_, round_rows, last, gate_count, fresh_reps,
       [&](std::size_t i, std::size_t worker, const auto& emit) {
         RowScratch& w = scratch[worker];
-        const std::uint8_t* row = reps_.row(i);
+        decode_row(last.row(i), width_, label_bytes_, w.labels.data());
         const std::uint32_t banned =
-            options_.use_banned_sets ? banned_mask_of_row(row) : 0u;
-        decode_row(row, width_, label_bytes_, w.labels.data());
+            options_.use_banned_sets ? banned_mask(w.labels.data()) : 0u;
         for (std::size_t g = 0; g < gate_count; ++g) {
           if ((banned & gate_class_bits_[g]) != 0) continue;
           const std::uint16_t* table = gate_tables_[g].data();
@@ -334,11 +312,12 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
       });
   // fresh_reps now holds R[k], shard-sorted. Update the seen set per shard
   // (sealed runs are adopted by reference, not rewritten), then drain R[k]
-  // sorted for the next level.
+  // sorted: the monotone shard partition makes it byte-identical to the
+  // single-threaded all-in-RAM level.
   pool_->run(fresh_reps.live_shards(), [&](std::size_t s, std::size_t) {
     seen_.absorb_shard(s, fresh_reps);
   });
-  FlatPermStore reps = fresh_reps.drain_sorted(pool_.get());
+  RepLevel level(fresh_reps.drain_sorted(pool_.get()));
 
   // Canonical rows cluster low in memcmp order, and where they cluster
   // drifts from level to level, so no one rep level samples the next well.
@@ -356,93 +335,189 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
     seen_reps_at_cut_ = seen_reps;
   }
 
-  // Materialize B[k]: every rep's distinct conjugates. Orbits are disjoint,
-  // so the rows are too and go straight into the level's store.
-  ShardedPermStore level(width_, shards_, spill);
-  if (!frontier_splitters_.empty()) level.split(frontier_splitters_);
-  fan_out(
-      *pool_, threads_, round_rows, reps, symmetry_.order(), level,
-      [&](std::size_t i, std::size_t worker, const auto& emit) {
-        RowScratch& w = scratch[worker];
-        decode_row(reps.row(i), width_, label_bytes_, w.labels.data());
-        symmetry_.orbit_elements(w.labels.data(), w.candidates);
-        for (const std::uint32_t e : w.candidates) {
-          symmetry_.conjugate(e, w.labels.data(), label_bytes_,
-                              w.bytes.data());
-          emit(w.bytes.data());
-        }
-      },
-      [&](std::size_t s, FlatPermStore&& chunk) {
-        level.merge_into_shard(s, std::move(chunk));
-      });
-
-  // The shard partition is monotone, so draining yields B[k] globally
-  // sorted — byte-identical to the single-threaded all-in-RAM frontier,
-  // preserving row indices for witnesses and the deterministic G-key
-  // extraction below. The shards are copied out in the pool; when the level
-  // spilled, the frontier comes back as one sealed spill file mmap'd
-  // read-only instead of a heap store.
-  FlatPermStore fresh = level.drain_sorted(pool_.get());
-
-  // The first frontier big enough to sample is the pilot for the frontier
-  // stores of every later level.
-  if (frontier_splitters_.empty() && shards_ > 1 &&
-      fresh.size() >= kPilotRowsPerShard * shards_) {
-    frontier_splitters_ = ShardedPermStore::splitters_from(fresh, shards_);
+  count_orbits(level);
+  const std::size_t frontier = level.starts.back();
+  if (!options_.track_witnesses) {
+    levels_.back() = RepLevel(FlatPermStore(width_));
   }
+  levels_.push_back(std::move(level));
+  const std::size_t new_before = g_seen_keys_.size();
+  const std::size_t pre_g = extract_g_keys(k);
 
-  // Extract pre_G[k] and G[k] in one pass over the sorted frontier. A G key
-  // is the row prefix of its binary labels, so each key is one contiguous
-  // block of rows and the block's first row is the lowest-row witness. A row
-  // whose first non-binary image is at binary point p > 0 starts a block of
-  // rows sharing labels [0, p), all of whose images of p sort at or above
-  // its own, so none of them is binary-preserving either. The pass visits
-  // the first row of each such block and skips the rest by galloping
-  // search, reading a small share of the frontier's pages. Rows sort by
-  // their first label, so once it leaves the binary labels no later row can
-  // be binary-preserving.
-  std::vector<std::pair<GKey, std::size_t>> level_keys;  // (key, witness row)
-  for (std::size_t i = 0; i < fresh.size();) {
-    const std::uint8_t* row = fresh.row(i);
-    std::size_t p = 0;
-    while (p < binary_count_ && row_label(row, p) < binary_count_) ++p;
-    if (p == 0) break;
-    if (p == binary_count_) level_keys.emplace_back(g_key_of_row(row), i);
-    i = end_of_block(fresh, i, p * label_bytes_);
+  FmcfLevelStats stats;
+  stats.cost = k;
+  stats.frontier = frontier;
+  stats.g_new = g_seen_keys_.size() - new_before;
+  stats.pre_g = pre_g;
+  stats.seen = seen_count() + frontier;
+  stats.seconds = metrics::seconds_since(start_ns);
+  stats_.push_back(stats);
+  return stats_.back();
+}
+
+void FmcfEnumerator::count_orbits(RepLevel& level) const {
+  // Serial: about 100 ns per rep, and on a pool the count measured slower
+  // than on one thread.
+  const FlatPermStore& reps = level.reps;
+  level.starts.assign(reps.size() + 1, 0);
+  std::vector<std::uint16_t> labels(width_);
+  std::vector<std::uint16_t> moved;
+  for (std::size_t i = 0; i < reps.size(); ++i) {
+    decode_row(reps.row(i), width_, label_bytes_, labels.data());
+    level.starts[i + 1] =
+        level.starts[i] + symmetry_.orbit_size(labels.data(), moved);
   }
-  std::sort(level_keys.begin(), level_keys.end());
-  const std::size_t pre_g = level_keys.size();
+}
 
-  // Register the witness of every key not seen at a lower cost.
+std::size_t FmcfEnumerator::binary_rep_count(const FlatPermStore& reps) const {
+  std::size_t lo = 0;
+  std::size_t hi = reps.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (row_label(reps.row(mid), 0) < binary_count_) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+bool FmcfEnumerator::orbit_in(const RepLevel& level,
+                              const std::uint16_t* labels,
+                              std::vector<std::uint16_t>& rep,
+                              std::vector<std::uint16_t>& moved) const {
+  std::call_once(*level.indexed, [&] {
+    const std::size_t count = level.reps.size();
+    level.hashes.resize(count);
+    std::size_t slots = 2;
+    while (slots < 2 * count) slots *= 2;
+    level.slots.assign(slots, 0);
+    for (std::size_t i = 0; i < count; ++i) {
+      decode_row(level.reps.row(i), width_, label_bytes_, rep.data());
+      level.hashes[i] = symmetry_.orbit_hash(rep.data());
+      std::size_t slot = hash_slot(level.hashes[i], slots);
+      while (level.slots[slot] != 0) slot = (slot + 1) & (slots - 1);
+      level.slots[slot] = i + 1;
+    }
+  });
+  const std::uint64_t hash = symmetry_.orbit_hash(labels);
+  const std::size_t mask = level.slots.size() - 1;
+  for (std::size_t slot = hash_slot(hash, level.slots.size());
+       level.slots[slot] != 0; slot = (slot + 1) & mask) {
+    const std::size_t i = level.slots[slot] - 1;
+    if (level.hashes[i] != hash) continue;
+    decode_row(level.reps.row(i), width_, label_bytes_, rep.data());
+    if (symmetry_.is_conjugate(rep.data(), labels, moved)) return true;
+  }
+  return false;
+}
+
+template <typename Visit>
+void FmcfEnumerator::visit_keys(const RepLevel& level, std::size_t i,
+                                std::vector<std::uint16_t>& labels,
+                                std::vector<std::uint32_t>& elements,
+                                Visit&& visit) const {
+  // A relabeling maps binary labels to binary labels, so a conjugate's key
+  // is read off its first 2^n labels.
+  const std::uint8_t* row = level.reps.row(i);
+  if (!row_is_binary_preserving(row)) return;
+  decode_row(row, width_, label_bytes_, labels.data());
+  symmetry_.orbit_elements(labels.data(), elements);
+  for (std::size_t j = 0; j < elements.size(); ++j) {
+    const std::uint32_t e = elements[j];
+    visit(key_of(binary_count_,
+                 [&](std::size_t s) {
+                   return symmetry_.conjugate_label(e, labels.data(), s);
+                 }),
+          j, e);
+  }
+}
+
+std::size_t FmcfEnumerator::extract_g_keys(unsigned k) {
+  // Key every conjugate of every binary-preserving rep, in the pool.
+  const RepLevel& level = levels_[k];
+  struct KeyedRow {
+    GKey key;
+    std::size_t index;  // orbit-order index in B[k]
+    bool operator<(const KeyedRow& other) const {
+      return key != other.key ? key < other.key : index < other.index;
+    }
+  };
+  struct Worker {
+    std::vector<std::uint16_t> labels;
+    std::vector<std::uint32_t> elements;
+    std::vector<KeyedRow> keyed;
+  };
+  std::vector<Worker> workers(threads_);
+  for (Worker& w : workers) w.labels.resize(width_);
+  for_each_row(worker_pool(), binary_rep_count(level.reps),
+               [&](std::size_t i, std::size_t worker) {
+                 Worker& w = workers[worker];
+                 visit_keys(level, i, w.labels, w.elements,
+                            [&](const GKey& key, std::size_t j, std::uint32_t) {
+                              w.keyed.push_back({key, level.starts[i] + j});
+                            });
+               });
+  std::vector<KeyedRow> keyed;
+  for (Worker& w : workers) {
+    keyed.insert(keyed.end(), w.keyed.begin(), w.keyed.end());
+    w.keyed = {};
+  }
+  std::sort(keyed.begin(), keyed.end());
+
+  // Each key not seen at a lower cost is new in G[k]; its witness is its
+  // memcmp-least row.
+  std::size_t pre_g = 0;
   std::vector<GKey> new_keys;
+  std::vector<std::uint16_t> best(width_);
+  std::vector<std::uint16_t> row(width_);
   auto seen_key = g_seen_keys_.begin();
-  for (const auto& [key, row] : level_keys) {
+  for (std::size_t i = 0; i < keyed.size();) {
+    const GKey& key = keyed[i].key;
+    std::size_t end = i + 1;
+    while (end < keyed.size() && keyed[end].key == key) ++end;
+    ++pre_g;
     seen_key = std::lower_bound(seen_key, g_seen_keys_.end(), key);
-    if (seen_key != g_seen_keys_.end() && *seen_key == key) continue;
-    new_keys.push_back(key);
-    g_index_.emplace(key, GEntry{k, row});
+    if (seen_key == g_seen_keys_.end() || *seen_key != key) {
+      std::size_t witness = keyed[i].index;
+      if (end - i > 1) orbit_row(k, witness, best.data());
+      for (std::size_t j = i + 1; j < end; ++j) {
+        orbit_row(k, keyed[j].index, row.data());
+        if (row < best) {
+          best.swap(row);
+          witness = keyed[j].index;
+        }
+      }
+      new_keys.push_back(key);
+      g_index_.emplace(key, GEntry{k, witness});
+    }
+    i = end;
   }
   std::vector<GKey> merged_keys;
   merged_keys.reserve(g_seen_keys_.size() + new_keys.size());
   std::merge(g_seen_keys_.begin(), g_seen_keys_.end(), new_keys.begin(),
              new_keys.end(), std::back_inserter(merged_keys));
   g_seen_keys_ = std::move(merged_keys);
+  return pre_g;
+}
 
-  FmcfLevelStats stats;
-  stats.cost = k;
-  stats.frontier = fresh.size();
-  stats.g_new = new_keys.size();
-  stats.pre_g = pre_g;
-  stats.seen = seen_count() + fresh.size();
-
-  reps_ = std::move(reps);
-  frontiers_.push_back(std::move(fresh));
-  if (!options_.track_witnesses && frontiers_.size() >= 2) {
-    frontiers_[frontiers_.size() - 2].clear();
+void FmcfEnumerator::orbit_row(unsigned k, std::size_t index,
+                               std::uint16_t* labels) const {
+  const RepLevel& level = levels_[k];
+  QSYN_CHECK(!level.starts.empty() && index < level.starts.back(),
+             "row index outside the frontier");
+  const std::size_t rep = static_cast<std::size_t>(
+      std::upper_bound(level.starts.begin(), level.starts.end(), index) -
+      level.starts.begin() - 1);
+  std::vector<std::uint16_t> rep_labels(width_);
+  decode_row(level.reps.row(rep), width_, label_bytes_, rep_labels.data());
+  std::vector<std::uint32_t> elements;
+  symmetry_.orbit_elements(rep_labels.data(), elements);
+  const std::uint32_t e = elements[index - level.starts[rep]];
+  for (std::size_t l = 0; l < width_; ++l) {
+    labels[l] = symmetry_.conjugate_label(e, rep_labels.data(), l);
   }
-  stats.seconds = metrics::seconds_since(start_ns);
-  stats_.push_back(stats);
-  return stats_.back();
 }
 
 void FmcfEnumerator::run_to(unsigned max_cost) {
@@ -465,17 +540,22 @@ std::vector<perm::Permutation> FmcfEnumerator::g_set(unsigned k) const {
   return out;
 }
 
+namespace {
+
+GKey key_of_restricted(const perm::Permutation& restricted,
+                       std::size_t binary_count) {
+  QSYN_CHECK(restricted.degree() <= binary_count,
+             "restricted permutation degree exceeds 2^n");
+  return key_of(binary_count, [&](std::size_t s) {
+    return restricted.apply(static_cast<std::uint32_t>(s + 1)) - 1;
+  });
+}
+
+}  // namespace
+
 std::optional<GEntry> FmcfEnumerator::find(
     const perm::Permutation& restricted) const {
-  QSYN_CHECK(restricted.degree() <= binary_count_,
-             "restricted permutation degree exceeds 2^n");
-  GKey key{};
-  for (std::size_t s = 0; s < binary_count_; ++s) {
-    const std::uint64_t image =
-        restricted.apply(static_cast<std::uint32_t>(s + 1)) - 1;
-    key[s >> 3] |= image << (8 * (s & 7));
-  }
-  const auto it = g_index_.find(key);
+  const auto it = g_index_.find(key_of_restricted(restricted, binary_count_));
   if (it == g_index_.end()) return std::nullopt;
   return it->second;
 }
@@ -491,51 +571,32 @@ gates::Cascade FmcfEnumerator::witness_for_row(unsigned k,
   QSYN_CHECK(k <= levels_done(), "level not yet computed");
   // Back-walk: repeatedly find a gate d and predecessor prev in B[j-1] with
   // prev * d == current and the product reasonable, taking the lowest valid
-  // gate index.
+  // gate index. B[j-1] is a union of orbits, so prev is in it exactly when
+  // its canonical row is in R[j-1].
   std::vector<gates::Gate> sequence;
-  std::vector<std::uint8_t> current(frontiers_[k].row(row_index),
-                                    frontiers_[k].row(row_index) + stride_);
-  // A reopened catalog's frontier bytes are not checksummed: the walk
-  // indexes the gate tables by label, so the start row must hold domain
-  // labels (every predecessor the tables produce then does too).
-  for (std::size_t s = 0; s < width_; ++s) {
-    QSYN_CHECK(row_label(current.data(), s) < width_,
-               "frontier row holds a label outside the domain");
-  }
+  std::vector<std::uint16_t> current(width_);
+  orbit_row(k, row_index, current.data());
   const std::size_t gate_count = gate_inv_tables_.size();
-  std::vector<std::uint8_t> prev(stride_);
+  std::vector<std::uint16_t> prev(width_);
+  std::vector<std::uint16_t> rep(width_);
+  std::vector<std::uint16_t> moved;
 
-  const auto invert_into = [&](std::size_t g) {
-    const std::uint16_t* inv = gate_inv_tables_[g].data();
-    if (label_bytes_ == 1) {
-      for (std::size_t s = 0; s < width_; ++s) {
-        prev[s] = static_cast<std::uint8_t>(inv[current[s]]);
-      }
-    } else {
-      for (std::size_t s = 0; s < width_; ++s) {
-        const std::uint16_t image =
-            inv[static_cast<std::size_t>(current[2 * s]) << 8 |
-                current[2 * s + 1]];
-        prev[2 * s] = static_cast<std::uint8_t>(image >> 8);
-        prev[2 * s + 1] = static_cast<std::uint8_t>(image);
-      }
-    }
-  };
   const auto candidate_ok = [&](unsigned j, std::size_t g) {
-    if (!frontiers_[j - 1].contains_sorted(prev.data())) return false;
-    return !options_.use_banned_sets ||
-           (banned_mask_of_row(prev.data()) & gate_class_bits_[g]) == 0;
+    const std::uint16_t* inv = gate_inv_tables_[g].data();
+    for (std::size_t s = 0; s < width_; ++s) prev[s] = inv[current[s]];
+    if (options_.use_banned_sets &&
+        (banned_mask(prev.data()) & gate_class_bits_[g]) != 0) {
+      return false;
+    }
+    return orbit_in(levels_[j - 1], prev.data(), rep, moved);
   };
 
   for (unsigned j = k; j >= 1; --j) {
     std::size_t chosen = 0;
-    for (; chosen < gate_count; ++chosen) {
-      invert_into(chosen);
-      if (candidate_ok(j, chosen)) break;
-    }
+    while (chosen < gate_count && !candidate_ok(j, chosen)) ++chosen;
     QSYN_CHECK(chosen < gate_count, "back-walk failed: frontier inconsistency");
     sequence.push_back(library_->gate(chosen));
-    current = prev;
+    current.swap(prev);
   }
   std::reverse(sequence.begin(), sequence.end());
   return gates::Cascade(library_->domain().wires(), std::move(sequence));
@@ -546,24 +607,54 @@ std::vector<std::size_t> FmcfEnumerator::implementations(
   QSYN_CHECK(options_.track_witnesses,
              "implementation scan requires track_witnesses");
   QSYN_CHECK(k <= levels_done(), "level not yet computed");
-  std::vector<std::size_t> rows;
-  const FlatPermStore& frontier = frontiers_[k];
-  for (std::size_t i = 0; i < frontier.size(); ++i) {
-    const std::uint8_t* row = frontier.row(i);
-    if (!row_is_binary_preserving(row)) continue;
-    bool match = true;
-    for (std::size_t s = 0; s < binary_count_ && match; ++s) {
-      match = row_label(row, s) + 1 ==
-              restricted.apply(static_cast<std::uint32_t>(s + 1));
-    }
-    if (match) rows.push_back(i);
+  const GKey target = key_of_restricted(restricted, binary_count_);
+  const RepLevel& level = levels_[k];
+  std::vector<std::pair<std::vector<std::uint16_t>, std::size_t>> rows;
+  std::vector<std::uint16_t> labels(width_);
+  std::vector<std::uint32_t> elements;
+  const std::size_t binary_reps = binary_rep_count(level.reps);
+  for (std::size_t i = 0; i < binary_reps; ++i) {
+    visit_keys(level, i, labels, elements,
+               [&](const GKey& key, std::size_t j, std::uint32_t e) {
+                 if (key != target) return;
+                 std::vector<std::uint16_t> row(width_);
+                 for (std::size_t l = 0; l < width_; ++l) {
+                   row[l] = symmetry_.conjugate_label(e, labels.data(), l);
+                 }
+                 rows.emplace_back(std::move(row), level.starts[i] + j);
+               });
   }
-  return rows;
+  std::sort(rows.begin(), rows.end());
+  std::vector<std::size_t> indices;
+  indices.reserve(rows.size());
+  for (const auto& row : rows) indices.push_back(row.second);
+  return indices;
 }
 
-const FlatPermStore& FmcfEnumerator::frontier(unsigned k) const {
+const FlatPermStore& FmcfEnumerator::reps(unsigned k) const {
   QSYN_CHECK(k <= levels_done(), "level not yet computed");
-  return frontiers_[k];
+  return levels_[k].reps;
+}
+
+FlatPermStore FmcfEnumerator::frontier(unsigned k) const {
+  const FlatPermStore& level = reps(k);
+  simd::RowBytes rows;
+  std::vector<std::uint16_t> labels(width_);
+  std::vector<std::uint32_t> elements;
+  std::vector<std::uint8_t> bytes(stride_);
+  for (std::size_t i = 0; i < level.size(); ++i) {
+    decode_row(level.row(i), width_, label_bytes_, labels.data());
+    symmetry_.orbit_elements(labels.data(), elements);
+    for (const std::uint32_t e : elements) {
+      symmetry_.conjugate(e, labels.data(), label_bytes_, bytes.data());
+      rows.append(bytes.data(), stride_);
+    }
+  }
+  simd::RowBytes sorted;
+  simd::sort_unique_rows(rows.data(), rows.size() / stride_, stride_, sorted);
+  FlatPermStore out(width_);
+  out.assign_rows(std::move(sorted));
+  return out;
 }
 
 std::vector<std::size_t> FmcfEnumerator::seen_shard_rows() const {
@@ -573,14 +664,19 @@ std::vector<std::size_t> FmcfEnumerator::seen_shard_rows() const {
 }
 
 std::size_t FmcfEnumerator::memory_bytes() const {
-  std::size_t total = seen_.memory_bytes() + reps_.memory_bytes();
-  for (const FlatPermStore& f : frontiers_) total += f.memory_bytes();
+  std::size_t total = seen_.memory_bytes();
+  for (const RepLevel& level : levels_) {
+    total += level.reps.memory_bytes() +
+             level.starts.capacity() * sizeof(std::size_t) +
+             level.hashes.capacity() * sizeof(std::uint64_t) +
+             level.slots.capacity() * sizeof(std::uint32_t);
+  }
   return total;
 }
 
 std::size_t FmcfEnumerator::disk_bytes() const {
-  std::size_t total = seen_.disk_bytes() + reps_.disk_bytes();
-  for (const FlatPermStore& f : frontiers_) total += f.disk_bytes();
+  std::size_t total = seen_.disk_bytes();
+  for (const RepLevel& level : levels_) total += level.reps.disk_bytes();
   return total;
 }
 

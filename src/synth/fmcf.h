@@ -13,63 +13,59 @@
 // quantum cost is exactly k (Theorem 1). Table 2 of the paper tabulates
 // |G[k]| for k = 0..7; with NOT gates, |S8[k]| = 2^n * |G[k]| by Theorem 2.
 //
-// The enumerator runs level by level (advance()), storing each frontier as a
-// sorted flat byte store, so the paper's memory bound cb can be pushed well
-// past 7 on a modern machine (see bench_beyond_cb7).
-//
-// Each level runs on wire-relabeling orbits. Relabeling the wires maps the
-// library and its banned classes onto themselves (synth/wire_symmetry.h),
-// so it maps every B[k] onto itself, and B[k] is a union of conjugation
-// orbits. The closure therefore works on one canonical row per orbit, its
-// memcmp-least conjugate:
+// The enumerator runs level by level (advance()) on wire-relabeling orbits.
+// Relabeling the wires maps the library and its banned classes onto
+// themselves (synth/wire_symmetry.h), so it maps every B[k] onto itself, and
+// B[k] is a union of conjugation orbits. The closure keeps one canonical row
+// per orbit, its memcmp-least conjugate, and never builds B[k] itself
+// (Golubitsky & Maslov, IEEE Trans. Computers 61(9), 2012, keep only class
+// representatives the same way):
 //   1. Rep step: the reps R[k-1] of B[k-1] times every gate the banned sets
 //      allow, each product canonicalized, sort_unique'd per shard and
 //      subtracted against the seen set, which holds the reps of A[k-1] and
-//      nothing else. What is left is R[k].
-//   2. Materialize: every rep's conjugates are routed to the shards of a
-//      second store, sort_unique'd and merged, and draining it yields the
-//      full sorted B[k]. Orbits are disjoint, so no subtraction is needed.
-// So the frontiers, witnesses, catalogs and every stat are those of a
-// closure over full rows; |A[k]| is the sum of the frontier sizes, and
-// seen_count() reads it from the stats. Each phase fans out over a worker
-// pool and runs its set algebra per shard of a lexicographically
-// partitioned store (ShardedPermStore), byte-identical to the
-// single-threaded sweep. Canonical rows cluster low in memcmp order, so the
-// seen set is cut at its own evenly spaced rows (once it holds 16 rows per
-// shard, and again whenever it has grown 4x while in RAM); each level's
-// frontier store is cut at splitters from the first frontier with 64 rows
-// per shard. The levels before are small and run unsplit. Both steps buffer
-// their candidates per worker and shard, and each shard's candidates are
-// radix-sorted straight out of those buffers. With a spill budget
-// (ClosureConfig::spill_budget_bytes) the sharded stores seal their sorted
-// rows to run files when RAM runs out and the set algebra continues over
-// the mapped runs — stats and frontier bytes stay identical to the
-// all-in-RAM sweep, which is how the 5-wire closure reaches k >= 3 on
-// bounded memory. The budget also bounds each round of candidates in bytes,
-// so a level whose conjugates far outgrow it (n = 5, k = 4: ~1.3 GB) is
-// expanded in many budget-sized rounds. A spilled frontier drains into one
-// file mapped read-only: one pool task per shard merges that shard's runs
-// and writes them at the shard's offset.
+//      nothing else. What is left is R[k], drained memcmp-sorted.
+//   2. Orbit count: each rep's orbit size, prefix-summed. The sum is
+//      |B[k]|, and |A[k]| is the sum of the frontier sizes, so seen_count()
+//      reads it from the stats.
+//   3. G keys: a relabeling permutes the binary labels, so binary
+//      preservation holds for a whole orbit or for none of it, and pre_G[k]
+//      is the set of distinct keys over the conjugates of the
+//      binary-preserving reps. R[k] is sorted, so those reps all sit before
+//      the first rep whose first label is >= 2^n. The witness of a key is
+//      the memcmp-least conjugate with that key: the lowest row of the
+//      sorted B[k].
+// A row of B[k] is named by its index in *orbit order*: reps in memcmp
+// order, and each rep's conjugates in WireSymmetry::orbit_elements order.
+// The prefix sums map an index to (rep, conjugate) by binary search.
+// GEntry::frontier_index, witness_for_row() and implementations() speak
+// these indices; implementations() lists its rows in memcmp order. The
+// back-walk's test b * d^-1 in B[j-1] looks the product's orbit hash up in
+// a table of R[j-1]'s, built by the first walk into that level, and checks
+// the reps with that hash for conjugacy (WireSymmetry::orbit_hash,
+// is_conjugate): cheaper than canonicalizing it, which keeps many
+// relabelings tied on near-identity rows. frontier(k) builds the sorted
+// B[k] on demand, for tests and tools.
+//
+// The rep step fans out over a worker pool and runs its set algebra per
+// shard of a lexicographically partitioned store (ShardedPermStore),
+// byte-identical to the single-threaded sweep. Canonical rows cluster low in
+// memcmp order, so the seen set is cut at its own evenly spaced rows (once
+// it holds 16 rows per shard, and again whenever it has grown 4x while in
+// RAM). Candidates are buffered per worker and shard, and each shard's
+// candidates are radix-sorted straight out of those buffers. With a spill
+// budget (ClosureConfig::spill_budget_bytes) the sharded stores seal their
+// sorted rows to run files when RAM runs out and the set algebra continues
+// over the mapped runs; the budget also bounds each round of candidates in
+// bytes. Stats, G sets and witnesses stay identical to the all-in-RAM sweep.
 // When the library exhausts its reachable group below the requested bound
 // the closure saturates: saturated() turns true, and advance()/run_to()
 // become no-ops instead of crashing on the empty frontier.
-//
-// G-key extraction rests on one invariant. Every drained frontier B[k] is
-// memcmp-sorted (the shard partition is monotone), and a G key is a row
-// prefix: the row's first 2^n labels, whose memcmp order is label order.
-// Each key is therefore one contiguous block of rows, binary preservation is
-// decided by that prefix alone, and the block's first row is the lowest-row
-// witness find() reports. The rows that share a prefix ending in a
-// non-binary image form one block too, and none of them is
-// binary-preserving. One pass visits the first row of each block and skips
-// the rest by galloping search, yielding pre_G[k] and the witnesses while
-// reading a small share of B[k] (a spilled frontier's pages are not all
-// faulted in); only the <= |pre_G[k]| distinct keys are sorted.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -102,8 +98,8 @@ struct FmcfLevelStats {
 /// Handle to one reversible circuit discovered by the closure.
 struct GEntry {
   unsigned cost = 0;            // minimal quantum cost
-  // Lowest row of the B[cost] store whose restriction is this circuit (0
-  // for cost 0).
+  // Orbit-order index in B[cost] of the memcmp-least row whose restriction
+  // is this circuit (0 for cost 0).
   std::size_t frontier_index = 0;
 };
 
@@ -160,18 +156,20 @@ class FmcfEnumerator {
   /// Serializes the computed closure to a versioned on-disk catalog (see
   /// synth/catalog.h for the format): header with magic/version/endianness
   /// tag and domain+library fingerprints, per-level stats, the sorted G-set
-  /// index with witness metadata, and every frontier's raw row table.
+  /// index with witness metadata, and every level's canonical rows R[k].
   /// Throws qsyn::IoError when the file cannot be written.
   void save_catalog(const std::string& path) const;
 
   /// Reopens a catalog read-only: the G index is rebuilt eagerly (it is
-  /// small), while the frontier row tables are memory-mapped zero-copy, so
-  /// opening costs milliseconds regardless of catalog size and no advance()
-  /// work is ever redone. `library` must be the library the catalog was
-  /// saved from (enforced via the stored fingerprints). Witness tracking and
-  /// banned-set flags come from the file; `options` only contributes
-  /// threads/shards. Throws qsyn::CatalogError on malformed or incompatible
-  /// files and qsyn::IoError on filesystem failures.
+  /// small), the rep row tables are memory-mapped zero-copy and checked
+  /// (labels in the domain, rows strictly ascending, R[0] the identity),
+  /// and each level's orbit prefix sums are rebuilt and checked against
+  /// the stats, so no advance() work is ever redone. `library` must be the
+  /// library the catalog was saved from (enforced via the stored
+  /// fingerprints). Witness tracking and banned-set flags come from the
+  /// file; `options` only contributes threads/shards. Throws
+  /// qsyn::CatalogError on malformed or incompatible files (a version 1
+  /// file must be regenerated) and qsyn::IoError on filesystem failures.
   [[nodiscard]] static FmcfEnumerator open_catalog(
       const std::string& path, const gates::GateLibrary& library,
       ClosureConfig options = {});
@@ -206,20 +204,22 @@ class FmcfEnumerator {
       const perm::Permutation& restricted) const;
 
   /// Reconstructs one minimal witness cascade for an entry by the paper's
-  /// back-walk (find d with b*(d)^{-1} in B[k-1] and the product reasonable).
-  /// Each back-step scans the candidate gates in library order and takes the
-  /// lowest valid one, so the reconstructed cascade is thread-count
-  /// invariant. Safe to call concurrently with other witness reconstructions
-  /// but not with advance(). Requires track_witnesses.
+  /// back-walk (find d with b*(d)^{-1} in B[k-1] and the product reasonable;
+  /// membership means the product's orbit is one of R[k-1]'s). Each
+  /// back-step scans the candidate gates in library order and
+  /// takes the lowest valid one, so the reconstructed cascade is
+  /// thread-count invariant. Safe to call concurrently with other witness
+  /// reconstructions but not with advance(). Requires track_witnesses.
   [[nodiscard]] gates::Cascade witness(const GEntry& entry) const;
 
-  /// All rows b in B[k] whose restriction to S equals `restricted` —
-  /// the paper's count of distinct "implementations" (2 for Peres, 4 for
-  /// Toffoli). Requires track_witnesses and k <= levels_done().
+  /// The orbit-order indices of all rows b in B[k] whose restriction to S
+  /// equals `restricted` — the paper's count of distinct "implementations"
+  /// (2 for Peres, 4 for Toffoli) — listed in the memcmp order of the rows.
+  /// Requires track_witnesses and k <= levels_done().
   [[nodiscard]] std::vector<std::size_t> implementations(
       const perm::Permutation& restricted, unsigned k) const;
 
-  /// Witness cascade for an explicit row of B[k].
+  /// Witness cascade for the row of B[k] at orbit-order index `row`.
   [[nodiscard]] gates::Cascade witness_for_row(unsigned k,
                                                std::size_t row) const;
 
@@ -229,10 +229,14 @@ class FmcfEnumerator {
     return stats_.empty() ? 1 : stats_.back().seen;
   }
 
-  /// The sorted rows of B[k]. Without track_witnesses only the last
-  /// frontier is kept; earlier ones read as empty. Requires
-  /// k <= levels_done().
-  [[nodiscard]] const FlatPermStore& frontier(unsigned k) const;
+  /// R[k]: the canonical row of every orbit of B[k], memcmp-sorted.
+  /// Without track_witnesses only the last level is kept; earlier ones read
+  /// as empty. Requires k <= levels_done().
+  [[nodiscard]] const FlatPermStore& reps(unsigned k) const;
+
+  /// The sorted rows of B[k], built from R[k] on each call (serial; for
+  /// tests and tools). Empty where reps(k) is. Requires k <= levels_done().
+  [[nodiscard]] FlatPermStore frontier(unsigned k) const;
 
   /// The seen set: the canonical row of every orbit in A[k], one per orbit
   /// (empty on catalog-backed enumerators, which never advance()).
@@ -242,16 +246,14 @@ class FmcfEnumerator {
   /// splitters spread the closure's canonical rows.
   [[nodiscard]] std::vector<std::size_t> seen_shard_rows() const;
 
-  /// The wire relabelings the closure runs its orbits over (the identity
-  /// alone on catalog-backed enumerators).
+  /// The wire relabelings the closure runs its orbits over.
   [[nodiscard]] const WireSymmetry& symmetry() const { return symmetry_; }
 
   /// Approximate heap usage of the stored sets.
   [[nodiscard]] std::size_t memory_bytes() const;
 
-  /// Bytes held in spill files (sealed seen-set runs, file-backed frontiers
-  /// and rep levels). 0 unless a spill budget is configured and was
-  /// exceeded.
+  /// Bytes held in spill files (sealed seen-set runs and file-backed rep
+  /// levels). 0 unless a spill budget is configured and was exceeded.
   [[nodiscard]] std::size_t disk_bytes() const;
 
   [[nodiscard]] const gates::GateLibrary& library() const { return *library_; }
@@ -264,8 +266,48 @@ class FmcfEnumerator {
                  CatalogTag tag);
   void init_gate_tables();
 
-  [[nodiscard]] std::uint32_t banned_mask_of_row(const std::uint8_t* row) const;
-  [[nodiscard]] GKey g_key_of_row(const std::uint8_t* row) const;
+  /// One level's canonical rows and where their orbits sit in B[k].
+  struct RepLevel {
+    explicit RepLevel(FlatPermStore rows) : reps(std::move(rows)) {}
+    FlatPermStore reps;  // R[k], memcmp-sorted
+    // starts[i]: orbit-order index of rep i's first conjugate; the last
+    // entry is |B[k]|.
+    std::vector<std::size_t> starts;
+    // The back-walk's membership index, built by its first lookup
+    // (orbit_in), so closures and catalogs that never walk back never pay
+    // for it: hashes[i] is rep i's orbit hash, and `slots` an open-addressing
+    // table over them, rep index + 1 per used slot and 0 for an empty one,
+    // a power of two at least twice the rep count.
+    std::unique_ptr<std::once_flag> indexed =
+        std::make_unique<std::once_flag>();
+    mutable std::vector<std::uint64_t> hashes;
+    mutable std::vector<std::size_t> slots;
+  };
+  /// Sets `level.starts` from its reps' orbit sizes.
+  void count_orbits(RepLevel& level) const;
+  /// Registers the G keys of the newest level (cost k); returns |pre_G[k]|
+  /// and appends the new keys' entries.
+  std::size_t extract_g_keys(unsigned k);
+  /// The row of B[k] at orbit-order index `index`, as 0-based labels.
+  void orbit_row(unsigned k, std::size_t index, std::uint16_t* labels) const;
+  /// Reps of R[k] whose first label is binary: the only candidates for
+  /// binary preservation.
+  [[nodiscard]] std::size_t binary_rep_count(const FlatPermStore& reps) const;
+  /// When rep i of `level` is binary-preserving, decodes it into `labels`
+  /// and calls visit(key, j, e) for each of its conjugates in orbit order
+  /// (the j-th, by element e). `elements` is scratch.
+  template <typename Visit>
+  void visit_keys(const RepLevel& level, std::size_t i,
+                  std::vector<std::uint16_t>& labels,
+                  std::vector<std::uint32_t>& elements, Visit&& visit) const;
+  /// True when the orbit of `labels` is one of `level`'s: some rep with
+  /// its orbit hash is conjugate to it. `rep` and `moved` are scratch.
+  [[nodiscard]] bool orbit_in(const RepLevel& level,
+                              const std::uint16_t* labels,
+                              std::vector<std::uint16_t>& rep,
+                              std::vector<std::uint16_t>& moved) const;
+
+  [[nodiscard]] std::uint32_t banned_mask(const std::uint16_t* labels) const;
   [[nodiscard]] bool row_is_binary_preserving(const std::uint8_t* row) const;
   [[nodiscard]] std::uint32_t row_label(const std::uint8_t* row,
                                         std::size_t s) const {
@@ -282,7 +324,7 @@ class FmcfEnumerator {
   std::size_t shards_;         // resolved shard count (>= 1)
   std::size_t spill_budget_;   // resolved bytes per sharded store; 0 = never
   std::string spill_dir_;      // resolved spill directory
-  std::unique_ptr<ThreadPool> pool_;  // created lazily by advance()
+  std::unique_ptr<ThreadPool> pool_;  // created lazily, on first use
   std::vector<std::vector<std::uint16_t>> gate_tables_;      // [gate][label0]
   std::vector<std::vector<std::uint16_t>> gate_inv_tables_;  // [gate][label0]
   std::vector<std::uint32_t> gate_class_bits_;               // [gate]
@@ -290,10 +332,8 @@ class FmcfEnumerator {
 
   WireSymmetry symmetry_;
   ShardedPermStore seen_;                // canonical rows of A[k], shard-sorted
-  FlatPermStore reps_;                   // canonical rows of B[k], sorted
   std::size_t seen_reps_at_cut_ = 0;     // seen_ rows at its last cut
-  FlatPermStore frontier_splitters_;     // cuts the level's frontier store
-  std::vector<FlatPermStore> frontiers_; // B[0..k]; emptied if !track_witnesses
+  std::vector<RepLevel> levels_;  // R[0..k]; emptied if !track_witnesses
   std::vector<FmcfLevelStats> stats_;
 
   std::vector<GKey> g_seen_keys_;                          // sorted

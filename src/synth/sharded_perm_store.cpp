@@ -316,7 +316,7 @@ FlatPermStore ShardedPermStore::drain_sorted(ThreadPool* pool) {
   // every shard's rows land at its prefix-sum offset of one temporary spill
   // file. One task per shard k-way merges its active rows and runs and
   // writes them there through its own buffer, then releases them; the file
-  // comes back mmap'd read-only, so the frontier never sits on the heap,
+  // comes back mmap'd read-only, so the drained rows never sit on the heap,
   // and it goes with the last view of the returned store.
   const std::size_t stride = shards_[0].row_stride();
   std::vector<std::uint64_t> offsets(shards_.size() + 1, 0);

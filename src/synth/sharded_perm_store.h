@@ -9,11 +9,9 @@
 // label widths, so the shard index is monotone in the rows' lexicographic
 // order: concatenating sorted shards in shard order yields a globally sorted
 // store. A store starts unsplit — every row routes to shard 0 — until
-// split() cuts it; the closure takes its frontier stores' splitters as
-// evenly spaced rows of a sorted pilot frontier (splitters_from), which
-// spreads the real rows of later levels evenly, whatever labels every gate
-// fixes, and cuts its seen set at its own evenly spaced rows
-// (split_evenly). Because shards own
+// split() cuts it; the closure cuts its seen set at its own evenly spaced
+// rows (split_evenly, via splitters_from), and each level's rep store takes
+// the seen set's splitters. Because shards own
 // disjoint ranges, the closure's set algebra decomposes into independent
 // per-shard calls (subtract_shard_from, merge_into_shard, absorb_shard) —
 // this is what the multi-threaded FMCF closure parallelizes over — and
@@ -26,8 +24,8 @@
 // those rows byte for byte — no header, no compression — written to a
 // temporary file by io::SpillWriter and kept as a read-only FlatPermStore
 // window over its mapping; the file goes with the last view (a run adopted
-// by absorb_shard is shared by both stores). The drained frontier file has
-// the same format, so the set algebra over runs is the in-memory set
+// by absorb_shard is shared by both stores). A spilled store's drained file
+// has the same format, so the set algebra over runs is the in-memory set
 // algebra over mapped rows. A spilled shard is then the union of one
 // writable in-memory "active" store and a list of immutable sorted runs —
 // mutually disjoint by construction, because the closure's per-shard
@@ -36,7 +34,7 @@
 // FMCF per-level stats are byte-identical with and without spilling; the
 // monotone partition makes drain_sorted()'s per-shard k-way merges, each
 // written at its shard's offset of one file, concatenate into a globally
-// sorted result, so frontier bytes are byte-identical too. With a zero
+// sorted result, so drained bytes are byte-identical too. With a zero
 // budget (the default) nothing ever spills.
 #pragma once
 

@@ -12,16 +12,6 @@
 
 namespace qsyn::synth {
 
-WireSymmetry::WireSymmetry(std::size_t width)
-    : width_(width),
-      wire_maps_(1),
-      forward_(width),
-      inverse_(width),
-      product_(1, 0) {
-  std::iota(forward_.begin(), forward_.end(), std::uint16_t{0});
-  std::iota(inverse_.begin(), inverse_.end(), std::uint16_t{0});
-}
-
 namespace {
 
 // Position of `sigma` in the next_permutation order of S_n (its Lehmer
@@ -198,6 +188,23 @@ WireSymmetry::WireSymmetry(const gates::GateLibrary& library)
       product_[a * order() + b] = index_of[compose(rank[a], rank[b])];
     }
   }
+
+  // Orbit-hash weights, keyed by the least label of each label's orbit.
+  const auto mix = [](std::uint64_t x) {
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  };
+  hash_a_.resize(width_);
+  hash_b_.resize(width_);
+  for (std::size_t l = 0; l < width_; ++l) {
+    std::uint64_t least = l;
+    for (std::size_t e = 0; e < order(); ++e) {
+      least = std::min<std::uint64_t>(least, forward_[e * width_ + l]);
+    }
+    hash_a_[l] = mix(2 * least + 1);
+    hash_b_[l] = mix(2 * least + 2);
+  }
 }
 
 void WireSymmetry::conjugate(std::size_t e, const std::uint16_t* row,
@@ -215,16 +222,49 @@ void WireSymmetry::conjugate(std::size_t e, const std::uint16_t* row,
   }
 }
 
+void WireSymmetry::moved_labels(const std::uint16_t* row,
+                                std::vector<std::uint16_t>& moved) const {
+  moved.clear();
+  for (std::size_t l = 0; l < width_; ++l) {
+    if (row[l] != l) moved.push_back(static_cast<std::uint16_t>(l));
+  }
+}
+
+bool WireSymmetry::maps(std::size_t e, const std::uint16_t* a,
+                        const std::uint16_t* b,
+                        const std::vector<std::uint16_t>& moved) const {
+  // π_e a π_e^-1 = b  <=>  b[π_e(m)] = π_e(a[m]) for every label m. If that
+  // holds on the labels a moves, π_e maps them into the labels b moves
+  // (b[π_e(m)] = π_e(a[m]) != π_e(m)), and onto them when a and b move as
+  // many; the labels a fixes then go to labels b fixes, where it holds
+  // trivially. So the moved labels are the only ones to check.
+  const std::uint16_t* forward = forward_.data() + e * width_;
+  for (const std::uint16_t m : moved) {
+    if (b[forward[m]] != forward[a[m]]) return false;
+  }
+  return true;
+}
+
+std::size_t WireSymmetry::orbit_size(const std::uint16_t* row,
+                                     std::vector<std::uint16_t>& moved) const {
+  moved_labels(row, moved);
+  std::size_t stabilizer = 1;  // the identity
+  for (std::size_t e = 1; e < order(); ++e) {
+    stabilizer += maps(e, row, row, moved) ? 1 : 0;
+  }
+  return order() / stabilizer;
+}
+
 void WireSymmetry::orbit_elements(const std::uint16_t* row,
                                   std::vector<std::uint32_t>& elements) const {
   const std::size_t n = order();
+  std::vector<std::uint16_t> moved;
+  moved_labels(row, moved);
   std::vector<std::uint32_t> stabilizer;
   for (std::size_t e = 0; e < n; ++e) {
-    const std::uint16_t* forward = forward_.data() + e * width_;
-    const std::uint16_t* inverse = inverse_.data() + e * width_;
-    std::size_t l = 0;
-    while (l < width_ && forward[row[inverse[l]]] == row[l]) ++l;
-    if (l == width_) stabilizer.push_back(static_cast<std::uint32_t>(e));
+    if (maps(e, row, row, moved)) {
+      stabilizer.push_back(static_cast<std::uint32_t>(e));
+    }
   }
   elements.clear();
   if (stabilizer.size() == 1) {  // the identity alone: every conjugate differs
@@ -256,8 +296,7 @@ void WireSymmetry::canonicalize(const std::uint16_t* row,
     std::size_t kept = 0;
     for (std::size_t j = 0; j < live; ++j) {
       const std::uint32_t e = candidates[j];
-      const std::size_t base = e * width_;
-      const std::uint32_t value = forward_[base + row[inverse_[base + l]]];
+      const std::uint32_t value = conjugate_label(e, row, l);
       if (value < best) {
         best = value;
         kept = 0;
@@ -268,11 +307,22 @@ void WireSymmetry::canonicalize(const std::uint16_t* row,
     live = kept;
   }
   // One element left (or every survivor yields the same row): copy the rest.
-  const std::size_t base = std::size_t{candidates[0]} * width_;
   for (; l < width_; ++l) {
     FlatPermStore::write_label(out, l, label_bytes,
-                               forward_[base + row[inverse_[base + l]]]);
+                               conjugate_label(candidates[0], row, l));
   }
+}
+
+bool WireSymmetry::is_conjugate(const std::uint16_t* a, const std::uint16_t* b,
+                                std::vector<std::uint16_t>& moved) const {
+  moved_labels(a, moved);
+  std::size_t b_moved = 0;
+  for (std::size_t l = 0; l < width_; ++l) b_moved += b[l] != l ? 1 : 0;
+  if (moved.size() != b_moved) return false;
+  for (std::size_t e = 0; e < order(); ++e) {
+    if (maps(e, a, b, moved)) return true;
+  }
+  return false;
 }
 
 }  // namespace qsyn::synth

@@ -33,9 +33,6 @@ namespace qsyn::synth {
 /// under, as label permutations, with the canonicalizer built on it.
 class WireSymmetry {
  public:
-  /// The identity alone on `width` labels (its wire map is empty).
-  explicit WireSymmetry(std::size_t width);
-
   /// Every wire permutation under which the library's domain, gate set and
   /// banned-class masks are invariant. Element 0 is the identity.
   explicit WireSymmetry(const gates::GateLibrary& library);
@@ -62,6 +59,31 @@ class WireSymmetry {
   void conjugate(std::size_t e, const std::uint16_t* row,
                  std::size_t label_bytes, std::uint8_t* out) const;
 
+  /// Label `l` of π_e ∘ row ∘ π_e^-1: what conjugate() writes at `l`.
+  [[nodiscard]] std::uint16_t conjugate_label(std::size_t e,
+                                              const std::uint16_t* row,
+                                              std::size_t l) const {
+    const std::size_t base = e * width_;
+    return forward_[base + row[inverse_[base + l]]];
+  }
+
+  /// Number of distinct conjugates of `row`: order() over the size of its
+  /// stabilizer. `moved` is scratch.
+  [[nodiscard]] std::size_t orbit_size(const std::uint16_t* row,
+                                       std::vector<std::uint16_t>& moved) const;
+
+  /// A hash every conjugate of `row` shares: the sum over labels l of
+  /// a(l) * b(row[l]), where a and b are pseudo-random and constant on each
+  /// orbit of labels under the group. Rows of one orbit hash alike; rows of
+  /// different orbits rarely do, so a hash miss rules an orbit out cheaply.
+  [[nodiscard]] std::uint64_t orbit_hash(const std::uint16_t* row) const {
+    std::uint64_t h = 0;
+    for (std::size_t l = 0; l < width_; ++l) {
+      h += hash_a_[l] * hash_b_[row[l]];
+    }
+    return h;
+  }
+
   /// Replaces `elements` with one element per distinct conjugate of `row`:
   /// a left coset representative of row's stabilizer each, so the
   /// conjugates they yield are the orbit of `row`, each row once.
@@ -77,12 +99,30 @@ class WireSymmetry {
                     std::uint8_t* out,
                     std::vector<std::uint32_t>& candidates) const;
 
+  /// True when `b` is a conjugate of `a`: π_e ∘ a ∘ π_e^-1 = b for some
+  /// element e. Only the labels `a` moves are compared, so near-identity
+  /// rows with large stabilizers are cheap. `moved` is scratch.
+  [[nodiscard]] bool is_conjugate(const std::uint16_t* a,
+                                  const std::uint16_t* b,
+                                  std::vector<std::uint16_t>& moved) const;
+
  private:
   std::size_t width_;
   std::vector<std::vector<std::size_t>> wire_maps_;  // [e][wire]
   std::vector<std::uint16_t> forward_;               // [e * width + label]
   std::vector<std::uint16_t> inverse_;               // [e * width + label]
   std::vector<std::uint32_t> product_;  // [a * order + b] = index of a ∘ b
+  std::vector<std::uint64_t> hash_a_;   // [label], constant on label orbits
+  std::vector<std::uint64_t> hash_b_;   // [label], constant on label orbits
+
+  /// Sets `moved` to the labels `row` moves.
+  void moved_labels(const std::uint16_t* row,
+                    std::vector<std::uint16_t>& moved) const;
+  /// True when π_e ∘ a ∘ π_e^-1 = b, given `moved` = moved_labels(a) and
+  /// that b moves as many labels as a does.
+  [[nodiscard]] bool maps(std::size_t e, const std::uint16_t* a,
+                          const std::uint16_t* b,
+                          const std::vector<std::uint16_t>& moved) const;
 };
 
 }  // namespace qsyn::synth

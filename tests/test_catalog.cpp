@@ -378,6 +378,17 @@ TEST(CatalogCorruption, WrongVersionIsRejected) {
   EXPECT_NE(message.find("version 99"), std::string::npos);
 }
 
+TEST(CatalogCorruption, Version1FileIsRejectedWithRegenerateMessage) {
+  // Version 1 stored full frontiers; catalogs are derived data, so the
+  // reader names the version and asks for a new file instead of reading it.
+  const std::string message =
+      corrupt_message("version1", [](std::vector<std::uint8_t>& b) {
+        b[catalog::kVersionOffset + 3] = 1;
+      });
+  EXPECT_NE(message.find("version 1"), std::string::npos) << message;
+  EXPECT_NE(message.find("regenerate"), std::string::npos) << message;
+}
+
 TEST(CatalogCorruption, WrongEndianTagIsRejected) {
   const std::string message =
       corrupt_message("endian", [](std::vector<std::uint8_t>& b) {
@@ -435,6 +446,28 @@ TEST(CatalogCorruption, UnsortedGIndexIsRejected) {
   EXPECT_NE(message.find("ascending"), std::string::npos);
 }
 
+TEST(CatalogCorruption, LevelZeroRepThatIsNotTheIdentityIsRejected) {
+  // An all-zero R[0] row has in-domain labels and an orbit of one (every
+  // relabeling fixes label 0), so it passes the label and orbit-count
+  // checks; only the identity check keeps it from failing every back-walk.
+  const std::string message =
+      corrupt_message("r0_not_identity", [](std::vector<std::uint8_t>& b) {
+        const std::uint32_t levels =
+            catalog::get_u32(b.data() + catalog::kLevelsOffset);
+        const std::uint64_t g_count =
+            catalog::get_u64(b.data() + catalog::kGCountOffset);
+        const std::size_t r0 = catalog::kHeaderBytes +
+                               levels * catalog::kStatsEntryBytes +
+                               g_count * catalog::kGEntryBytes;
+        ASSERT_EQ(catalog::get_u64(b.data() + r0), 1u);
+        std::fill(b.begin() + r0 + 8,
+                  b.begin() + r0 + 8 + library3().domain().size(), 0);
+      });
+  EXPECT_NE(message.find("level 0 rep row is not the identity"),
+            std::string::npos)
+      << message;
+}
+
 TEST(CatalogCorruption, GCountThatWrapsTheIndexSizeIsRejected) {
   // 419244183493398901 * 44 = 2^64 + 28: a byte-size check of the G index
   // wraps around to 28 bytes and passes, and the reader then tries to
@@ -487,8 +520,7 @@ struct Field {
 
 /// Where things live in a well-formed catalog of row stride `stride`: the
 /// header, stats, G-index and section-length fields, the [begin, end) byte
-/// span of each frontier section's rows, and where the first section
-/// starts.
+/// span of each rep section's rows, and where the first section starts.
 struct CatalogLayout {
   std::vector<Field> fields;
   std::vector<std::pair<std::size_t, std::size_t>> row_spans;
@@ -541,6 +573,7 @@ CatalogLayout layout_of(const Bytes& bytes, std::size_t stride) {
 struct CatalogFuzzFixture {
   const gates::GateLibrary* library = nullptr;
   std::size_t stride = 0;
+  std::vector<std::uint16_t> fixed_labels;  // fixed by every relabeling
   Bytes pristine;
   Bytes donor;
   CatalogLayout layout;
@@ -558,7 +591,15 @@ CatalogFuzzFixture fuzz_fixture(const gates::GateLibrary& library,
   fresh.run_to(levels);
   fresh.save_catalog(path);
   fx.pristine = read_file(path);
-  fx.stride = fresh.frontier(0).row_stride();
+  fx.stride = fresh.reps(0).row_stride();
+  const WireSymmetry& symmetry = fresh.symmetry();
+  for (std::size_t l = 0; l < symmetry.width(); ++l) {
+    bool fixed = true;
+    for (std::size_t e = 0; e < symmetry.order(); ++e) {
+      fixed &= symmetry.relabel(e)[l] == l;
+    }
+    if (fixed) fx.fixed_labels.push_back(static_cast<std::uint16_t>(l));
+  }
   // The donor tracks no witnesses and stops a level short (unless that
   // would leave it empty), so its flags, counts and section lengths differ.
   ClosureConfig counting;
@@ -583,7 +624,7 @@ CatalogFuzzFixture fuzz_fixture(const gates::GateLibrary& library,
 /// One to three stacked mutations of the pristine catalog: bit flips
 /// anywhere, truncation, a header/stats/G-index/section-length field set to
 /// an edge value or the donor's value, trailing garbage, or a scribble over
-/// frontier row bytes only.
+/// rep row bytes only.
 Bytes mutate_catalog(Rng& rng, const CatalogFuzzFixture& fx) {
   Bytes bytes = fx.pristine;
   const std::uint64_t steps = 1 + rng.below(3);
@@ -645,10 +686,26 @@ Bytes mutate_catalog(Rng& rng, const CatalogFuzzFixture& fx) {
         const auto& span =
             fx.layout.row_spans[rng.below(fx.layout.row_spans.size())];
         if (span.first == span.second || bytes.size() < span.second) break;
+        // Every other scribble sends labels every relabeling fixes to other
+        // such labels: the rows stay in the domain and keep their
+        // stabilizers, hence their orbit sizes, so some of these mutants
+        // pass the reader's rep-row checks.
+        const std::size_t label_bytes =
+            fx.stride / fx.library->domain().size();
+        const bool random_bytes = rng.below(2) == 0;
         const std::uint64_t scribbles = 1 + rng.below(16);
         for (std::uint64_t i = 0; i < scribbles; ++i) {
-          bytes[span.first + rng.below(span.second - span.first)] =
-              static_cast<std::uint8_t>(rng());
+          if (random_bytes) {
+            bytes[span.first + rng.below(span.second - span.first)] =
+                static_cast<std::uint8_t>(rng());
+            continue;
+          }
+          const auto& fixed = fx.fixed_labels;
+          const std::size_t row =
+              span.first +
+              rng.below((span.second - span.first) / fx.stride) * fx.stride;
+          put_be(bytes, row + fixed[rng.below(fixed.size())] * label_bytes,
+                 label_bytes, fixed[rng.below(fixed.size())]);
         }
         break;
       }
@@ -660,18 +717,20 @@ Bytes mutate_catalog(Rng& rng, const CatalogFuzzFixture& fx) {
 struct CatalogFuzzTally {
   std::size_t rejected = 0;
   std::size_t opened = 0;
-  std::size_t rows_only = 0;  // opened, only frontier row bytes changed
+  std::size_t rows_only_opened = 0;  // only rep row bytes changed, opened
 };
 
 // The contract for one mutant. open_catalog throws CatalogError or IoError
 // (any other exception escapes and fails the test), or the catalog opens.
 // On an opened catalog, find() over the pristine G set, witness() of what it
-// finds and g_set(k) answer or throw a qsyn::Error, and every frontier(k)
-// row is the file's own bytes at its section's place. A mutant that changes
-// only frontier row bytes must open; one whose bytes before the first
-// frontier section are intact must answer find() and g_set() exactly as the
-// pristine catalog does. Frontier rows carry no checksum, so their contents
-// are held to in-bounds reads.
+// finds and g_set(k) answer or throw a qsyn::Error, and every reps(k) row
+// is the file's own bytes at its section's place. The reader checks rep
+// rows (labels, order, orbit counts against the stats), so a mutant that
+// changes only rep row bytes opens or is rejected for its rep rows, never
+// for anything else; one whose bytes before the first rep section are
+// intact must answer find() and g_set() exactly as the pristine catalog
+// does. Rep rows carry no checksum, so rows that pass the checks are held
+// to in-bounds reads.
 void check_catalog_mutant(const std::string& path, const Bytes& bytes,
                           const CatalogFuzzFixture& fx,
                           CatalogFuzzTally& tally) {
@@ -682,7 +741,9 @@ void check_catalog_mutant(const std::string& path, const Bytes& bytes,
       std::equal(fx.pristine.begin(),
                  fx.pristine.begin() + static_cast<std::ptrdiff_t>(prefix),
                  bytes.begin());
-  bool rows_only = bytes.size() == fx.pristine.size();
+  // A scribble can rewrite a byte with its own value: row-only mutants
+  // must differ from the pristine file somewhere.
+  bool rows_only = bytes.size() == fx.pristine.size() && bytes != fx.pristine;
   for (std::size_t i = 0; rows_only && i < bytes.size(); ++i) {
     if (bytes[i] == fx.pristine[i]) continue;
     rows_only = std::any_of(
@@ -694,7 +755,9 @@ void check_catalog_mutant(const std::string& path, const Bytes& bytes,
   try {
     opened.emplace(FmcfEnumerator::open_catalog(path, *fx.library));
   } catch (const qsyn::CatalogError& e) {
-    EXPECT_FALSE(rows_only) << "row-only mutant rejected: " << e.what();
+    EXPECT_TRUE(!rows_only || std::string(e.what()).find("rep row") !=
+                                  std::string::npos)
+        << "row-only mutant rejected: " << e.what();
     ++tally.rejected;
     return;
   } catch (const qsyn::IoError& e) {
@@ -703,7 +766,7 @@ void check_catalog_mutant(const std::string& path, const Bytes& bytes,
     return;
   }
   ++tally.opened;
-  if (rows_only) ++tally.rows_only;
+  if (rows_only) ++tally.rows_only_opened;
   const FmcfEnumerator& e = *opened;
 
   for (std::size_t i = 0; i < fx.g_all.size(); ++i) {
@@ -741,23 +804,23 @@ void check_catalog_mutant(const std::string& path, const Bytes& bytes,
     }
   }
 
-  // Walk the mutant's own layout: each frontier is exactly its section's
+  // Walk the mutant's own layout: each rep level is exactly its section's
   // rows, in place, and the sections end at the end of the file.
   std::size_t offset = catalog::kHeaderBytes +
                        e.levels_done() * catalog::kStatsEntryBytes +
                        get_be(bytes, catalog::kGCountOffset, 8) *
                            catalog::kGEntryBytes;
   for (unsigned k = 0; k <= e.levels_done(); ++k) {
-    const FlatPermStore& rows = e.frontier(k);
+    const FlatPermStore& rows = e.reps(k);
     ASSERT_LE(offset + 8, bytes.size());
-    ASSERT_EQ(rows.size(), get_be(bytes, offset, 8)) << "B[" << k << "]";
+    ASSERT_EQ(rows.size(), get_be(bytes, offset, 8)) << "R[" << k << "]";
     offset += 8;
     ASSERT_LE(rows.size_bytes(), bytes.size() - offset);
     if (rows.size_bytes() > 0) {
       ASSERT_EQ(std::memcmp(rows.data(), bytes.data() + offset,
                             rows.size_bytes()),
                 0)
-          << "B[" << k << "]";
+          << "R[" << k << "]";
     }
     for (std::size_t i = 0; i < rows.size(); ++i) {
       try {
@@ -790,10 +853,11 @@ void fuzz_open_catalog(const CatalogFuzzFixture& fx, const std::string& name,
     check_catalog_mutant(path, mutate_catalog(rng, fx), fx, tally);
     if (::testing::Test::HasFatalFailure()) break;
   }
-  // The loop reaches both sides of the contract and the row-only case.
+  // The loop reaches both sides of the contract, and row-only mutants that
+  // pass the rep-row checks drive find()/witness() over scribbled reps.
   EXPECT_GT(tally.rejected, std::size_t(iterations) / 4);
   EXPECT_GT(tally.opened, 0u);
-  EXPECT_GT(tally.rows_only, 0u);
+  EXPECT_GT(tally.rows_only_opened, 0u);
   std::remove(path.c_str());
 }
 

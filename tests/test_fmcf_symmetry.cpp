@@ -1,11 +1,13 @@
 // Tests for the wire-relabeling symmetry the FMCF closure runs its orbits
 // over (synth/wire_symmetry.h): the detected group, the canonicalizer
-// against a brute-force minimum, and the closure itself against a naive
-// full-row closure with no shards and no symmetry.
+// against a brute-force minimum, and the closure itself — frontiers, G
+// witnesses and implementation lists — against a naive full-row closure
+// with no shards and no symmetry.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -87,8 +89,63 @@ std::vector<std::vector<Labels>> naive_frontiers(
   return frontiers;
 }
 
+/// The row of B[k] at orbit-order index `index`, read back as the
+/// permutation its witness cascade realizes.
+Labels row_behind(const FmcfEnumerator& e, unsigned k, std::size_t index) {
+  const perm::Permutation realized =
+      e.witness_for_row(k, index).to_permutation(e.library().domain());
+  const std::vector<std::uint32_t>& images = realized.images1();
+  Labels row(images.size());
+  for (std::size_t s = 0; s < row.size(); ++s) {
+    row[s] = static_cast<std::uint16_t>(images[s] - 1);
+  }
+  return row;
+}
+
+/// Checks find(), the G witnesses and implementations() of level k against
+/// the naive B[k] (sorted rows): every key of a binary-preserving row is in
+/// pre_G[k]; each G[k] member's frontier_index names the memcmp-least naive
+/// row with its key; and implementations() of every pre_G[k] key lists
+/// exactly the naive rows with that key, in memcmp order.
+void expect_queries_match_naive(const FmcfEnumerator& e, unsigned k,
+                                const std::vector<Labels>& frontier) {
+  const std::size_t binary = e.library().domain().binary_count();
+  std::map<std::vector<std::uint32_t>, std::vector<const Labels*>> by_key;
+  for (const Labels& row : frontier) {
+    std::vector<std::uint32_t> images(binary);
+    bool preserving = true;
+    for (std::size_t s = 0; s < binary && preserving; ++s) {
+      images[s] = row[s] + 1u;
+      preserving = row[s] < binary;
+    }
+    if (preserving) by_key[images].push_back(&row);
+  }
+  ASSERT_EQ(by_key.size(), e.stats()[k - 1].pre_g) << "pre_G[" << k << "]";
+
+  std::size_t members = 0;
+  for (const auto& [images, rows] : by_key) {
+    const perm::Permutation p = perm::Permutation::from_images(images);
+    const auto entry = e.find(p);
+    ASSERT_TRUE(entry.has_value()) << "k = " << k;
+    ASSERT_LE(entry->cost, k);
+    if (entry->cost == k) {
+      ++members;
+      EXPECT_EQ(row_behind(e, k, entry->frontier_index), *rows.front())
+          << "witness of a G[" << k << "] member";
+    }
+    const std::vector<std::size_t> impls = e.implementations(p, k);
+    ASSERT_EQ(impls.size(), rows.size()) << "implementations at k = " << k;
+    for (std::size_t i = 0; i < impls.size(); ++i) {
+      EXPECT_EQ(row_behind(e, k, impls[i]), *rows[i])
+          << "implementation " << i << " at k = " << k;
+    }
+  }
+  EXPECT_EQ(members, e.stats()[k - 1].g_new) << "G[" << k << "]";
+}
+
 /// Runs the closure on 1 thread and on 4 threads / 16 shards and checks
-/// every frontier row against the naive closure.
+/// every frontier row, G witness and implementation list against the naive
+/// closure.
 void expect_matches_naive(const gates::GateLibrary& library,
                           unsigned max_cost) {
   const std::vector<std::vector<Labels>> expected =
@@ -107,7 +164,7 @@ void expect_matches_naive(const gates::GateLibrary& library,
         EXPECT_TRUE(want.empty()) << "B[" << k << "] past saturation";
         continue;
       }
-      const FlatPermStore& got = e.frontier(k);
+      const FlatPermStore got = e.frontier(k);
       ASSERT_EQ(got.size(), want.size())
           << "B[" << k << "], " << threads << " threads";
       for (std::size_t i = 0; i < want.size(); ++i) {
@@ -116,6 +173,8 @@ void expect_matches_naive(const gates::GateLibrary& library,
       }
       if (k > 0) {
         EXPECT_EQ(e.stats()[k - 1].seen, seen) << "A[" << k << "]";
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        expect_queries_match_naive(e, k, want);
       }
     }
   }

@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <string>
@@ -219,6 +222,63 @@ TEST(KernelSetAlgebra, SubtractAndMergeMatchModelAndScalar) {
       simd::merge_sorted_rows(a.data(), a.size() / stride, b.data(),
                               b.size() / stride, stride, out);
       EXPECT_EQ(bytes_of(out), canonical_bytes(united));
+    }
+  }
+}
+
+TEST(KernelSetAlgebra, SubtractMatchesSetDifferenceOnSkewedSizes) {
+  // The galloping skip over b against std::set_difference: a chunk much
+  // shorter than the run it is subtracted from (long b runs between a rows),
+  // the reverse, empty sides, and a == b. Rows share a prefix and draw the
+  // rest from a small alphabet, so comparisons run deep into the row, and a
+  // share of a's rows is drawn from b so the drop branch fires.
+  Rng rng(2112);
+  for (const std::size_t stride : {std::size_t(38), std::size_t(1564)}) {
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {3, 4000}, {40, 4000}, {4000, 3}, {4000, 40}, {0, 500},
+        {500, 0},  {0, 0},     {1, 1},    {700, 700}};
+    for (const auto& [a_rows, b_rows] : shapes) {
+      for (int trial = 0; trial < 3; ++trial) {
+        const std::uint32_t alphabet = 2 + rng.below(6);
+        const std::size_t shared = rng.below(stride / 2);
+        simd::RowBytes b;
+        const Bytes raw_b =
+            rows_with_prefix(rng, b_rows, stride, shared, alphabet);
+        simd::sort_unique_rows(raw_b.data(), b_rows, stride, b);
+        const std::size_t b_count = b.size() / stride;
+        Bytes raw_a = rows_with_prefix(rng, a_rows, stride, shared, alphabet);
+        for (std::size_t i = 0; i < a_rows && b_count > 0; ++i) {
+          if (rng.below(3) != 0) continue;
+          const std::uint8_t* from = b.data() + rng.below(b_count) * stride;
+          std::copy(from, from + stride, raw_a.begin() + i * stride);
+        }
+        simd::RowBytes a;
+        simd::sort_unique_rows(raw_a.data(), a_rows, stride, a);
+        const std::size_t a_count = a.size() / stride;
+
+        const auto rows_of = [stride](const simd::RowBytes& bytes) {
+          std::vector<Row> rows;
+          for (std::size_t at = 0; at < bytes.size(); at += stride) {
+            rows.emplace_back(bytes.data() + at, bytes.data() + at + stride);
+          }
+          return rows;
+        };
+        const std::vector<Row> rows_a = rows_of(a);
+        const std::vector<Row> rows_b = rows_of(b);
+        std::vector<Row> want;
+        std::set_difference(rows_a.begin(), rows_a.end(), rows_b.begin(),
+                            rows_b.end(), std::back_inserter(want));
+
+        simd::RowBytes out;
+        simd::subtract_sorted_rows(a.data(), a_count, b.data(), b_count,
+                                   stride, out);
+        EXPECT_EQ(rows_of(out), want)
+            << "stride " << stride << ", |a| " << a_count << ", |b| "
+            << b_count;
+        simd::subtract_sorted_rows(a.data(), a_count, a.data(), a_count,
+                                   stride, out);
+        EXPECT_TRUE(out.empty()) << "a \\ a, stride " << stride;
+      }
     }
   }
 }
@@ -477,6 +537,90 @@ TEST(ParseEnvSizeT, StrictWholeValueParsing) {
   EXPECT_EQ(parse_env_size_t("QSYN_TEST_PARSE", 1, 100), std::nullopt);
   EXPECT_EQ(parse_env_size_t("QSYN_TEST_PARSE", 0, std::size_t(-1)),
             std::nullopt);
+}
+
+/// The reference reading of `text` in [lo, hi]: strtoull in base 10, taken
+/// only when it consumes the whole string without overflow and the string
+/// starts with a digit (strtoull itself skips spaces and signs).
+std::optional<std::size_t> strtoull_reference(const std::string& text,
+                                              std::size_t lo, std::size_t hi) {
+  if (text.empty() || text[0] < '0' || text[0] > '9') return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (errno == ERANGE || *end != '\0' || value > SIZE_MAX) {
+    return std::nullopt;
+  }
+  const auto v = static_cast<std::size_t>(value);
+  if (v < lo || v > hi) return std::nullopt;
+  return v;
+}
+
+TEST(ParseEnvSizeT, MutantsMatchAStrtoullReference) {
+  // A seeded mutation loop over valid and boundary values: every mutant
+  // must read as nullopt exactly when the reference rejects it, and as the
+  // reference's value otherwise.
+  EnvGuard guard("QSYN_TEST_FUZZ");
+  const std::size_t max = SIZE_MAX;
+  const std::vector<std::string> seeds = {
+      "0", "1", "7", "42", "100", "101", "007", "4096", "65536",
+      std::to_string(max), std::to_string(max - 1),
+      "18446744073709551616", "99999999999999999999", "1844674407370955161",
+      "00000000000000000000018446744073709551615"};
+  const std::string alphabet = "0123456789 +-x\tae.,_9";
+  Rng rng(3301);
+  ::testing::internal::CaptureStderr();  // one warning per name; keep quiet
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int it = 0; it < 20000; ++it) {
+    std::string text = seeds[rng.below(seeds.size())];
+    const std::uint64_t steps = rng.below(4);
+    for (std::uint64_t step = 0; step < steps; ++step) {
+      const char c = alphabet[rng.below(alphabet.size())];
+      const std::size_t at = rng.below(text.size() + 1);
+      switch (rng.below(5)) {
+        case 0:
+          text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), c);
+          break;
+        case 1:
+          if (at < text.size()) text.erase(at, 1);
+          break;
+        case 2:
+          if (at < text.size()) text[at] = c;
+          break;
+        case 3:
+          text += text.substr(0, rng.below(text.size() + 1));
+          break;
+        default:
+          text.insert(0, std::string(rng.below(3), '0'));
+          break;
+      }
+    }
+    const std::size_t bounds[] = {0, 1, 7, 42, 100, 4096, max - 1, max};
+    std::size_t lo = bounds[rng.below(8)];
+    std::size_t hi = bounds[rng.below(8)];
+    if (lo > hi) std::swap(lo, hi);
+    if (const auto near = strtoull_reference(text, 0, max);
+        near.has_value() && rng.below(2) == 0) {
+      // Bounds at the value itself and one off it.
+      lo = *near - (*near > 0 && rng.below(2) == 0 ? 1 : 0);
+      hi = *near + (*near < max && rng.below(2) == 0 ? 1 : 0);
+      if (rng.below(4) == 0) lo = *near + (*near < max ? 1 : 0);
+      if (lo > hi) hi = lo;
+    }
+    ::setenv("QSYN_TEST_FUZZ", text.c_str(), 1);
+    const std::optional<std::size_t> got =
+        parse_env_size_t("QSYN_TEST_FUZZ", lo, hi);
+    const std::optional<std::size_t> want = strtoull_reference(text, lo, hi);
+    ASSERT_EQ(got, want) << "'" << text << "' in [" << lo << ", " << hi
+                         << "]";
+    ++(got.has_value() ? accepted : rejected);
+  }
+  (void)::testing::internal::GetCapturedStderr();
+  reset_env_warnings_for_testing();
+  // Both outcomes are reached often.
+  EXPECT_GT(accepted, 2000u);
+  EXPECT_GT(rejected, 2000u);
 }
 
 TEST(ParseEnvSizeT, MalformedValueWarnsOnce) {
