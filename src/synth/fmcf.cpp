@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <numeric>
 #include <utility>
 
 #include "common/error.h"
@@ -107,11 +108,18 @@ void fan_out(ThreadPool& pool, std::size_t threads, std::size_t round_rows,
 }
 
 // Runs body(i, worker) for every i in [0, count), in blocks of the pool.
+// A pool round waits for every worker to check in, and on a shared host a
+// descheduled worker stalls it: pooling the 490-rep orbit count at n = 5,
+// k = 3 halved its median but raised its p99 from ~1.5 to 6-9 ms. So a
+// block holds at least kMinBlockRows rows, and smaller inputs run inline.
+constexpr std::size_t kMinBlockRows = 1024;
+
 template <typename Body>
 void for_each_row(ThreadPool& pool, std::size_t count, Body&& body) {
   if (count == 0) return;
   const std::size_t block_rows = std::max<std::size_t>(
-      1, std::min<std::size_t>(4096, count / (4 * pool.size()) + 1));
+      kMinBlockRows,
+      std::min<std::size_t>(4096, count / (4 * pool.size()) + 1));
   pool.run((count + block_rows - 1) / block_rows,
            [&](std::size_t block, std::size_t worker) {
              const std::size_t begin = block * block_rows;
@@ -331,11 +339,11 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
   if (shards_ > 1 && seen_reps >= kSeenCutRowsPerShard * shards_ &&
       seen_reps >= 4 * seen_reps_at_cut_ &&
       (seen_.live_shards() == 1 || !seen_.spilled())) {
-    seen_.split_evenly();
+    seen_.split_evenly(pool_.get());
     seen_reps_at_cut_ = seen_reps;
   }
 
-  count_orbits(level);
+  count_orbits(level, pool_.get());
   const std::size_t frontier = level.starts.back();
   if (!options_.track_witnesses) {
     levels_.back() = RepLevel(FlatPermStore(width_));
@@ -355,18 +363,27 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
   return stats_.back();
 }
 
-void FmcfEnumerator::count_orbits(RepLevel& level) const {
-  // Serial: about 100 ns per rep, and on a pool the count measured slower
-  // than on one thread.
+void FmcfEnumerator::count_orbits(RepLevel& level, ThreadPool* pool) const {
+  // About 130 ns per rep at n = 3. On the closure's warm pool the cb = 7
+  // count takes 4-6 ms instead of 11-13 ms serially (4 threads on a 4-CPU
+  // host); a pool spawned only for it, as a catalog open would need,
+  // measured slower.
   const FlatPermStore& reps = level.reps;
   level.starts.assign(reps.size() + 1, 0);
-  std::vector<std::uint16_t> labels(width_);
-  std::vector<std::uint16_t> moved;
-  for (std::size_t i = 0; i < reps.size(); ++i) {
-    decode_row(reps.row(i), width_, label_bytes_, labels.data());
-    level.starts[i + 1] =
-        level.starts[i] + symmetry_.orbit_size(labels.data(), moved);
+  std::vector<OrbitWalk> walks(pool != nullptr ? pool->size() : 1,
+                               OrbitWalk(width_));
+  const auto size_orbit = [&](std::size_t i, std::size_t worker) {
+    OrbitWalk& w = walks[worker];
+    decode_row(reps.row(i), width_, label_bytes_, w.labels.data());
+    level.starts[i + 1] = symmetry_.orbit_size(w.labels.data(), w.orbit.moved);
+  };
+  if (pool != nullptr) {
+    for_each_row(*pool, reps.size(), size_orbit);
+  } else {
+    for (std::size_t i = 0; i < reps.size(); ++i) size_orbit(i, 0);
   }
+  std::partial_sum(level.starts.begin(), level.starts.end(),
+                   level.starts.begin());
 }
 
 std::size_t FmcfEnumerator::binary_rep_count(const FlatPermStore& reps) const {
@@ -415,108 +432,117 @@ bool FmcfEnumerator::orbit_in(const RepLevel& level,
 
 template <typename Visit>
 void FmcfEnumerator::visit_keys(const RepLevel& level, std::size_t i,
-                                std::vector<std::uint16_t>& labels,
-                                std::vector<std::uint32_t>& elements,
-                                Visit&& visit) const {
+                                OrbitWalk& walk, Visit&& visit) const {
   // A relabeling maps binary labels to binary labels, so a conjugate's key
   // is read off its first 2^n labels.
   const std::uint8_t* row = level.reps.row(i);
   if (!row_is_binary_preserving(row)) return;
-  decode_row(row, width_, label_bytes_, labels.data());
-  symmetry_.orbit_elements(labels.data(), elements);
-  for (std::size_t j = 0; j < elements.size(); ++j) {
-    const std::uint32_t e = elements[j];
+  decode_row(row, width_, label_bytes_, walk.labels.data());
+  symmetry_.orbit_elements(walk.labels.data(), walk.elements, walk.orbit);
+  for (std::size_t j = 0; j < walk.elements.size(); ++j) {
+    const std::uint32_t e = walk.elements[j];
     visit(key_of(binary_count_,
                  [&](std::size_t s) {
-                   return symmetry_.conjugate_label(e, labels.data(), s);
+                   return symmetry_.conjugate_label(e, walk.labels.data(), s);
                  }),
           j, e);
   }
 }
 
 std::size_t FmcfEnumerator::extract_g_keys(unsigned k) {
-  // Key every conjugate of every binary-preserving rep, in the pool.
+  // Each key's witness is its memcmp-least row. Every pool task keeps the
+  // least conjugate it has met per key, as the (rep, element) pair that
+  // names it; the tasks' maps then merge the same way. Rows sharing a key
+  // share their first 2^n labels, so two candidates are compared lazily
+  // from label 2^n on, up to the first label that differs. No record is
+  // kept per conjugate: the maps hold one entry per key.
   const RepLevel& level = levels_[k];
-  struct KeyedRow {
-    GKey key;
+  struct Candidate {
     std::size_t index;  // orbit-order index in B[k]
-    bool operator<(const KeyedRow& other) const {
-      return key != other.key ? key < other.key : index < other.index;
+    std::size_t rep;
+    std::uint32_t element;
+  };
+  using BestRows = std::unordered_map<GKey, Candidate, GKeyHash>;
+  const auto offer = [&](BestRows& best, const GKey& key, const Candidate& c) {
+    const auto [it, inserted] = best.try_emplace(key, c);
+    if (inserted) return;
+    const Candidate& held = it->second;
+    const std::uint8_t* row = level.reps.row(c.rep);
+    const std::uint8_t* held_row = level.reps.row(held.rep);
+    for (std::size_t l = binary_count_; l < width_; ++l) {
+      const std::uint16_t label =
+          symmetry_.conjugate_label(c.element, row, label_bytes_, l);
+      const std::uint16_t held_label =
+          symmetry_.conjugate_label(held.element, held_row, label_bytes_, l);
+      if (label != held_label) {
+        if (label < held_label) it->second = c;
+        return;
+      }
     }
   };
-  struct Worker {
-    std::vector<std::uint16_t> labels;
-    std::vector<std::uint32_t> elements;
-    std::vector<KeyedRow> keyed;
+  // One task per worker, task t taking every T-th rep. What each map holds
+  // then does not depend on scheduling, and the reps of one key, which sit
+  // close together in R[k], land in different maps: the merge decides
+  // their witness on every run, not only on some schedules.
+  struct Task {
+    explicit Task(std::size_t width) : walk(width) {}
+    OrbitWalk walk;
+    BestRows best;
   };
-  std::vector<Worker> workers(threads_);
-  for (Worker& w : workers) w.labels.resize(width_);
-  for_each_row(worker_pool(), binary_rep_count(level.reps),
-               [&](std::size_t i, std::size_t worker) {
-                 Worker& w = workers[worker];
-                 visit_keys(level, i, w.labels, w.elements,
-                            [&](const GKey& key, std::size_t j, std::uint32_t) {
-                              w.keyed.push_back({key, level.starts[i] + j});
-                            });
-               });
-  std::vector<KeyedRow> keyed;
-  for (Worker& w : workers) {
-    keyed.insert(keyed.end(), w.keyed.begin(), w.keyed.end());
-    w.keyed = {};
+  const std::size_t reps = binary_rep_count(level.reps);
+  std::vector<Task> tasks(threads_, Task(width_));
+  worker_pool().run(tasks.size(), [&](std::size_t t, std::size_t) {
+    Task& task = tasks[t];
+    for (std::size_t i = t; i < reps; i += tasks.size()) {
+      visit_keys(level, i, task.walk,
+                 [&](const GKey& key, std::size_t j, std::uint32_t e) {
+                   offer(task.best, key, Candidate{level.starts[i] + j, i, e});
+                 });
+    }
+  });
+  BestRows& best = tasks[0].best;
+  for (std::size_t t = 1; t < tasks.size(); ++t) {
+    for (const auto& [key, candidate] : tasks[t].best) {
+      offer(best, key, candidate);
+    }
+  }
+  std::vector<std::pair<GKey, std::size_t>> keyed;  // (key, witness index)
+  keyed.reserve(best.size());
+  for (const auto& [key, candidate] : best) {
+    keyed.emplace_back(key, candidate.index);
   }
   std::sort(keyed.begin(), keyed.end());
 
-  // Each key not seen at a lower cost is new in G[k]; its witness is its
-  // memcmp-least row.
-  std::size_t pre_g = 0;
+  // Each key not seen at a lower cost is new in G[k].
   std::vector<GKey> new_keys;
-  std::vector<std::uint16_t> best(width_);
-  std::vector<std::uint16_t> row(width_);
   auto seen_key = g_seen_keys_.begin();
-  for (std::size_t i = 0; i < keyed.size();) {
-    const GKey& key = keyed[i].key;
-    std::size_t end = i + 1;
-    while (end < keyed.size() && keyed[end].key == key) ++end;
-    ++pre_g;
+  for (const auto& [key, witness] : keyed) {
     seen_key = std::lower_bound(seen_key, g_seen_keys_.end(), key);
-    if (seen_key == g_seen_keys_.end() || *seen_key != key) {
-      std::size_t witness = keyed[i].index;
-      if (end - i > 1) orbit_row(k, witness, best.data());
-      for (std::size_t j = i + 1; j < end; ++j) {
-        orbit_row(k, keyed[j].index, row.data());
-        if (row < best) {
-          best.swap(row);
-          witness = keyed[j].index;
-        }
-      }
-      new_keys.push_back(key);
-      g_index_.emplace(key, GEntry{k, witness});
-    }
-    i = end;
+    if (seen_key != g_seen_keys_.end() && *seen_key == key) continue;
+    new_keys.push_back(key);
+    g_index_.emplace(key, GEntry{k, witness});
   }
   std::vector<GKey> merged_keys;
   merged_keys.reserve(g_seen_keys_.size() + new_keys.size());
   std::merge(g_seen_keys_.begin(), g_seen_keys_.end(), new_keys.begin(),
              new_keys.end(), std::back_inserter(merged_keys));
   g_seen_keys_ = std::move(merged_keys);
-  return pre_g;
+  return keyed.size();
 }
 
 void FmcfEnumerator::orbit_row(unsigned k, std::size_t index,
-                               std::uint16_t* labels) const {
+                               std::uint16_t* labels, OrbitWalk& walk) const {
   const RepLevel& level = levels_[k];
   QSYN_CHECK(!level.starts.empty() && index < level.starts.back(),
              "row index outside the frontier");
   const std::size_t rep = static_cast<std::size_t>(
       std::upper_bound(level.starts.begin(), level.starts.end(), index) -
       level.starts.begin() - 1);
-  std::vector<std::uint16_t> rep_labels(width_);
-  decode_row(level.reps.row(rep), width_, label_bytes_, rep_labels.data());
-  std::vector<std::uint32_t> elements;
-  symmetry_.orbit_elements(rep_labels.data(), elements);
-  const std::uint32_t e = elements[index - level.starts[rep]];
+  decode_row(level.reps.row(rep), width_, label_bytes_, walk.labels.data());
+  symmetry_.orbit_elements(walk.labels.data(), walk.elements, walk.orbit);
+  const std::uint32_t e = walk.elements[index - level.starts[rep]];
   for (std::size_t l = 0; l < width_; ++l) {
-    labels[l] = symmetry_.conjugate_label(e, rep_labels.data(), l);
+    labels[l] = symmetry_.conjugate_label(e, walk.labels.data(), l);
   }
 }
 
@@ -574,12 +600,11 @@ gates::Cascade FmcfEnumerator::witness_for_row(unsigned k,
   // gate index. B[j-1] is a union of orbits, so prev is in it exactly when
   // its canonical row is in R[j-1].
   std::vector<gates::Gate> sequence;
+  OrbitWalk walk(width_);
   std::vector<std::uint16_t> current(width_);
-  orbit_row(k, row_index, current.data());
+  orbit_row(k, row_index, current.data(), walk);
   const std::size_t gate_count = gate_inv_tables_.size();
   std::vector<std::uint16_t> prev(width_);
-  std::vector<std::uint16_t> rep(width_);
-  std::vector<std::uint16_t> moved;
 
   const auto candidate_ok = [&](unsigned j, std::size_t g) {
     const std::uint16_t* inv = gate_inv_tables_[g].data();
@@ -588,7 +613,8 @@ gates::Cascade FmcfEnumerator::witness_for_row(unsigned k,
         (banned_mask(prev.data()) & gate_class_bits_[g]) != 0) {
       return false;
     }
-    return orbit_in(levels_[j - 1], prev.data(), rep, moved);
+    return orbit_in(levels_[j - 1], prev.data(), walk.labels,
+                    walk.orbit.moved);
   };
 
   for (unsigned j = k; j >= 1; --j) {
@@ -610,16 +636,15 @@ std::vector<std::size_t> FmcfEnumerator::implementations(
   const GKey target = key_of_restricted(restricted, binary_count_);
   const RepLevel& level = levels_[k];
   std::vector<std::pair<std::vector<std::uint16_t>, std::size_t>> rows;
-  std::vector<std::uint16_t> labels(width_);
-  std::vector<std::uint32_t> elements;
+  OrbitWalk walk(width_);
   const std::size_t binary_reps = binary_rep_count(level.reps);
   for (std::size_t i = 0; i < binary_reps; ++i) {
-    visit_keys(level, i, labels, elements,
+    visit_keys(level, i, walk,
                [&](const GKey& key, std::size_t j, std::uint32_t e) {
                  if (key != target) return;
                  std::vector<std::uint16_t> row(width_);
                  for (std::size_t l = 0; l < width_; ++l) {
-                   row[l] = symmetry_.conjugate_label(e, labels.data(), l);
+                   row[l] = symmetry_.conjugate_label(e, walk.labels.data(), l);
                  }
                  rows.emplace_back(std::move(row), level.starts[i] + j);
                });
@@ -639,14 +664,13 @@ const FlatPermStore& FmcfEnumerator::reps(unsigned k) const {
 FlatPermStore FmcfEnumerator::frontier(unsigned k) const {
   const FlatPermStore& level = reps(k);
   simd::RowBytes rows;
-  std::vector<std::uint16_t> labels(width_);
-  std::vector<std::uint32_t> elements;
+  OrbitWalk walk(width_);
   std::vector<std::uint8_t> bytes(stride_);
   for (std::size_t i = 0; i < level.size(); ++i) {
-    decode_row(level.row(i), width_, label_bytes_, labels.data());
-    symmetry_.orbit_elements(labels.data(), elements);
-    for (const std::uint32_t e : elements) {
-      symmetry_.conjugate(e, labels.data(), label_bytes_, bytes.data());
+    decode_row(level.row(i), width_, label_bytes_, walk.labels.data());
+    symmetry_.orbit_elements(walk.labels.data(), walk.elements, walk.orbit);
+    for (const std::uint32_t e : walk.elements) {
+      symmetry_.conjugate(e, walk.labels.data(), label_bytes_, bytes.data());
       rows.append(bytes.data(), stride_);
     }
   }

@@ -24,16 +24,21 @@
 //      allow, each product canonicalized, sort_unique'd per shard and
 //      subtracted against the seen set, which holds the reps of A[k-1] and
 //      nothing else. What is left is R[k], drained memcmp-sorted.
-//   2. Orbit count: each rep's orbit size, prefix-summed. The sum is
-//      |B[k]|, and |A[k]| is the sum of the frontier sizes, so seen_count()
-//      reads it from the stats.
+//   2. Orbit count: each rep's orbit size, counted in the pool on levels
+//      of 1024 reps or more, then prefix-summed. The sum is |B[k]|, and |A[k]| is the sum of the
+//      frontier sizes, so seen_count() reads it from the stats.
 //   3. G keys: a relabeling permutes the binary labels, so binary
 //      preservation holds for a whole orbit or for none of it, and pre_G[k]
 //      is the set of distinct keys over the conjugates of the
 //      binary-preserving reps. R[k] is sorted, so those reps all sit before
 //      the first rep whose first label is >= 2^n. The witness of a key is
 //      the memcmp-least conjugate with that key: the lowest row of the
-//      sorted B[k].
+//      sorted B[k]. One pool task per worker keys the conjugates of every
+//      T-th rep into a hash map that keeps, per key, the least conjugate
+//      met so far as a (rep, relabeling) pair. Rows with one key share
+//      their first 2^n labels, so a collision compares the two rows lazily
+//      from label 2^n on. The tasks' maps merge the same way, and only the
+//      distinct keys are sorted.
 // A row of B[k] is named by its index in *orbit order*: reps in memcmp
 // order, and each rep's conjugates in WireSymmetry::orbit_elements order.
 // The prefix sums map an index to (rep, conjugate) by binary search.
@@ -283,23 +288,34 @@ class FmcfEnumerator {
     mutable std::vector<std::uint64_t> hashes;
     mutable std::vector<std::size_t> slots;
   };
-  /// Sets `level.starts` from its reps' orbit sizes.
-  void count_orbits(RepLevel& level) const;
+  /// Buffers of one orbit walk (visit_keys, orbit_row, count_orbits,
+  /// frontier(), the back-walk), reused across rows so that a warm walk
+  /// allocates nothing.
+  struct OrbitWalk {
+    explicit OrbitWalk(std::size_t width) : labels(width) {}
+    std::vector<std::uint16_t> labels;    // a decoded row
+    std::vector<std::uint32_t> elements;  // its orbit's elements
+    WireSymmetry::OrbitScratch orbit;
+  };
+  /// Sets `level.starts` from its reps' orbit sizes: in a round of `pool`
+  /// when one is given and the level is large enough, else inline, then
+  /// one serial prefix sum.
+  void count_orbits(RepLevel& level, ThreadPool* pool = nullptr) const;
   /// Registers the G keys of the newest level (cost k); returns |pre_G[k]|
   /// and appends the new keys' entries.
   std::size_t extract_g_keys(unsigned k);
   /// The row of B[k] at orbit-order index `index`, as 0-based labels.
-  void orbit_row(unsigned k, std::size_t index, std::uint16_t* labels) const;
+  void orbit_row(unsigned k, std::size_t index, std::uint16_t* labels,
+                 OrbitWalk& walk) const;
   /// Reps of R[k] whose first label is binary: the only candidates for
   /// binary preservation.
   [[nodiscard]] std::size_t binary_rep_count(const FlatPermStore& reps) const;
-  /// When rep i of `level` is binary-preserving, decodes it into `labels`
-  /// and calls visit(key, j, e) for each of its conjugates in orbit order
-  /// (the j-th, by element e). `elements` is scratch.
+  /// When rep i of `level` is binary-preserving, decodes it into
+  /// `walk.labels` and calls visit(key, j, e) for each of its conjugates in
+  /// orbit order (the j-th, by element e).
   template <typename Visit>
-  void visit_keys(const RepLevel& level, std::size_t i,
-                  std::vector<std::uint16_t>& labels,
-                  std::vector<std::uint32_t>& elements, Visit&& visit) const;
+  void visit_keys(const RepLevel& level, std::size_t i, OrbitWalk& walk,
+                  Visit&& visit) const;
   /// True when the orbit of `labels` is one of `level`'s: some rep with
   /// its orbit hash is conjugate to it. `rep` and `moved` are scratch.
   [[nodiscard]] bool orbit_in(const RepLevel& level,

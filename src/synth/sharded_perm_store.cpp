@@ -106,9 +106,9 @@ void ShardedPermStore::split(FlatPermStore splitters) {
   load(rows);
 }
 
-void ShardedPermStore::split_evenly() {
+void ShardedPermStore::split_evenly(ThreadPool* pool) {
   QSYN_CHECK(size() >= shard_count(), "split_evenly needs a row per shard");
-  const FlatPermStore rows = drain_sorted();
+  const FlatPermStore rows = drain_sorted(pool);
   splitters_ = splitters_from(rows, shard_count());
   load(rows);
 }

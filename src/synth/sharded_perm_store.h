@@ -108,8 +108,9 @@ class ShardedPermStore {
   /// Cuts the store at its own rows of evenly spaced rank
   /// (splitters_from(rows, shard_count())), so every shard ends up with the
   /// same number of rows give or take one, moving the rows as split() does.
-  /// Needs at least shard_count() rows.
-  void split_evenly();
+  /// Needs at least shard_count() rows. The rows are drained through
+  /// drain_sorted(pool), so a `pool` spreads that copy over its workers.
+  void split_evenly(ThreadPool* pool = nullptr);
 
   /// The splitter rows (empty while unsplit).
   [[nodiscard]] const FlatPermStore& splitters() const { return splitters_; }

@@ -256,13 +256,14 @@ std::size_t WireSymmetry::orbit_size(const std::uint16_t* row,
 }
 
 void WireSymmetry::orbit_elements(const std::uint16_t* row,
-                                  std::vector<std::uint32_t>& elements) const {
+                                  std::vector<std::uint32_t>& elements,
+                                  OrbitScratch& scratch) const {
   const std::size_t n = order();
-  std::vector<std::uint16_t> moved;
-  moved_labels(row, moved);
-  std::vector<std::uint32_t> stabilizer;
+  moved_labels(row, scratch.moved);
+  std::vector<std::uint32_t>& stabilizer = scratch.stabilizer;
+  stabilizer.clear();
   for (std::size_t e = 0; e < n; ++e) {
-    if (maps(e, row, row, moved)) {
+    if (maps(e, row, row, scratch.moved)) {
       stabilizer.push_back(static_cast<std::uint32_t>(e));
     }
   }
@@ -274,7 +275,8 @@ void WireSymmetry::orbit_elements(const std::uint16_t* row,
   }
   // conj(e ∘ s) = conj(e) for s in the stabilizer: keep the first element
   // of each coset e ∘ Stab.
-  std::vector<char> covered(n, 0);
+  std::vector<char>& covered = scratch.covered;
+  covered.assign(n, 0);
   for (std::size_t e = 0; e < n; ++e) {
     if (covered[e] != 0) continue;
     elements.push_back(static_cast<std::uint32_t>(e));

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "gates/library.h"
+#include "synth/flat_perm_store.h"
 
 namespace qsyn::synth {
 
@@ -84,11 +85,31 @@ class WireSymmetry {
     return h;
   }
 
+  /// Label `l` of π_e ∘ row ∘ π_e^-1 for a row in FlatPermStore's encoding
+  /// with `label_bytes` bytes per label, read without decoding the row.
+  [[nodiscard]] std::uint16_t conjugate_label(std::size_t e,
+                                              const std::uint8_t* row,
+                                              std::size_t label_bytes,
+                                              std::size_t l) const {
+    const std::size_t base = e * width_;
+    const std::uint32_t label =
+        FlatPermStore::read_label(row, inverse_[base + l], label_bytes);
+    return forward_[base + label];
+  }
+
+  /// Buffers orbit_elements() reuses, so a warm walk allocates nothing.
+  struct OrbitScratch {
+    std::vector<std::uint16_t> moved;
+    std::vector<std::uint32_t> stabilizer;
+    std::vector<char> covered;
+  };
+
   /// Replaces `elements` with one element per distinct conjugate of `row`:
   /// a left coset representative of row's stabilizer each, so the
   /// conjugates they yield are the orbit of `row`, each row once.
   void orbit_elements(const std::uint16_t* row,
-                      std::vector<std::uint32_t>& elements) const;
+                      std::vector<std::uint32_t>& elements,
+                      OrbitScratch& scratch) const;
 
   /// Writes the memcmp-least (label-lexicographically least) conjugate of
   /// `row` to `out`, encoded as by conjugate(). Refines lazily in label

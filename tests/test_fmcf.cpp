@@ -325,6 +325,23 @@ TEST_F(Fmcf3, GKeyWitnessesMatchRowScanOracle) {
   expect_g_witnesses_match_row_scan(shared());
 }
 
+TEST(FmcfGKeyOracle, WorkerMapsMergeToTheLeastRowAtAnyThreadCount) {
+  // Each pool task keeps the least row per key over every T-th rep, and the
+  // maps merge after the round, so the merge picks the witness of every key
+  // whose rows span neighbouring reps. The default thread count is the
+  // host's, which may be 1 (no merge), so this runs at explicit counts.
+  const gates::GateLibrary library = gates::GateLibrary::standard(3);
+  for (const std::size_t threads : {1u, 3u, 4u}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    ClosureConfig config;
+    config.threads = threads;
+    FmcfEnumerator e(library, config);
+    e.run_to(7);
+    ASSERT_EQ(e.threads(), threads);
+    expect_g_witnesses_match_row_scan(e);
+  }
+}
+
 TEST(FmcfGKeyOracle, FourWiresToK4) {
   const gates::GateLibrary library = gates::GateLibrary::standard(4);
   FmcfEnumerator e(library);

@@ -256,6 +256,7 @@ void expect_canonical_rows_are_least_conjugates(std::size_t wires,
   std::vector<std::uint8_t> bytes(stride);
   std::vector<std::uint8_t> canonical(stride);
   std::vector<std::uint32_t> scratch;
+  WireSymmetry::OrbitScratch orbit_scratch;
   std::size_t canonical_rows = 0;
   for (std::size_t i = 0; i < frontier.size(); ++i) {
     const Labels row = labels_of(frontier, i);
@@ -267,7 +268,7 @@ void expect_canonical_rows_are_least_conjugates(std::size_t wires,
     symmetry.canonicalize(row.data(), label_bytes, canonical.data(), scratch);
     ASSERT_EQ(canonical, *conjugates.begin()) << "row " << i;
 
-    symmetry.orbit_elements(row.data(), scratch);
+    symmetry.orbit_elements(row.data(), scratch, orbit_scratch);
     std::set<std::vector<std::uint8_t>> orbit;
     for (const std::uint32_t g : scratch) {
       symmetry.conjugate(g, row.data(), label_bytes, bytes.data());
