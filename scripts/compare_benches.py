@@ -1,25 +1,21 @@
 #!/usr/bin/env python3
 """Compares two aggregated bench baselines (BENCH_*.json).
 
-Usage: scripts/compare_benches.py [--filter REGEX ...] OLD NEW
+Usage: scripts/compare_benches.py OLD NEW
 
 OLD and NEW are files written by scripts/run_benches.sh. For every
 google-benchmark row present in both, keyed by bench binary and row name,
 the script prints both real times and the ratio NEW / OLD (below 1 means NEW
 is faster), each time converted to the row's own unit of OLD. Rows only one
-file has are counted, not compared. With --filter, only rows whose name
-matches one of the regular expressions (re.search) are printed.
+file has are counted, not compared.
 
-The files must record the same CPU count: the top-level "num_cpus", or,
-in files from before it existed, the one count every bench context agrees
-on. Thread-axis rows from hosts with different counts are not comparable, so
+The files must record the same top-level "num_cpus". Thread-axis rows from hosts with different counts are not comparable, so
 the script refuses them. Exit status: 0 after printing, 2 on unreadable or
 malformed input or differing CPU counts.
 """
 
 import argparse
 import json
-import re
 import sys
 
 SCHEMA = "qsyn-bench-baseline-v1"
@@ -44,14 +40,10 @@ def load(path):
         raise BenchFileError(f"{path}: 'benches' is not an object")
 
     rows = {}
-    context_cpus = set()
     for bench, report in benches.items():
         if not isinstance(report, dict) or not isinstance(
                 report.get("benchmarks"), list):
             raise BenchFileError(f"{path}: {bench} has no 'benchmarks' list")
-        context = report.get("context", {})
-        if isinstance(context, dict) and "num_cpus" in context:
-            context_cpus.add(context["num_cpus"])
         for row in report["benchmarks"]:
             if not isinstance(row, dict):
                 raise BenchFileError(f"{path}: {bench} has a non-object row")
@@ -69,8 +61,6 @@ def load(path):
             rows[(bench, name)] = (time * NS_PER_UNIT[unit], unit)
 
     cpus = data.get("num_cpus")
-    if cpus is None and len(context_cpus) == 1:
-        cpus = context_cpus.pop()
     if isinstance(cpus, bool) or not isinstance(cpus, int) or cpus < 1:
         raise BenchFileError(f"{path}: no CPU count recorded")
     return cpus, rows
@@ -82,15 +72,7 @@ def main(argv):
         "two BENCH_*.json baselines share.")
     parser.add_argument("old")
     parser.add_argument("new")
-    parser.add_argument("--filter", action="append", default=[],
-                        metavar="REGEX",
-                        help="only rows whose name matches (repeatable)")
     args = parser.parse_args(argv)
-    try:
-        patterns = [re.compile(p) for p in args.filter]
-    except re.error as err:
-        print(f"error: bad --filter: {err}", file=sys.stderr)
-        return 2
 
     try:
         old_cpus, old_rows = load(args.old)
@@ -104,20 +86,18 @@ def main(argv):
         return 2
 
     shared = [key for key in old_rows if key in new_rows]
-    shown = [key for key in shared
-             if not patterns or any(p.search(key[1]) for p in patterns)]
     print(f"# {args.old} -> {args.new} ({old_cpus} CPUs); ratio = new / old")
-    width = max([len(name) for _, name in shown] + [4])
+    width = max([len(name) for _, name in shared] + [4])
     print(f"{'bench':<20} {'row':<{width}} {'old':>12} {'new':>12} "
           f"{'ratio':>7}")
-    for bench, name in sorted(shown):
+    for bench, name in sorted(shared):
         old_ns, unit = old_rows[(bench, name)]
         new_ns, _ = new_rows[(bench, name)]
         scale = NS_PER_UNIT[unit]
         ratio = f"{new_ns / old_ns:7.3f}" if old_ns > 0 else "    n/a"
         print(f"{bench:<20} {name:<{width}} {old_ns / scale:>9.3f} {unit:<2} "
               f"{new_ns / scale:>9.3f} {unit:<2} {ratio}")
-    print(f"# {len(shown)} of {len(shared)} shared rows shown; "
+    print(f"# {len(shared)} shared rows; "
           f"{len(old_rows) - len(shared)} only in old, "
           f"{len(new_rows) - len(shared)} only in new")
     return 0

@@ -56,13 +56,6 @@ class CompareBenchesTest(unittest.TestCase):
         self.assertEqual(lines["bm_b"][-1], "3.000")
         self.assertIn("1 only in old, 1 only in new", result.stdout)
 
-    def test_filter_selects_rows(self):
-        old = self.write("old.json", baseline([row("bm_a", 1), row("bm_b", 1)]))
-        result = self.run_script("--filter", "^bm_b$", old, old)
-        self.assertEqual(result.returncode, 0, result.stderr)
-        self.assertNotIn("bm_a", result.stdout)
-        self.assertIn("bm_b", result.stdout)
-
     def test_refuses_differing_cpu_counts(self):
         old = self.write("old.json", baseline([row("bm_a", 1)], num_cpus=1))
         new = self.write("new.json", baseline([row("bm_a", 1)], num_cpus=4))

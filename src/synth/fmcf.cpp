@@ -483,14 +483,16 @@ std::size_t FmcfEnumerator::extract_g_keys(unsigned k) {
   // One task per worker, task t taking every T-th rep. What each map holds
   // then does not depend on scheduling, and the reps of one key, which sit
   // close together in R[k], land in different maps: the merge decides
-  // their witness on every run, not only on some schedules.
+  // their witness on every run, not only on some schedules. A level of
+  // fewer than kMinBlockRows reps runs as one task on the caller, for the
+  // reason for_each_row gives.
   struct Task {
     explicit Task(std::size_t width) : walk(width) {}
     OrbitWalk walk;
     BestRows best;
   };
   const std::size_t reps = binary_rep_count(level.reps);
-  std::vector<Task> tasks(threads_, Task(width_));
+  std::vector<Task> tasks(reps < kMinBlockRows ? 1 : threads_, Task(width_));
   worker_pool().run(tasks.size(), [&](std::size_t t, std::size_t) {
     Task& task = tasks[t];
     for (std::size_t i = t; i < reps; i += tasks.size()) {

@@ -25,20 +25,22 @@
 //      subtracted against the seen set, which holds the reps of A[k-1] and
 //      nothing else. What is left is R[k], drained memcmp-sorted.
 //   2. Orbit count: each rep's orbit size, counted in the pool on levels
-//      of 1024 reps or more, then prefix-summed. The sum is |B[k]|, and |A[k]| is the sum of the
-//      frontier sizes, so seen_count() reads it from the stats.
+//      of 1024 reps or more, then prefix-summed. The sum is |B[k]|, and
+//      |A[k]| is the sum of the frontier sizes, so seen_count() reads it
+//      from the stats.
 //   3. G keys: a relabeling permutes the binary labels, so binary
 //      preservation holds for a whole orbit or for none of it, and pre_G[k]
 //      is the set of distinct keys over the conjugates of the
 //      binary-preserving reps. R[k] is sorted, so those reps all sit before
 //      the first rep whose first label is >= 2^n. The witness of a key is
 //      the memcmp-least conjugate with that key: the lowest row of the
-//      sorted B[k]. One pool task per worker keys the conjugates of every
-//      T-th rep into a hash map that keeps, per key, the least conjugate
-//      met so far as a (rep, relabeling) pair. Rows with one key share
-//      their first 2^n labels, so a collision compares the two rows lazily
-//      from label 2^n on. The tasks' maps merge the same way, and only the
-//      distinct keys are sorted.
+//      sorted B[k]. One pool task per worker (one task in all below 1024
+//      reps) keys the conjugates of every T-th rep into a hash map that
+//      keeps, per key, the least conjugate met so far as a (rep,
+//      relabeling) pair. Rows with one key share their first 2^n labels,
+//      so a collision compares the two rows lazily from label 2^n on. The
+//      tasks' maps merge the same way, and only the distinct keys are
+//      sorted.
 // A row of B[k] is named by its index in *orbit order*: reps in memcmp
 // order, and each rep's conjugates in WireSymmetry::orbit_elements order.
 // The prefix sums map an index to (rep, conjugate) by binary search.
