@@ -217,7 +217,8 @@ void ablation_binary_control() {
       "  gates outside this paper's {CV, CV+, CNOT} library; over the "
       "paper's own library the\n  minimum is %u %s the binary-control "
       "constraint (constrained exact minimum: %s).\n",
-      best, best == (constrained ? *constrained : 0) ? "even without" : "without",
+      best,
+      best == (constrained ? *constrained : 0) ? "even without" : "without",
       constrained ? std::to_string(*constrained).c_str() : ">7");
 }
 

@@ -38,8 +38,9 @@ void regenerate() {
       synth::group_with_not_and_feynman(synth::peres_perm());
   bench::compare_row("|M| = |<Peres, NOT, Feynman>|", 40320,
                      static_cast<long long>(m.order()));
-  bench::compare_row("|S8|", 40320,
-                     static_cast<long long>(perm::PermGroup::symmetric(8).order()));
+  bench::compare_row(
+      "|S8|", 40320,
+      static_cast<long long>(perm::PermGroup::symmetric(8).order()));
 
   std::vector<perm::Permutation> not_layers;
   for (const auto& layer : synth::not_layer_cascades(3)) {

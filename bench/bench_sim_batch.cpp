@@ -2,11 +2,12 @@
 // sim/batch.h) on the soundness-sweep serving workload — cross-checking a
 // catalog of circuits against the multi-valued model, many circuits per
 // call. The artifact section proves the fast path agrees with the
-// gate-at-a-time reference on every catalog member; the micro-timings
-// measure the cross-check sweep at fuse_block 0 (reference) vs fused block
-// sizes and thread counts, plus raw batch-evaluation throughput. Run via
-// scripts/run_benches.sh to land the timings in BENCH_pr<N>.json and diff
-// the fused rows against the unfused baseline.
+// gate-at-a-time oracle (sim::mv_model_matches_hilbert_reference) on every
+// catalog member; the micro-timings measure the cross-check sweep through
+// the oracle vs fused block sizes and thread counts, plus raw
+// batch-evaluation throughput. Run via scripts/run_benches.sh to land the
+// timings in BENCH_pr<N>.json and diff the fused rows against the oracle
+// row.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -83,12 +84,11 @@ void regenerate_artifact() {
   const mvl::PatternDomain domain = mvl::PatternDomain::reduced(3);
   const auto pointers = catalog_pointers();
 
-  sim::SimOptions reference_options;
-  reference_options.fuse_block = 0;
-  reference_options.threads = 1;
-  sim::BatchSimulator reference(reference_options);
-  const std::vector<char> expected =
-      sim::mv_model_matches_hilbert_batch(pointers, domain, 1e-9, reference);
+  std::vector<char> expected;
+  for (const gates::Cascade* c : pointers) {
+    expected.push_back(
+        sim::mv_model_matches_hilbert_reference(*c, domain, 1e-9) ? 1 : 0);
+  }
   long long reference_pass = 0;
   for (const char ok : expected) reference_pass += ok;
 
@@ -101,8 +101,7 @@ void regenerate_artifact() {
     options.fuse_block = fuse;
     options.threads = 1;
     sim::BatchSimulator fused(options);
-    const std::vector<char> got =
-        sim::mv_model_matches_hilbert_batch(pointers, domain, 1e-9, fused);
+    const std::vector<char> got = fused.check_mv_model(pointers, domain, 1e-9);
     long long agree = 0;
     for (std::size_t i = 0; i < got.size(); ++i) agree += got[i] == expected[i];
     bench::compare_row(
@@ -143,8 +142,22 @@ void regenerate_artifact() {
                      "exact dyadic arithmetic");
 }
 
-/// One full soundness sweep over the catalog. fuse_block = 0 is the
-/// gate-at-a-time unfused baseline the other rows are diffed against.
+/// One full soundness sweep over the catalog through the gate-at-a-time
+/// oracle: the unfused baseline the fused rows are diffed against.
+void bm_cross_check_sweep_reference(benchmark::State& state) {
+  const mvl::PatternDomain domain = mvl::PatternDomain::reduced(3);
+  const auto pointers = catalog_pointers();
+  for (auto _ : state) {
+    for (const gates::Cascade* c : pointers) {
+      benchmark::DoNotOptimize(
+          sim::mv_model_matches_hilbert_reference(*c, domain, 1e-9));
+    }
+  }
+  state.counters["circuits"] = static_cast<double>(pointers.size());
+}
+BENCHMARK(bm_cross_check_sweep_reference)->Unit(benchmark::kMillisecond);
+
+/// The same sweep through the fused engine, per fuse_block.
 void bm_cross_check_sweep(benchmark::State& state) {
   const mvl::PatternDomain domain = mvl::PatternDomain::reduced(3);
   const auto pointers = catalog_pointers();
@@ -153,16 +166,13 @@ void bm_cross_check_sweep(benchmark::State& state) {
   options.threads = 1;
   sim::BatchSimulator sim(options);
   // Warm the block cache: steady-state serving re-checks a known catalog.
-  benchmark::DoNotOptimize(
-      sim::mv_model_matches_hilbert_batch(pointers, domain, 1e-9, sim));
+  benchmark::DoNotOptimize(sim.check_mv_model(pointers, domain, 1e-9));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sim::mv_model_matches_hilbert_batch(pointers, domain, 1e-9, sim));
+    benchmark::DoNotOptimize(sim.check_mv_model(pointers, domain, 1e-9));
   }
   state.counters["circuits"] = static_cast<double>(pointers.size());
 }
 BENCHMARK(bm_cross_check_sweep)
-    ->Arg(0)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
@@ -177,11 +187,9 @@ void bm_cross_check_sweep_threads(benchmark::State& state) {
   options.fuse_block = 4;
   options.threads = static_cast<std::size_t>(state.range(0));
   sim::BatchSimulator sim(options);
-  benchmark::DoNotOptimize(
-      sim::mv_model_matches_hilbert_batch(pointers, domain, 1e-9, sim));
+  benchmark::DoNotOptimize(sim.check_mv_model(pointers, domain, 1e-9));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sim::mv_model_matches_hilbert_batch(pointers, domain, 1e-9, sim));
+    benchmark::DoNotOptimize(sim.check_mv_model(pointers, domain, 1e-9));
   }
 }
 BENCHMARK(bm_cross_check_sweep_threads)
@@ -210,10 +218,7 @@ void bm_batch_throughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(jobs.size()));
 }
-BENCHMARK(bm_batch_throughput)
-    ->Arg(0)
-    ->Arg(16)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_batch_throughput)->Arg(16)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

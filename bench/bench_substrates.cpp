@@ -87,7 +87,9 @@ void bm_flat_store_sort_unique(benchmark::State& state) {
     synth::FlatPermStore store(38);
     std::vector<std::uint8_t> row(38);
     for (std::size_t i = 0; i < rows; ++i) {
-      for (std::size_t s = 0; s < 38; ++s) row[s] = static_cast<std::uint8_t>(s);
+      for (std::size_t s = 0; s < 38; ++s) {
+        row[s] = static_cast<std::uint8_t>(s);
+      }
       // Random transpositions produce distinct-ish permutations.
       for (int t = 0; t < 4; ++t) {
         std::swap(row[rng.below(38)], row[rng.below(38)]);
@@ -99,7 +101,10 @@ void bm_flat_store_sort_unique(benchmark::State& state) {
     benchmark::DoNotOptimize(store.size());
   }
 }
-BENCHMARK(bm_flat_store_sort_unique)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_flat_store_sort_unique)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 void bm_sim_cascade_3q(benchmark::State& state) {
   const gates::Cascade toffoli = synth::toffoli_cascades_fig9().front();

@@ -18,10 +18,10 @@
 #
 # The bench_* glob below picks up every registered bench, including
 # bench_sim_batch (the fused/batched simulation engine): its
-# bm_cross_check_sweep/0 row is the unfused gate-at-a-time baseline and the
-# other fuse_block rows are the speedup evidence — compare them when
-# reporting a PR's perf delta. QSYN_SIM_FUSE / QSYN_THREADS tune the
-# engine's defaults but the bench pins its own knobs per row.
+# bm_cross_check_sweep_reference row is the gate-at-a-time oracle and the
+# bm_cross_check_sweep/<fuse_block> rows are the speedup evidence — compare
+# them when reporting a PR's perf delta. QSYN_THREADS tunes the engine's
+# default thread count, but the bench pins its own knobs per row.
 #
 # bench_domain_growth carries the out-of-core closure rows
 # (bm_closure_outofcore/n:5/threads:{1,2,4}): the 5-wire closure to k=3 under

@@ -5,7 +5,7 @@
 #include "la/lu.h"
 #include "la/vector.h"
 #include "mvl/pattern.h"
-#include "sim/batch.h"
+#include "sim/state_vector.h"
 
 namespace qsyn::automata {
 
@@ -22,29 +22,21 @@ void QuantumAutomaton::reset(std::uint32_t state) {
 }
 
 void QuantumAutomaton::set_measurement_backend(MeasurementBackend backend) {
-  set_measurement_backend(backend, sim::SimOptions::from_env());
-}
-
-void QuantumAutomaton::set_measurement_backend(
-    MeasurementBackend backend, const sim::SimOptions& options) {
   backend_ = backend;
   if (backend_ == MeasurementBackend::kHilbert) {
-    sim_ = std::make_shared<sim::BatchSimulator>(options);
+    // A transient cache still shares equal blocks within the circuit; the
+    // fold keeps its blocks after the cache is gone.
+    sim::UnitaryCache cache;
+    fused_.emplace(circuit_, sim::kDefaultFuseBlock, cache);
   } else {
-    sim_.reset();
+    fused_.reset();
   }
 }
 
 std::vector<double> QuantumAutomaton::joint_distribution(
     std::uint32_t word) const {
   if (backend_ == MeasurementBackend::kHilbert) {
-    const std::vector<la::Vector> out =
-        sim_->run({sim::SimJob{&circuit_, word}});
-    std::vector<double> probs(out[0].size());
-    for (std::size_t i = 0; i < probs.size(); ++i) {
-      probs[i] = std::norm(out[0][i]);
-    }
-    return probs;
+    return fused_->apply_to_basis(word).distribution();
   }
   const mvl::Pattern output =
       circuit_.apply(mvl::Pattern::from_binary(circuit_.wires(), word));
@@ -80,30 +72,22 @@ la::Matrix QuantumAutomaton::transition_matrix(
     std::uint32_t input_bits) const {
   QSYN_CHECK(input_bits < (1u << input_wires()), "input out of range");
   const std::size_t n = state_count();
-  la::Matrix t(n, n);
-  if (backend_ == MeasurementBackend::kHilbert) {
-    // One batched call: every current state's cycle is an independent job,
-    // fanned out across the engine's worker pool.
-    std::vector<sim::SimJob> jobs(n);
-    for (std::uint32_t current = 0; current < n; ++current) {
-      jobs[current] = sim::SimJob{
-          &circuit_, (current << input_wires()) | input_bits};
-    }
-    const std::vector<la::Vector> outputs = sim_->run(jobs);
-    for (std::uint32_t current = 0; current < n; ++current) {
-      for (std::size_t word = 0; word < outputs[current].size(); ++word) {
-        const std::uint32_t next =
-            static_cast<std::uint32_t>(word) >> input_wires();
-        t(next, current) += std::norm(outputs[current][word]);
-      }
-    }
-    return t;
-  }
+  std::vector<std::uint32_t> words(n);
   for (std::uint32_t current = 0; current < n; ++current) {
-    const std::vector<double> joint = output_distribution(current, input_bits);
+    words[current] = (current << input_wires()) | input_bits;
+  }
+  // Under kHilbert the whole column set is one batched evaluation.
+  std::vector<sim::StateVector> outputs;
+  if (backend_ == MeasurementBackend::kHilbert) {
+    outputs = fused_->apply_to_basis_columns(words);
+  }
+  la::Matrix t(n, n);
+  for (std::uint32_t current = 0; current < n; ++current) {
+    const std::vector<double> joint = outputs.empty()
+                                          ? joint_distribution(words[current])
+                                          : outputs[current].distribution();
     for (std::uint32_t word = 0; word < joint.size(); ++word) {
-      const std::uint32_t next = word >> input_wires();
-      t(next, current) += joint[word];
+      t(word >> input_wires(), current) += joint[word];
     }
   }
   return t;

@@ -14,17 +14,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "gates/cascade.h"
 #include "la/matrix.h"
-
-namespace qsyn::sim {
-class BatchSimulator;
-struct SimOptions;
-}  // namespace qsyn::sim
+#include "sim/fused.h"
 
 namespace qsyn::automata {
 
@@ -35,8 +31,8 @@ enum class MeasurementBackend : std::uint8_t {
   /// factorize the measurement per wire. Exact for reasonable cascades —
   /// the reference backend.
   kMultiValued,
-  /// Full Hilbert-space simulation through the fused/batched engine
-  /// (sim/batch.h): |amplitude|^2 of the simulated output state. Agrees
+  /// Full Hilbert-space simulation through the fused engine
+  /// (sim/fused.h): |amplitude|^2 of the simulated output state. Agrees
   /// with kMultiValued on reasonable cascades and stays correct on
   /// arbitrary circuits beyond the paper's reasonability constraint.
   kHilbert,
@@ -64,12 +60,10 @@ class QuantumAutomaton {
   [[nodiscard]] std::uint32_t state() const { return state_; }
   void reset(std::uint32_t state = 0);
 
-  /// Selects the measurement backend. kHilbert builds a batch engine with
-  /// env-configured options (QSYN_SIM_FUSE / QSYN_THREADS); the overload
-  /// below pins explicit options. kMultiValued releases the engine.
+  /// Selects the measurement backend. kHilbert folds the circuit once
+  /// (sim::kDefaultFuseBlock gates per block) and keeps the fold;
+  /// kMultiValued releases it.
   void set_measurement_backend(MeasurementBackend backend);
-  void set_measurement_backend(MeasurementBackend backend,
-                               const sim::SimOptions& options);
   [[nodiscard]] MeasurementBackend measurement_backend() const {
     return backend_;
   }
@@ -85,7 +79,9 @@ class QuantumAutomaton {
 
   /// Exact state-transition matrix for a fixed input: T(next, current).
   /// Columns sum to 1 (column-stochastic, composable with la::Matrix
-  /// products acting on probability column vectors).
+  /// products acting on probability column vectors). Under kHilbert every
+  /// current state's input word goes through one apply_to_basis_columns
+  /// call.
   [[nodiscard]] la::Matrix transition_matrix(std::uint32_t input_bits) const;
 
   /// Stationary distribution of the chain under a fixed input, computed by
@@ -110,14 +106,9 @@ class QuantumAutomaton {
   std::size_t state_wires_;
   std::uint32_t state_ = 0;
   MeasurementBackend backend_ = MeasurementBackend::kMultiValued;
-  // Non-null iff backend_ == kHilbert; its block-unitary cache makes
-  // repeated cycles of the same circuit fold-free. Shared so automatons
-  // stay copyable — copies alias one engine (cache reuse is the point);
-  // per-step calls run inline on the calling thread, and concurrent
-  // *batched* calls (transition_matrix) on aliased copies fail loudly
-  // rather than race (see sim/batch.h). Call set_measurement_backend on a
-  // copy to give it an engine of its own.
-  std::shared_ptr<sim::BatchSimulator> sim_;
+  // The circuit's fold, set iff backend_ == kHilbert. Its blocks are
+  // immutable, so copies share them and may evaluate concurrently.
+  std::optional<sim::FusedCascade> fused_;
 };
 
 }  // namespace qsyn::automata

@@ -6,7 +6,7 @@
 // own ad-hoc strtoul call, and the permissive ones silently accepted
 // trailing garbage ("QSYN_THREADS=8abc" read as 8) or silently dropped
 // malformed values ("QSYN_THREADS=abc" ignored with no diagnostic) while
-// SimOptions::from_env rejected both. parse_env_size_t is the one strict
+// other sites rejected both. parse_env_size_t is the one strict
 // parser: the whole value must be a plain base-10 unsigned integer inside
 // the caller's range, and anything else is ignored *loudly* — a one-time
 // warning on stderr names the variable, the offending value, and the

@@ -93,7 +93,8 @@ LatencySnapshot LatencyRecorder::snapshot() const {
 
   const auto quantile = [&](double q) -> std::uint64_t {
     // Smallest bucket whose cumulative count reaches ceil(q * total).
-    std::uint64_t rank = static_cast<std::uint64_t>(q * static_cast<double>(total));
+    std::uint64_t rank =
+        static_cast<std::uint64_t>(q * static_cast<double>(total));
     if (rank < 1) rank = 1;
     if (rank > total) rank = total;
     std::uint64_t cumulative = 0;

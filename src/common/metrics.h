@@ -32,7 +32,9 @@ namespace qsyn::metrics {
 /// A monotonically increasing atomic event counter.
 class Counter {
  public:
-  void add(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  void add(std::uint64_t n = 1) {
+    value_.fetch_add(n, std::memory_order_relaxed);
+  }
   [[nodiscard]] std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }

@@ -25,8 +25,8 @@
 //  * Batched complex GEMM. The fused simulation path applies each folded
 //    block unitary to a dense 2^n x batch column matrix as one hand-blocked
 //    matrix-matrix product (sim/fused.h apply_to_basis_columns) instead of
-//    one basis column at a time. BatchSimulator always takes this route for
-//    groups of jobs sharing a multi-block cascade.
+//    one basis column at a time, whenever two or more inputs meet a
+//    multi-block cascade.
 #pragma once
 
 #include <complex>

@@ -15,7 +15,8 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<Complex>> rows) {
   cols_ = rows_ == 0 ? 0 : rows.begin()->size();
   data_.reserve(rows_ * cols_);
   for (const auto& row : rows) {
-    QSYN_CHECK(row.size() == cols_, "Matrix initializer rows must be equal length");
+    QSYN_CHECK(row.size() == cols_,
+               "Matrix initializer rows must be equal length");
     data_.insert(data_.end(), row.begin(), row.end());
   }
 }

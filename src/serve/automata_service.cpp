@@ -1,32 +1,21 @@
 #include "serve/automata_service.h"
 
-#include <complex>
 #include <cstddef>
 #include <utility>
 
 #include "automata/measurement.h"
-#include "la/vector.h"
+#include "common/error.h"
 #include "mvl/pattern.h"
 #include "sim/state_vector.h"
 
 namespace qsyn::serve {
 
-namespace {
-
-std::vector<double> probabilities(const la::Vector& amplitudes) {
-  std::vector<double> probs(amplitudes.size());
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    probs[i] = std::norm(amplitudes[i]);
-  }
-  return probs;
-}
-
-}  // namespace
-
 AutomataService::AutomataService() : AutomataService(Options{}) {}
 
 AutomataService::AutomataService(Options options)
-    : options_(options), root_rng_(options.seed) {}
+    : options_(options), root_rng_(options.seed) {
+  QSYN_CHECK(options_.sim.fuse_block >= 1, "fuse_block must be at least 1");
+}
 
 AutomataService::~AutomataService() = default;
 
@@ -45,9 +34,9 @@ std::uint64_t AutomataService::add_tenant(
 
 std::uint64_t AutomataService::add_automaton(
     automata::QuantumAutomaton machine) {
-  // Tenants are always served through the shared cache, so the machine must
-  // not hold a Hilbert engine of its own (its backend setting is replaced by
-  // the per-tenant one here).
+  // Tenants are always served through the shared cache, so the machine
+  // drops any fold of its own (its backend setting is replaced by the
+  // per-tenant one here).
   machine.set_measurement_backend(automata::MeasurementBackend::kMultiValued);
   return add_tenant(std::move(machine), std::nullopt);
 }
@@ -104,17 +93,11 @@ std::vector<double> AutomataService::distribution(Tenant& tenant,
                                       ? tenant.machine->circuit()
                                       : tenant.qrng->circuit();
   if (tenant.backend == automata::MeasurementBackend::kHilbert) {
-    std::vector<double> probs;
-    if (options_.sim.fuse_block == 0) {
-      sim::StateVector state = sim::StateVector::basis(circuit.wires(), word);
-      state.apply_cascade(circuit);
-      probs = probabilities(state.amplitudes());
-    } else {
-      if (!tenant.fused.has_value()) {
-        tenant.fused.emplace(circuit, options_.sim.fuse_block, cache_);
-      }
-      probs = probabilities(tenant.fused->apply_to_basis(word).amplitudes());
+    if (!tenant.fused.has_value()) {
+      tenant.fused.emplace(circuit, options_.sim.fuse_block, cache_);
     }
+    std::vector<double> probs =
+        tenant.fused->apply_to_basis(word).distribution();
     hilbert_evaluations_.add();
     return probs;
   }

@@ -12,7 +12,9 @@
 // each of its requests in order. A Hilbert tenant folds its circuit through
 // the shared cache on its first Hilbert request (tenants on equal circuits
 // share the folded blocks) and keeps that fold, so each later Hilbert request
-// is one column read and a few block products, with no cache lookup.
+// is one column read and a few block products, with no cache lookup. Its
+// |amplitude|^2 is StateVector::distribution, the same read a Hilbert
+// QuantumAutomaton makes of its own fold.
 //
 // Determinism. Tenant streams split() off one root seed in add-order, and a
 // step samples its outcome by inverse CDF from the tenant's *exact* joint
@@ -107,7 +109,7 @@ class AutomataService {
  public:
   struct Options {
     /// Only fuse_block is read: gates folded per block of a Hilbert tenant's
-    /// circuit (0 = the gate-at-a-time reference path). Requests run on
+    /// circuit, at least 1 (the constructor rejects 0). Requests run on
     /// their callers' threads, so `threads` has no effect here.
     sim::SimOptions sim{};
     /// Root seed: tenant i's Rng is the i-th split() of this seed, in
@@ -124,7 +126,8 @@ class AutomataService {
 
   /// Registers a tenant; returns its id (ids are never reused). The machine
   /// is served through the shared cache — its own measurement backend
-  /// setting is ignored in favor of the per-tenant backend here.
+  /// setting (and any fold it holds) is dropped in favor of the per-tenant
+  /// backend here.
   std::uint64_t add_automaton(automata::QuantumAutomaton machine);
   std::uint64_t add_qrng(automata::ControlledQrng qrng);
 

@@ -3,14 +3,14 @@
 // Many-circuits-per-call simulation serving. A BatchSimulator evaluates
 // whole batches of (cascade, input-pattern) jobs per call: every distinct
 // cascade in the batch is folded once through the fused engine (sim/fused.h,
-// block unitaries shared via one content-addressed cache), and the jobs fan
-// out across a common/thread_pool worker pool. With fuse_block == 0 the
-// batch engine runs the gate-at-a-time reference path instead, which keeps
-// the fan-out machinery itself differentially testable in isolation.
+// block unitaries shared via one content-addressed cache), the jobs fan out
+// across a common/thread_pool worker pool, and each cascade's inputs go
+// through FusedCascade::apply_to_basis_columns together.
 //
-// This is the serving backend behind sim/cross_check.cpp's soundness sweeps
-// and the automata/ measurement unit (automata/automaton.h); the knobs live
-// in SimOptions (env: QSYN_SIM_FUSE, QSYN_THREADS).
+// This is the engine behind sim/cross_check.h's soundness sweeps; the knobs
+// live in SimOptions (fuse_block >= 1, threads; env: QSYN_THREADS). The
+// gate-at-a-time oracle its verdicts are diffed against is
+// sim::mv_model_matches_hilbert_reference.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +39,7 @@ struct SimJob {
 /// Batched, fused, multi-threaded cascade evaluator.
 class BatchSimulator {
  public:
+  /// Throws qsyn::LogicError when options.fuse_block is 0.
   explicit BatchSimulator(SimOptions options = {});
   ~BatchSimulator();
 
@@ -60,11 +61,6 @@ class BatchSimulator {
   /// unit) pay nothing for the fan-out machinery.
   [[nodiscard]] std::vector<la::Vector> run(const std::vector<SimJob>& jobs);
 
-  /// All 2^wires basis-input outputs of one cascade (entry j = input j),
-  /// folding the cascade once and fanning the inputs out.
-  [[nodiscard]] std::vector<la::Vector> run_all_inputs(
-      const gates::Cascade& cascade);
-
   /// Batched soundness sweep (the paper's claim behind sim/cross_check.h):
   /// entry i is 1 iff cascade i's Hilbert-space output equals the
   /// multi-valued model's predicted product state on every binary input.
@@ -80,7 +76,7 @@ class BatchSimulator {
                                         double tol = 1e-9);
 
  private:
-  /// Output amplitudes of one (cascade, input) pair under options_.
+  /// Output amplitudes of one (cascade, input) pair.
   [[nodiscard]] la::Vector simulate(const gates::Cascade& cascade,
                                     std::uint32_t bits);
   [[nodiscard]] ThreadPool& pool();
@@ -88,8 +84,7 @@ class BatchSimulator {
   SimOptions options_;
   std::size_t threads_;
   UnitaryCache cache_;
-  // Created lazily on the first multi-job fan-out, under pool_mutex_ (an
-  // engine can be shared, e.g. across QuantumAutomaton copies). Note
+  // Created lazily on the first multi-job fan-out, under pool_mutex_. Note
   // ThreadPool::run itself is not reentrant: concurrent multi-job batches
   // on one shared engine fail loudly rather than race.
   std::mutex pool_mutex_;

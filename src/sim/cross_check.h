@@ -11,14 +11,13 @@
 // These helpers check that claim instance by instance; the test suite sweeps
 // them over the library gates, the paper's circuits, and random cascades.
 //
-// The checks are served by the fused/batched engine (sim/batch.h): the
-// process-wide default engine is configured from the environment
-// (QSYN_SIM_FUSE = gates per fused block, 0 = the gate-at-a-time reference
-// path), and the overloads taking an explicit BatchSimulator let sweeps
-// share one engine — and its block-unitary cache — across many cascades.
+// mv_model_matches_hilbert is served by a process-wide fused engine
+// (sim/batch.h, default SimOptions on one thread); sweeps that want their
+// own engine, and its block-unitary cache, call
+// BatchSimulator::check_mv_model directly. The gate-at-a-time check is kept
+// once, as mv_model_matches_hilbert_reference: the oracle the fused verdicts
+// are diffed against.
 #pragma once
-
-#include <vector>
 
 #include "gates/cascade.h"
 #include "mvl/domain.h"
@@ -26,44 +25,24 @@
 
 namespace qsyn::sim {
 
-class BatchSimulator;
-struct SimOptions;
-class UnitaryCache;
-
 /// True iff, for every binary input, simulating `cascade` yields exactly the
 /// product state predicted by the multi-valued model. The cascade should be
 /// reasonable over `domain` (the guarantee does not hold otherwise). Served
-/// by the process-wide env-configured engine (single-threaded, shared
-/// block cache; QSYN_SIM_FUSE=0 forces the reference path).
+/// by the process-wide fused engine (single-threaded, shared block cache).
 [[nodiscard]] bool mv_model_matches_hilbert(const gates::Cascade& cascade,
                                             const mvl::PatternDomain& domain,
                                             double tol = 1e-9);
 
-/// Same check through an explicit batch engine.
-[[nodiscard]] bool mv_model_matches_hilbert(const gates::Cascade& cascade,
-                                            const mvl::PatternDomain& domain,
-                                            double tol, BatchSimulator& sim);
-
-/// Batched sweep: entry i is 1 iff cascade i passes the check. Cascades fan
-/// out across `sim`'s worker pool and share its block-unitary cache.
-[[nodiscard]] std::vector<char> mv_model_matches_hilbert_batch(
-    const std::vector<const gates::Cascade*>& cascades,
-    const mvl::PatternDomain& domain, double tol, BatchSimulator& sim);
+/// The same check, simulated gate at a time (StateVector::apply_cascade)
+/// with no folding and no cache: the oracle for the fused engine.
+[[nodiscard]] bool mv_model_matches_hilbert_reference(
+    const gates::Cascade& cascade, const mvl::PatternDomain& domain,
+    double tol = 1e-9);
 
 /// True iff the cascade's full unitary is exactly the permutation matrix of
 /// `target` (a permutation of {1..2^n} in binary-value order).
 [[nodiscard]] bool realizes_permutation(const gates::Cascade& cascade,
                                         const perm::Permutation& target,
                                         double tol = 1e-9);
-
-/// Fused-path variant: the cascade folds into per-block unitaries through
-/// `cache` when given, so verification sweeps over many cascades (e.g. the
-/// per-gate library check at width n) reuse shared folds instead of
-/// rebuilding the full product gate by gate.
-[[nodiscard]] bool realizes_permutation(const gates::Cascade& cascade,
-                                        const perm::Permutation& target,
-                                        const SimOptions& options,
-                                        double tol = 1e-9,
-                                        UnitaryCache* cache = nullptr);
 
 }  // namespace qsyn::sim

@@ -1,23 +1,13 @@
 #include "sim/fused.h"
 
-#include <cstdlib>
 #include <utility>
 
-#include "common/env.h"
 #include "common/error.h"
 #include "common/simd/kernels.h"
 #include "common/thread_pool.h"
 #include "sim/state_vector.h"
 
 namespace qsyn::sim {
-
-SimOptions SimOptions::from_env() {
-  SimOptions options;
-  if (const auto parsed = parse_env_size_t("QSYN_SIM_FUSE", 0, 1024)) {
-    options.fuse_block = *parsed;
-  }
-  return options;
-}
 
 std::size_t SimOptions::resolved_threads() const {
   return threads >= 1 ? threads : ThreadPool::default_thread_count();
@@ -172,15 +162,14 @@ std::vector<StateVector> FusedCascade::apply_to_basis_columns(
   const std::size_t batch = bits.size();
   std::vector<StateVector> out;
   out.reserve(batch);
-  if (batch == 0) return out;
+  // With one input, or no block past block 0 (a column read either way),
+  // the batch would only add a transpose round-trip.
+  if (batch < 2 || blocks_.size() < 2) {
+    for (const std::uint32_t b : bits) out.push_back(apply_to_basis(b));
+    return out;
+  }
   for (const std::uint32_t b : bits) {
     QSYN_CHECK(b < dim, "basis state out of range");
-  }
-  if (blocks_.empty()) {
-    for (const std::uint32_t b : bits) {
-      out.push_back(StateVector::basis(wires_, b));
-    }
-    return out;
   }
   // Column j of the working matrix is job j's state. Block 0 acts on basis
   // columns, so its application is a gather of unitary columns; every
@@ -210,27 +199,6 @@ la::Matrix FusedCascade::unitary() const {
   la::Matrix u = la::Matrix::identity(std::size_t(1) << wires_);
   for (const auto& block : blocks_) u = *block * u;
   return u;
-}
-
-FusedCascade fuse_cascade(const gates::Cascade& cascade,
-                          const SimOptions& options, UnitaryCache* cache) {
-  if (cache != nullptr) {
-    return FusedCascade(cascade, options.fuse_block, *cache);
-  }
-  // A transient cache is fine: FusedCascade holds shared references to the
-  // folded blocks, not to the cache.
-  UnitaryCache local;
-  return FusedCascade(cascade, options.fuse_block, local);
-}
-
-void StateVector::apply_cascade(const gates::Cascade& cascade,
-                                const SimOptions& options,
-                                UnitaryCache* cache) {
-  if (options.fuse_block == 0) {
-    apply_cascade(cascade);
-    return;
-  }
-  fuse_cascade(cascade, options, cache).apply(*this);
 }
 
 }  // namespace qsyn::sim

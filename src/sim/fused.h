@@ -1,19 +1,21 @@
 // qsyn/sim/fused.h
 //
-// Fused cascade simulation: a Cascade is partitioned into blocks of up to
-// `fuse_block` consecutive gates, every block is folded into a single
-// 2^n x 2^n unitary, and simulation applies blocks instead of gates. Folded
-// blocks are memoized in a content-addressed UnitaryCache (keyed on the wire
-// count plus the packed gate sequence), so a block appearing in many
-// cascades — common in cross-check sweeps over enumerator output, whose
-// cascades share prefixes, and in serving workloads that re-evaluate a fixed
-// circuit catalog — folds exactly once per cache.
+// Fused cascade simulation, the one Hilbert-space evaluator outside the
+// tests: a Cascade is partitioned into blocks of up to `fuse_block`
+// consecutive gates, every block is folded into a single 2^n x 2^n unitary,
+// and simulation applies blocks instead of gates. Folded blocks are memoized
+// in a content-addressed UnitaryCache (keyed on the wire count plus the
+// packed gate sequence), so a block appearing in many cascades — common in
+// cross-check sweeps over enumerator output, whose cascades share prefixes,
+// and in serving workloads that re-evaluate a fixed circuit catalog — folds
+// exactly once per cache.
 //
-// The gate-at-a-time StateVector::apply_cascade stays the *reference*
-// implementation. Every amplitude reachable from the paper's gate set is a
-// dyadic complex rational, so folding performs exact binary arithmetic and
-// the fused path reproduces the reference bit for bit; the randomized
-// differential harness in tests/test_sim_fused.cpp keeps that claim honest.
+// The gate-at-a-time StateVector::apply_cascade stays as the *oracle*, named
+// once more by sim::mv_model_matches_hilbert_reference (sim/cross_check.h).
+// Every amplitude reachable from the paper's gate set is a dyadic complex
+// rational, so folding performs exact binary arithmetic and the fused path
+// reproduces the oracle bit for bit; the randomized differential harness in
+// tests/test_sim_fused.cpp keeps that claim honest.
 #pragma once
 
 #include <cstdint>
@@ -30,24 +32,19 @@ namespace qsyn::sim {
 
 class StateVector;
 
-/// Gates folded per block when QSYN_SIM_FUSE is unset.
+/// Gates folded per block by default.
 inline constexpr std::size_t kDefaultFuseBlock = 4;
 
 /// Tuning knobs of the fused / batched simulation paths.
 struct SimOptions {
-  /// Gates folded per block; 0 selects the gate-at-a-time reference path.
+  /// Gates folded per block; at least 1 (every engine rejects 0 when it is
+  /// built).
   std::size_t fuse_block = kDefaultFuseBlock;
 
   /// Total parallelism of the BatchSimulator fan-out, including the calling
   /// thread. 0 = the QSYN_THREADS environment variable when set to a
   /// positive integer, else std::thread::hardware_concurrency().
   std::size_t threads = 0;
-
-  /// Options from the environment: fuse_block from QSYN_SIM_FUSE (a
-  /// non-negative integer; 0 = reference path; unset = kDefaultFuseBlock;
-  /// malformed values warn once and are ignored), threads left at 0
-  /// (resolved per the rule above).
-  [[nodiscard]] static SimOptions from_env();
 
   /// The effective worker count (resolves threads == 0).
   [[nodiscard]] std::size_t resolved_threads() const;
@@ -169,12 +166,14 @@ class FusedCascade {
   /// sweep over all inputs costs O(4^n) total instead of O(gates * 4^n).
   [[nodiscard]] StateVector apply_to_basis(std::uint32_t bits) const;
 
-  /// Batched apply_to_basis: output states of the basis inputs |bits[j]>,
-  /// computed jointly. The inputs assemble into a dense 2^n x batch column
-  /// matrix (block 0 is a gather of unitary columns) and every further
-  /// block applies as one matrix-matrix product through the simd gemm
-  /// kernel. Amplitudes are dyadic, so each returned state is bit-identical
-  /// to apply_to_basis(bits[j]).
+  /// Batched apply_to_basis: output states of the basis inputs |bits[j]>.
+  /// With two or more inputs and two or more blocks, the inputs assemble
+  /// into a dense 2^n x batch column matrix (block 0 is a gather of unitary
+  /// columns) and every further block applies as one matrix-matrix product
+  /// through the simd gemm kernel. Otherwise a batch would only add a
+  /// transpose round-trip, and each input runs through apply_to_basis.
+  /// Amplitudes are dyadic, so each returned state is bit-identical to
+  /// apply_to_basis(bits[j]) either way.
   [[nodiscard]] std::vector<StateVector> apply_to_basis_columns(
       const std::vector<std::uint32_t>& bits) const;
 
@@ -186,12 +185,5 @@ class FusedCascade {
   std::size_t wires_;
   std::vector<std::shared_ptr<const la::Matrix>> blocks_;
 };
-
-/// Folds `cascade` with options.fuse_block (>= 1) through `cache` when
-/// given, else through a transient cache — the shared null-cache fallback of
-/// the fused entry points (cascade_unitary, StateVector::apply_cascade).
-[[nodiscard]] FusedCascade fuse_cascade(const gates::Cascade& cascade,
-                                        const SimOptions& options,
-                                        UnitaryCache* cache);
 
 }  // namespace qsyn::sim

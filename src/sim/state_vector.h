@@ -19,9 +19,6 @@
 
 namespace qsyn::sim {
 
-struct SimOptions;
-class UnitaryCache;
-
 /// The quantum state of n qubits (2^n complex amplitudes).
 class StateVector {
  public:
@@ -60,17 +57,9 @@ class StateVector {
   /// Applies one library gate (controlled-V/V+/Feynman/NOT).
   void apply_gate(const gates::Gate& gate);
 
-  /// Applies a whole cascade, one gate at a time — the reference
-  /// implementation the fused/batched engine (sim/fused.h, sim/batch.h) is
-  /// differentially tested against.
+  /// Applies a whole cascade, one gate at a time — the oracle the fused
+  /// engine (sim/fused.h) is differentially tested against.
   void apply_cascade(const gates::Cascade& cascade);
-
-  /// Applies a cascade through the fused engine: gates are folded into
-  /// per-block unitaries (options.fuse_block per block; 0 falls back to the
-  /// gate-at-a-time reference). Blocks fold through `cache` when given,
-  /// sharing folds across calls and cascades. Defined in sim/fused.cpp.
-  void apply_cascade(const gates::Cascade& cascade, const SimOptions& options,
-                     UnitaryCache* cache = nullptr);
 
   /// Probability that measuring all qubits yields |bits>.
   [[nodiscard]] double probability_of(std::uint32_t bits) const;

@@ -1,7 +1,6 @@
 #include "sim/unitary.h"
 
 #include "common/error.h"
-#include "sim/fused.h"
 #include "sim/state_vector.h"
 
 namespace qsyn::sim {
@@ -33,12 +32,6 @@ la::Matrix cascade_unitary(const gates::Cascade& cascade) {
   return u;
 }
 
-la::Matrix cascade_unitary(const gates::Cascade& cascade,
-                           const SimOptions& options, UnitaryCache* cache) {
-  if (options.fuse_block == 0) return cascade_unitary(cascade);
-  return fuse_cascade(cascade, options, cache).unitary();
-}
-
 la::Matrix permutation_unitary(const perm::Permutation& perm,
                                std::size_t wires) {
   const std::size_t dim = std::size_t(1) << wires;
@@ -54,29 +47,15 @@ bool is_permutative(const gates::Cascade& cascade, double tol) {
   return cascade_unitary(cascade).is_permutation(tol);
 }
 
-namespace {
-
-perm::Permutation permutation_of_unitary(const la::Matrix& u, double tol) {
-  const std::vector<std::size_t> images0 = u.extract_permutation(false, tol);
+perm::Permutation extract_classical_permutation(const gates::Cascade& cascade,
+                                                double tol) {
+  const std::vector<std::size_t> images0 =
+      cascade_unitary(cascade).extract_permutation(false, tol);
   std::vector<std::uint32_t> images(images0.size());
   for (std::size_t i = 0; i < images0.size(); ++i) {
     images[i] = static_cast<std::uint32_t>(images0[i]);
   }
   return perm::Permutation::from_images0(images);
-}
-
-}  // namespace
-
-perm::Permutation extract_classical_permutation(const gates::Cascade& cascade,
-                                                double tol) {
-  return permutation_of_unitary(cascade_unitary(cascade), tol);
-}
-
-perm::Permutation extract_classical_permutation(const gates::Cascade& cascade,
-                                                const SimOptions& options,
-                                                double tol,
-                                                UnitaryCache* cache) {
-  return permutation_of_unitary(cascade_unitary(cascade, options, cache), tol);
 }
 
 }  // namespace qsyn::sim

@@ -13,9 +13,6 @@
 
 namespace qsyn::sim {
 
-struct SimOptions;
-class UnitaryCache;
-
 /// The 2^wires x 2^wires unitary of one elementary gate.
 [[nodiscard]] la::Matrix gate_unitary(const gates::Gate& gate,
                                       std::size_t wires);
@@ -23,14 +20,6 @@ class UnitaryCache;
 /// The unitary of a cascade (gate matrices multiplied in cascade order:
 /// U = U_k ... U_2 U_1 so that U acts on column vectors).
 [[nodiscard]] la::Matrix cascade_unitary(const gates::Cascade& cascade);
-
-/// Fused-path variant: the cascade is folded into per-block unitaries
-/// (options.fuse_block gates each; 0 falls back to the reference above) and
-/// the product taken block-wise. Blocks fold through `cache` when given, so
-/// sweeps over many cascades share folds.
-[[nodiscard]] la::Matrix cascade_unitary(const gates::Cascade& cascade,
-                                         const SimOptions& options,
-                                         UnitaryCache* cache = nullptr);
 
 /// The permutation matrix of a reversible function given as a permutation of
 /// {1..2^n} in binary-value order (label 1 = |0..0>).
@@ -47,12 +36,5 @@ class UnitaryCache;
 /// permutative cascade. Throws qsyn::LogicError if not permutative.
 [[nodiscard]] perm::Permutation extract_classical_permutation(
     const gates::Cascade& cascade, double tol = la::kDefaultTolerance);
-
-/// Fused-path variant of extract_classical_permutation; agrees with the
-/// reference on every permutative cascade (differentially tested in
-/// tests/test_sim_fused.cpp).
-[[nodiscard]] perm::Permutation extract_classical_permutation(
-    const gates::Cascade& cascade, const SimOptions& options,
-    double tol = la::kDefaultTolerance, UnitaryCache* cache = nullptr);
 
 }  // namespace qsyn::sim

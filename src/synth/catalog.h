@@ -111,7 +111,8 @@ inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
 [[nodiscard]] inline std::uint32_t get_u32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) << 24 |
          static_cast<std::uint32_t>(p[1]) << 16 |
-         static_cast<std::uint32_t>(p[2]) << 8 | static_cast<std::uint32_t>(p[3]);
+         static_cast<std::uint32_t>(p[2]) << 8 |
+         static_cast<std::uint32_t>(p[3]);
 }
 
 [[nodiscard]] inline std::uint64_t get_u64(const std::uint8_t* p) {

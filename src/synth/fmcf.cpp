@@ -386,20 +386,6 @@ void FmcfEnumerator::count_orbits(RepLevel& level, ThreadPool* pool) const {
                    level.starts.begin());
 }
 
-std::size_t FmcfEnumerator::binary_rep_count(const FlatPermStore& reps) const {
-  std::size_t lo = 0;
-  std::size_t hi = reps.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (row_label(reps.row(mid), 0) < binary_count_) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 bool FmcfEnumerator::orbit_in(const RepLevel& level,
                               const std::uint16_t* labels,
                               std::vector<std::uint16_t>& rep,
@@ -491,7 +477,7 @@ std::size_t FmcfEnumerator::extract_g_keys(unsigned k) {
     OrbitWalk walk;
     BestRows best;
   };
-  const std::size_t reps = binary_rep_count(level.reps);
+  const std::size_t reps = level.reps.size();
   std::vector<Task> tasks(reps < kMinBlockRows ? 1 : threads_, Task(width_));
   worker_pool().run(tasks.size(), [&](std::size_t t, std::size_t) {
     Task& task = tasks[t];
@@ -639,8 +625,7 @@ std::vector<std::size_t> FmcfEnumerator::implementations(
   const RepLevel& level = levels_[k];
   std::vector<std::pair<std::vector<std::uint16_t>, std::size_t>> rows;
   OrbitWalk walk(width_);
-  const std::size_t binary_reps = binary_rep_count(level.reps);
-  for (std::size_t i = 0; i < binary_reps; ++i) {
+  for (std::size_t i = 0; i < level.reps.size(); ++i) {
     visit_keys(level, i, walk,
                [&](const GKey& key, std::size_t j, std::uint32_t e) {
                  if (key != target) return;
@@ -695,7 +680,7 @@ std::size_t FmcfEnumerator::memory_bytes() const {
     total += level.reps.memory_bytes() +
              level.starts.capacity() * sizeof(std::size_t) +
              level.hashes.capacity() * sizeof(std::uint64_t) +
-             level.slots.capacity() * sizeof(std::uint32_t);
+             level.slots.capacity() * sizeof(std::size_t);
   }
   return total;
 }

@@ -31,10 +31,10 @@
 //   3. G keys: a relabeling permutes the binary labels, so binary
 //      preservation holds for a whole orbit or for none of it, and pre_G[k]
 //      is the set of distinct keys over the conjugates of the
-//      binary-preserving reps. R[k] is sorted, so those reps all sit before
-//      the first rep whose first label is >= 2^n. The witness of a key is
-//      the memcmp-least conjugate with that key: the lowest row of the
-//      sorted B[k]. One pool task per worker (one task in all below 1024
+//      binary-preserving reps; the pass tests every rep of R[k], since
+//      every gate fixes label 0 and sorting sets no bound. The witness of a
+//      key is the memcmp-least conjugate with that key: the lowest row of
+//      the sorted B[k]. One pool task per worker (one task in all below 1024
 //      reps) keys the conjugates of every T-th rep into a hash map that
 //      keeps, per key, the least conjugate met so far as a (rep,
 //      relabeling) pair. Rows with one key share their first 2^n labels,
@@ -309,9 +309,6 @@ class FmcfEnumerator {
   /// The row of B[k] at orbit-order index `index`, as 0-based labels.
   void orbit_row(unsigned k, std::size_t index, std::uint16_t* labels,
                  OrbitWalk& walk) const;
-  /// Reps of R[k] whose first label is binary: the only candidates for
-  /// binary preservation.
-  [[nodiscard]] std::size_t binary_rep_count(const FlatPermStore& reps) const;
   /// When rep i of `level` is binary-preserving, decodes it into
   /// `walk.labels` and calls visit(key, j, e) for each of its conjugates in
   /// orbit order (the j-th, by element e).

@@ -19,7 +19,7 @@ namespace {
 
 using mvl::Pattern;
 
-// --- measurement ----------------------------------------------------------------
+// --- measurement -------------------------------------------------------------
 
 TEST(Measurement, BinaryPatternIsDeterministic) {
   const Pattern p = Pattern::parse("1,0,1");
@@ -92,7 +92,7 @@ TEST(Measurement, SampleIndexRejectsMasslessDistributions) {
   EXPECT_THROW((void)sample_index({0.0, 0.0}, rng), qsyn::LogicError);
 }
 
-// --- specs ----------------------------------------------------------------------
+// --- specs -------------------------------------------------------------------
 
 TEST(ExactProbSpec, ValidatesShape) {
   const mvl::PatternDomain domain = mvl::PatternDomain::reduced(2);
@@ -148,7 +148,7 @@ TEST(BehavioralProbSpec, TargetDistribution) {
   for (const double p : d2) EXPECT_DOUBLE_EQ(p, 0.25);
 }
 
-// --- synthesis ------------------------------------------------------------------
+// --- synthesis ---------------------------------------------------------------
 
 class ProbSynth3 : public ::testing::Test {
  protected:
@@ -227,7 +227,7 @@ TEST_F(ProbSynth3, MaxCostGuard) {
   EXPECT_THROW(ProbSynthesizer(library(), 10), qsyn::LogicError);
 }
 
-// --- controlled QRNG --------------------------------------------------------------
+// --- controlled QRNG ---------------------------------------------------------
 
 TEST_F(ProbSynth3, QrngDistributionIsControlled) {
   const auto qrng =

@@ -2,7 +2,10 @@
 // exact Markov-chain analysis vs Monte-Carlo simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "automata/automaton.h"
 #include "common/error.h"
@@ -104,11 +107,11 @@ TEST(Automaton, TwoStateBiasedChain) {
   for (const double p : pi) EXPECT_NEAR(p, 0.25, 1e-9);
 }
 
-// --- HMM ------------------------------------------------------------------------
+// --- HMM ---------------------------------------------------------------------
 
 TEST(Automaton, HilbertBackendMatchesMultiValuedBackend) {
   // Differential check of the measurement rewire: on reasonable circuits
-  // the full Hilbert-space backend (sim/batch.h) must reproduce the exact
+  // the full Hilbert-space backend (sim/fused.h) must reproduce the exact
   // multi-valued product rule — distributions, transition matrices and
   // stationary laws alike.
   for (const auto& circuit : {flip_circuit(), coin_circuit()}) {
@@ -133,7 +136,7 @@ TEST(Automaton, HilbertBackendMatchesMultiValuedBackend) {
                 1e-12);
     }
   }
-  // Switching back releases the engine and restores the product rule.
+  // Switching back releases the fold and restores the product rule.
   QuantumAutomaton m(coin_circuit(), 1);
   m.set_measurement_backend(MeasurementBackend::kHilbert);
   m.set_measurement_backend(MeasurementBackend::kMultiValued);
@@ -151,6 +154,43 @@ TEST(Automaton, HilbertBackendStepsAndConverges) {
   for (std::size_t s = 0; s < exact.size(); ++s) {
     EXPECT_NEAR(empirical[s], exact[s], 0.02) << "state " << s;
   }
+}
+
+TEST(Automaton, ConcurrentHilbertCopiesMatchMultiValuedBackend) {
+  // Copies of a Hilbert automaton share its folded blocks, which are
+  // immutable, so copies on different threads evaluate concurrently. Two
+  // state wires and six gates (two blocks) put transition_matrix on the
+  // batched product path. The circuit is reasonable: B is read as a control
+  // only before it is targeted, and C is never targeted.
+  const gates::Cascade circuit =
+      gates::Cascade::parse("VAB*VAB*VBC*VBC*VAC*VBC", 3);
+  const QuantumAutomaton reference(circuit, 2);
+  QuantumAutomaton hilbert(circuit, 2);
+  hilbert.set_measurement_backend(MeasurementBackend::kHilbert);
+
+  constexpr int kRounds = 200;
+  std::vector<double> worst(2, 0.0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < worst.size(); ++t) {
+    threads.emplace_back([&, t, copy = hilbert] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::uint32_t input = 0; input < 2; ++input) {
+          worst[t] = std::max(
+              worst[t], copy.transition_matrix(input).max_abs_diff(
+                            reference.transition_matrix(input)));
+          for (std::uint32_t state = 0; state < 4; ++state) {
+            const auto got = copy.output_distribution(state, input);
+            const auto expected = reference.output_distribution(state, input);
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              worst[t] = std::max(worst[t], std::abs(got[i] - expected[i]));
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const double diff : worst) EXPECT_LE(diff, 1e-12);
 }
 
 TEST(Hmm, JointLawSumsToOne) {

@@ -185,7 +185,7 @@ TEST(Cascade, DiagramHasOneRowPerWireAndGateBoxes) {
   EXPECT_EQ(std::count(d.begin(), d.end(), '\n'), 2);
 }
 
-// --- Table 1 -------------------------------------------------------------------
+// --- Table 1 -----------------------------------------------------------------
 
 TEST(TruthTable, Table1PermutationIs3748) {
   // The 2-qubit controlled-V gate's truth table: permutation (3,7,4,8).

@@ -133,8 +133,9 @@ TEST(MappedWindow, MmapBackedStoreServesRowsReadOnly) {
   original.sort_unique();
 
   const std::string path = temp_path("store_rows");
-  write_file(path, std::vector<std::uint8_t>(
-                       original.data(), original.data() + original.size_bytes()));
+  write_file(path,
+             std::vector<std::uint8_t>(
+                 original.data(), original.data() + original.size_bytes()));
   const auto file = io::MmapFile::map(path);
   FlatPermStore mapped(4, file, 0, file->size());
 
@@ -365,8 +366,10 @@ TEST(CatalogCorruption, TruncationsAreRejected) {
 }
 
 TEST(CatalogCorruption, WrongMagicIsRejected) {
-  const std::string message = corrupt_message(
-      "magic", [](std::vector<std::uint8_t>& b) { b[catalog::kMagicOffset] ^= 0xff; });
+  const std::string message =
+      corrupt_message("magic", [](std::vector<std::uint8_t>& b) {
+        b[catalog::kMagicOffset] ^= 0xff;
+      });
   EXPECT_NE(message.find("magic"), std::string::npos);
 }
 

@@ -17,11 +17,11 @@
 #include "common/rng.h"
 #include "gates/cascade.h"
 #include "gates/library.h"
+#include "la/matrix.h"
 #include "mvl/domain.h"
 #include "mvl/nqubit.h"
 #include "perm/permutation.h"
 #include "sim/batch.h"
-#include "sim/cross_check.h"
 #include "sim/fused.h"
 #include "sim/unitary.h"
 #include "synth/fmcf.h"
@@ -146,7 +146,7 @@ TEST(NQubitDomain, ClassNamesRoundTrip) {
   EXPECT_EQ(nq.class_name(nq.feynman_class(1, 2)), "N_BC");
   EXPECT_THROW((void)nq.class_from_name("N_"), qsyn::ParseError);
   EXPECT_THROW((void)nq.class_from_name("M_A"), qsyn::ParseError);
-  EXPECT_THROW((void)nq.class_from_name("N_D"), qsyn::ParseError);   // no wire D
+  EXPECT_THROW((void)nq.class_from_name("N_D"), qsyn::ParseError);  // no wire D
   EXPECT_THROW((void)nq.class_from_name("N_BA"), qsyn::ParseError);  // order
   EXPECT_THROW((void)nq.class_from_name("N_ABC"), qsyn::ParseError);
 }
@@ -309,9 +309,7 @@ TEST(NQubitDifferential, EveryLibraryGateRealizesItsPermModelFused) {
     for (std::size_t g = 0; g < library.size(); ++g) {
       gates::Cascade cascade(n);
       cascade.append(library.gate(g));
-      EXPECT_TRUE(
-          sim::mv_model_matches_hilbert(cascade, library.domain(), 1e-12,
-                                        engine))
+      EXPECT_TRUE(engine.check_mv_model_one(cascade, library.domain(), 1e-12))
           << library.gate(g).name() << " at n=" << n;
     }
   }
@@ -333,21 +331,24 @@ TEST(NQubitDifferential, RandomReasonableCascadesFusedVsPermModel) {
       const gates::Cascade cascade = random_reasonable_cascade(
           rng, library, 1 + rng.below(max_len));
       ASSERT_TRUE(cascade.is_reasonable(domain));
-      EXPECT_TRUE(
-          sim::mv_model_matches_hilbert(cascade, domain, 1e-12, engine))
+      EXPECT_TRUE(engine.check_mv_model_one(cascade, domain, 1e-12))
           << cascade.to_string();
       if (!cascade.is_binary_preserving()) continue;
       // Binary-preserving cascades additionally pin the classical
       // permutation: fused extraction == the perm-level restriction, and
       // the fused unitary is exactly that permutation matrix.
       const perm::Permutation restricted = cascade.to_binary_permutation();
-      EXPECT_EQ(sim::extract_classical_permutation(cascade, options, 1e-12,
-                                                   &cache),
+      const la::Matrix fused =
+          sim::FusedCascade(cascade, options.fuse_block, cache).unitary();
+      const std::vector<std::size_t> images =
+          fused.extract_permutation(false, 1e-12);
+      EXPECT_EQ(perm::Permutation::from_images0(
+                    std::vector<std::uint32_t>(images.begin(), images.end())),
                 restricted)
           << cascade.to_string();
-      EXPECT_TRUE(
-          sim::realizes_permutation(cascade, restricted, options, 1e-12,
-                                    &cache))
+      EXPECT_TRUE(fused.approx_equal(
+          sim::permutation_unitary(restricted.extended_to(images.size()), n),
+          1e-12))
           << cascade.to_string();
     }
   }

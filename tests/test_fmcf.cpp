@@ -30,7 +30,7 @@
 namespace qsyn::synth {
 namespace {
 
-// --- FlatPermStore --------------------------------------------------------------
+// --- FlatPermStore -----------------------------------------------------------
 
 TEST(FlatPermStore, PushAndRead) {
   FlatPermStore store(4);
@@ -87,7 +87,7 @@ TEST(FlatPermStore, ContainsSorted) {
   EXPECT_FALSE(store.contains_sorted(probe.row(1)));
 }
 
-// --- the enumeration -------------------------------------------------------------
+// --- the enumeration ---------------------------------------------------------
 
 class Fmcf3 : public ::testing::Test {
  protected:
@@ -360,6 +360,29 @@ TEST(FmcfGKeyOracle, FiveWiresToK3OverASpilledFrontier) {
   FmcfEnumerator e(library, spilled);
   e.run_to(3);
   expect_g_witnesses_match_row_scan(e);
+}
+
+TEST(FmcfMemory, BackWalkIndexIsCountedInFull) {
+  // A witness at cost 4 indexes R[0..3] for the back-walk: per level an
+  // orbit hash per rep and a table of size_t slots, the least power of two
+  // at least twice the rep count. memory_bytes() must count all of it.
+  const mvl::PatternDomain domain = mvl::PatternDomain::reduced(3);
+  const gates::GateLibrary library(domain);
+  FmcfEnumerator e(library);
+  e.run_to(4);
+  const std::size_t before = e.memory_bytes();
+  const std::vector<perm::Permutation> g4 = e.g_set(4);
+  ASSERT_FALSE(g4.empty());
+  (void)e.witness(*e.find(g4.front()));
+  std::size_t index_bytes = 0;
+  for (unsigned j = 0; j < 4; ++j) {
+    const std::size_t reps = e.reps(j).size();
+    std::size_t slots = 1;
+    while (slots < 2 * reps) slots *= 2;
+    index_bytes +=
+        reps * sizeof(std::uint64_t) + slots * sizeof(std::size_t);
+  }
+  EXPECT_GE(e.memory_bytes() - before, index_bytes);
 }
 
 TEST(ClosureConfig, CountingModeMatchesWitnessMode) {
@@ -675,7 +698,9 @@ TEST(FmcfThreads, ConcurrentWitnessReconstructionIsSafe) {
   e.run_to(4);
   const auto g4 = e.g_set(4);
   std::vector<std::string> reference;
-  for (const auto& g : g4) reference.push_back(e.witness(*e.find(g)).to_string());
+  for (const auto& g : g4) {
+    reference.push_back(e.witness(*e.find(g)).to_string());
+  }
 
   std::vector<std::vector<std::string>> results(4);
   std::vector<std::thread> callers;

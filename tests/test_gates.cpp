@@ -14,7 +14,7 @@ using mvl::Pattern;
 using mvl::PatternDomain;
 using mvl::Quat;
 
-// --- construction, naming, parsing --------------------------------------------
+// --- construction, naming, parsing -------------------------------------------
 
 TEST(Gate, FactoryAndAccessors) {
   const Gate v = Gate::ctrl_v(1, 0);
@@ -75,7 +75,7 @@ TEST(Gate, WireLetters) {
   EXPECT_THROW((void)wire_from_letter('1'), qsyn::ParseError);
 }
 
-// --- multi-valued semantics ----------------------------------------------------
+// --- multi-valued semantics --------------------------------------------------
 
 TEST(GateApply, CtrlVFiresOnlyOnControlOne) {
   const Gate v = Gate::ctrl_v(1, 0);  // VBA
@@ -120,7 +120,7 @@ TEST(GateApply, WireBoundsChecked) {
   EXPECT_THROW((void)v.apply(Pattern::parse("1,0")), qsyn::LogicError);
 }
 
-// --- the paper's permutation representations ------------------------------------
+// --- the paper's permutation representations ---------------------------------
 
 class Library3 : public ::testing::Test {
  protected:

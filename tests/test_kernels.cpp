@@ -30,6 +30,7 @@
 #include "la/matrix.h"
 #include "mvl/domain.h"
 #include "sim/batch.h"
+#include "sim/cross_check.h"
 #include "sim/fused.h"
 #include "sim/state_vector.h"
 #include "synth/flat_perm_store.h"
@@ -470,14 +471,16 @@ TEST(GemmBatch, BatchSimulatorBitIdenticalWithAndWithoutGemm) {
   }
 
   // The soundness sweep agrees verdict for verdict with the gate-at-a-time
-  // reference simulator.
+  // oracle.
   std::vector<const gates::Cascade*> pointers;
-  for (const gates::Cascade& c : cascades) pointers.push_back(&c);
-  sim::SimOptions reference_options = gemm_options;
-  reference_options.fuse_block = 0;
-  sim::BatchSimulator reference_sim(reference_options);
+  std::vector<char> reference_verdicts;
+  for (const gates::Cascade& c : cascades) {
+    pointers.push_back(&c);
+    reference_verdicts.push_back(
+        sim::mv_model_matches_hilbert_reference(c, domain, 1e-9) ? 1 : 0);
+  }
   EXPECT_EQ(gemm_sim.check_mv_model(pointers, domain, 1e-9),
-            reference_sim.check_mv_model(pointers, domain, 1e-9));
+            reference_verdicts);
 }
 
 // --- strict env parsing -----------------------------------------------------
@@ -640,25 +643,15 @@ TEST(ParseEnvSizeT, MalformedValueWarnsOnce) {
   reset_env_warnings_for_testing();
 }
 
-TEST(ParseEnvSizeT, ThreadAndFuseKnobsRejectTrailingGarbage) {
-  // The two user-facing regressions: QSYN_THREADS=8abc must not run 8
-  // workers, and QSYN_SIM_FUSE keeps its strictness through the shared
-  // parser.
+TEST(ParseEnvSizeT, ThreadKnobRejectsTrailingGarbage) {
+  // The user-facing regression: QSYN_THREADS=8abc must not run 8 workers.
   EnvGuard threads_guard("QSYN_THREADS");
-  EnvGuard fuse_guard("QSYN_SIM_FUSE");
   reset_env_warnings_for_testing();
 
   ::setenv("QSYN_THREADS", "3", 1);
   EXPECT_EQ(ThreadPool::default_thread_count(), 3u);
   ::setenv("QSYN_THREADS", "8abc", 1);
   EXPECT_NE(ThreadPool::default_thread_count(), 8u);
-
-  ::setenv("QSYN_SIM_FUSE", "7", 1);
-  EXPECT_EQ(sim::SimOptions::from_env().fuse_block, 7u);
-  ::setenv("QSYN_SIM_FUSE", "7junk", 1);
-  EXPECT_EQ(sim::SimOptions::from_env().fuse_block, sim::kDefaultFuseBlock);
-  ::setenv("QSYN_SIM_FUSE", "0", 1);
-  EXPECT_EQ(sim::SimOptions::from_env().fuse_block, 0u);
   reset_env_warnings_for_testing();
 }
 #endif  // !_WIN32

@@ -15,7 +15,7 @@ namespace {
 
 const Complex kI(0.0, 1.0);
 
-// --- Vector -------------------------------------------------------------------
+// --- Vector ------------------------------------------------------------------
 
 TEST(Vector, BasisConstruction) {
   const Vector e2 = Vector::basis(4, 2);
@@ -77,7 +77,7 @@ TEST(Vector, MatrixVectorProduct) {
   EXPECT_THROW((void)(Matrix::identity(3) * Vector{1.0, 0.0}), LogicError);
 }
 
-// --- V0/V1 states (paper Section 2) -------------------------------------------
+// --- V0/V1 states (paper Section 2) ------------------------------------------
 
 TEST(States, V0IsVAppliedToZero) {
   EXPECT_TRUE((mat_v() * state_0()).approx_equal(state_v0()));
@@ -111,7 +111,7 @@ TEST(States, MixedStatesMeasureHalf) {
   EXPECT_NEAR(state_v0().norm(), 1.0, 1e-12);
 }
 
-// --- LU -----------------------------------------------------------------------
+// --- LU ----------------------------------------------------------------------
 
 TEST(Lu, DeterminantOfKnownMatrix) {
   const Matrix m{{4.0, 3.0}, {6.0, 3.0}};

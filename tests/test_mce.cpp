@@ -246,7 +246,7 @@ TEST_F(Mce3, OverlyLargeDegreeRejected) {
       qsyn::LogicError);
 }
 
-// --- Theorem 2 as a statement about groups --------------------------------------
+// --- Theorem 2 as a statement about groups -----------------------------------
 
 TEST(Theorem2, NotLayerCosetsPartitionS8) {
   // G = all circuits from L (binary restricted) = stabilizer of label 1 in

@@ -11,7 +11,7 @@
 namespace qsyn::mvl {
 namespace {
 
-// --- Quat algebra --------------------------------------------------------------
+// --- Quat algebra ------------------------------------------------------------
 
 TEST(Quat, VValueMap) {
   EXPECT_EQ(apply_v(Quat::kZero), Quat::kV0);
@@ -84,7 +84,7 @@ TEST(Quat, IndexRoundTripAndRange) {
   EXPECT_THROW((void)quat_from_index(-1), qsyn::LogicError);
 }
 
-// --- Pattern --------------------------------------------------------------------
+// --- Pattern -----------------------------------------------------------------
 
 TEST(Pattern, GetSetRoundTrip) {
   Pattern p(3);
@@ -157,7 +157,7 @@ TEST(Pattern, WireCountLimits) {
   EXPECT_NO_THROW(Pattern(16));
 }
 
-// --- Reduced 3-wire domain: the paper's 38 labels -------------------------------
+// --- Reduced 3-wire domain: the paper's 38 labels ----------------------------
 
 class ReducedDomain3 : public ::testing::Test {
  protected:
@@ -279,7 +279,7 @@ TEST_F(ReducedDomain3, FeynmanClassIsSymmetric) {
   EXPECT_THROW((void)domain_.feynman_class(1, 1), qsyn::LogicError);
 }
 
-// --- Full domains ---------------------------------------------------------------
+// --- Full domains ------------------------------------------------------------
 
 TEST(FullDomain2, Table1Ordering) {
   // The paper's Table 1 layout: 4 binary rows, then B-mixed, A-mixed, both.

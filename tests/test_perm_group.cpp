@@ -151,7 +151,7 @@ TEST(PermGroup, GeneratorsWithIdentityIgnored) {
   EXPECT_EQ(g.order(), 2u);
 }
 
-// --- cosets -------------------------------------------------------------------
+// --- cosets ------------------------------------------------------------------
 
 TEST(Cosets, SameLeftCoset) {
   const PermGroup a4 = PermGroup::alternating(4);

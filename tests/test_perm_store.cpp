@@ -164,7 +164,7 @@ TEST(FlatPermStoreDifferential, ContainsRandomized) {
   }
 }
 
-// --- ShardedPermStore ------------------------------------------------------------
+// --- ShardedPermStore --------------------------------------------------------
 
 /// Splitters drawn from `rows` the way the closure draws them from its pilot
 /// frontier: sorted, deduplicated, at evenly spaced ranks. The shard count
@@ -613,7 +613,8 @@ TEST(WidePermStore, PermutationRoundTripAtWidth500) {
   ASSERT_EQ(store.size(), 1u);
   EXPECT_EQ(store.permutation(0), p);
   for (std::size_t s = 0; s < width; ++s) {
-    EXPECT_EQ(store.label(0, s), p.apply(static_cast<std::uint32_t>(s + 1)) - 1);
+    EXPECT_EQ(store.label(0, s),
+              p.apply(static_cast<std::uint32_t>(s + 1)) - 1);
   }
   EXPECT_EQ(store.encode_row(p),
             Row(store.row(0), store.row(0) + store.row_stride()));

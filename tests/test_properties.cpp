@@ -29,7 +29,7 @@ const gates::GateLibrary& library3() {
   return lib;
 }
 
-// --- sweep over all 18 library gates ---------------------------------------------
+// --- sweep over all 18 library gates -----------------------------------------
 
 class EveryGate : public ::testing::TestWithParam<std::size_t> {};
 
@@ -96,7 +96,7 @@ INSTANTIATE_TEST_SUITE_P(AllLibraryGates, EveryGate,
                                         }();
                          });
 
-// --- random reasonable cascades ---------------------------------------------------
+// --- random reasonable cascades ----------------------------------------------
 
 class RandomCascade : public ::testing::TestWithParam<std::uint64_t> {
  protected:
@@ -165,7 +165,7 @@ TEST_P(RandomCascade, ParsePrintRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCascade,
                          ::testing::Range<std::uint64_t>(1, 41));
 
-// --- sweep over the paper's named circuits ----------------------------------------
+// --- sweep over the paper's named circuits -----------------------------------
 
 struct NamedCircuit {
   const char* name;

@@ -16,6 +16,7 @@
 
 #include "automata/automaton.h"
 #include "automata/qrng.h"
+#include "common/error.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "gates/cascade.h"
@@ -263,6 +264,12 @@ TEST(AutomataService, ValidatesTenantsKindsAndInputs) {
             ResponseStatus::kUnknownTenant);
   EXPECT_EQ(service.tenant_count(), 1u);
   EXPECT_EQ(service.stats().rejected, 6u);
+}
+
+TEST(AutomataService, FuseBlockZeroIsRejectedAtConstruction) {
+  AutomataService::Options options;
+  options.sim.fuse_block = 0;
+  EXPECT_THROW((void)AutomataService(options), qsyn::LogicError);
 }
 
 TEST(AutomataService, HilbertBackendSharesTheServiceEngine) {
@@ -526,8 +533,8 @@ std::vector<TenantScript> determinism_scripts() {
 
 // Builds the service, registers the scripted tenants (in script order, so
 // rng streams reproduce), and patches tenant ids into the requests.
-std::vector<std::uint64_t> register_tenants(AutomataService& service,
-                                            std::vector<TenantScript>& scripts) {
+std::vector<std::uint64_t> register_tenants(
+    AutomataService& service, std::vector<TenantScript>& scripts) {
   std::vector<std::uint64_t> ids;
   for (TenantScript& script : scripts) {
     std::uint64_t id = 0;

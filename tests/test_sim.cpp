@@ -125,7 +125,7 @@ TEST(StateVector, EqualUpToPhase) {
   EXPECT_TRUE(a.equal_up_to_phase(b));
 }
 
-// --- unitaries -----------------------------------------------------------------
+// --- unitaries ---------------------------------------------------------------
 
 TEST(Unitary, GateUnitaryIsUnitary) {
   for (const Gate& g : {Gate::ctrl_v(1, 0), Gate::ctrl_v_dagger(0, 2),
@@ -190,7 +190,7 @@ TEST(Unitary, PermutationUnitaryRoundTrip) {
   }
 }
 
-// --- cross-validation -----------------------------------------------------------
+// --- cross-validation --------------------------------------------------------
 
 TEST(CrossCheck, PaperCircuitsMatchMvModel) {
   const mvl::PatternDomain domain = mvl::PatternDomain::reduced(3);

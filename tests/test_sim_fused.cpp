@@ -1,11 +1,12 @@
 // Randomized differential harness for the fused/batched simulation engine
-// (sim/fused.h, sim/batch.h) against the gate-at-a-time reference
-// (StateVector::apply_cascade), plus property tests for the block-fusion
-// algebra and the content-addressed unitary cache.
+// (sim/fused.h, sim/batch.h) against the gate-at-a-time oracle
+// (StateVector::apply_cascade, sim::mv_model_matches_hilbert_reference),
+// plus property tests for the block-fusion algebra and the content-addressed
+// unitary cache.
 //
 // The fast path is only trusted because this suite hammers it: random
 // cascades across wire counts, lengths, fuse blocks and thread counts must
-// reproduce the reference amplitudes exactly (every reachable amplitude is
+// reproduce the oracle's amplitudes exactly (every reachable amplitude is
 // a dyadic complex rational, so 1e-12 is loose — agreement is bit-for-bit).
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "gates/gate.h"
 #include "gates/library.h"
 #include "mvl/domain.h"
+#include "perm/permutation.h"
 #include "sim/batch.h"
 #include "sim/cross_check.h"
 #include "sim/fused.h"
@@ -89,6 +91,14 @@ la::Vector reference_amplitudes(const Cascade& cascade, std::uint32_t bits) {
   return state.amplitudes();
 }
 
+/// The classical permutation read off a fused cascade's unitary.
+perm::Permutation fused_permutation(const FusedCascade& fused) {
+  const std::vector<std::size_t> images =
+      fused.unitary().extract_permutation(false, la::kDefaultTolerance);
+  return perm::Permutation::from_images0(
+      std::vector<std::uint32_t>(images.begin(), images.end()));
+}
+
 // --- the randomized differential suite --------------------------------------
 
 TEST(FusedDifferential, RandomCascadesMatchReferenceExactly) {
@@ -114,7 +124,7 @@ TEST(FusedDifferential, RandomCascadesMatchReferenceExactly) {
   }
 
   for (const std::size_t threads : {1u, 2u, 4u}) {
-    for (const std::size_t fuse : {0u, 1u, 2u, 3u, 5u, 8u, 64u}) {
+    for (const std::size_t fuse : {1u, 2u, 3u, 5u, 8u, 64u}) {
       SimOptions options;
       options.fuse_block = fuse;
       options.threads = threads;
@@ -131,7 +141,7 @@ TEST(FusedDifferential, RandomCascadesMatchReferenceExactly) {
   }
 }
 
-TEST(FusedDifferential, StateVectorFusedOverloadMatchesReference) {
+TEST(FusedDifferential, FusedApplyMatchesReference) {
   Rng rng(7);
   UnitaryCache cache;
   for (int i = 0; i < 50; ++i) {
@@ -139,10 +149,9 @@ TEST(FusedDifferential, StateVectorFusedOverloadMatchesReference) {
     const Cascade c = random_cascade(rng, wires, rng.below(16));
     const auto bits =
         static_cast<std::uint32_t>(rng.below(std::uint64_t(1) << wires));
-    SimOptions options;
-    options.fuse_block = 1 + rng.below(8);
+    const std::size_t fuse = 1 + rng.below(8);
     StateVector fused = StateVector::basis(wires, bits);
-    fused.apply_cascade(c, options, &cache);
+    FusedCascade(c, fuse, cache).apply(fused);
     EXPECT_LE(max_abs_diff(fused.amplitudes(), reference_amplitudes(c, bits)),
               1e-12);
   }
@@ -154,10 +163,9 @@ TEST(FusedDifferential, FusedUnitaryMatchesReferenceUnitary) {
   for (int i = 0; i < 40; ++i) {
     const std::size_t wires = 2 + rng.below(3);
     const Cascade c = random_cascade(rng, wires, rng.below(12));
-    SimOptions options;
-    options.fuse_block = 1 + rng.below(6);
+    const std::size_t fuse = 1 + rng.below(6);
     const la::Matrix reference = cascade_unitary(c);
-    const la::Matrix fused = cascade_unitary(c, options, &cache);
+    const la::Matrix fused = FusedCascade(c, fuse, cache).unitary();
     EXPECT_LE(reference.max_abs_diff(fused), 1e-12) << c.to_string();
   }
 }
@@ -172,18 +180,15 @@ TEST(FusedDifferential, ClassicalPermutationExtractionAgrees) {
     const Cascade c =
         random_cascade(rng, wires, rng.below(16), /*permutative_only=*/true);
     ASSERT_TRUE(is_permutative(c));
-    SimOptions options;
-    options.fuse_block = 1 + rng.below(6);
+    const std::size_t fuse = 1 + rng.below(6);
     EXPECT_EQ(extract_classical_permutation(c),
-              extract_classical_permutation(c, options, la::kDefaultTolerance,
-                                            &cache))
+              fused_permutation(FusedCascade(c, fuse, cache)))
         << c.to_string();
   }
   // Paper circuits for good measure.
   for (const Cascade& c : synth::toffoli_cascades_fig9()) {
-    SimOptions options;
     EXPECT_EQ(extract_classical_permutation(c),
-              extract_classical_permutation(c, options));
+              fused_permutation(FusedCascade(c, kDefaultFuseBlock, cache)));
   }
 }
 
@@ -206,14 +211,10 @@ TEST(FusedDifferential, BatchedCrossCheckMatchesReferenceVerdicts) {
   std::vector<const Cascade*> pointers;
   for (const Cascade& c : cascades) pointers.push_back(&c);
 
-  SimOptions reference_options;
-  reference_options.fuse_block = 0;
-  reference_options.threads = 1;
-  BatchSimulator reference(reference_options);
   std::vector<char> expected;
   for (const Cascade* c : pointers) {
     expected.push_back(
-        mv_model_matches_hilbert(*c, domain, 1e-9, reference) ? 1 : 0);
+        mv_model_matches_hilbert_reference(*c, domain, 1e-9) ? 1 : 0);
   }
   for (std::size_t i = 0; i + 2 < cascades.size(); ++i) {
     EXPECT_EQ(expected[i], 1)
@@ -228,22 +229,23 @@ TEST(FusedDifferential, BatchedCrossCheckMatchesReferenceVerdicts) {
       options.fuse_block = fuse;
       options.threads = threads;
       BatchSimulator sim(options);
-      EXPECT_EQ(mv_model_matches_hilbert_batch(pointers, domain, 1e-9, sim),
-                expected)
+      EXPECT_EQ(sim.check_mv_model(pointers, domain, 1e-9), expected)
           << "fuse " << fuse << " threads " << threads;
     }
   }
 }
 
-TEST(FusedDifferential, RunAllInputsEqualsUnitaryColumns) {
+TEST(FusedDifferential, ApplyToBasisColumnsEqualsUnitaryColumns) {
   const Cascade c = synth::peres_cascade_fig4();
-  BatchSimulator sim;
-  const std::vector<la::Vector> outputs = sim.run_all_inputs(c);
+  UnitaryCache cache;
+  const FusedCascade fused(c, 2, cache);  // two blocks: the batched product
+  const std::vector<StateVector> outputs =
+      fused.apply_to_basis_columns({0, 1, 2, 3, 4, 5, 6, 7});
   const la::Matrix u = cascade_unitary(c);
   ASSERT_EQ(outputs.size(), 8u);
   for (std::uint32_t j = 0; j < 8; ++j) {
     for (std::size_t i = 0; i < 8; ++i) {
-      EXPECT_LE(std::abs(outputs[j][i] - u(i, j)), 1e-12);
+      EXPECT_LE(std::abs(outputs[j].amplitudes()[i] - u(i, j)), 1e-12);
     }
   }
 }
@@ -429,6 +431,12 @@ TEST(BatchEngine, RepeatedCascadeFoldsOncePerBatchAndOncePerCache) {
   EXPECT_EQ(misses_after_first, 2u);  // 4 gates, blocks of 2
   (void)sim.run(jobs);
   EXPECT_EQ(sim.cache().misses(), misses_after_first);  // warm: zero folds
+}
+
+TEST(BatchEngine, FuseBlockZeroIsRejectedAtConstruction) {
+  SimOptions options;
+  options.fuse_block = 0;
+  EXPECT_THROW((void)BatchSimulator(options), qsyn::LogicError);
 }
 
 TEST(BatchEngine, RejectsNullCascadeJobs) {
