@@ -1,7 +1,7 @@
 // bench_backends: time-to-first-cascade across the three synthesis backends.
 //
 // The SynthesisBackend seam makes "answer one target" a like-for-like race:
-//   * closure  — fresh ClosureBackend; pays the breadth-first sweep up to
+//   * closure  — fresh McExpressor; pays the breadth-first sweep up to
 //     the target's cost before the first answer, then serves instantly;
 //   * catalog  — CatalogServer over a saved closure; pays only the mmap
 //     open, serving stored answers with zero enumeration;
@@ -24,9 +24,9 @@
 #include "common/metrics.h"
 #include "gates/library.h"
 #include "perm/permutation.h"
-#include "synth/backend.h"
 #include "synth/catalog_server.h"
 #include "synth/fmcf.h"
+#include "synth/mce.h"
 #include "synth/search/topology_search.h"
 #include "synth/specs.h"
 
@@ -74,7 +74,7 @@ void regenerate() {
   (void)catalog_path();  // save the catalog outside every timed region
 
   const std::uint64_t closure_start = metrics::now_ns();
-  synth::ClosureBackend closure(library3(), 5);
+  synth::McExpressor closure(library3(), 5);
   const auto via_closure = closure.synthesize(synth::peres_perm());
   const double closure_seconds = metrics::seconds_since(closure_start);
 
@@ -132,7 +132,7 @@ void regenerate() {
 // exactly what a cold single-target caller pays.
 void bm_first_cascade_closure(benchmark::State& state) {
   for (auto _ : state) {
-    synth::ClosureBackend backend(library3(), 5);
+    synth::McExpressor backend(library3(), 5);
     benchmark::DoNotOptimize(backend.synthesize(synth::peres_perm()));
   }
 }

@@ -27,7 +27,16 @@
 #  * the materialized frontier: its store's pilot splitters
 #    (`frontier_splitters_`, `kPilotRowsPerShard`) and the block-galloping
 #    G-key pass over it (`end_of_block`) — the closure keeps only each
-#    level's canonical rows and answers every query from them.
+#    level's canonical rows and answers every query from them;
+#  * the second Hilbert path: the `QSYN_SIM_FUSE` switch, the
+#    `run_all_inputs` and `mv_model_matches_hilbert_batch` entry points,
+#    `fuse_cascade`, and the closure's `binary_rep_count` bound that bounded
+#    nothing — FusedCascade is the one Hilbert evaluator outside the tests,
+#    and the G-key pass scans every rep;
+#  * the seam's extras: the `ClosureBackend` adapter, `BackendInfo`,
+#    `BackendAnswer` and `CatalogServer::locate_batch` — McExpressor is the
+#    closure engine, and the seam carries library(), max_cost(),
+#    synthesize() and synthesize_batch() alone.
 #
 # Usage: cmake -DQSYN_SOURCE_DIR=<repo root> -P CheckDeprecatedNames.cmake
 if(NOT DEFINED QSYN_SOURCE_DIR)
@@ -42,7 +51,13 @@ set(deprecated_names
   "RowStorage" "StorageSpec"
   "SealedRun" "QSYNRUN" "keep_file"
   "combiner_active_" "process_round" "WaveEntry"
-  "frontier_splitters_" "kPilotRowsPerShard" "end_of_block")
+  "frontier_splitters_" "kPilotRowsPerShard" "end_of_block"
+  "QSYN_SIM_FUSE" "run_all_inputs" "mv_model_matches_hilbert_batch"
+  "fuse_cascade" "binary_rep_count"
+  "ClosureBackend" "BackendInfo" "locate_batch")
+# Matched as whole identifiers: `BackendAnswer` is also part of a live test
+# name (CatalogWeighted.FallbackBackendAnswersBeyondStoredDepth).
+set(deprecated_words "BackendAnswer")
 
 file(GLOB_RECURSE sources RELATIVE "${QSYN_SOURCE_DIR}"
   "${QSYN_SOURCE_DIR}/src/*.h"
@@ -65,6 +80,11 @@ foreach(source IN LISTS sources)
     string(FIND "${content}" "${name}" position)
     if(NOT position EQUAL -1)
       list(APPEND violations "${source}: ${name}")
+    endif()
+  endforeach()
+  foreach(word IN LISTS deprecated_words)
+    if(content MATCHES "(^|[^A-Za-z0-9_])${word}([^A-Za-z0-9_]|$)")
+      list(APPEND violations "${source}: ${word}")
     endif()
   endforeach()
 endforeach()

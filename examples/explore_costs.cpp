@@ -25,7 +25,7 @@
 #include "mvl/domain.h"
 #include "perm/permutation.h"
 #include "sim/cross_check.h"
-#include "synth/backend.h"
+#include "synth/mce.h"
 #include "synth/search/topology_search.h"
 #include "synth/specs.h"
 #include "synth/weighted.h"
@@ -45,11 +45,10 @@ void synthesize_one(synth::SynthesisBackend& backend,
                 backend.max_cost());
     return;
   }
-  // Enumerating *every* minimal implementation is a closure-only capability;
-  // the seam advertises it via info().enumerates_implementations and the
-  // enumeration itself stays behind the concrete engine.
-  if (auto* closure = dynamic_cast<synth::ClosureBackend*>(&backend)) {
-    const auto impls = closure->expressor().implementations(target);
+  // Enumerating *every* minimal implementation is a closure-only capability
+  // that the seam does not carry: it is a member of the concrete engine.
+  if (auto* closure = dynamic_cast<synth::McExpressor*>(&backend)) {
+    const auto impls = closure->implementations(target);
     std::printf("  minimal quantum cost: %u (%zu implementation%s)\n",
                 impls.front().cost, impls.size(), impls.size() == 1 ? "" : "s");
     for (const auto& impl : impls) {
@@ -81,7 +80,7 @@ std::unique_ptr<synth::SynthesisBackend> make_backend(
     return std::make_unique<synth::TopologySearchBackend>(library, config);
   }
   if (engine == "closure") {
-    return std::make_unique<synth::ClosureBackend>(library, 7);
+    return std::make_unique<synth::McExpressor>(library, 7);
   }
   return nullptr;
 }
@@ -106,11 +105,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const synth::WeightedSynthesizer nmr(library, gates::CostModel::nmr_like());
-  std::printf("engine: %s (cb = %u)\n", backend->info().name.c_str(),
-              backend->max_cost());
-  if (auto* closure = dynamic_cast<synth::ClosureBackend*>(backend.get())) {
+  std::printf("engine: %s (cb = %u)\n", engine.c_str(), backend->max_cost());
+  if (auto* closure = dynamic_cast<synth::McExpressor*>(backend.get())) {
     std::printf("FMCF sweep threads: %zu (set QSYN_THREADS to override)\n",
-                closure->expressor().enumerator().threads());
+                closure->enumerator().threads());
   }
   std::printf("\n");
 

@@ -16,7 +16,7 @@
 #include "mvl/domain.h"
 #include "perm/permutation.h"
 #include "sim/cross_check.h"
-#include "synth/backend.h"
+#include "synth/mce.h"
 #include "synth/search/topology_search.h"
 #include "synth/specs.h"
 
@@ -38,10 +38,9 @@ int main() {
   // 3. Synthesize a minimum-quantum-cost realization. The closure engine is
   //    the paper's MCE algorithm; every engine answers through the same
   //    SynthesisBackend interface, so swapping engines changes one line.
-  synth::ClosureBackend closure(library, /*max_cost=*/7);
+  synth::McExpressor closure(library, /*max_cost=*/7);
   synth::SynthesisBackend& backend = closure;
-  std::printf("engine: %s (cb = %u)\n", backend.info().name.c_str(),
-              backend.max_cost());
+  std::printf("engine: closure (cb = %u)\n", backend.max_cost());
   const auto result = backend.synthesize(toffoli);
   if (!result.has_value()) {
     std::printf("no realization within the cost bound\n");

@@ -1,5 +1,6 @@
 #include "synth/catalog_server.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.h"
@@ -28,38 +29,13 @@ class CatalogBackend final : public SynthesisBackend {
     return server_->enumerator().library();
   }
 
+  /// The stored depth, or the fallback's ceiling when that is higher: a
+  /// plugged-in fallback answers the targets beyond the stored levels.
   [[nodiscard]] unsigned max_cost() const override {
-    return server_->enumerator().levels_done();
-  }
-
-  [[nodiscard]] BackendInfo info() const override {
-    BackendInfo info;
-    info.name = "catalog";
-    info.exact = true;
-    // The catalog itself never deepens; a plugged-in fallback does fresh
-    // work on a miss on the server's behalf.
-    info.deepens_on_miss = server_->has_fallback();
-    info.enumerates_implementations = true;
-    info.max_cost = max_cost();
-    info.library_fingerprint = library().fingerprint();
-    info.domain_fingerprint = library().domain().fingerprint();
-    return info;
-  }
-
-  [[nodiscard]] std::optional<BackendAnswer> locate(
-      const perm::Permutation& target) override {
-    if (const auto entry = server_->locate(target); entry.has_value()) {
-      BackendAnswer answer;
-      answer.cost = entry->cost;
-      answer.not_prefix = entry->not_prefix;
-      return answer;
-    }
-    const auto result = server_->fallback_synthesize(target);
-    if (!result.has_value()) return std::nullopt;
-    BackendAnswer answer;
-    answer.cost = result->cost;
-    answer.not_prefix = result->not_prefix;
-    return answer;
+    const unsigned stored = server_->enumerator().levels_done();
+    std::lock_guard guard(server_->fallback_mutex_);
+    if (server_->fallback_ == nullptr) return stored;
+    return std::max(stored, server_->fallback_->max_cost());
   }
 
   [[nodiscard]] std::optional<SynthesisResult> synthesize(
@@ -91,13 +67,9 @@ CatalogServer CatalogServer::open(const std::string& path,
 }
 
 void CatalogServer::set_fallback(std::shared_ptr<SynthesisBackend> fallback) {
-  if (fallback != nullptr) {
-    const BackendInfo info = fallback->info();
-    QSYN_CHECK(info.library_fingerprint == fmcf_.library().fingerprint() &&
-                   info.domain_fingerprint ==
-                       fmcf_.library().domain().fingerprint(),
-               "fallback backend serves a different library than the catalog");
-  }
+  QSYN_CHECK(fallback == nullptr || fallback->library().fingerprint() ==
+                                        fmcf_.library().fingerprint(),
+             "fallback backend serves a different library than the catalog");
   std::lock_guard guard(fallback_mutex_);
   fallback_ = std::move(fallback);
 }
@@ -166,18 +138,10 @@ std::optional<SynthesisResult> CatalogServer::synthesize(
   const NotStripped stripped = strip_not_prefix(wires_, target);
   const auto entry = fmcf_.find(stripped.core);
   if (!entry.has_value()) return fallback_synthesize(target);
-
-  SynthesisResult result;
-  result.not_prefix = stripped.not_prefix;
-  result.core = entry->cost == 0
-                    ? gates::Cascade(wires_)
-                    : cached_witness(entry->cost, entry->frontier_index);
-  result.cost = entry->cost;
-  std::vector<gates::Gate> all = stripped.not_prefix;
-  all.insert(all.end(), result.core.sequence().begin(),
-             result.core.sequence().end());
-  result.circuit = gates::Cascade(wires_, std::move(all));
-  return result;
+  return assemble_result(
+      wires_, stripped,
+      entry->cost == 0 ? gates::Cascade(wires_)
+                       : cached_witness(entry->cost, entry->frontier_index));
 }
 
 std::optional<WeightedCatalogAnswer> CatalogServer::locate_weighted(
@@ -212,9 +176,7 @@ std::optional<WeightedCatalogAnswer> CatalogServer::locate_weighted(
     have_best = true;
     best.model_cost = cost;
     best.gate_count = core.size();
-    std::vector<gates::Gate> all = stripped.not_prefix;
-    all.insert(all.end(), core.sequence().begin(), core.sequence().end());
-    best.circuit = gates::Cascade(wires_, std::move(all));
+    best.circuit = assemble_result(wires_, stripped, core).circuit;
   };
 
   if (entry->cost == 0) {
@@ -245,30 +207,17 @@ std::optional<WeightedCatalogAnswer> CatalogServer::locate_weighted(
   return best;
 }
 
-template <typename Answer, typename Fn>
-std::vector<Answer> CatalogServer::run_batch(
-    const std::vector<perm::Permutation>& targets, const Fn& fn) const {
-  std::vector<Answer> answers(targets.size());
+std::vector<std::optional<SynthesisResult>> CatalogServer::synthesize_batch(
+    const std::vector<perm::Permutation>& targets) const {
+  std::vector<std::optional<SynthesisResult>> answers(targets.size());
   std::lock_guard guard(batch_mutex_);  // ThreadPool::run is not reentrant
   if (pool_ == nullptr) {
     pool_ = std::make_unique<ThreadPool>(options_.threads);
   }
   pool_->run(targets.size(), [&](std::size_t i, std::size_t) {
-    answers[i] = fn(targets[i]);
+    answers[i] = synthesize(targets[i]);
   });
   return answers;
-}
-
-std::vector<std::optional<CatalogAnswer>> CatalogServer::locate_batch(
-    const std::vector<perm::Permutation>& targets) const {
-  return run_batch<std::optional<CatalogAnswer>>(
-      targets, [this](const perm::Permutation& t) { return locate(t); });
-}
-
-std::vector<std::optional<SynthesisResult>> CatalogServer::synthesize_batch(
-    const std::vector<perm::Permutation>& targets) const {
-  return run_batch<std::optional<SynthesisResult>>(
-      targets, [this](const perm::Permutation& t) { return synthesize(t); });
 }
 
 CatalogServer::CacheStats CatalogServer::cache_stats() const {

@@ -7,10 +7,12 @@
 // The split from McExpressor: the expressor *builds* (it deepens the closure
 // on a miss), the server *answers*. A server never mutates its enumerator, so
 // single locate()/synthesize() calls are lock-free reads of immutable tables
-// and may run from any number of threads; the batch entry points fan a whole
+// and may run from any number of threads; synthesize_batch() fans a whole
 // query vector out over the server's own worker pool. The only shared
 // mutable state is the witness cache (reconstructed cascades are the one
 // non-trivial per-query cost), a bounded map behind a reader/writer lock.
+// Circuits are put together by assemble_result (synth/backend.h), so a
+// stored answer is byte-identical to McExpressor's over the same closure.
 //
 // Serving is backend-agnostic at the edges: as_backend() adapts the server
 // onto the SynthesisBackend seam, and set_fallback() plugs any other backend
@@ -34,7 +36,6 @@
 #include "perm/permutation.h"
 #include "synth/backend.h"
 #include "synth/fmcf.h"
-#include "synth/mce.h"
 
 namespace qsyn {
 class ThreadPool;
@@ -117,16 +118,17 @@ class CatalogServer {
   /// Plugs a backend in behind the catalog: synthesize() and
   /// locate_weighted() answer catalog misses through it instead of returning
   /// nullopt (locate() stays catalog-only — its answer is a storage
-  /// location). The backend must serve the same library (enforced via the
-  /// seam fingerprints; throws qsyn::LogicError). Fallback queries serialize
-  /// on an internal mutex; pass nullptr to unplug.
+  /// location). The backend must serve the same library (its
+  /// GateLibrary::fingerprint must match; throws qsyn::LogicError). Fallback
+  /// queries serialize on an internal mutex; pass nullptr to unplug.
   void set_fallback(std::shared_ptr<SynthesisBackend> fallback);
   [[nodiscard]] bool has_fallback() const;
 
-  /// Adapts this server onto the SynthesisBackend seam (name: "catalog").
-  /// The adapter serves stored answers — plus the fallback, when one is set
-  /// — and never deepens the closure. It references the server: the server
-  /// must outlive it.
+  /// Adapts this server onto the SynthesisBackend seam. The adapter serves
+  /// stored answers — plus the fallback, when one is set — and never deepens
+  /// the closure; its max_cost() is the stored depth or the fallback's
+  /// ceiling, whichever is higher. It references the server: the server must
+  /// outlive it.
   [[nodiscard]] std::unique_ptr<SynthesisBackend> as_backend();
 
   /// Minimal cost + witness location of `target` (a permutation of {1..2^n}
@@ -155,11 +157,9 @@ class CatalogServer {
       const perm::Permutation& target, const gates::CostModel& model,
       bool scan_deeper_levels = false) const;
 
-  /// Batched variants: one answer per target, in order, fanned out over the
-  /// server's worker pool. Batches from different threads serialize on the
-  /// pool (single-query calls keep running concurrently alongside).
-  [[nodiscard]] std::vector<std::optional<CatalogAnswer>> locate_batch(
-      const std::vector<perm::Permutation>& targets) const;
+  /// Batched synthesize(): one answer per target, in order, fanned out over
+  /// the server's worker pool. Batches from different threads serialize on
+  /// the pool (single-query calls keep running concurrently alongside).
   [[nodiscard]] std::vector<std::optional<SynthesisResult>> synthesize_batch(
       const std::vector<perm::Permutation>& targets) const;
 
@@ -178,9 +178,6 @@ class CatalogServer {
 
   [[nodiscard]] gates::Cascade cached_witness(unsigned cost,
                                               std::size_t row) const;
-  template <typename Answer, typename Fn>
-  [[nodiscard]] std::vector<Answer> run_batch(
-      const std::vector<perm::Permutation>& targets, const Fn& fn) const;
   /// Serialized fallback call; nullopt when no fallback is set or it misses.
   [[nodiscard]] std::optional<SynthesisResult> fallback_synthesize(
       const perm::Permutation& target) const;

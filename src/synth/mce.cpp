@@ -17,62 +17,14 @@ ClosureConfig with_witnesses(ClosureConfig config) {
 
 }  // namespace
 
-NotStripped strip_not_prefix(std::size_t wires,
-                             const perm::Permutation& target) {
-  const std::uint32_t binary_count = 1u << wires;
-  QSYN_CHECK(target.degree() <= binary_count,
-             "target permutation degree exceeds 2^wires");
-  const perm::Permutation g = target.extended_to(binary_count);
-
-  // Theorem 2/3: choose d[0] in N with (d[0]^{-1} * g)(1) = 1. Writing a for
-  // d[0] (an involution), h(1) = g(a(1)) = 1 forces a(1) = g^{-1}(1), i.e.
-  // the NOT mask is the bit pattern of label g^{-1}(1).
-  const std::uint32_t mask = g.inverse().apply(1) - 1;
-  NotStripped out;
-  for (std::size_t w = 0; w < wires; ++w) {
-    if ((mask >> (wires - 1 - w) & 1u) != 0) {
-      out.not_prefix.push_back(gates::Gate::not_gate(w));
-    }
-  }
-  // a as a permutation of binary labels: XOR by mask.
-  std::vector<std::uint32_t> images(binary_count);
-  for (std::uint32_t l = 0; l < binary_count; ++l) {
-    images[l] = (l ^ mask) + 1;
-  }
-  const perm::Permutation a = perm::Permutation::from_images(std::move(images));
-  out.core = a * g;  // a^{-1} * g with a an involution
-  QSYN_CHECK(out.core.apply(1) == 1,
-             "NOT-coset stripping must fix the all-zero pattern");
-  return out;
-}
-
-SynthesisResult assemble_result(std::size_t wires, const NotStripped& stripped,
-                                gates::Cascade core) {
-  SynthesisResult result;
-  result.not_prefix = stripped.not_prefix;
-  result.cost = static_cast<unsigned>(core.size());
-  std::vector<gates::Gate> all = stripped.not_prefix;
-  all.insert(all.end(), core.sequence().begin(), core.sequence().end());
-  result.core = std::move(core);
-  result.circuit = gates::Cascade(wires, std::move(all));
-  return result;
-}
-
 McExpressor::McExpressor(const gates::GateLibrary& library, unsigned max_cost,
                          ClosureConfig config)
-    : library_(&library),
-      max_cost_(max_cost),
+    : max_cost_(max_cost),
       fmcf_(library, with_witnesses(config)) {}
 
 McExpressor::McExpressor(FmcfEnumerator enumerator, unsigned max_cost)
-    : library_(&enumerator.library()),
-      max_cost_(max_cost != 0 ? max_cost : enumerator.levels_done()),
+    : max_cost_(max_cost != 0 ? max_cost : enumerator.levels_done()),
       fmcf_(std::move(enumerator)) {}
-
-NotStripped McExpressor::strip_not_coset(
-    const perm::Permutation& target) const {
-  return strip_not_prefix(library_->domain().wires(), target);
-}
 
 std::optional<GEntry> McExpressor::locate(const perm::Permutation& core) {
   auto entry = fmcf_.find(core);
@@ -88,44 +40,41 @@ std::optional<GEntry> McExpressor::locate(const perm::Permutation& core) {
   return entry;
 }
 
-SynthesisResult McExpressor::assemble(const NotStripped& stripped,
-                                      const gates::Cascade& core) const {
-  return assemble_result(core.wires(), stripped, core);
-}
-
 std::optional<SynthesisResult> McExpressor::synthesize(
     const perm::Permutation& target) {
-  const NotStripped stripped = strip_not_coset(target);
+  const std::size_t wires = library().domain().wires();
+  const NotStripped stripped = strip_not_prefix(wires, target);
   if (stripped.core.is_identity()) {
-    return assemble(stripped,
-                    gates::Cascade(library_->domain().wires()));
+    return assemble_result(wires, stripped, gates::Cascade(wires));
   }
   const auto entry = locate(stripped.core);
   if (!entry.has_value()) return std::nullopt;
-  return assemble(stripped, fmcf_.witness(*entry));
+  return assemble_result(wires, stripped, fmcf_.witness(*entry));
 }
 
 std::vector<SynthesisResult> McExpressor::implementations(
     const perm::Permutation& target) {
-  const NotStripped stripped = strip_not_coset(target);
+  const std::size_t wires = library().domain().wires();
+  const NotStripped stripped = strip_not_prefix(wires, target);
   std::vector<SynthesisResult> out;
   if (stripped.core.is_identity()) {
-    out.push_back(
-        assemble(stripped, gates::Cascade(library_->domain().wires())));
+    out.push_back(assemble_result(wires, stripped, gates::Cascade(wires)));
     return out;
   }
   const auto entry = locate(stripped.core);
   if (!entry.has_value()) return out;
   for (const std::size_t row :
        fmcf_.implementations(stripped.core, entry->cost)) {
-    out.push_back(assemble(stripped, fmcf_.witness_for_row(entry->cost, row)));
+    out.push_back(assemble_result(wires, stripped,
+                                  fmcf_.witness_for_row(entry->cost, row)));
   }
   return out;
 }
 
 std::optional<unsigned> McExpressor::minimal_cost(
     const perm::Permutation& target) {
-  const NotStripped stripped = strip_not_coset(target);
+  const NotStripped stripped =
+      strip_not_prefix(library().domain().wires(), target);
   if (stripped.core.is_identity()) return 0;
   const auto entry = locate(stripped.core);
   if (!entry.has_value()) return std::nullopt;
@@ -136,8 +85,9 @@ std::size_t McExpressor::count_sequences(const perm::Permutation& target,
                                          unsigned cost) {
   QSYN_CHECK(cost >= 1 && cost <= max_cost_,
              "count_sequences supports cost 1..max_cost()");
-  const NotStripped stripped = strip_not_coset(target);
-  const mvl::PatternDomain& domain = library_->domain();
+  const gates::GateLibrary& library = this->library();
+  const mvl::PatternDomain& domain = library.domain();
+  const NotStripped stripped = strip_not_prefix(domain.wires(), target);
   const std::size_t width = domain.size();
   const std::size_t binary_count = domain.binary_count();
 
@@ -145,9 +95,9 @@ std::size_t McExpressor::count_sequences(const perm::Permutation& target,
   // every supported domain width, including the 782-label 5-wire domain).
   std::vector<const perm::Permutation*> perms;
   std::vector<std::uint32_t> class_bits;
-  for (std::size_t g = 0; g < library_->size(); ++g) {
-    perms.push_back(&library_->permutation(g));
-    class_bits.push_back(1u << library_->banned_class_of(g));
+  for (std::size_t g = 0; g < library.size(); ++g) {
+    perms.push_back(&library.permutation(g));
+    class_bits.push_back(1u << library.banned_class_of(g));
   }
 
   std::vector<std::uint16_t> state(width);

@@ -9,57 +9,26 @@
 // reversible circuit into a (cost-0) NOT prefix a = d[0] and a member of G,
 // which the FMCF closure then locates level by level; the witness cascade is
 // reconstructed by the paper's back-walk over the B[j] frontiers.
+//
+// McExpressor is the closure engine behind the SynthesisBackend seam
+// (synth/backend.h). Closure-only queries that the seam does not carry —
+// implementations(), count_sequences(), minimal_cost() and the enumerator —
+// are members of the concrete class.
 #pragma once
 
 #include <optional>
 #include <vector>
 
-#include "gates/cascade.h"
 #include "gates/library.h"
 #include "perm/permutation.h"
+#include "synth/backend.h"
 #include "synth/fmcf.h"
 
 namespace qsyn::synth {
 
-/// One synthesized realization of a reversible circuit.
-struct SynthesisResult {
-  /// The complete circuit: NOT prefix followed by the library cascade.
-  gates::Cascade circuit;
-  /// d[0]: the NOT gates (possibly empty).
-  std::vector<gates::Gate> not_prefix;
-  /// d[1..t]: the controlled-V / controlled-V+ / Feynman part.
-  gates::Cascade core;
-  /// t — the minimal number of 2-qubit library gates (NOTs are free).
-  unsigned cost = 0;
-
-  SynthesisResult() : circuit(2), core(2) {}
-};
-
-/// Theorem 2's coset decomposition of a target: a cost-0 NOT prefix plus a
-/// core permutation fixing the all-zero pattern (a member of the paper's G).
-struct NotStripped {
-  std::vector<gates::Gate> not_prefix;
-  perm::Permutation core;  // fixes label 1
-};
-
-/// Strips the NOT coset off `target` (a permutation of {1..2^n} in
-/// binary-value order; smaller degrees are padded with fixed points). Shared
-/// by the MCE layer and the catalog serving front end, which both reduce
-/// lookups to the stored G-set this way.
-[[nodiscard]] NotStripped strip_not_prefix(std::size_t wires,
-                                           const perm::Permutation& target);
-
-/// Assembles a SynthesisResult from Theorem 2's pieces: the cost-0 NOT
-/// prefix and a core cascade of library gates. Shared by every synthesis
-/// backend and the catalog serving layer, so assembled circuits are
-/// byte-identical across engines given the same pieces.
-[[nodiscard]] SynthesisResult assemble_result(std::size_t wires,
-                                              const NotStripped& stripped,
-                                              gates::Cascade core);
-
 /// Minimum-cost expressing over one gate library. Reuses one FMCF closure
 /// across calls, deepening it on demand up to `max_cost` (the paper's cb).
-class McExpressor {
+class McExpressor final : public SynthesisBackend {
  public:
   /// `config` configures the underlying closure (thread count, witness
   /// tracking, chunking, spill budget — see synth/closure_config.h); witness
@@ -79,7 +48,7 @@ class McExpressor {
   /// acts on {1..2^n} in binary-value order (label 1 = |0..0>); smaller
   /// degrees are padded with fixed points.
   [[nodiscard]] std::optional<SynthesisResult> synthesize(
-      const perm::Permutation& target);
+      const perm::Permutation& target) override;
 
   /// All distinct minimal implementations, one per closure element of B[t]
   /// restricting to the target (this is the multiplicity the paper reports:
@@ -100,17 +69,15 @@ class McExpressor {
   [[nodiscard]] std::optional<unsigned> minimal_cost(
       const perm::Permutation& target);
 
+  [[nodiscard]] const gates::GateLibrary& library() const override {
+    return fmcf_.library();
+  }
+  [[nodiscard]] unsigned max_cost() const override { return max_cost_; }
   [[nodiscard]] const FmcfEnumerator& enumerator() const { return fmcf_; }
-  [[nodiscard]] unsigned max_cost() const { return max_cost_; }
 
  private:
-  [[nodiscard]] NotStripped strip_not_coset(
-      const perm::Permutation& target) const;
   [[nodiscard]] std::optional<GEntry> locate(const perm::Permutation& core);
-  [[nodiscard]] SynthesisResult assemble(const NotStripped& stripped,
-                                         const gates::Cascade& core) const;
 
-  const gates::GateLibrary* library_;
   unsigned max_cost_;
   FmcfEnumerator fmcf_;
 };

@@ -83,18 +83,6 @@ TopologySearchBackend::TopologySearchBackend(const gates::GateLibrary& library,
   }
 }
 
-BackendInfo TopologySearchBackend::info() const {
-  BackendInfo info;
-  info.name = "topology-search";
-  info.exact = true;
-  info.deepens_on_miss = true;  // every query searches; misses cost the most
-  info.enumerates_implementations = false;
-  info.max_cost = config_.max_cost;
-  info.library_fingerprint = library_->fingerprint();
-  info.domain_fingerprint = library_->domain().fingerprint();
-  return info;
-}
-
 std::uint32_t TopologySearchBackend::banned_of(
     const std::uint16_t* state) const {
   std::uint32_t banned = 0;
@@ -252,16 +240,6 @@ TopologySearchBackend::synthesize_batch(
 std::optional<SynthesisResult> TopologySearchBackend::synthesize(
     const perm::Permutation& target) {
   return synthesize_batch({target}).front();
-}
-
-std::optional<BackendAnswer> TopologySearchBackend::locate(
-    const perm::Permutation& target) {
-  const auto result = synthesize(target);
-  if (!result.has_value()) return std::nullopt;
-  BackendAnswer answer;
-  answer.cost = result->cost;
-  answer.not_prefix = result->not_prefix;
-  return answer;
 }
 
 }  // namespace qsyn::synth

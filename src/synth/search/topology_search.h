@@ -91,9 +91,6 @@ class TopologySearchBackend final : public SynthesisBackend {
     return *library_;
   }
   [[nodiscard]] unsigned max_cost() const override { return config_.max_cost; }
-  [[nodiscard]] BackendInfo info() const override;
-  [[nodiscard]] std::optional<BackendAnswer> locate(
-      const perm::Permutation& target) override;
   [[nodiscard]] std::optional<SynthesisResult> synthesize(
       const perm::Permutation& target) override;
 

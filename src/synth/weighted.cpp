@@ -83,11 +83,9 @@ WeightedSynthesizer::WeightedSynthesizer(const gates::GateLibrary& library,
 }
 
 void WeightedSynthesizer::set_bound_backend(SynthesisBackend* backend) {
-  if (backend != nullptr) {
-    const BackendInfo info = backend->info();
-    QSYN_CHECK(info.library_fingerprint == library_->fingerprint(),
-               "bound backend serves a different library");
-  }
+  QSYN_CHECK(backend == nullptr ||
+                 backend->library().fingerprint() == library_->fingerprint(),
+             "bound backend serves a different library");
   bound_backend_ = backend;
 }
 

@@ -929,18 +929,9 @@ TEST(CatalogServer, BatchedQueriesMatchSingles) {
   const CatalogServer server = CatalogServer::open(catalog5_path(), library3());
   const std::vector<perm::Permutation> targets = server_targets();
 
-  const auto located = server.locate_batch(targets);
   const auto synthesized = server.synthesize_batch(targets);
-  ASSERT_EQ(located.size(), targets.size());
   ASSERT_EQ(synthesized.size(), targets.size());
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    const auto single = server.locate(targets[i]);
-    ASSERT_EQ(located[i].has_value(), single.has_value()) << i;
-    if (single.has_value()) {
-      EXPECT_EQ(located[i]->cost, single->cost);
-      EXPECT_EQ(located[i]->frontier_index, single->frontier_index);
-      EXPECT_EQ(located[i]->not_prefix, single->not_prefix);
-    }
     const auto one = server.synthesize(targets[i]);
     ASSERT_EQ(synthesized[i].has_value(), one.has_value()) << i;
     if (one.has_value()) {

@@ -9,6 +9,9 @@
 //     (and that drain_sorted(), the migration target, is present), and that
 //     ShardedPermStore's whole-store algebra (sort_unique, subtract_sorted,
 //     merge_sorted, contains_sorted, flatten) stays deleted;
+//   * the synthesis seam carries only library(), max_cost(), synthesize()
+//     and synthesize_batch(): no info() or locate() on SynthesisBackend,
+//     and CatalogServer answers batches through synthesize_batch() alone;
 //   * a namespace-scope alias cannot be SFINAE-probed, so the companion
 //     grep ctest (deprecated_names_absent, cmake/CheckDeprecatedNames.cmake)
 //     scans the tree for both spellings — this file is its one exclusion.
@@ -17,7 +20,11 @@
 #include <cstdint>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
+#include "perm/permutation.h"
+#include "synth/backend.h"
+#include "synth/catalog_server.h"
 #include "synth/closure_config.h"
 #include "synth/flat_perm_store.h"
 #include "synth/fmcf.h"
@@ -71,6 +78,30 @@ static_assert(Detected<SortUnique, FlatPermStore>::value &&
                   Detected<MergeSorted, FlatPermStore>::value &&
                   Detected<ContainsSorted, FlatPermStore>::value,
               "FlatPermStore keeps the per-store set algebra");
+
+template <typename T>
+using Info = decltype(std::declval<const T&>().info());
+template <typename T>
+using Locate = decltype(std::declval<T&>().locate(
+    std::declval<const perm::Permutation&>()));
+template <typename T>
+using LocateBatch = decltype(std::declval<const T&>().locate_batch(
+    std::declval<const std::vector<perm::Permutation>&>()));
+template <typename T>
+using SynthesizeBatch = decltype(std::declval<T&>().synthesize_batch(
+    std::declval<const std::vector<perm::Permutation>&>()));
+
+static_assert(!Detected<Info, SynthesisBackend>::value &&
+                  !Detected<Locate, SynthesisBackend>::value,
+              "the seam carries no info() or locate(): engines answer "
+              "through synthesize()");
+static_assert(Detected<SynthesizeBatch, SynthesisBackend>::value,
+              "synthesize_batch() stays on the seam");
+static_assert(!Detected<LocateBatch, CatalogServer>::value &&
+                  Detected<Locate, CatalogServer>::value &&
+                  Detected<SynthesizeBatch, CatalogServer>::value,
+              "CatalogServer keeps locate() and synthesize_batch(); "
+              "locate_batch() was deleted");
 
 TEST(Deprecation, ClosureConfigIsTheOneKnobSurface) {
   // The migration target works end to end: an enumerator built from a

@@ -1,9 +1,10 @@
 // Tests for the SynthesisBackend seam and the topology-guided DFS engine:
-// ClosureBackend answers must be byte-identical to the bare McExpressor,
-// and TopologySearchBackend must agree with the closure on cost for every
-// closure-reachable target (the cross-backend differential), while reaching
-// widths/costs the in-memory closure cannot hold (the 5-wire acceptance
-// case).
+// McExpressor, TopologySearchBackend and the catalog adapter keep one seam
+// contract (same costs and NOT prefixes, verified circuits, nullopt exactly
+// beyond max_cost()), and TopologySearchBackend must agree with the closure
+// on cost for every closure-reachable target (the cross-backend
+// differential), while reaching widths/costs the in-memory closure cannot
+// hold (the 5-wire acceptance case).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,12 +17,12 @@
 #include "mvl/domain.h"
 #include "perm/permutation.h"
 #include "sim/cross_check.h"
-#include "synth/backend.h"
 #include "synth/catalog_server.h"
 #include "synth/mce.h"
 #include "synth/search/topology_search.h"
 #include "synth/search/visited_set.h"
 #include "synth/specs.h"
+#include "synth/weighted.h"
 
 namespace qsyn::synth {
 namespace {
@@ -88,7 +89,7 @@ TEST(VisitedSet, ClearForgetsStatesAndSaturation) {
 }
 
 // ---------------------------------------------------------------------------
-// ClosureBackend: a transparent adapter over McExpressor
+// The closure engine behind the seam
 
 class Backend3 : public ::testing::Test {
  protected:
@@ -98,51 +99,8 @@ class Backend3 : public ::testing::Test {
   }
 };
 
-TEST_F(Backend3, ClosureBackendMatchesBareExpressorByteForByte) {
-  ClosureBackend backend(lib(), 7);
-  McExpressor bare(lib(), 7);
-  const std::vector<perm::Permutation> targets = {
-      perm::Permutation::identity(8),
-      perm::Permutation::from_cycles("(1,2)(3,4)(5,6)(7,8)", 8),
-      peres_perm(),
-      toffoli_perm(),
-      fredkin_perm(),
-      g2_perm(),
-      g3_perm(),
-      g4_perm(),
-      swap_bc_perm()};
-  for (const auto& target : targets) {
-    const auto via_seam = backend.synthesize(target);
-    const auto direct = bare.synthesize(target);
-    ASSERT_EQ(via_seam.has_value(), direct.has_value());
-    ASSERT_TRUE(via_seam.has_value());
-    EXPECT_EQ(via_seam->cost, direct->cost);
-    EXPECT_EQ(via_seam->circuit, direct->circuit);
-    EXPECT_EQ(via_seam->core, direct->core);
-    EXPECT_EQ(via_seam->not_prefix, direct->not_prefix);
-    const auto answer = backend.locate(target);
-    ASSERT_TRUE(answer.has_value());
-    EXPECT_EQ(answer->cost, direct->cost);
-    EXPECT_EQ(answer->not_prefix, direct->not_prefix);
-  }
-}
-
-TEST_F(Backend3, ClosureBackendInfo) {
-  ClosureBackend backend(lib(), 6);
-  const BackendInfo info = backend.info();
-  EXPECT_EQ(info.name, "closure");
-  EXPECT_TRUE(info.exact);
-  EXPECT_TRUE(info.deepens_on_miss);
-  EXPECT_TRUE(info.enumerates_implementations);
-  EXPECT_EQ(info.max_cost, 6u);
-  EXPECT_EQ(info.library_fingerprint, lib().fingerprint());
-  EXPECT_EQ(info.domain_fingerprint, lib().domain().fingerprint());
-  EXPECT_EQ(backend.max_cost(), 6u);
-  EXPECT_EQ(&backend.library(), &lib());
-}
-
 TEST_F(Backend3, DefaultBatchLoopsOverSynthesize) {
-  ClosureBackend backend(lib(), 7);
+  McExpressor backend(lib(), 7);
   const std::vector<perm::Permutation> targets = {peres_perm(),
                                                   toffoli_perm()};
   const auto batch = backend.synthesize_batch(targets);
@@ -160,14 +118,8 @@ TEST_F(Backend3, SearchInfo) {
   SearchConfig config;
   config.max_cost = 5;
   TopologySearchBackend search(lib(), config);
-  const BackendInfo info = search.info();
-  EXPECT_EQ(info.name, "topology-search");
-  EXPECT_TRUE(info.exact);
-  EXPECT_TRUE(info.deepens_on_miss);
-  EXPECT_FALSE(info.enumerates_implementations);
-  EXPECT_EQ(info.max_cost, 5u);
-  EXPECT_EQ(info.library_fingerprint, lib().fingerprint());
-  EXPECT_EQ(info.domain_fingerprint, lib().domain().fingerprint());
+  EXPECT_EQ(search.max_cost(), 5u);
+  EXPECT_EQ(&search.library(), &lib());
 }
 
 TEST_F(Backend3, SearchIdentityCostsZero) {
@@ -219,13 +171,13 @@ TEST_F(Backend3, SearchMissBeyondMaxCost) {
   SearchConfig config;
   config.max_cost = 3;
   TopologySearchBackend search(lib(), config);
-  EXPECT_FALSE(search.synthesize(peres_perm()).has_value());  // cost 4
-  EXPECT_FALSE(search.locate(toffoli_perm()).has_value());    // cost 5
+  EXPECT_FALSE(search.synthesize(peres_perm()).has_value());   // cost 4
+  EXPECT_FALSE(search.synthesize(toffoli_perm()).has_value());  // cost 5
 }
 
 TEST_F(Backend3, SearchLocateReturnsCostAndPrefix) {
   TopologySearchBackend search(lib());
-  const auto answer = search.locate(peres_perm());
+  const auto answer = search.synthesize(peres_perm());
   ASSERT_TRUE(answer.has_value());
   EXPECT_EQ(answer->cost, 4u);
   EXPECT_TRUE(answer->not_prefix.empty());
@@ -284,11 +236,12 @@ TEST_F(Backend3, PruningAblationsAgreeOnCosts) {
   TopologySearchBackend fast(lib(), pruned);
   TopologySearchBackend slow(lib(), plain);
   for (const auto& target : targets) {
-    const auto a = fast.locate(target);
-    const auto b = slow.locate(target);
+    const auto a = fast.synthesize(target);
+    const auto b = slow.synthesize(target);
     ASSERT_EQ(a.has_value(), b.has_value());
     if (a.has_value()) {
       EXPECT_EQ(a->cost, b->cost);
+      EXPECT_EQ(a->not_prefix, b->not_prefix);
     }
   }
   // The prunes must actually fire (and the ablation must not).
@@ -372,37 +325,117 @@ TEST_F(Backend3, FallbackForDifferentLibraryThrows) {
 TEST_F(Backend3, AsBackendServesStoredAnswersAndFallback) {
   CatalogServer server = make_server4(lib());
   const auto backend = server.as_backend();
-  const BackendInfo info = backend->info();
-  EXPECT_EQ(info.name, "catalog");
-  EXPECT_TRUE(info.exact);
-  EXPECT_FALSE(info.deepens_on_miss);  // no fallback plugged in yet
-  EXPECT_TRUE(info.enumerates_implementations);
-  EXPECT_EQ(info.max_cost, 4u);
-  EXPECT_EQ(info.library_fingerprint, lib().fingerprint());
   EXPECT_EQ(backend->max_cost(), 4u);
+  EXPECT_EQ(backend->library().fingerprint(), lib().fingerprint());
 
   // A stored answer through the seam matches the server byte for byte.
   const auto via_seam = backend->synthesize(peres_perm());
   const auto direct = server.synthesize(peres_perm());
   ASSERT_TRUE(via_seam.has_value() && direct.has_value());
   EXPECT_EQ(via_seam->circuit, direct->circuit);
-  const auto answer = backend->locate(peres_perm());
-  ASSERT_TRUE(answer.has_value());
-  EXPECT_EQ(answer->cost, 4u);
+  EXPECT_EQ(via_seam->cost, 4u);
+  EXPECT_TRUE(via_seam->not_prefix.empty());
 
-  // With a fallback the adapter answers misses too (locate included: the
-  // seam's locate() is a cost query, not a storage location).
-  EXPECT_FALSE(backend->locate(toffoli_perm()).has_value());
+  // With a fallback the adapter answers misses too.
+  EXPECT_FALSE(backend->synthesize(toffoli_perm()).has_value());
   server.set_fallback(make_search_fallback(lib()));
-  EXPECT_TRUE(backend->info().deepens_on_miss);
-  const auto miss = backend->locate(toffoli_perm());
+  EXPECT_EQ(backend->max_cost(), 5u);
+  const auto miss = backend->synthesize(toffoli_perm());
   ASSERT_TRUE(miss.has_value());
   EXPECT_EQ(miss->cost, 5u);
+  EXPECT_TRUE(miss->not_prefix.empty());
   const auto batch = backend->synthesize_batch({peres_perm(), toffoli_perm()});
   ASSERT_EQ(batch.size(), 2u);
   ASSERT_TRUE(batch[0].has_value() && batch[1].has_value());
   EXPECT_EQ(batch[0]->cost, 4u);
   EXPECT_EQ(batch[1]->cost, 5u);
+}
+
+TEST_F(Backend3, AsBackendCeilingCoversTheFallback) {
+  // The adapter answers every target the fallback reaches, so its ceiling is
+  // the fallback's when that is higher than the stored depth.
+  CatalogServer server = make_server4(lib());
+  const auto backend = server.as_backend();
+  server.set_fallback(std::make_shared<TopologySearchBackend>(lib()));
+  EXPECT_EQ(backend->max_cost(), 7u);
+  // A shallower fallback leaves the stored depth as the ceiling.
+  server.set_fallback(make_search_fallback(lib(), 3));
+  EXPECT_EQ(backend->max_cost(), 4u);
+  server.set_fallback(nullptr);
+  EXPECT_EQ(backend->max_cost(), 4u);
+}
+
+/// Drives `engine` through the seam over `targets` with minimal costs
+/// `expected`: an answer exactly when the cost is within max_cost(), with
+/// that cost, Theorem 2's NOT prefix and a circuit that simulates to the
+/// target.
+void expect_seam_contract(SynthesisBackend& engine,
+                          const std::vector<perm::Permutation>& targets,
+                          const std::vector<unsigned>& expected) {
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    SCOPED_TRACE(targets[i].to_cycle_string());
+    const auto answer = engine.synthesize(targets[i]);
+    ASSERT_EQ(answer.has_value(), expected[i] <= engine.max_cost());
+    if (!answer.has_value()) continue;
+    EXPECT_EQ(answer->cost, expected[i]);
+    EXPECT_EQ(answer->not_prefix,
+              strip_not_prefix(3, targets[i]).not_prefix);
+    EXPECT_TRUE(sim::realizes_permutation(answer->circuit, targets[i]));
+  }
+}
+
+TEST_F(Backend3, SeamContractHoldsOnEveryEngine) {
+  const auto not_c = perm::Permutation::from_cycles("(1,2)(3,4)(5,6)(7,8)", 8);
+  const std::vector<perm::Permutation> targets = {
+      perm::Permutation::identity(8), not_c, peres_perm(), toffoli_perm(),
+      fredkin_perm()};
+  const std::vector<unsigned> costs = {0, 0, 4, 5, 7};
+
+  // cb = 7: every target is answered, by the closure, by the DFS, and by a
+  // cb = 4 catalog that passes Toffoli and Fredkin to its search fallback.
+  McExpressor closure(lib(), 7);
+  TopologySearchBackend search(lib());
+  CatalogServer server = make_server4(lib());
+  server.set_fallback(std::make_shared<TopologySearchBackend>(lib()));
+  const auto catalog = server.as_backend();
+  for (SynthesisBackend* engine :
+       {static_cast<SynthesisBackend*>(&closure),
+        static_cast<SynthesisBackend*>(&search), catalog.get()}) {
+    EXPECT_EQ(engine->max_cost(), 7u);
+    EXPECT_EQ(engine->library().fingerprint(), lib().fingerprint());
+    expect_seam_contract(*engine, targets, costs);
+  }
+
+  // cb = 4, no fallback: Toffoli and Fredkin lie beyond every ceiling.
+  McExpressor closure4(lib(), 4);
+  SearchConfig config;
+  config.max_cost = 4;
+  TopologySearchBackend search4(lib(), config);
+  CatalogServer server4 = make_server4(lib());
+  const auto catalog4 = server4.as_backend();
+  for (SynthesisBackend* engine :
+       {static_cast<SynthesisBackend*>(&closure4),
+        static_cast<SynthesisBackend*>(&search4), catalog4.get()}) {
+    EXPECT_EQ(engine->max_cost(), 4u);
+    expect_seam_contract(*engine, targets, costs);
+  }
+
+  // Each engine over a 2-wire library is rejected wherever a backend plugs
+  // in behind another.
+  const gates::GateLibrary two_wires = gates::GateLibrary::standard(2);
+  FmcfEnumerator enumerator2(two_wires);
+  enumerator2.run_to(2);
+  CatalogServer server2(std::move(enumerator2));
+  const std::shared_ptr<SynthesisBackend> others[] = {
+      std::make_shared<McExpressor>(two_wires, 5),
+      std::make_shared<TopologySearchBackend>(two_wires),
+      server2.as_backend()};
+  WeightedSynthesizer dijkstra(lib(), gates::CostModel::unit());
+  for (const auto& other : others) {
+    EXPECT_THROW(server4.set_fallback(other), qsyn::LogicError);
+    EXPECT_THROW(dijkstra.set_bound_backend(other.get()), qsyn::LogicError);
+  }
+  EXPECT_FALSE(server4.has_fallback());
 }
 
 TEST_F(Backend3, ConcurrentMissesSerializeOnTheFallback) {

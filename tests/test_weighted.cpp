@@ -127,7 +127,7 @@ TEST(Weighted, BoundBackendKeepsAnswersExact) {
   // optimal path costs at most the optimum, which the backend's witness
   // bounds from above.
   const gates::CostModel nmr = gates::CostModel::nmr_like();
-  ClosureBackend closure(library3(), 7);
+  McExpressor closure(library3(), 7);
   const WeightedSynthesizer plain(library3(), nmr);
   WeightedSynthesizer bounded(library3(), nmr);
   bounded.set_bound_backend(&closure);
@@ -146,7 +146,7 @@ TEST(Weighted, BoundBackendShrinksTheExploredStateSet) {
   const WeightedSynthesizer plain(library3(), nmr, true, 120000);
   EXPECT_THROW((void)plain.minimal_cost(toffoli_perm()), qsyn::SynthesisError);
 
-  ClosureBackend closure(library3(), 7);
+  McExpressor closure(library3(), 7);
   WeightedSynthesizer bounded(library3(), nmr, true, 120000);
   bounded.set_bound_backend(&closure);
   const auto cost = bounded.minimal_cost(toffoli_perm());
@@ -156,7 +156,7 @@ TEST(Weighted, BoundBackendShrinksTheExploredStateSet) {
 
 TEST(Weighted, BoundBackendForDifferentLibraryThrows) {
   static const gates::GateLibrary lib2 = gates::GateLibrary::standard(2);
-  ClosureBackend other(lib2, 5);
+  McExpressor other(lib2, 5);
   WeightedSynthesizer dijkstra(library3(), gates::CostModel::unit());
   EXPECT_THROW(dijkstra.set_bound_backend(&other), qsyn::LogicError);
   // nullptr unplugs without complaint.
