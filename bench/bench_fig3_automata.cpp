@@ -5,10 +5,13 @@
 // measurement runs.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "automata/automaton.h"
 #include "automata/hmm.h"
+#include "automata/prob_synth.h"
 #include "automata/qrng.h"
 #include "bench_util.h"
 #include "common/metrics.h"
@@ -97,6 +100,43 @@ void bm_stationary_solve(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_stationary_solve)->Unit(benchmark::kMicrosecond);
+
+automata::BehavioralProbSpec coin_behavior() {
+  return automata::controlled_coin_spec(3);
+}
+
+/// Toffoli's measured behaviour (every wire deterministic): the cost-5 spec
+/// that behaviour learning recovers from Toffoli samples.
+automata::BehavioralProbSpec toffoli_behavior() {
+  std::vector<std::vector<automata::WireBehavior>> rows;
+  for (std::uint32_t input = 0; input < 8; ++input) {
+    const std::uint32_t output = (input & 6u) == 6u ? input ^ 1u : input;
+    std::vector<automata::WireBehavior> row;
+    for (int bit = 2; bit >= 0; --bit) {
+      const bool one = ((output >> bit) & 1u) != 0;
+      row.push_back(one ? automata::WireBehavior::kOne
+                        : automata::WireBehavior::kZero);
+    }
+    rows.push_back(std::move(row));
+  }
+  return automata::BehavioralProbSpec(3, std::move(rows));
+}
+
+/// Minimal probabilistic synthesis: one ProbSynthesizer query per iteration.
+void bm_prob_synth(benchmark::State& state,
+                   automata::BehavioralProbSpec (*make_spec)()) {
+  const mvl::PatternDomain domain = mvl::PatternDomain::reduced(3);
+  const gates::GateLibrary library(domain);
+  const automata::BehavioralProbSpec spec = make_spec();
+  const automata::ProbSynthesizer synthesizer(library);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(synthesizer.synthesize(spec));
+  }
+}
+BENCHMARK_CAPTURE(bm_prob_synth, controlled_coin, &coin_behavior)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(bm_prob_synth, toffoli_behavior, &toffoli_behavior)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

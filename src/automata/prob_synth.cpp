@@ -1,9 +1,11 @@
 #include "automata/prob_synth.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "common/error.h"
+#include "synth/search/topology_search.h"
 
 namespace qsyn::automata {
 
@@ -15,83 +17,47 @@ ProbSynthesizer::ProbSynthesizer(const gates::GateLibrary& library,
 
 namespace {
 
-/// Depth-first search over reasonable cascades of exactly `depth` gates.
-/// `state` holds the images of the binary labels (0-based) through the
-/// current prefix; acceptance looks only at those images.
-template <typename AcceptFn>
-bool dfs(const gates::GateLibrary& lib,
-         std::vector<std::uint8_t>& images,  // binary_count entries
-         std::vector<std::size_t>& chosen, unsigned depth,
-         const AcceptFn& accepts) {
-  const mvl::PatternDomain& domain = lib.domain();
-  if (depth == 0) return accepts(images);
-  std::uint32_t banned = 0;
-  for (const std::uint8_t label0 : images) {
-    banned |= domain.banned_mask(label0 + 1);
-  }
-  std::vector<std::uint8_t> next(images.size());
-  for (std::size_t g = 0; g < lib.size(); ++g) {
-    if ((banned & (1u << lib.banned_class_of(g))) != 0) continue;
-    const perm::Permutation& p = lib.permutation(g);
-    for (std::size_t s = 0; s < images.size(); ++s) {
-      next[s] = static_cast<std::uint8_t>(p.apply(images[s] + 1) - 1);
-    }
-    chosen.push_back(g);
-    std::vector<std::uint8_t> saved = images;
-    images = next;
-    if (dfs(lib, images, chosen, depth - 1, accepts)) return true;
-    images = std::move(saved);
-    chosen.pop_back();
-  }
-  return false;
+/// The minimal (then lexicographically least) reasonable cascade of cost <=
+/// max_cost whose binary-label images `accept` takes.
+std::optional<gates::Cascade> first_cascade(
+    const gates::GateLibrary& library, unsigned max_cost,
+    const synth::TopologySearchBackend::LeafTest& accept) {
+  synth::SearchConfig config;
+  config.max_cost = max_cost;
+  synth::TopologySearchBackend search(library, config);
+  return search.first_cascade(accept);
 }
 
 }  // namespace
-
-template <typename AcceptFn>
-std::optional<gates::Cascade> ProbSynthesizer::search(AcceptFn accepts) const {
-  const mvl::PatternDomain& domain = library_->domain();
-  const std::size_t binary_count = domain.binary_count();
-  for (unsigned depth = 0; depth <= max_cost_; ++depth) {
-    std::vector<std::uint8_t> images(binary_count);
-    for (std::size_t s = 0; s < binary_count; ++s) {
-      images[s] = static_cast<std::uint8_t>(s);
-    }
-    std::vector<std::size_t> chosen;
-    if (dfs(*library_, images, chosen, depth, accepts)) {
-      gates::Cascade cascade(domain.wires());
-      for (const std::size_t g : chosen) cascade.append(library_->gate(g));
-      return cascade;
-    }
-  }
-  return std::nullopt;
-}
 
 std::optional<gates::Cascade> ProbSynthesizer::synthesize(
     const ExactProbSpec& spec) const {
   const mvl::PatternDomain& domain = library_->domain();
   QSYN_CHECK(spec.wires() == domain.wires(), "spec wire count mismatch");
   if (!spec.is_realizable_shape(domain)) return std::nullopt;
-  std::vector<std::uint8_t> wanted(domain.binary_count());
+  std::vector<std::uint16_t> wanted(domain.binary_count());
   for (std::uint32_t i = 0; i < domain.binary_count(); ++i) {
     wanted[i] =
-        static_cast<std::uint8_t>(domain.label_of(spec.output_for(i)) - 1);
+        static_cast<std::uint16_t>(domain.label_of(spec.output_for(i)) - 1);
   }
-  return search([&wanted](const std::vector<std::uint8_t>& images) {
-    return images == wanted;
-  });
+  return first_cascade(*library_, max_cost_,
+                       [&wanted](const std::uint16_t* images) {
+                         return std::equal(wanted.begin(), wanted.end(),
+                                           images);
+                       });
 }
 
 std::optional<gates::Cascade> ProbSynthesizer::synthesize(
     const BehavioralProbSpec& spec) const {
   const mvl::PatternDomain& domain = library_->domain();
   QSYN_CHECK(spec.wires() == domain.wires(), "spec wire count mismatch");
-  return search([&spec, &domain](const std::vector<std::uint8_t>& images) {
-    for (std::uint32_t i = 0; i < images.size(); ++i) {
-      if (!spec.accepts(i, domain.pattern(images[i] + 1))) return false;
-    }
-    return true;
-  });
+  return first_cascade(
+      *library_, max_cost_, [&spec, &domain](const std::uint16_t* images) {
+        for (std::uint32_t i = 0; i < domain.binary_count(); ++i) {
+          if (!spec.accepts(i, domain.pattern(images[i] + 1u))) return false;
+        }
+        return true;
+      });
 }
 
 }  // namespace qsyn::automata

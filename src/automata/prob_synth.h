@@ -5,8 +5,12 @@
 // ("our approach generates quantum circuits with probabilistic combinational
 // functionality ... without any modifications", Section 4).
 //
-// The synthesizer searches reasonable cascades by iterative deepening, so
-// the first depth at which a spec is met is its exact minimal quantum cost.
+// The synthesizer runs the Section-3 search as it is: the iterative-deepening
+// walk of synth::TopologySearchBackend over reasonable cascades (2..5 wires),
+// with a leaf test on the binary-label images in place of the target lookup.
+// The first depth at which a spec is met is its exact minimal quantum cost,
+// and the cascade returned is the lexicographically least (by gate index) of
+// that depth's matches. Wider libraries throw qsyn::LogicError.
 #pragma once
 
 #include <optional>
@@ -35,9 +39,6 @@ class ProbSynthesizer {
   [[nodiscard]] unsigned max_cost() const { return max_cost_; }
 
  private:
-  template <typename AcceptFn>
-  [[nodiscard]] std::optional<gates::Cascade> search(AcceptFn accepts) const;
-
   const gates::GateLibrary* library_;
   unsigned max_cost_;
 };

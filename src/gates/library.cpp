@@ -152,13 +152,4 @@ std::size_t GateLibrary::adjoint_index(std::size_t index) const {
   throw qsyn::LogicError("adjoint gate missing from library");
 }
 
-bool GateLibrary::commutes(std::size_t a, std::size_t b) const {
-  const perm::Permutation& pa = permutation(a);
-  const perm::Permutation& pb = permutation(b);
-  for (std::uint32_t label = 1; label <= domain_->size(); ++label) {
-    if (pb.apply(pa.apply(label)) != pa.apply(pb.apply(label))) return false;
-  }
-  return true;
-}
-
 }  // namespace qsyn::gates

@@ -71,11 +71,6 @@ class GateLibrary {
   /// Index of the adjoint gate of gate `index` (an involution on L).
   [[nodiscard]] std::size_t adjoint_index(std::size_t index) const;
 
-  /// True iff the two gates' domain permutations commute. The topology-guided
-  /// search backend keeps only one canonical order of adjacent commuting
-  /// gates; O(domain size) per query, uncached.
-  [[nodiscard]] bool commutes(std::size_t a, std::size_t b) const;
-
   /// A library over the same domain containing only the given gate indices
   /// (in the given order). Used by ablations and by tests that need a tiny
   /// library whose closure saturates early.

@@ -6,6 +6,7 @@
 #include "common/simd/kernels.h"
 #include "common/thread_pool.h"
 #include "sim/state_vector.h"
+#include "sim/unitary.h"
 
 namespace qsyn::sim {
 
@@ -24,24 +25,6 @@ std::size_t UnitaryCache::KeyHash::operator()(const Key& key) const {
   for (const std::uint32_t g : key.gates) mix(g);
   return static_cast<std::size_t>(h);
 }
-
-namespace {
-
-/// Folds a gate block into its full unitary by simulating every basis
-/// column through the block (exact dyadic arithmetic, like gate_unitary).
-la::Matrix fold_block(std::size_t wires, const gates::Gate* gates,
-                      std::size_t count) {
-  const std::size_t dim = std::size_t(1) << wires;
-  la::Matrix u(dim, dim);
-  for (std::uint32_t j = 0; j < dim; ++j) {
-    StateVector s = StateVector::basis(wires, j);
-    for (std::size_t g = 0; g < count; ++g) s.apply_gate(gates[g]);
-    for (std::size_t i = 0; i < dim; ++i) u(i, j) = s.amplitudes()[i];
-  }
-  return u;
-}
-
-}  // namespace
 
 std::shared_ptr<const la::Matrix> UnitaryCache::fold(std::size_t wires,
                                                      const gates::Gate* gates,
@@ -66,7 +49,7 @@ std::shared_ptr<const la::Matrix> UnitaryCache::fold(std::size_t wires,
   // *different* blocks should not serialize. A racing duplicate fold of the
   // same block is harmless — emplace keeps the first published result.
   auto folded =
-      std::make_shared<const la::Matrix>(fold_block(wires, gates, count));
+      std::make_shared<const la::Matrix>(gates_unitary(wires, gates, count));
   if (fold_hook_) fold_hook_();
   const std::size_t dim = std::size_t(1) << wires;
   const std::size_t folded_bytes = dim * dim * sizeof(la::Complex);

@@ -5,31 +5,26 @@
 
 namespace qsyn::sim {
 
-la::Matrix gate_unitary(const gates::Gate& gate, std::size_t wires) {
+la::Matrix gates_unitary(std::size_t wires, const gates::Gate* gates,
+                         std::size_t count) {
   const std::size_t dim = std::size_t(1) << wires;
   la::Matrix u(dim, dim);
   // Column j of U is U|j>: run the simulator on each basis state.
   for (std::uint32_t j = 0; j < dim; ++j) {
     StateVector s = StateVector::basis(wires, j);
-    s.apply_gate(gate);
-    for (std::size_t i = 0; i < dim; ++i) {
-      u(i, j) = s.amplitudes()[i];
-    }
+    for (std::size_t g = 0; g < count; ++g) s.apply_gate(gates[g]);
+    for (std::size_t i = 0; i < dim; ++i) u(i, j) = s.amplitudes()[i];
   }
   return u;
 }
 
+la::Matrix gate_unitary(const gates::Gate& gate, std::size_t wires) {
+  return gates_unitary(wires, &gate, 1);
+}
+
 la::Matrix cascade_unitary(const gates::Cascade& cascade) {
-  const std::size_t dim = std::size_t(1) << cascade.wires();
-  la::Matrix u(dim, dim);
-  for (std::uint32_t j = 0; j < dim; ++j) {
-    StateVector s = StateVector::basis(cascade.wires(), j);
-    s.apply_cascade(cascade);
-    for (std::size_t i = 0; i < dim; ++i) {
-      u(i, j) = s.amplitudes()[i];
-    }
-  }
-  return u;
+  return gates_unitary(cascade.wires(), cascade.sequence().data(),
+                       cascade.size());
 }
 
 la::Matrix permutation_unitary(const perm::Permutation& perm,

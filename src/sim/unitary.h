@@ -13,6 +13,14 @@
 
 namespace qsyn::sim {
 
+/// The 2^wires x 2^wires unitary of the gate run [gates, gates + count):
+/// column j is StateVector::basis(wires, j) run through the gates in order
+/// (exact dyadic arithmetic). gate_unitary, cascade_unitary and the fused
+/// simulator's block folds all build through this one loop.
+[[nodiscard]] la::Matrix gates_unitary(std::size_t wires,
+                                       const gates::Gate* gates,
+                                       std::size_t count);
+
 /// The 2^wires x 2^wires unitary of one elementary gate.
 [[nodiscard]] la::Matrix gate_unitary(const gates::Gate& gate,
                                       std::size_t wires);

@@ -11,14 +11,14 @@ namespace {
 
 /// Applies a gate sequence to every full-domain pattern; returns the image
 /// table indexed by pattern code.
-std::vector<std::uint8_t> action_table(const std::vector<gates::Gate>& seq,
-                                       std::size_t wires) {
+std::vector<std::uint32_t> action_table(const std::vector<gates::Gate>& seq,
+                                        std::size_t wires) {
   const std::uint32_t count = 1u << (2 * wires);
-  std::vector<std::uint8_t> table(count);
+  std::vector<std::uint32_t> table(count);
   for (std::uint32_t code = 0; code < count; ++code) {
     mvl::Pattern p = mvl::Pattern::from_code(wires, code);
     for (const gates::Gate& g : seq) p = g.apply(p);
-    table[code] = static_cast<std::uint8_t>(p.code());
+    table[code] = p.code();
   }
   return table;
 }

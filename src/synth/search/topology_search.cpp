@@ -1,6 +1,7 @@
 #include "synth/search/topology_search.h"
 
 #include <cstring>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -20,9 +21,10 @@ std::size_t TopologySearchBackend::StateKeyHash::operator()(
   return static_cast<std::size_t>(h);
 }
 
-/// Per-sweep scratch. The state stack holds limit+1 image tables in one
-/// buffer; banned masks and chosen gates are kept per depth so the commuting
-/// canonical-order check can consult the parent without recomputing.
+/// Per-walk scratch, reset by each deepening iteration. The state stack holds
+/// limit+1 image tables in one buffer; banned masks and chosen gates are kept
+/// per depth so the commuting canonical-order check can consult the parent
+/// without recomputing.
 struct TopologySearchBackend::Run {
   unsigned limit = 0;
   std::vector<std::uint16_t> states;   // (limit + 1) x binary_count
@@ -31,10 +33,6 @@ struct TopologySearchBackend::Run {
   std::vector<std::uint8_t> encoded;   // one encoded row (scratch)
   std::vector<std::uint16_t> swapped;  // commuting-check scratch state
   VisitedSet memo;
-  // Open targets: encoded core state -> slots in the batch. Resolved slots
-  // record their witness path in `found` and leave the map.
-  std::unordered_map<StateKey, std::vector<std::size_t>, StateKeyHash> pending;
-  std::vector<std::vector<std::size_t>>* found = nullptr;  // per batch slot
 
   Run(std::size_t binary_count, std::size_t label_range,
       std::size_t memo_budget)
@@ -67,14 +65,23 @@ TopologySearchBackend::TopologySearchBackend(const gates::GateLibrary& library,
           p.apply(static_cast<std::uint32_t>(l) + 1) - 1);
     }
     gate_class_bits_[g] = 1u << library.banned_class_of(g);
-    gate_adjoint_[g] = library.adjoint_index(g);
+    // A restricted library may lack g's adjoint: then no pair cancels.
+    const auto adjoint = library.gate(g).adjoint();
+    gate_adjoint_[g] = gates;
+    for (std::size_t h = 0; h < gates; ++h) {
+      if (library.gate(h) == adjoint) gate_adjoint_[g] = h;
+    }
   }
-  gate_commutes_.assign(gates * gates, 0);
+  gate_commutes_.assign(gates * gates, 1);
   for (std::size_t a = 0; a < gates; ++a) {
-    for (std::size_t b = 0; b <= a; ++b) {
-      const std::uint8_t c = library.commutes(a, b) ? 1 : 0;
-      gate_commutes_[a * gates + b] = c;
-      gate_commutes_[b * gates + a] = c;
+    for (std::size_t b = 0; b < a; ++b) {
+      // Two gates commute iff their domain permutations do.
+      const auto& ta = gate_tables_[a];
+      const auto& tb = gate_tables_[b];
+      std::size_t l = 0;
+      while (l < width_ && ta[tb[l]] == tb[ta[l]]) ++l;
+      gate_commutes_[a * gates + b] = gate_commutes_[b * gates + a] =
+          l == width_ ? 1 : 0;
     }
   }
   label_banned_.resize(width_);
@@ -106,8 +113,9 @@ TopologySearchBackend::StateKey TopologySearchBackend::key_of(
   return key;
 }
 
+template <typename Visit>
 bool TopologySearchBackend::dfs(Run& run, unsigned depth,
-                                std::size_t last_gate) {
+                                std::size_t last_gate, const Visit& visit) {
   const std::size_t gates = gate_tables_.size();
   const std::uint16_t* state = run.states.data() + depth * binary_count_;
   const std::uint32_t banned = run.banned[depth];
@@ -151,19 +159,10 @@ bool TopologySearchBackend::dfs(Run& run, unsigned depth,
     for (std::size_t s = 0; s < binary_count_; ++s) {
       next[s] = table[state[s]];
     }
+    run.path[depth] = g;
     if (depth + 1 == run.limit) {
       ++stats_.leaves;
-      encode_state(next, run.encoded.data());
-      const auto hit = run.pending.find(key_of(run.encoded.data()));
-      if (hit != run.pending.end()) {
-        run.path[depth] = g;
-        for (const std::size_t slot : hit->second) {
-          (*run.found)[slot].assign(run.path.begin(),
-                                    run.path.begin() + run.limit);
-        }
-        run.pending.erase(hit);
-        if (run.pending.empty()) return true;
-      }
+      if (visit(next, run.path)) return true;
       continue;
     }
     run.banned[depth + 1] = banned_of(next);
@@ -172,10 +171,46 @@ bool TopologySearchBackend::dfs(Run& run, unsigned depth,
       ++stats_.pruned_visited;
       continue;
     }
-    run.path[depth] = g;
-    if (dfs(run, depth + 1, g)) return true;
+    if (dfs(run, depth + 1, g, visit)) return true;
   }
   return false;
+}
+
+template <typename Visit>
+bool TopologySearchBackend::deepen(const Visit& visit) {
+  Run run(binary_count_, width_, config_.visited_budget_bytes);
+  run.encoded.resize(binary_count_ * label_bytes_);
+  run.swapped.resize(binary_count_);
+  // Row 0 of the state stack is the identity for every iteration: resizing
+  // the stack keeps it.
+  run.states.resize(binary_count_);
+  std::iota(run.states.begin(), run.states.end(), std::uint16_t{0});
+  run.banned.assign(1, banned_of(run.states.data()));
+  ++stats_.leaves;
+  if (visit(run.states.data(), run.path)) return true;
+  for (unsigned limit = 1; limit <= config_.max_cost; ++limit) {
+    run.limit = limit;
+    run.states.resize(static_cast<std::size_t>(limit + 1) * binary_count_);
+    run.banned.resize(limit + 1);
+    run.path.assign(limit, 0);
+    run.memo.clear();
+    encode_state(run.states.data(), run.encoded.data());
+    (void)run.memo.admit(run.encoded.data(), 0);  // identity prefixes recur
+    if (limit > stats_.deepest_iteration) stats_.deepest_iteration = limit;
+    const bool stopped = dfs(run, 0, 0, visit);
+    if (run.memo.rows() > stats_.peak_memo_rows) {
+      stats_.peak_memo_rows = run.memo.rows();
+    }
+    if (stopped) return true;
+  }
+  return false;
+}
+
+gates::Cascade TopologySearchBackend::cascade_of(
+    const std::vector<std::size_t>& path) const {
+  gates::Cascade cascade(wires_);
+  for (const std::size_t g : path) cascade.append(library_->gate(g));
+  return cascade;
 }
 
 std::vector<std::optional<SynthesisResult>>
@@ -183,58 +218,49 @@ TopologySearchBackend::synthesize_batch(
     const std::vector<perm::Permutation>& targets) {
   std::vector<std::optional<SynthesisResult>> answers(targets.size());
   std::vector<NotStripped> stripped(targets.size());
-
-  Run run(binary_count_, width_, config_.visited_budget_bytes);
-  std::vector<std::vector<std::size_t>> found(targets.size());
-  run.found = &found;
-  run.encoded.resize(binary_count_ * label_bytes_);
-  run.swapped.resize(binary_count_);
-
+  // Open targets: encoded core state -> slots in the batch. A leaf that
+  // matches answers its slots (the first hit is minimal: every shallower
+  // iteration completed without one) and leaves the map.
+  std::unordered_map<StateKey, std::vector<std::size_t>, StateKeyHash> pending;
+  std::vector<std::uint8_t> encoded(binary_count_ * label_bytes_);
+  std::vector<std::uint16_t> goal(binary_count_);
   for (std::size_t i = 0; i < targets.size(); ++i) {
     stripped[i] = strip_not_prefix(wires_, targets[i]);
-    if (stripped[i].core.is_identity()) {
-      answers[i] = assemble_result(wires_, stripped[i], gates::Cascade(wires_));
-      continue;
-    }
     // Key the core by its 0-based image row over the binary labels — the
     // exact state a matching leaf carries.
-    std::vector<std::uint16_t> goal(binary_count_);
     for (std::size_t s = 0; s < binary_count_; ++s) {
       goal[s] = static_cast<std::uint16_t>(
           stripped[i].core.apply(static_cast<std::uint32_t>(s) + 1) - 1);
     }
-    encode_state(goal.data(), run.encoded.data());
-    run.pending[key_of(run.encoded.data())].push_back(i);
+    encode_state(goal.data(), encoded.data());
+    pending[key_of(encoded.data())].push_back(i);
   }
+  if (pending.empty()) return answers;
 
-  for (unsigned limit = 1;
-       limit <= config_.max_cost && !run.pending.empty(); ++limit) {
-    run.limit = limit;
-    run.states.assign(static_cast<std::size_t>(limit + 1) * binary_count_, 0);
-    run.banned.assign(limit + 1, 0);
-    run.path.assign(limit, 0);
-    for (std::size_t s = 0; s < binary_count_; ++s) {
-      run.states[s] = static_cast<std::uint16_t>(s);
+  (void)deepen([&](const std::uint16_t* images,
+                   const std::vector<std::size_t>& path) {
+    encode_state(images, encoded.data());
+    const auto hit = pending.find(key_of(encoded.data()));
+    if (hit == pending.end()) return false;
+    for (const std::size_t slot : hit->second) {
+      answers[slot] = assemble_result(wires_, stripped[slot], cascade_of(path));
     }
-    run.banned[0] = banned_of(run.states.data());
-    run.memo.clear();
-    encode_state(run.states.data(), run.encoded.data());
-    (void)run.memo.admit(run.encoded.data(), 0);  // identity prefixes recur
-    if (limit > stats_.deepest_iteration) stats_.deepest_iteration = limit;
-    (void)dfs(run, 0, 0);
-    if (run.memo.rows() > stats_.peak_memo_rows) {
-      stats_.peak_memo_rows = run.memo.rows();
-    }
-    // Assemble every target resolved in this iteration: its witness path is
-    // a minimal cascade (all shallower iterations completed without a hit).
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      if (answers[i].has_value() || found[i].empty()) continue;
-      gates::Cascade core(wires_);
-      for (const std::size_t g : found[i]) core.append(library_->gate(g));
-      answers[i] = assemble_result(wires_, stripped[i], std::move(core));
-    }
-  }
+    pending.erase(hit);
+    return pending.empty();
+  });
   return answers;
+}
+
+std::optional<gates::Cascade> TopologySearchBackend::first_cascade(
+    const LeafTest& accept) {
+  std::optional<gates::Cascade> found;
+  (void)deepen([&](const std::uint16_t* images,
+                   const std::vector<std::size_t>& path) {
+    if (!accept(images)) return false;
+    found = cascade_of(path);
+    return true;
+  });
+  return found;
 }
 
 std::optional<SynthesisResult> TopologySearchBackend::synthesize(

@@ -32,10 +32,19 @@
 // across every pending target — matching a leaf against a hash set of open
 // targets costs O(1), so differential sweeps over thousands of targets pay
 // for the tree walk once.
+//
+// first_cascade runs the same walk with a caller's test on the leaf images
+// instead of the target lookup; it is how automata::ProbSynthesizer finds
+// minimal probabilistic circuits (Section 4). Every prune above drops a
+// branch only when a shorter or a lexicographically smaller reasonable
+// cascade reaches the same binary images, so the walk returns the
+// lexicographically least (by gate index) of the minimal reasonable
+// cascades a leaf test accepts — the one a walk without pruning finds first.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -99,6 +108,18 @@ class TopologySearchBackend final : public SynthesisBackend {
   [[nodiscard]] std::vector<std::optional<SynthesisResult>> synthesize_batch(
       const std::vector<perm::Permutation>& targets) override;
 
+  /// Leaf test for first_cascade: the 0-based images of the 2^n binary
+  /// labels (the domain's binary_count() entries) under a cascade.
+  using LeafTest = std::function<bool(const std::uint16_t* images)>;
+
+  /// The lexicographically least cascade of minimal length whose leaf images
+  /// `accept` takes, among the reasonable cascades of cost <= max_cost();
+  /// nullopt when none is. Depth 0 tests the identity. The prunes never drop
+  /// that cascade (see the file comment), so the answer is the one an
+  /// unpruned lex-order walk returns.
+  [[nodiscard]] std::optional<gates::Cascade> first_cascade(
+      const LeafTest& accept);
+
   [[nodiscard]] const SearchConfig& config() const { return config_; }
   [[nodiscard]] const SearchStats& stats() const { return stats_; }
 
@@ -110,13 +131,21 @@ class TopologySearchBackend final : public SynthesisBackend {
     std::size_t operator()(const StateKey& key) const;
   };
 
-  struct Run;  // per-sweep scratch (stack, memo, pending targets)
+  struct Run;  // per-walk scratch (state stack, path, memo)
 
   [[nodiscard]] std::uint32_t banned_of(const std::uint16_t* state) const;
   void encode_state(const std::uint16_t* state, std::uint8_t* out) const;
   [[nodiscard]] StateKey key_of(const std::uint8_t* encoded) const;
-  /// Returns true once every pending target is resolved (early unwind).
-  bool dfs(Run& run, unsigned depth, std::size_t last_gate);
+  /// Iterative deepening from the identity (depth 0) up to max_cost: hands
+  /// each unpruned leaf's images and gate path to `visit` in lex order, and
+  /// returns true as soon as `visit` does.
+  template <typename Visit>
+  bool deepen(const Visit& visit);
+  template <typename Visit>
+  bool dfs(Run& run, unsigned depth, std::size_t last_gate,
+           const Visit& visit);
+  [[nodiscard]] gates::Cascade cascade_of(
+      const std::vector<std::size_t>& path) const;
 
   const gates::GateLibrary* library_;  // outlives the backend
   SearchConfig config_;
@@ -128,7 +157,7 @@ class TopologySearchBackend final : public SynthesisBackend {
 
   std::vector<std::vector<std::uint16_t>> gate_tables_;  // [gate][label0]
   std::vector<std::uint32_t> gate_class_bits_;           // [gate]
-  std::vector<std::size_t> gate_adjoint_;                // [gate]
+  std::vector<std::size_t> gate_adjoint_;  // [gate], |L| when not in L
   std::vector<std::uint8_t> gate_commutes_;  // [a * |L| + b] (symmetric)
   std::vector<std::uint32_t> label_banned_;  // [label0]
 };

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <vector>
 
 #include "automata/measurement.h"
 #include "common/error.h"
@@ -223,9 +225,162 @@ TEST_F(ProbSynth3, BehavioralSpecFindsMinimalCoin) {
   }
 }
 
+TEST_F(ProbSynth3, LibraryWithoutAdjointsSynthesizes) {
+  // VBA alone: its adjoint V+BA is not in the library, and VBA twice is the
+  // CNOT it takes to flip wire B.
+  const gates::GateLibrary v_only =
+      library().restricted_to({library().index_of("VBA")});
+  const gates::Cascade reference = gates::Cascade::parse("VBA*VBA", 3);
+  std::vector<Pattern> outputs;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    outputs.push_back(reference.apply(Pattern::from_binary(3, i)));
+  }
+  const ProbSynthesizer synthesizer(v_only);
+  const auto c = synthesizer.synthesize(ExactProbSpec(3, outputs));
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(*c, reference);
+}
+
 TEST_F(ProbSynth3, MaxCostGuard) {
   EXPECT_THROW(ProbSynthesizer(library(), 10), qsyn::LogicError);
 }
+
+// --- ProbSynthesizer vs an unpruned walk -------------------------------------
+//
+// The oracle reads the contract literally: iterative deepening over every
+// reasonable cascade in gate-index order, no pruning, first accepted leaf
+// wins. The pruned search must return that same cascade gate for gate.
+
+using Images = std::vector<std::uint16_t>;  // 0-based binary-label images
+
+template <typename AcceptFn>
+bool unpruned_dfs(const gates::GateLibrary& lib, const Images& images,
+                  std::vector<std::size_t>& chosen, unsigned depth,
+                  const AcceptFn& accepts) {
+  if (depth == 0) return accepts(images);
+  std::uint32_t banned = 0;
+  for (const std::uint16_t label0 : images) {
+    banned |= lib.domain().banned_mask(label0 + 1u);
+  }
+  Images next(images.size());
+  for (std::size_t g = 0; g < lib.size(); ++g) {
+    if ((banned & (1u << lib.banned_class_of(g))) != 0) continue;
+    for (std::size_t s = 0; s < images.size(); ++s) {
+      next[s] = static_cast<std::uint16_t>(
+          lib.permutation(g).apply(images[s] + 1u) - 1u);
+    }
+    chosen.push_back(g);
+    if (unpruned_dfs(lib, next, chosen, depth - 1, accepts)) return true;
+    chosen.pop_back();
+  }
+  return false;
+}
+
+template <typename AcceptFn>
+std::optional<gates::Cascade> unpruned_search(const gates::GateLibrary& lib,
+                                              unsigned max_cost,
+                                              const AcceptFn& accepts) {
+  Images identity(lib.domain().binary_count());
+  for (std::size_t s = 0; s < identity.size(); ++s) {
+    identity[s] = static_cast<std::uint16_t>(s);
+  }
+  for (unsigned depth = 0; depth <= max_cost; ++depth) {
+    std::vector<std::size_t> chosen;
+    if (unpruned_dfs(lib, identity, chosen, depth, accepts)) {
+      gates::Cascade cascade(lib.domain().wires());
+      for (const std::size_t g : chosen) cascade.append(lib.gate(g));
+      return cascade;
+    }
+  }
+  return std::nullopt;
+}
+
+/// Every distinct output table of a reasonable cascade of <= 3 gates.
+std::vector<std::vector<Pattern>> short_cascade_outputs(
+    const gates::GateLibrary& lib) {
+  const mvl::PatternDomain& domain = lib.domain();
+  std::set<Images> seen;
+  std::vector<std::vector<Pattern>> outputs;
+  const auto collect = [&](const Images& images) {
+    if (seen.insert(images).second) {
+      std::vector<Pattern> table;
+      for (const std::uint16_t label0 : images) {
+        table.push_back(domain.pattern(label0 + 1u));
+      }
+      outputs.push_back(std::move(table));
+    }
+    return false;  // keep walking
+  };
+  Images identity(domain.binary_count());
+  for (std::size_t s = 0; s < identity.size(); ++s) {
+    identity[s] = static_cast<std::uint16_t>(s);
+  }
+  for (unsigned depth = 0; depth <= 3; ++depth) {
+    std::vector<std::size_t> chosen;
+    (void)unpruned_dfs(lib, identity, chosen, depth, collect);
+  }
+  return outputs;
+}
+
+/// The behavioural relaxation of an output table: a coin wherever an output
+/// wire is mixed, the binary value elsewhere.
+BehavioralProbSpec relax(std::size_t wires,
+                         const std::vector<Pattern>& outputs) {
+  std::vector<std::vector<WireBehavior>> rows;
+  for (const Pattern& out : outputs) {
+    std::vector<WireBehavior> row(wires);
+    for (std::size_t w = 0; w < wires; ++w) {
+      switch (out.get(w)) {
+        case mvl::Quat::kZero: row[w] = WireBehavior::kZero; break;
+        case mvl::Quat::kOne: row[w] = WireBehavior::kOne; break;
+        default: row[w] = WireBehavior::kCoin; break;
+      }
+    }
+    rows.push_back(std::move(row));
+  }
+  return BehavioralProbSpec(wires, std::move(rows));
+}
+
+class ProbSynthOracle : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ProbSynthOracle, ShortCascadeSpecsMatchTheUnprunedWalk) {
+  const std::size_t wires = GetParam();
+  const auto lib = gates::GateLibrary::standard(wires);
+  const mvl::PatternDomain& domain = lib.domain();
+  const ProbSynthesizer synthesizer(lib, 3);
+  const auto tables = short_cascade_outputs(lib);
+  ASSERT_GT(tables.size(), lib.size());
+  for (const std::vector<Pattern>& outputs : tables) {
+    const ExactProbSpec exact(wires, outputs);
+    Images wanted;
+    for (const Pattern& out : outputs) {
+      wanted.push_back(static_cast<std::uint16_t>(domain.label_of(out) - 1));
+    }
+    const auto expected = unpruned_search(
+        lib, 3, [&wanted](const Images& images) { return images == wanted; });
+    ASSERT_TRUE(expected.has_value());
+    const auto got = synthesizer.synthesize(exact);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, *expected) << expected->to_string();
+
+    const BehavioralProbSpec behavioral = relax(wires, outputs);
+    const auto expected_b =
+        unpruned_search(lib, 3, [&](const Images& images) {
+          for (std::uint32_t i = 0; i < images.size(); ++i) {
+            if (!behavioral.accepts(i, domain.pattern(images[i] + 1u))) {
+              return false;
+            }
+          }
+          return true;
+        });
+    ASSERT_TRUE(expected_b.has_value());
+    const auto got_b = synthesizer.synthesize(behavioral);
+    ASSERT_TRUE(got_b.has_value());
+    EXPECT_EQ(*got_b, *expected_b) << expected_b->to_string();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Wires, ProbSynthOracle, ::testing::Values(2u, 3u));
 
 // --- controlled QRNG ---------------------------------------------------------
 

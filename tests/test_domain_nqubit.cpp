@@ -5,7 +5,7 @@
 // differential check that every library gate's fused-engine unitary realizes
 // the multi-valued permutation model, and wide-domain regressions for the
 // closure layers (two-byte label stores, 256-bit G-keys, restricted
-// libraries at n != 3).
+// libraries at n != 3), and minimal probabilistic synthesis at n = 2..5.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "automata/prob_synth.h"
+#include "automata/qrng.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "gates/cascade.h"
@@ -452,6 +454,24 @@ TEST(NQubitClosure, McExpressorSynthesizesAcrossWidths) {
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(result->cost, 1u);
     EXPECT_EQ(result->circuit.to_binary_permutation(), target);
+  }
+}
+
+// --- probabilistic synthesis across widths -------------------------------
+
+TEST(NQubitProbSynth, ControlledCoinIsOneGateAtEveryWidth) {
+  // The coin on the last wire when wire A is 1 is a single controlled-V
+  // with target the last wire, control A. At 5 wires its image of binary
+  // label 16 is label 264, past what a one-byte label row can hold.
+  const char* const expected[] = {"VBA", "VCA", "VDA", "VEA"};
+  for (std::size_t n = 2; n <= 5; ++n) {
+    const auto library = gates::GateLibrary::standard(n);
+    const automata::ProbSynthesizer synthesizer(library, 1);
+    const auto cascade =
+        synthesizer.synthesize(automata::controlled_coin_spec(n));
+    ASSERT_TRUE(cascade.has_value()) << "n = " << n;
+    EXPECT_EQ(*cascade, gates::Cascade::parse(expected[n - 2], n))
+        << "n = " << n;
   }
 }
 

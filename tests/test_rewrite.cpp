@@ -97,6 +97,16 @@ TEST(Rewrite, SameFullSemanticsDetectsDifference) {
                                    Cascade::parse("VBA", 2)));
 }
 
+TEST(Rewrite, SameFullSemanticsSeesEveryWireAtFiveWires) {
+  // Pattern codes take two bits per wire, so at 5 wires wire A's digit sits
+  // above the low byte.
+  for (std::size_t w = 0; w < 5; ++w) {
+    Cascade flip(5);
+    flip.append(Gate::not_gate(w));
+    EXPECT_FALSE(same_full_semantics(Cascade(5), flip)) << "NOT on wire " << w;
+  }
+}
+
 class RewriteProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RewriteProperty, PreservesSemanticsAndNeverGrows) {
