@@ -26,6 +26,7 @@
 // frontier rows, heap/disk MiB counters) into the bench JSON.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
@@ -241,27 +242,18 @@ const std::vector<std::uint8_t>& closure_candidates() {
     closure.run_to(6);
     const synth::FlatPermStore b6 = closure.frontier(6);
     const std::size_t width = b6.width();
-    std::vector<std::vector<std::uint8_t>> tables(library.size());
-    std::vector<std::uint32_t> class_bits(library.size());
-    for (std::size_t g = 0; g < library.size(); ++g) {
-      for (std::uint32_t label = 1; label <= width; ++label) {
-        tables[g].push_back(static_cast<std::uint8_t>(
-            library.permutation(g).apply(label) - 1));
-      }
-      class_bits[g] = 1u << static_cast<unsigned>(library.banned_class_of(g));
-    }
+    std::vector<std::uint16_t> images(domain.binary_count());
     std::vector<std::uint8_t> out;
     out.reserve(b6.size_bytes() * library.size());
     for (std::size_t i = 0; i < b6.size(); ++i) {
       const std::uint8_t* row = b6.row(i);
-      std::uint32_t banned = 0;
-      for (std::size_t s = 0; s < domain.binary_count(); ++s) {
-        banned |= domain.banned_mask(row[s] + 1u);
-      }
+      std::copy(row, row + images.size(), images.begin());
+      const std::uint32_t banned = domain.banned_of(images.data());
       for (std::size_t g = 0; g < library.size(); ++g) {
-        if ((banned & class_bits[g]) != 0) continue;
+        if ((banned & library.class_bit(g)) != 0) continue;
+        const std::uint16_t* table = library.table(g);
         for (std::size_t s = 0; s < width; ++s) {
-          out.push_back(tables[g][row[s]]);
+          out.push_back(static_cast<std::uint8_t>(table[row[s]]));
         }
       }
     }

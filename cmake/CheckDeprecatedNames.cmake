@@ -36,7 +36,12 @@
 #  * the seam's extras: the `ClosureBackend` adapter, `BackendInfo`,
 #    `BackendAnswer` and `CatalogServer::locate_batch` — McExpressor is the
 #    closure engine, and the seam carries library(), max_cost(),
-#    synthesize() and synthesize_batch() alone.
+#    synthesize() and synthesize_batch() alone;
+#  * the engines' private label tables (`gate_tables_`, `gate_inv_tables_`,
+#    `gate_class_bits_`, `gate_adjoint_`, `label_banned_`,
+#    `init_gate_tables`) and the closure's shared `worker_pool()` — the
+#    gate library holds the tables, PatternDomain::banned_of the banned
+#    test, and count_sequences walks serially.
 #
 # Usage: cmake -DQSYN_SOURCE_DIR=<repo root> -P CheckDeprecatedNames.cmake
 if(NOT DEFINED QSYN_SOURCE_DIR)
@@ -54,7 +59,9 @@ set(deprecated_names
   "frontier_splitters_" "kPilotRowsPerShard" "end_of_block"
   "QSYN_SIM_FUSE" "run_all_inputs" "mv_model_matches_hilbert_batch"
   "fuse_cascade" "binary_rep_count"
-  "ClosureBackend" "BackendInfo" "locate_batch")
+  "ClosureBackend" "BackendInfo" "locate_batch"
+  "gate_tables_" "gate_inv_tables_" "gate_class_bits_" "gate_adjoint_"
+  "label_banned_" "init_gate_tables" "worker_pool")
 # Matched as whole identifiers: `BackendAnswer` is also part of a live test
 # name (CatalogWeighted.FallbackBackendAnswersBeyondStoredDepth).
 set(deprecated_words "BackendAnswer")

@@ -22,13 +22,34 @@ GateLibrary::GateLibrary(const mvl::PatternDomain& domain) : domain_(&domain) {
       gates_.push_back(Gate::feynman(b, a));
     }
   }
+  width_ = domain.size();
   perms_.reserve(gates_.size());
   classes_.reserve(gates_.size());
-  for (const Gate& g : gates_) {
-    perms_.push_back(g.to_permutation(domain));
-    const auto klass = g.banned_class(domain);
+  tables_.resize(gates_.size() * width_);
+  inverse_tables_.resize(gates_.size() * width_);
+  for (std::size_t g = 0; g < gates_.size(); ++g) {
+    perms_.push_back(gates_[g].to_permutation(domain));
+    const auto klass = gates_[g].banned_class(domain);
     QSYN_CHECK(klass.has_value(), "library gates always have a banned class");
     classes_.push_back(*klass);
+    std::uint16_t* table = tables_.data() + g * width_;
+    std::uint16_t* inverse = inverse_tables_.data() + g * width_;
+    for (std::size_t l = 0; l < width_; ++l) {
+      table[l] = static_cast<std::uint16_t>(
+          perms_[g].apply(static_cast<std::uint32_t>(l + 1)) - 1);
+      inverse[table[l]] = static_cast<std::uint16_t>(l);
+    }
+  }
+  find_adjoints();
+}
+
+void GateLibrary::find_adjoints() {
+  adjoints_.assign(gates_.size(), gates_.size());
+  for (std::size_t g = 0; g < gates_.size(); ++g) {
+    const Gate adjoint = gates_[g].adjoint();
+    for (std::size_t h = 0; h < gates_.size(); ++h) {
+      if (gates_[h] == adjoint) adjoints_[g] = h;
+    }
   }
 }
 
@@ -133,23 +154,29 @@ GateLibrary GateLibrary::restricted_to(
   GateLibrary out;
   out.domain_ = domain_;
   out.owned_domain_ = owned_domain_;  // keep a standard() parent's domain alive
+  out.width_ = width_;
   out.gates_.reserve(indices.size());
   out.perms_.reserve(indices.size());
   out.classes_.reserve(indices.size());
+  out.tables_.reserve(indices.size() * width_);
+  out.inverse_tables_.reserve(indices.size() * width_);
   for (const std::size_t index : indices) {
     out.gates_.push_back(gate(index));
     out.perms_.push_back(permutation(index));
     out.classes_.push_back(banned_class_of(index));
+    out.tables_.insert(out.tables_.end(), table(index),
+                       table(index) + width_);
+    out.inverse_tables_.insert(out.inverse_tables_.end(),
+                               inverse_table(index),
+                               inverse_table(index) + width_);
   }
+  out.find_adjoints();
   return out;
 }
 
 std::size_t GateLibrary::adjoint_index(std::size_t index) const {
-  const Gate adj = gate(index).adjoint();
-  for (std::size_t i = 0; i < gates_.size(); ++i) {
-    if (gates_[i] == adj) return i;
-  }
-  throw qsyn::LogicError("adjoint gate missing from library");
+  QSYN_CHECK(index < adjoints_.size(), "gate index out of range");
+  return adjoints_[index];
 }
 
 }  // namespace qsyn::gates

@@ -6,6 +6,15 @@
 // L_A, L_B, L_C (controlled gates by control wire) and L_AB, L_AC, L_BC
 // (Feynman gates by wire pair). NOT gates are *not* in L; the paper handles
 // them separately through the coset decomposition of Theorem 2.
+//
+// The library also holds the label tables every synthesis engine reads,
+// built once at construction and sliced by restricted_to: per gate, its
+// image table and inverse table over the domain's 0-based labels (label
+// l + 1 of the paper's 1-based numbering is entry l; uint16 covers every
+// domain up to 8 wires), its banned-class bit, and its adjoint's index.
+// The FMCF closure (synth/fmcf.h), the DFS (synth/search/topology_search.h),
+// WireSymmetry and McExpressor::count_sequences read them, with
+// PatternDomain::banned_of for the banned test.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +35,7 @@ namespace qsyn::gates {
 class GateLibrary {
  public:
   /// Builds L for `domain.wires()` wires and caches each gate's permutation
-  /// of the domain labels and its banned class.
+  /// of the domain labels, its label tables and its banned class.
   explicit GateLibrary(const mvl::PatternDomain& domain);
 
   /// The standard paper library over the reduced n-wire domain, owning its
@@ -48,6 +57,24 @@ class GateLibrary {
   [[nodiscard]] const perm::Permutation& permutation(std::size_t index) const;
   [[nodiscard]] mvl::BannedClass banned_class_of(std::size_t index) const;
 
+  /// Gate `index`'s image table: entry l is the 0-based image of 0-based
+  /// label l, for all domain().size() labels. Unchecked: the engines'
+  /// inner loops read it.
+  [[nodiscard]] const std::uint16_t* table(std::size_t index) const {
+    return tables_.data() + index * width_;
+  }
+
+  /// Gate `index`'s inverse table: inverse_table(g)[table(g)[l]] == l.
+  [[nodiscard]] const std::uint16_t* inverse_table(std::size_t index) const {
+    return inverse_tables_.data() + index * width_;
+  }
+
+  /// 1 << banned_class_of(index): the gate is allowed after a cascade iff
+  /// domain().banned_of(images) & class_bit(index) is 0. Unchecked.
+  [[nodiscard]] std::uint32_t class_bit(std::size_t index) const {
+    return 1u << classes_[index];
+  }
+
   [[nodiscard]] const std::vector<Gate>& gates() const { return gates_; }
 
   /// Index of the gate with the given paper-style name; throws if absent.
@@ -68,7 +95,8 @@ class GateLibrary {
   /// Indices of all controlled-V / controlled-V+ gates.
   [[nodiscard]] std::vector<std::size_t> controlled_indices() const;
 
-  /// Index of the adjoint gate of gate `index` (an involution on L).
+  /// Index of the adjoint gate of gate `index` (an involution on the
+  /// standard L), or size() when a restricted library lacks it.
   [[nodiscard]] std::size_t adjoint_index(std::size_t index) const;
 
   /// A library over the same domain containing only the given gate indices
@@ -86,6 +114,8 @@ class GateLibrary {
 
  private:
   GateLibrary() = default;
+  /// Sets adjoints_ from gates_.
+  void find_adjoints();
 
   // Non-owning view; set for every construction path. Libraries built via
   // standard() additionally hold the domain alive through owned_domain_;
@@ -95,6 +125,10 @@ class GateLibrary {
   std::vector<Gate> gates_;
   std::vector<perm::Permutation> perms_;
   std::vector<mvl::BannedClass> classes_;
+  std::size_t width_ = 0;                      // domain labels per table
+  std::vector<std::uint16_t> tables_;          // [gate * width_ + label0]
+  std::vector<std::uint16_t> inverse_tables_;  // [gate * width_ + label0]
+  std::vector<std::size_t> adjoints_;          // [gate], size() if absent
 };
 
 }  // namespace qsyn::gates

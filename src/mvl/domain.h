@@ -81,6 +81,17 @@ class PatternDomain {
   /// Bitmask over classes: bit c set iff `label` lies in class c's banned set.
   [[nodiscard]] std::uint32_t banned_mask(std::uint32_t label) const;
 
+  /// The classes a cascade may not apply next, given the 0-based images of
+  /// the binary labels under it (images0[0..binary_count())): the OR of
+  /// their banned masks. Unchecked: the engines' inner loops call it.
+  [[nodiscard]] std::uint32_t banned_of(const std::uint16_t* images0) const {
+    std::uint32_t mask = 0;
+    for (std::size_t s = 0; s < binary_count(); ++s) {
+      mask |= banned_masks_[images0[s]];
+    }
+    return mask;
+  }
+
   /// Alias of banned_mask — the name the n-qubit domain API exposes.
   [[nodiscard]] std::uint32_t class_mask(std::uint32_t label) const {
     return banned_mask(label);

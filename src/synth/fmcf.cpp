@@ -147,6 +147,17 @@ GKey key_of(std::size_t binary_count, Image&& image) {
   return key;
 }
 
+void check_domain(const mvl::PatternDomain& domain) {
+  QSYN_CHECK(domain.wires() <= 5,
+             "FMCF G-set keys support up to 5 wires (32 binary labels)");
+  // Sanity: the first 2^n labels must be the binary patterns (reduced-domain
+  // ordering), otherwise S != {1..2^n} and the restriction logic is wrong.
+  for (std::uint32_t label = 1; label <= domain.binary_count(); ++label) {
+    QSYN_CHECK(domain.pattern(label).is_binary(),
+               "FMCF requires a domain with binary labels first");
+  }
+}
+
 }  // namespace
 
 FmcfEnumerator::FmcfEnumerator(const gates::GateLibrary& library,
@@ -165,7 +176,7 @@ FmcfEnumerator::FmcfEnumerator(const gates::GateLibrary& library,
       symmetry_(library),
       seen_(library.domain().size(), shards_,
             SpillOptions{spill_budget_, spill_dir_}) {
-  init_gate_tables();
+  check_domain(library.domain());
 
   // Level 0: the identity, its own orbit.
   const perm::Permutation id = perm::Permutation::identity(width_);
@@ -196,54 +207,12 @@ FmcfEnumerator::FmcfEnumerator(const gates::GateLibrary& library,
       symmetry_(library),
       seen_(library.domain().size(), 1),
       read_only_(true) {
-  init_gate_tables();
-}
-
-void FmcfEnumerator::init_gate_tables() {
-  const mvl::PatternDomain& domain = library_->domain();
-  QSYN_CHECK(domain.wires() <= 5,
-             "FMCF G-set keys support up to 5 wires (32 binary labels)");
-  // Sanity: the first 2^n labels must be the binary patterns (reduced-domain
-  // ordering), otherwise S != {1..2^n} and the restriction logic is wrong.
-  for (std::uint32_t label = 1; label <= binary_count_; ++label) {
-    QSYN_CHECK(domain.pattern(label).is_binary(),
-               "FMCF requires a domain with binary labels first");
-  }
-
-  gate_tables_.reserve(library_->size());
-  gate_inv_tables_.reserve(library_->size());
-  gate_class_bits_.reserve(library_->size());
-  for (std::size_t g = 0; g < library_->size(); ++g) {
-    const perm::Permutation& p = library_->permutation(g);
-    std::vector<std::uint16_t> table(width_);
-    std::vector<std::uint16_t> inv(width_);
-    for (std::size_t s = 0; s < width_; ++s) {
-      const std::uint32_t image = p.apply(static_cast<std::uint32_t>(s + 1));
-      table[s] = static_cast<std::uint16_t>(image - 1);
-      inv[image - 1] = static_cast<std::uint16_t>(s);
-    }
-    gate_tables_.push_back(std::move(table));
-    gate_inv_tables_.push_back(std::move(inv));
-    gate_class_bits_.push_back(1u << library_->banned_class_of(g));
-  }
-  label_banned_.resize(width_);
-  for (std::uint32_t label = 1; label <= width_; ++label) {
-    label_banned_[label - 1] = domain.banned_mask(label);
-  }
+  check_domain(library.domain());
 }
 
 FmcfEnumerator::~FmcfEnumerator() = default;
 FmcfEnumerator::FmcfEnumerator(FmcfEnumerator&&) noexcept = default;
 FmcfEnumerator& FmcfEnumerator::operator=(FmcfEnumerator&&) noexcept = default;
-
-std::uint32_t FmcfEnumerator::banned_mask(
-    const std::uint16_t* labels) const {
-  std::uint32_t mask = 0;
-  for (std::size_t s = 0; s < binary_count_; ++s) {
-    mask |= label_banned_[labels[s]];
-  }
-  return mask;
-}
 
 bool FmcfEnumerator::row_is_binary_preserving(const std::uint8_t* row) const {
   for (std::size_t s = 0; s < binary_count_; ++s) {
@@ -252,18 +221,13 @@ bool FmcfEnumerator::row_is_binary_preserving(const std::uint8_t* row) const {
   return true;
 }
 
-ThreadPool& FmcfEnumerator::worker_pool() {
-  // Workers spawn on the first pooled pass, not at construction.
-  if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(threads_);
-  return *pool_;
-}
-
 const FmcfLevelStats& FmcfEnumerator::advance() {
   QSYN_CHECK(!read_only_,
              "catalog-backed FmcfEnumerator is read-only: reopened catalogs "
              "serve their saved levels, they never re-enumerate");
   if (saturated()) return stats_.back();
-  (void)worker_pool();
+  // Workers spawn on the first level, not at construction.
+  if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(threads_);
   const std::uint64_t start_ns = metrics::now_ns();
   const unsigned k = levels_done() + 1;
   const FlatPermStore& last = levels_.back().reps;
@@ -288,7 +252,9 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
   // A product of a conjugate of a rep is a conjugate of a product of that
   // rep (the relabeled gate is in L and allowed alike), so expanding the
   // reps reaches every orbit of B[k].
-  const std::size_t gate_count = gate_tables_.size();
+  const gates::GateLibrary& library = *library_;
+  const mvl::PatternDomain& domain = library.domain();
+  const std::size_t gate_count = library.size();
   ShardedPermStore fresh_reps(width_, shards_, spill);
   if (seen_.live_shards() > 1) fresh_reps.split(seen_.splitters());
   fan_out(
@@ -297,10 +263,10 @@ const FmcfLevelStats& FmcfEnumerator::advance() {
         RowScratch& w = scratch[worker];
         decode_row(last.row(i), width_, label_bytes_, w.labels.data());
         const std::uint32_t banned =
-            options_.use_banned_sets ? banned_mask(w.labels.data()) : 0u;
+            options_.use_banned_sets ? domain.banned_of(w.labels.data()) : 0u;
         for (std::size_t g = 0; g < gate_count; ++g) {
-          if ((banned & gate_class_bits_[g]) != 0) continue;
-          const std::uint16_t* table = gate_tables_[g].data();
+          if ((banned & library.class_bit(g)) != 0) continue;
+          const std::uint16_t* table = library.table(g);
           for (std::size_t s = 0; s < width_; ++s) {
             w.product[s] = table[w.labels[s]];
           }
@@ -479,7 +445,7 @@ std::size_t FmcfEnumerator::extract_g_keys(unsigned k) {
   };
   const std::size_t reps = level.reps.size();
   std::vector<Task> tasks(reps < kMinBlockRows ? 1 : threads_, Task(width_));
-  worker_pool().run(tasks.size(), [&](std::size_t t, std::size_t) {
+  pool_->run(tasks.size(), [&](std::size_t t, std::size_t) {
     Task& task = tasks[t];
     for (std::size_t i = t; i < reps; i += tasks.size()) {
       visit_keys(level, i, task.walk,
@@ -591,14 +557,16 @@ gates::Cascade FmcfEnumerator::witness_for_row(unsigned k,
   OrbitWalk walk(width_);
   std::vector<std::uint16_t> current(width_);
   orbit_row(k, row_index, current.data(), walk);
-  const std::size_t gate_count = gate_inv_tables_.size();
+  const gates::GateLibrary& library = *library_;
+  const std::size_t gate_count = library.size();
   std::vector<std::uint16_t> prev(width_);
 
   const auto candidate_ok = [&](unsigned j, std::size_t g) {
-    const std::uint16_t* inv = gate_inv_tables_[g].data();
+    const std::uint16_t* inv = library.inverse_table(g);
     for (std::size_t s = 0; s < width_; ++s) prev[s] = inv[current[s]];
     if (options_.use_banned_sets &&
-        (banned_mask(prev.data()) & gate_class_bits_[g]) != 0) {
+        (library.domain().banned_of(prev.data()) & library.class_bit(g)) !=
+            0) {
       return false;
     }
     return orbit_in(levels_[j - 1], prev.data(), walk.labels,
@@ -609,11 +577,11 @@ gates::Cascade FmcfEnumerator::witness_for_row(unsigned k,
     std::size_t chosen = 0;
     while (chosen < gate_count && !candidate_ok(j, chosen)) ++chosen;
     QSYN_CHECK(chosen < gate_count, "back-walk failed: frontier inconsistency");
-    sequence.push_back(library_->gate(chosen));
+    sequence.push_back(library.gate(chosen));
     current.swap(prev);
   }
   std::reverse(sequence.begin(), sequence.end());
-  return gates::Cascade(library_->domain().wires(), std::move(sequence));
+  return gates::Cascade(library.domain().wires(), std::move(sequence));
 }
 
 std::vector<std::size_t> FmcfEnumerator::implementations(

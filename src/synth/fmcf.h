@@ -188,12 +188,6 @@ class FmcfEnumerator {
   /// Resolved worker-thread count used by the level sweep.
   [[nodiscard]] std::size_t threads() const { return threads_; }
 
-  /// The enumerator's worker pool, created lazily on first use. Shared
-  /// with the MCE layer (McExpressor::count_sequences fans its DFS out
-  /// here) so callers reuse one set of workers instead of spawning a pool
-  /// per call.
-  [[nodiscard]] ThreadPool& worker_pool();
-
   [[nodiscard]] unsigned levels_done() const {
     return static_cast<unsigned>(stats_.size());
   }
@@ -266,12 +260,11 @@ class FmcfEnumerator {
   [[nodiscard]] const gates::GateLibrary& library() const { return *library_; }
 
  private:
-  /// Tag selecting the catalog-reopen construction path: gate tables are
-  /// built, but no level-0 seeding happens (state comes from the file).
+  /// Tag selecting the catalog-reopen construction path: no level-0
+  /// seeding happens (state comes from the file).
   struct CatalogTag {};
   FmcfEnumerator(const gates::GateLibrary& library, ClosureConfig options,
                  CatalogTag tag);
-  void init_gate_tables();
 
   /// One level's canonical rows and where their orbits sit in B[k].
   struct RepLevel {
@@ -322,7 +315,6 @@ class FmcfEnumerator {
                               std::vector<std::uint16_t>& rep,
                               std::vector<std::uint16_t>& moved) const;
 
-  [[nodiscard]] std::uint32_t banned_mask(const std::uint16_t* labels) const;
   [[nodiscard]] bool row_is_binary_preserving(const std::uint8_t* row) const;
   [[nodiscard]] std::uint32_t row_label(const std::uint8_t* row,
                                         std::size_t s) const {
@@ -339,11 +331,7 @@ class FmcfEnumerator {
   std::size_t shards_;         // resolved shard count (>= 1)
   std::size_t spill_budget_;   // resolved bytes per sharded store; 0 = never
   std::string spill_dir_;      // resolved spill directory
-  std::unique_ptr<ThreadPool> pool_;  // created lazily, on first use
-  std::vector<std::vector<std::uint16_t>> gate_tables_;      // [gate][label0]
-  std::vector<std::vector<std::uint16_t>> gate_inv_tables_;  // [gate][label0]
-  std::vector<std::uint32_t> gate_class_bits_;               // [gate]
-  std::vector<std::uint32_t> label_banned_;                  // [label0]
+  std::unique_ptr<ThreadPool> pool_;  // created by the first advance()
 
   WireSymmetry symmetry_;
   ShardedPermStore seen_;                // canonical rows of A[k], shard-sorted

@@ -58,10 +58,10 @@ class McExpressor final : public SynthesisBackend {
 
   /// Exhaustively counts the *gate sequences* of length exactly `cost` that
   /// realize the target (reasonable cascades only; NOT prefix excluded).
-  /// Exponential in `cost`; guarded to cost <= max_cost(). With more than
-  /// one worker (ClosureConfig::threads / QSYN_THREADS) the DFS fans its
-  /// depth-2 subtrees out across a thread pool; the subtrees partition the
-  /// serial walk, so the count is thread-count invariant.
+  /// Exponential in `cost`; guarded to cost <= max_cost(). One serial DFS
+  /// over the images of the 2^n binary labels (all the banned sets and the
+  /// target test read), on the library's gate tables; the closure's thread
+  /// count plays no part.
   [[nodiscard]] std::size_t count_sequences(const perm::Permutation& target,
                                             unsigned cost);
 

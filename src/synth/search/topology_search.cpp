@@ -22,16 +22,12 @@ std::size_t TopologySearchBackend::StateKeyHash::operator()(
 }
 
 /// Per-walk scratch, reset by each deepening iteration. The state stack holds
-/// limit+1 image tables in one buffer; banned masks and chosen gates are kept
-/// per depth so the commuting canonical-order check can consult the parent
-/// without recomputing.
+/// limit+1 image tables in one buffer; chosen gates are kept per depth.
 struct TopologySearchBackend::Run {
   unsigned limit = 0;
-  std::vector<std::uint16_t> states;   // (limit + 1) x binary_count
-  std::vector<std::uint32_t> banned;   // per depth
-  std::vector<std::size_t> path;       // gate chosen at each depth
-  std::vector<std::uint8_t> encoded;   // one encoded row (scratch)
-  std::vector<std::uint16_t> swapped;  // commuting-check scratch state
+  std::vector<std::uint16_t> states;  // (limit + 1) x binary_count
+  std::vector<std::size_t> path;      // gate chosen at each depth
+  std::vector<std::uint8_t> encoded;  // one encoded row (scratch)
   VisitedSet memo;
 
   Run(std::size_t binary_count, std::size_t label_range,
@@ -50,53 +46,19 @@ TopologySearchBackend::TopologySearchBackend(const gates::GateLibrary& library,
   QSYN_CHECK(wires_ <= 5,
              "topology search supports up to 5 wires (leaf keys pack 2^n "
              "domain labels into 512 bits)");
-  const mvl::PatternDomain& domain = library.domain();
   const std::size_t gates = library.size();
-
-  gate_tables_.resize(gates);
-  gate_class_bits_.resize(gates);
-  gate_adjoint_.resize(gates);
-  for (std::size_t g = 0; g < gates; ++g) {
-    const perm::Permutation& p = library.permutation(g);
-    auto& table = gate_tables_[g];
-    table.resize(width_);
-    for (std::size_t l = 0; l < width_; ++l) {
-      table[l] = static_cast<std::uint16_t>(
-          p.apply(static_cast<std::uint32_t>(l) + 1) - 1);
-    }
-    gate_class_bits_[g] = 1u << library.banned_class_of(g);
-    // A restricted library may lack g's adjoint: then no pair cancels.
-    const auto adjoint = library.gate(g).adjoint();
-    gate_adjoint_[g] = gates;
-    for (std::size_t h = 0; h < gates; ++h) {
-      if (library.gate(h) == adjoint) gate_adjoint_[g] = h;
-    }
-  }
   gate_commutes_.assign(gates * gates, 1);
   for (std::size_t a = 0; a < gates; ++a) {
     for (std::size_t b = 0; b < a; ++b) {
       // Two gates commute iff their domain permutations do.
-      const auto& ta = gate_tables_[a];
-      const auto& tb = gate_tables_[b];
+      const std::uint16_t* ta = library.table(a);
+      const std::uint16_t* tb = library.table(b);
       std::size_t l = 0;
       while (l < width_ && ta[tb[l]] == tb[ta[l]]) ++l;
       gate_commutes_[a * gates + b] = gate_commutes_[b * gates + a] =
           l == width_ ? 1 : 0;
     }
   }
-  label_banned_.resize(width_);
-  for (std::size_t l = 0; l < width_; ++l) {
-    label_banned_[l] = domain.banned_mask(static_cast<std::uint32_t>(l) + 1);
-  }
-}
-
-std::uint32_t TopologySearchBackend::banned_of(
-    const std::uint16_t* state) const {
-  std::uint32_t banned = 0;
-  for (std::size_t s = 0; s < binary_count_; ++s) {
-    banned |= label_banned_[state[s]];
-  }
-  return banned;
 }
 
 void TopologySearchBackend::encode_state(const std::uint16_t* state,
@@ -116,46 +78,39 @@ TopologySearchBackend::StateKey TopologySearchBackend::key_of(
 template <typename Visit>
 bool TopologySearchBackend::dfs(Run& run, unsigned depth,
                                 std::size_t last_gate, const Visit& visit) {
-  const std::size_t gates = gate_tables_.size();
+  const gates::GateLibrary& library = *library_;
+  const std::size_t gates = library.size();
   const std::uint16_t* state = run.states.data() + depth * binary_count_;
-  const std::uint32_t banned = run.banned[depth];
+  const std::uint32_t banned = library.domain().banned_of(state);
+  // A restricted library may lack last_gate's adjoint: then this is `gates`
+  // and no pair cancels.
+  const std::size_t adjoint =
+      depth > 0 ? library.adjoint_index(last_gate) : gates;
   ++stats_.nodes;
   for (std::size_t g = 0; g < gates; ++g) {
-    if (config_.use_banned_sets && (banned & gate_class_bits_[g]) != 0) {
+    if (config_.use_banned_sets && (banned & library.class_bit(g)) != 0) {
       ++stats_.pruned_banned;
       continue;
     }
     if (depth > 0) {
-      if (config_.prune_adjoint_pairs && g == gate_adjoint_[last_gate]) {
+      if (config_.prune_adjoint_pairs && g == adjoint) {
         ++stats_.pruned_adjoint;  // the pair cancels: never minimal
         continue;
       }
+      // Keep only the ascending order of a commuting pair: the swapped
+      // order reaches the same state and is reasonable too. For commuting
+      // gates g and h, h allowed at a label x and g allowed at h(x) imply
+      // g allowed at x and h allowed at g(x) (tests/test_search.cpp checks
+      // this label by label), and a prefix's banned mask is the OR over
+      // its binary images.
       if (config_.prune_commuting_pairs && g < last_gate &&
           gate_commutes_[g * gates + last_gate] != 0) {
-        // Keep only the ascending order of the commuting pair — but only
-        // when the swap is itself a reasonable product, else this order is
-        // the lone representative. The swapped prefix needs g admissible at
-        // the parent and last_gate admissible after it.
-        const std::uint32_t parent_banned = run.banned[depth - 1];
-        if (!config_.use_banned_sets ||
-            (parent_banned & gate_class_bits_[g]) == 0) {
-          const std::uint16_t* parent =
-              run.states.data() + (depth - 1) * binary_count_;
-          const auto& table = gate_tables_[g];
-          for (std::size_t s = 0; s < binary_count_; ++s) {
-            run.swapped[s] = table[parent[s]];
-          }
-          if (!config_.use_banned_sets ||
-              (banned_of(run.swapped.data()) & gate_class_bits_[last_gate]) ==
-                  0) {
-            ++stats_.pruned_commuting;
-            continue;
-          }
-        }
+        ++stats_.pruned_commuting;
+        continue;
       }
     }
     std::uint16_t* next = run.states.data() + (depth + 1) * binary_count_;
-    const auto& table = gate_tables_[g];
+    const std::uint16_t* table = library.table(g);
     for (std::size_t s = 0; s < binary_count_; ++s) {
       next[s] = table[state[s]];
     }
@@ -165,7 +120,6 @@ bool TopologySearchBackend::dfs(Run& run, unsigned depth,
       if (visit(next, run.path)) return true;
       continue;
     }
-    run.banned[depth + 1] = banned_of(next);
     encode_state(next, run.encoded.data());
     if (!run.memo.admit(run.encoded.data(), depth + 1)) {
       ++stats_.pruned_visited;
@@ -180,18 +134,15 @@ template <typename Visit>
 bool TopologySearchBackend::deepen(const Visit& visit) {
   Run run(binary_count_, width_, config_.visited_budget_bytes);
   run.encoded.resize(binary_count_ * label_bytes_);
-  run.swapped.resize(binary_count_);
   // Row 0 of the state stack is the identity for every iteration: resizing
   // the stack keeps it.
   run.states.resize(binary_count_);
   std::iota(run.states.begin(), run.states.end(), std::uint16_t{0});
-  run.banned.assign(1, banned_of(run.states.data()));
   ++stats_.leaves;
   if (visit(run.states.data(), run.path)) return true;
   for (unsigned limit = 1; limit <= config_.max_cost; ++limit) {
     run.limit = limit;
     run.states.resize(static_cast<std::size_t>(limit + 1) * binary_count_);
-    run.banned.resize(limit + 1);
     run.path.assign(limit, 0);
     run.memo.clear();
     encode_state(run.states.data(), run.encoded.data());

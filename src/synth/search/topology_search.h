@@ -20,9 +20,11 @@
 //     prefix's binary images is skipped — the paper's "reasonable product";
 //   * canonical order: no gate directly follows its adjoint (the pair
 //     cancels, so no *minimal* cascade contains it), and of two adjacent
-//     commuting gates only the ascending-index order is explored when the
-//     swapped order is itself reasonable (the swap reaches the same state at
-//     the same depth in an earlier-visited branch);
+//     commuting gates only the ascending-index order is explored (the swap
+//     reaches the same state at the same depth in an earlier-visited
+//     branch, and it is always reasonable: the banned classes of commuting
+//     library gates allow both orders label by label, which
+//     tests/test_search.cpp checks on the standard libraries);
 //   * transposition memo: states revisited at the same or greater depth are
 //     pruned (VisitedSet over a budgeted FlatPermStore arena).
 //
@@ -73,7 +75,7 @@ struct SearchConfig {
   bool prune_adjoint_pairs = true;
 
   /// Canonical-order pruning: of two adjacent commuting gates explore only
-  /// the ascending-index order (when the swapped order is also reasonable).
+  /// the ascending-index order (the swapped order is always reasonable too).
   bool prune_commuting_pairs = true;
 };
 
@@ -133,7 +135,6 @@ class TopologySearchBackend final : public SynthesisBackend {
 
   struct Run;  // per-walk scratch (state stack, path, memo)
 
-  [[nodiscard]] std::uint32_t banned_of(const std::uint16_t* state) const;
   void encode_state(const std::uint16_t* state, std::uint8_t* out) const;
   [[nodiscard]] StateKey key_of(const std::uint8_t* encoded) const;
   /// Iterative deepening from the identity (depth 0) up to max_cost: hands
@@ -155,11 +156,7 @@ class TopologySearchBackend final : public SynthesisBackend {
   std::size_t binary_count_;  // 2^n
   std::size_t label_bytes_;   // memo/key row encoding (1 or 2)
 
-  std::vector<std::vector<std::uint16_t>> gate_tables_;  // [gate][label0]
-  std::vector<std::uint32_t> gate_class_bits_;           // [gate]
-  std::vector<std::size_t> gate_adjoint_;  // [gate], |L| when not in L
   std::vector<std::uint8_t> gate_commutes_;  // [a * |L| + b] (symmetric)
-  std::vector<std::uint32_t> label_banned_;  // [label0]
 };
 
 }  // namespace qsyn::synth

@@ -69,16 +69,11 @@ WireSymmetry::WireSymmetry(const gates::GateLibrary& library)
     return true;
   };
 
-  std::vector<std::vector<std::uint16_t>> gate_tables(library.size());
   std::map<std::vector<std::uint16_t>, std::size_t> gate_of;
   for (std::size_t g = 0; g < library.size(); ++g) {
-    gate_tables[g].resize(width_);
-    for (std::size_t l = 0; l < width_; ++l) {
-      gate_tables[g][l] = static_cast<std::uint16_t>(
-          library.permutation(g).apply(static_cast<std::uint32_t>(l + 1)) -
-          1);
-    }
-    gate_of.emplace(gate_tables[g], g);
+    gate_of.emplace(std::vector<std::uint16_t>(library.table(g),
+                                               library.table(g) + width_),
+                    g);
   }
 
   // Does σ map the domain, L and the banned classes onto themselves?
@@ -108,8 +103,9 @@ WireSymmetry::WireSymmetry(const gates::GateLibrary& library)
       }
     }
     for (std::size_t g = 0; g < library.size(); ++g) {
+      const std::uint16_t* table = library.table(g);
       for (std::size_t l = 0; l < width_; ++l) {
-        conjugated[forward[l]] = forward[gate_tables[g][l]];
+        conjugated[forward[l]] = forward[table[l]];
       }
       const auto image = gate_of.find(conjugated);
       if (image == gate_of.end() || library.banned_class_of(image->second) !=

@@ -12,6 +12,8 @@
 //   * the synthesis seam carries only library(), max_cost(), synthesize()
 //     and synthesize_batch(): no info() or locate() on SynthesisBackend,
 //     and CatalogServer answers batches through synthesize_batch() alone;
+//   * FmcfEnumerator exposes no worker_pool(): the pool serves its own
+//     level sweep and nothing outside it;
 //   * a namespace-scope alias cannot be SFINAE-probed, so the companion
 //     grep ctest (deprecated_names_absent, cmake/CheckDeprecatedNames.cmake)
 //     scans the tree for both spellings — this file is its one exclusion.
@@ -102,6 +104,19 @@ static_assert(!Detected<LocateBatch, CatalogServer>::value &&
                   Detected<SynthesizeBatch, CatalogServer>::value,
               "CatalogServer keeps locate() and synthesize_batch(); "
               "locate_batch() was deleted");
+
+// FmcfEnumerator's worker pool is its own: McExpressor::count_sequences, the
+// accessor's one outside caller, walks serially, so no public
+// worker_pool() is left to share the pool. threads() still reports the
+// resolved count, which shows the detector can see FmcfEnumerator's members.
+template <typename T>
+using WorkerPool = decltype(std::declval<T&>().worker_pool());
+template <typename T>
+using Threads = decltype(std::declval<const T&>().threads());
+
+static_assert(!Detected<WorkerPool, FmcfEnumerator>::value &&
+                  Detected<Threads, FmcfEnumerator>::value,
+              "FmcfEnumerator has no public worker_pool()");
 
 TEST(Deprecation, ClosureConfigIsTheOneKnobSurface) {
   // The migration target works end to end: an enumerator built from a

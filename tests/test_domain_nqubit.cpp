@@ -91,6 +91,56 @@ TEST(NQubitLibrary, StandardOwnsItsDomain) {
   EXPECT_EQ(tiny.size(), 2u);
 }
 
+TEST(NQubitLibrary, LabelTablesMatchThePermutations) {
+  // The 0-based tables the engines read agree with the 1-based
+  // permutations, restricted_to slices them, and an adjoint the restricted
+  // library lacks reads as size().
+  for (std::size_t n = 2; n <= 5; ++n) {
+    const gates::GateLibrary library = gates::GateLibrary::standard(n);
+    const mvl::PatternDomain& domain = library.domain();
+    const std::vector<std::size_t> picked = {library.size() - 1, 0, 3};
+    const gates::GateLibrary tiny = library.restricted_to(picked);
+    for (std::size_t i = 0; i < library.size(); ++i) {
+      for (std::uint32_t label = 1; label <= domain.size(); ++label) {
+        const std::uint16_t image = library.table(i)[label - 1];
+        ASSERT_EQ(image + 1u, library.permutation(i).apply(label));
+        ASSERT_EQ(library.inverse_table(i)[image], label - 1);
+      }
+      EXPECT_EQ(library.class_bit(i), 1u << library.banned_class_of(i));
+    }
+    for (std::size_t j = 0; j < picked.size(); ++j) {
+      EXPECT_TRUE(std::equal(tiny.table(j), tiny.table(j) + domain.size(),
+                             library.table(picked[j])));
+      EXPECT_TRUE(std::equal(tiny.inverse_table(j),
+                             tiny.inverse_table(j) + domain.size(),
+                             library.inverse_table(picked[j])));
+      EXPECT_EQ(tiny.class_bit(j), library.class_bit(picked[j]));
+    }
+    // Gate 0 (V on control A) and gate 1 (its adjoint) are paired in the
+    // standard library; the restricted one holds gate 0 alone.
+    EXPECT_EQ(library.adjoint_index(0), 1u);
+    EXPECT_EQ(tiny.adjoint_index(1), tiny.size());
+  }
+}
+
+TEST(NQubitDomain, BannedOfIsTheOrOfTheBinaryImagesMasks) {
+  for (std::size_t n = 2; n <= 5; ++n) {
+    const mvl::PatternDomain domain = mvl::PatternDomain::reduced(n);
+    std::vector<std::uint16_t> images(domain.binary_count());
+    // Every window of 2^n consecutive labels across the domain.
+    for (std::size_t start = 0; start + images.size() <= domain.size();
+         ++start) {
+      std::uint32_t expected = 0;
+      for (std::size_t s = 0; s < images.size(); ++s) {
+        images[s] = static_cast<std::uint16_t>(start + s);
+        expected |= domain.banned_mask(static_cast<std::uint32_t>(start + s) +
+                                       1);
+      }
+      ASSERT_EQ(domain.banned_of(images.data()), expected);
+    }
+  }
+}
+
 TEST(NQubitLibrary, BannedClassesAreConsistentWithClassMask) {
   for (std::size_t n = 2; n <= 5; ++n) {
     const mvl::NQubitDomain nq(n);

@@ -24,7 +24,6 @@
 #include "synth/catalog.h"
 #include "synth/flat_perm_store.h"
 #include "synth/fmcf.h"
-#include "synth/mce.h"
 #include "synth/specs.h"
 
 namespace qsyn::synth {
@@ -655,8 +654,7 @@ TEST(FmcfSharding, ShardedCatalogIsByteIdenticalToSingleThreaded) {
 TEST(FmcfThreads, WitnessBackWalkIsThreadCountInvariant) {
   // The MCE back-walk scans candidate gates across the worker pool; both
   // the pooled and the serial scan select the lowest valid gate index, so
-  // every thread count must reconstruct identical witness cascades (the
-  // back-walk analogue of the count_sequences assertion below).
+  // every thread count must reconstruct identical witness cascades.
   const mvl::PatternDomain domain = mvl::PatternDomain::reduced(3);
   const gates::GateLibrary library(domain);
 
@@ -714,38 +712,6 @@ TEST(FmcfThreads, ConcurrentWitnessReconstructionIsSafe) {
   }
   for (std::thread& caller : callers) caller.join();
   for (const auto& got : results) EXPECT_EQ(got, reference);
-}
-
-TEST(FmcfThreads, CountSequencesIsThreadCountInvariant) {
-  // The DFS fans its depth-2 subtrees out across the pool; the subtrees
-  // partition the serial walk, so every thread count must report the same
-  // sequence counts (the MCE layer is where count_sequences lives, but the
-  // invariance contract belongs to the parallel synth sweep checked here).
-  const mvl::PatternDomain domain = mvl::PatternDomain::reduced(3);
-  const gates::GateLibrary library(domain);
-
-  auto count_with = [&](std::size_t threads, const perm::Permutation& target,
-                        unsigned cost) {
-    ClosureConfig options;
-    options.threads = threads;
-    McExpressor mce(library, 7, options);
-    return mce.count_sequences(target, cost);
-  };
-
-  for (const auto& [target, cost] :
-       {std::pair{toffoli_perm(), 5u}, std::pair{peres_perm(), 4u},
-        std::pair{swap_bc_perm(), 3u}, std::pair{peres_perm(), 3u}}) {
-    const std::size_t reference = count_with(1, target, cost);
-    for (const std::size_t threads : {2u, 4u}) {
-      EXPECT_EQ(count_with(threads, target, cost), reference)
-          << target.to_cycle_string() << " cost " << cost << " threads "
-          << threads;
-    }
-  }
-  // Known multiplicities stay pinned (cost-5 Toffoli sequences include the
-  // four Figure-9 cascades).
-  EXPECT_GE(count_with(4, toffoli_perm(), 5), 4u);
-  EXPECT_EQ(count_with(4, toffoli_perm(), 4), 0u);
 }
 
 TEST(Fmcf2Wire, TwoQubitClosureRuns) {

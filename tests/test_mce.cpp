@@ -158,14 +158,14 @@ TEST_F(Mce3, RandomTargetsRoundTrip) {
 TEST_F(Mce3, CountSequencesFindsPaperToffolis) {
   // All length-5 reasonable gate sequences realizing Toffoli. The paper
   // depicts 4 closure elements; each admits several commuting reorderings.
-  const std::size_t sequences = shared().count_sequences(toffoli_perm(), 5);
-  EXPECT_GE(sequences, 4u);
-  // And none shorter.
+  EXPECT_EQ(shared().count_sequences(toffoli_perm(), 5), 40u);
+  // None shorter, and the count one gate deeper.
   EXPECT_EQ(shared().count_sequences(toffoli_perm(), 4), 0u);
+  EXPECT_EQ(shared().count_sequences(toffoli_perm(), 6), 416u);
 }
 
 TEST_F(Mce3, CountSequencesPeres) {
-  EXPECT_GE(shared().count_sequences(peres_perm(), 4), 2u);
+  EXPECT_EQ(shared().count_sequences(peres_perm(), 4), 8u);
   EXPECT_EQ(shared().count_sequences(peres_perm(), 3), 0u);
 }
 
@@ -184,15 +184,15 @@ TEST(McExpressorBounds, CountSequencesHonorsMaxCost) {
   const gates::GateLibrary library(domain);
   McExpressor bounded(library, 3);
   EXPECT_EQ(bounded.max_cost(), 3u);
-  // SWAP(b,c) is realizable with exactly three Feynman gates.
-  EXPECT_GE(bounded.count_sequences(swap_bc_perm(), 3), 1u);
+  // SWAP(b,c) is realizable with exactly three Feynman gates, in two orders.
+  EXPECT_EQ(bounded.count_sequences(swap_bc_perm(), 3), 2u);
   EXPECT_THROW((void)bounded.count_sequences(swap_bc_perm(), 4),
                qsyn::LogicError);
 
   McExpressor wide(library, 8);
   EXPECT_EQ(wide.count_sequences(swap_bc_perm(), 1), 0u);
   // Boundary: cost == max_cost is in range and must not throw.
-  EXPECT_GE(wide.count_sequences(swap_bc_perm(), 3), 1u);
+  EXPECT_EQ(wide.count_sequences(swap_bc_perm(), 3), 2u);
   EXPECT_THROW((void)wide.count_sequences(swap_bc_perm(), 9),
                qsyn::LogicError);
 }

@@ -492,6 +492,40 @@ TEST(Backend4, SpotCheckCnotChainAgainstClosure) {
   EXPECT_FALSE(miss.synthesize(target).has_value());  // proves cost == 3
 }
 
+TEST(SearchPrunes, CommutingSwapIsReasonableLabelByLabel) {
+  // The commuting-pair prune drops the descending order of two commuting
+  // gates without checking that the ascending order is reasonable. That is
+  // exact because the implication below holds at every label, and a
+  // prefix's banned mask is the OR over its binary images: for commuting
+  // gates g != h, h allowed at x and g allowed at h(x) imply g allowed at x
+  // and h allowed at g(x). Read from the gates' permutations and the
+  // domain's masks, not from the library's tables.
+  for (std::size_t n = 2; n <= 5; ++n) {
+    const gates::GateLibrary library = gates::GateLibrary::standard(n);
+    const mvl::PatternDomain& domain = library.domain();
+    const auto allowed = [&](std::size_t gate, std::uint32_t label) {
+      return (domain.banned_mask(label) >> library.banned_class_of(gate) &
+              1u) == 0;
+    };
+    std::size_t checked = 0;  // 421,200 labels over 1,960 pairs at n = 5
+    for (std::size_t g = 0; g < library.size(); ++g) {
+      const perm::Permutation& pg = library.permutation(g);
+      for (std::size_t h = 0; h < library.size(); ++h) {
+        const perm::Permutation& ph = library.permutation(h);
+        if (g == h || pg * ph != ph * pg) continue;
+        for (std::uint32_t x = 1; x <= domain.size(); ++x) {
+          if (!allowed(h, x) || !allowed(g, ph.apply(x))) continue;
+          ++checked;
+          EXPECT_TRUE(allowed(g, x) && allowed(h, pg.apply(x)))
+              << "n = " << n << ", " << library.gate(g).name() << " and "
+              << library.gate(h).name() << " at label " << x;
+        }
+      }
+    }
+    EXPECT_GT(checked, 0u) << "n = " << n;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // 5 wires: the acceptance case — a target the in-memory closure cannot
 // reach. Deepening the 5-wire closure to k = 4 spills its 1.2 GiB level-4
